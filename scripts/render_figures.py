@@ -8,9 +8,6 @@ import pathlib
 import sys
 
 import nestcone as nc
-from nestcone.cone import positive_functional
-from nestcone.errors import FunctionalNotPositive
-from nestcone.rationals import primitive
 from nestcone.render import cross_section_svg, cross_section_tikz
 
 
@@ -26,15 +23,7 @@ def main() -> int:
     out = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "figures")
     out.mkdir(parents=True, exist_ok=True)
     for table_id, params in FIGURES:
-        cone, labeled = nc.table_cone_with_labels(table_id, **params)
-        try:
-            cs = nc.cross_section(cone)
-        except FunctionalNotPositive:
-            cs = nc.cross_section(cone, positive_functional(cone))
-        labels = []
-        for v in cs.vertices:
-            prim = primitive(v)
-            labels.append(next((lab for lab, r in labeled if r == prim), "?"))
+        cs, labels = nc.table_cross_section(table_id, **params)
         (out / f"{table_id}.svg").write_text(cross_section_svg(cs, labels))
         (out / f"{table_id}.tex").write_text(cross_section_tikz(cs, labels))
         print(f"wrote {out}/{table_id}.svg and .tex "

@@ -10,15 +10,13 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import click
 
 from . import render
-from .cone import COORD_SUM, cross_section, positive_functional
-from .errors import FunctionalNotPositive, NestconeError, ParseError
-from .rationals import primitive, rat_str
+from .errors import NestconeError, ParseError
+from .rationals import rat_str
 from .spaces import (
     CurClass,
     DivClass,
@@ -27,12 +25,8 @@ from .spaces import (
     curve,
     divisor,
     hilb,
-    hirzebruch,
-    k3,
     nested,
-    normalize_label,
-    p1xp1,
-    p2,
+    surface_model,
     surface_space,
     univ,
     zero_curve,
@@ -44,7 +38,7 @@ from .verify import (
     reproduce_table,
     standard_eff_certificate,
     standard_nef_certificate,
-    table_cone_with_labels,
+    table_cross_section,
 )
 
 # ---------------------------------------------------------------------------
@@ -88,6 +82,8 @@ def _tokenize(src: str) -> list[_Tok]:
                     k += 1
                 if k == j + 1:
                     raise ParseError("expected digits after '/'", j + 1)
+                if not src[j + 1:k].strip("0"):
+                    raise ParseError("zero denominator", j + 1)
                 j = k
             toks.append(_Tok("num", src[i:j], i))
             i = j
@@ -188,55 +184,32 @@ class _Parser:
         raise ParseError(f"unexpected token {t.text or 'end of input'!r}", t.offset)
 
 
-def parse_divisor_expr(src: str, surface: SurfaceModel, space: SpaceId) -> DivClass:
+def _parse_class(src: str, surface: SurfaceModel, space: SpaceId, unit, zero, what: str):
     def resolve(label, offset):
         try:
-            return divisor(surface, space, label)
+            return unit(surface, space, label)
         except NestconeError as e:
             raise ParseError(str(e), offset) from e
 
     v = _Parser(src, resolve).parse()
     if v.cls is None:
         if v.scalar == 0:
-            return zero_divisor(surface, space)
-        raise ParseError("expression is a bare number, not a divisor class", 0)
+            return zero(surface, space)
+        raise ParseError(f"expression is a bare number, not a {what} class", 0)
     return v.scalar * v.cls
+
+
+def parse_divisor_expr(src: str, surface: SurfaceModel, space: SpaceId) -> DivClass:
+    return _parse_class(src, surface, space, divisor, zero_divisor, "divisor")
 
 
 def parse_curve_expr(src: str, surface: SurfaceModel, space: SpaceId) -> CurClass:
-    def resolve(label, offset):
-        try:
-            return curve(surface, space, label)
-        except NestconeError as e:
-            raise ParseError(str(e), offset) from e
-
-    v = _Parser(src, resolve).parse()
-    if v.cls is None:
-        if v.scalar == 0:
-            return zero_curve(surface, space)
-        raise ParseError("expression is a bare number, not a curve class", 0)
-    return v.scalar * v.cls
+    return _parse_class(src, surface, space, curve, zero_curve, "curve")
 
 
 # ---------------------------------------------------------------------------
 # Flag handling
 # ---------------------------------------------------------------------------
-
-def _surface_from_flags(name: str, genus: int | None) -> SurfaceModel:
-    name = name.lower()
-    if name == "p2":
-        return p2()
-    if name == "p1xp1":
-        return p1xp1()
-    if name.startswith("f") and name[1:].isdigit():
-        i = int(name[1:])
-        return p1xp1() if i == 0 else hirzebruch(i)
-    if name == "k3":
-        if genus is None:
-            raise click.UsageError("--surface k3 requires --genus")
-        return k3(genus)
-    raise click.UsageError(f"unknown surface {name!r} (use p2, p1xp1, f<i>, k3)")
-
 
 def _space_from_flags(kind: str, n: int | None) -> SpaceId:
     kind = kind.lower()
@@ -267,11 +240,26 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text, nl=not text.endswith("\n"))
 
 
-_TABLE_PARAMS = ("n", "g", "i")
+def _echo_certificate(title: str, cert, fmt: str) -> None:
+    if fmt == "json":
+        click.echo(cert.json_str())
+    else:
+        click.echo(f"{title}: {_style(cert.verdict, cert.ok)}")
+        for lab, row in zip(cert.witness_labels, cert.matrix):
+            cells = " ".join(rat_str(x) for x in row)
+            click.echo(f"  {lab}: [{cells}]")
+    if not cert.ok:
+        sys.exit(1)
 
 
-def _table_kwargs(n, g, i):
-    return {"n": n, "g": g, "i": i}
+def _table_params(table_id: str, n, g, i) -> dict:
+    """The table's default parameters, overridden by the flags given; flags
+    the table does not take are ignored."""
+    given = {"n": n, "g": g, "i": i}
+    return {
+        key: val if given[key] is None else given[key]
+        for key, val in CATALOG[table_id].defaults.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +274,8 @@ def cli():
 
 
 @cli.command("pair")
-@click.option("--surface", "surface_name", default="p2", show_default=True)
+@click.option("--surface", "surface_name", default="p2", show_default=True,
+              help="p2, p1xp1 (basis H1, H2), f<i> (F_i, basis H, F; f0 is F_0) or k3")
 @click.option("--genus", type=int, default=None, help="genus for --surface k3")
 @click.option("--space", "space_kind", default="hilb", show_default=True)
 @click.option("--n", type=int, default=None)
@@ -298,15 +287,19 @@ def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
     (the two arguments may be given in either order)."""
     from .pairing import pair
 
-    s = _surface_from_flags(surface_name, genus)
+    s = surface_model(surface_name, genus=genus)
     sp = _space_from_flags(space_kind, n)
-    # Accept (divisor, curve) in either order for convenience.
+    # Accept (divisor, curve) in either order for convenience; when neither
+    # order parses, the error of the order as given is the one to report.
     try:
         d = parse_divisor_expr(divisor_expr, s, sp)
         c = parse_curve_expr(curve_expr, s, sp)
-    except ParseError:
-        d = parse_divisor_expr(curve_expr, s, sp)
-        c = parse_curve_expr(divisor_expr, s, sp)
+    except ParseError as first:
+        try:
+            d = parse_divisor_expr(curve_expr, s, sp)
+            c = parse_curve_expr(divisor_expr, s, sp)
+        except ParseError:
+            raise first from None
     click.echo(rat_str(pair(d, c)))
 
 
@@ -319,7 +312,7 @@ def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 def cmd_table(table_id, n, g, i, fmt, out):
     """Recompute a catalog table cell by cell and report matches/diffs."""
-    report = reproduce_table(table_id, **_table_kwargs(n, g, i))
+    report = reproduce_table(table_id, n=n, g=g, i=i)
     if fmt == "json":
         _emit(report.json_str() + "\n", out)
     elif fmt == "csv":
@@ -339,20 +332,8 @@ def cmd_table(table_id, n, g, i, fmt, out):
 @click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
 def cmd_nef(table_id, n, g, i, fmt):
     """Produce and check the duality certificate for a catalog nef cone."""
-    params = dict(CATALOG[table_id].defaults)
-    for key, val in _table_kwargs(n, g, i).items():
-        if val is not None and key in params:
-            params[key] = val
-    cert = standard_nef_certificate(table_id, **params)
-    if fmt == "json":
-        click.echo(cert.json_str())
-    else:
-        click.echo(f"{table_id} {params}: {_style(cert.verdict, cert.ok)}")
-        for lab, row in zip(cert.witness_labels, cert.matrix):
-            cells = " ".join(rat_str(x) for x in row)
-            click.echo(f"  {lab}: [{cells}]")
-    if not cert.ok:
-        sys.exit(1)
+    params = _table_params(table_id, n, g, i)
+    _echo_certificate(f"{table_id} {params}", standard_nef_certificate(table_id, **params), fmt)
 
 
 @cli.command("eff")
@@ -362,16 +343,7 @@ def cmd_nef(table_id, n, g, i, fmt):
 def cmd_eff(table_id, fmt):
     """Produce and check the moving-curve certificate for a catalog
     effective cone."""
-    cert = standard_eff_certificate(table_id)
-    if fmt == "json":
-        click.echo(cert.json_str())
-    else:
-        click.echo(f"{table_id}: {_style(cert.verdict, cert.ok)}")
-        for lab, row in zip(cert.witness_labels, cert.matrix):
-            cells = " ".join(rat_str(x) for x in row)
-            click.echo(f"  {lab}: [{cells}]")
-    if not cert.ok:
-        sys.exit(1)
+    _echo_certificate(table_id, standard_eff_certificate(table_id), fmt)
 
 
 @cli.command("verify")
@@ -380,30 +352,17 @@ def cmd_eff(table_id, fmt):
 @click.option("--n", type=int, default=None)
 @click.option("--g", "--genus", "g", type=int, default=None)
 @click.option("--i", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
-def cmd_verify(table_id, run_all, n, g, i, jobs):
+def cmd_verify(table_id, run_all, n, g, i):
     """Verify one catalog table, or the entire catalog with --all (the
     repository's primary acceptance gate)."""
     if run_all == (table_id is not None):
         raise click.UsageError("give exactly one of --table or --all")
-    if run_all:
-        ids = sorted(CATALOG)
-        kwargs = {}
-    else:
-        ids = [table_id]
-        kwargs = _table_kwargs(n, g, i)
-
-    def work(tid):
-        return tid, reproduce_table(tid, **kwargs)
-
-    if jobs > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(work, ids))
-    else:
-        results = dict(map(work, ids))
+    if run_all and (n, g, i) != (None, None, None):
+        raise click.UsageError("--all runs every table at its defaults; it takes no --n, --g or --i")
+    ids = sorted(CATALOG) if run_all else [table_id]
     failed = 0
     for tid in ids:
-        report = results[tid]
+        report = reproduce_table(tid, n=n, g=g, i=i)
         n_cells = sum(len(s.cells) for s in report.sections)
         n_skip = sum(
             1 for s in report.sections for c in s.cells if c.status == "skipped"
@@ -430,20 +389,7 @@ def cmd_verify(table_id, run_all, n, g, i, jobs):
 def cmd_cross_section(table_id, n, g, i, fmt, out):
     """Emit the cross-section polytope of a catalog cone (vertices labeled
     by the generator rays)."""
-    params = dict(CATALOG[table_id].defaults)
-    for key, val in _table_kwargs(n, g, i).items():
-        if val is not None and key in params:
-            params[key] = val
-    cone, labeled = table_cone_with_labels(table_id, **params)
-    try:
-        cs = cross_section(cone, COORD_SUM)
-    except FunctionalNotPositive:
-        cs = cross_section(cone, positive_functional(cone))
-    labels = []
-    for v in cs.vertices:
-        prim = primitive(v)
-        match = next((lab for lab, ray in labeled if ray == prim), None)
-        labels.append(match if match is not None else "?")
+    cs, labels = table_cross_section(table_id, **_table_params(table_id, n, g, i))
     if fmt == "svg":
         _emit(render.cross_section_svg(cs, labels), out)
     elif fmt == "tikz":

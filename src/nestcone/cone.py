@@ -41,22 +41,13 @@ def _idot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
-def _dd(constraints: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec]]:
+def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec]]:
     """Double description: generators of {y : y . c >= 0 for all c}.
 
-    Returns (lineality basis, extremal rays of the pointed part).
+    The constraints are sorted, distinct, nonzero primitive vectors, as a
+    Cone stores its rays.  Returns (lineality basis, extremal rays of the
+    pointed part).
     """
-    cons: list[IVec] = []
-    seen: set[IVec] = set()
-    for a in constraints:
-        p = primitive(a)
-        if all(x == 0 for x in p):
-            continue
-        if p not in seen:
-            seen.add(p)
-            cons.append(p)
-    cons.sort()
-
     lin: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
     ]
@@ -209,23 +200,13 @@ def cone_from_rays(dim: int, rays: Sequence[Sequence]) -> Cone:
 
 def dual(c: Cone) -> Cone:
     """The dual cone {y : y . x >= 0 for all x in c} by generator rays."""
-    lin, rays = _dd(c.rays, c.dim)
-    gens = list(rays)
-    for l in lin:
-        gens.append(l)
-        gens.append(tuple(-x for x in l))
-    return Cone(c.dim, gens)
+    return Cone(c.dim, c.facet_normals)
 
 
 def extremal_rays(c: Cone) -> Cone:
     """Minimal generator description: extremal rays (plus +/- pairs spanning
     the lineality space when present), canonically sorted."""
-    lin, rays = _dd(c.facet_normals, c.dim)
-    gens = list(rays)
-    for l in lin:
-        gens.append(l)
-        gens.append(tuple(-x for x in l))
-    return Cone(c.dim, gens)
+    return dual(dual(c))
 
 
 def position(c: Cone, v: Sequence) -> str:

@@ -17,6 +17,10 @@ class InvalidIndex(NestconeError):
     """Hirzebruch surface requested with a negative index."""
 
 
+class UnknownSurface(NestconeError):
+    """A surface was requested by a kind the library does not know."""
+
+
 class RangeError(NestconeError):
     """A numeric parameter is outside its admissible range."""
 

@@ -50,7 +50,6 @@ from .spaces import (
     divisor_rank,
     hilb,
     surface_space,
-    zero_curve,
 )
 
 
@@ -239,19 +238,6 @@ def curve_family_a_alt(surface: SurfaceModel, space: SpaceId, gamma: GammaVec, r
     return _combo(surface, space, mm, True, Fraction(-(r - 1)))
 
 
-def curve_family_c(surface: SurfaceModel, space: SpaceId, gamma: GammaVec, r: int) -> CurClass:
-    """Diagonal-collision 'b'-side family: sum m_i Cb_i - (r-1)(Aa + Ab).
-
-    The subscheme and the full configuration share the r-fold incidences
-    symmetrically; used only as data when decoding legacy effective-cone
-    tables."""
-    mm = _coerce_gamma(surface, gamma)
-    if space.kind is not SpaceKind.NESTED:
-        raise SpaceMismatch(f"curve_family_c is only defined on nested spaces, not {space}")
-    _check_r(r, 1, space.n, "nested Cc_{gamma,r}")
-    return _combo(surface, space, mm, False, Fraction(-(r - 1)), Fraction(-(r - 1)))
-
-
 # ---------------------------------------------------------------------------
 # Nodal curves on K3 surfaces
 # ---------------------------------------------------------------------------
@@ -365,21 +351,14 @@ def pushforward_a(c: CurClass) -> CurClass:
     """
     s = c.surface
     rho = s.rank
-    if c.space.kind is SpaceKind.NESTED:
-        target = hilb(c.space.n + 1)
-        out = list(vzero(curve_rank(s, target)))
-        for i in range(rho):
-            out[i] += c.coords[i] + c.coords[rho + i]
-        out[rho] += c.coords[2 * rho]  # Aa -> A
-        return CurClass(s, target, tuple(out))
-    if c.space.kind is SpaceKind.UNIV:
-        target = hilb(c.space.n)
-        out = list(vzero(curve_rank(s, target)))
-        for i in range(rho):
-            out[i] += c.coords[i] + c.coords[rho + i]
-        out[rho] += c.coords[2 * rho]
-        return CurClass(s, target, tuple(out))
-    raise SpaceMismatch(f"pushforward_a is defined on nested/universal spaces, not {c.space}")
+    if c.space.kind not in (SpaceKind.NESTED, SpaceKind.UNIV):
+        raise SpaceMismatch(f"pushforward_a is defined on nested/universal spaces, not {c.space}")
+    target = hilb(c.space.n + 1) if c.space.kind is SpaceKind.NESTED else hilb(c.space.n)
+    out = list(vzero(curve_rank(s, target)))
+    for i in range(rho):
+        out[i] += c.coords[i] + c.coords[rho + i]
+    out[rho] += c.coords[2 * rho]  # Aa -> A
+    return CurClass(s, target, tuple(out))
 
 
 def pushforward_b(c: CurClass) -> CurClass:
@@ -391,23 +370,13 @@ def pushforward_b(c: CurClass) -> CurClass:
     """
     s = c.surface
     rho = s.rank
-    if c.space.kind is SpaceKind.NESTED:
-        if c.space.n == 1:
-            target = surface_space()
-            out = list(vzero(curve_rank(s, target)))
-            for i in range(rho):
-                out[i] += c.coords[rho + i]
-            return CurClass(s, target, tuple(out))
-        target = hilb(c.space.n)
-        out = list(vzero(curve_rank(s, target)))
-        for i in range(rho):
-            out[i] += c.coords[rho + i]
+    if c.space.kind not in (SpaceKind.NESTED, SpaceKind.UNIV):
+        raise SpaceMismatch(f"pushforward_b is defined on nested/universal spaces, not {c.space}")
+    to_hilb = c.space.kind is SpaceKind.NESTED and c.space.n >= 2
+    target = hilb(c.space.n) if to_hilb else surface_space()
+    out = list(vzero(curve_rank(s, target)))
+    for i in range(rho):
+        out[i] += c.coords[rho + i]
+    if to_hilb:
         out[rho] += c.coords[2 * rho + 1]  # Ab -> A
-        return CurClass(s, target, tuple(out))
-    if c.space.kind is SpaceKind.UNIV:
-        target = surface_space()
-        out = list(vzero(curve_rank(s, target)))
-        for i in range(rho):
-            out[i] += c.coords[rho + i]
-        return CurClass(s, target, tuple(out))
-    raise SpaceMismatch(f"pushforward_b is defined on nested/universal spaces, not {c.space}")
+    return CurClass(s, target, tuple(out))

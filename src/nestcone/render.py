@@ -38,16 +38,6 @@ def _projection_axes(vertices: Sequence[Sequence[Fraction]]) -> tuple[tuple[Frac
     the plane.  Coordinate pairs are tried in lexicographic order; if none is
     injective, generic power functionals are used."""
     dim = len(vertices[0]) if vertices else 2
-
-    def project(u, v):
-        return [
-            (
-                sum(a * x for a, x in zip(u, vert)),
-                sum(a * x for a, x in zip(v, vert)),
-            )
-            for vert in vertices
-        ]
-
     candidates = []
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -59,21 +49,21 @@ def _projection_axes(vertices: Sequence[Sequence[Fraction]]) -> tuple[tuple[Frac
         v = tuple(Fraction(t + 1) ** k for k in range(dim))
         candidates.append((u, v))
     for u, v in candidates:
-        pts = project(u, v)
+        pts = _project(u, v, vertices)
         if len(set(pts)) == len(pts):
             return u, v
     return candidates[-1]
 
 
-def _layout(cs: CrossSection, size: int = 360, margin: int = 40):
-    u, v = _projection_axes(cs.vertices)
-    pts = [
-        (
-            sum(a * x for a, x in zip(u, vert)),
-            sum(a * x for a, x in zip(v, vert)),
-        )
-        for vert in cs.vertices
+def _project(u, v, vertices) -> list[tuple[Fraction, Fraction]]:
+    return [
+        (sum(a * x for a, x in zip(u, vert)), sum(a * x for a, x in zip(v, vert)))
+        for vert in vertices
     ]
+
+
+def _layout(cs: CrossSection, size: int = 360, margin: int = 40):
+    pts = _project(*_projection_axes(cs.vertices), cs.vertices)
     xs = [p[0] for p in pts] or [Fraction(0)]
     ys = [p[1] for p in pts] or [Fraction(0)]
     xmin, xmax = min(xs), max(xs)
@@ -115,14 +105,7 @@ def cross_section_svg(
 
 
 def cross_section_tikz(cs: CrossSection, labels: Sequence[str] | None = None) -> str:
-    u, v = _projection_axes(cs.vertices)
-    pts = [
-        (
-            sum(a * x for a, x in zip(u, vert)),
-            sum(a * x for a, x in zip(v, vert)),
-        )
-        for vert in cs.vertices
-    ]
+    pts = _project(*_projection_axes(cs.vertices), cs.vertices)
     lines = ["\\begin{tikzpicture}[scale=2.5]"]
     for k, (x, y) in enumerate(pts):
         lines.append(f"  \\coordinate (v{k}) at ({_fixed(x)},{_fixed(y)});")

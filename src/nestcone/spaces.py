@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import InvalidGenus, InvalidIndex, RangeError, SpaceMismatch
+from .errors import InvalidGenus, InvalidIndex, RangeError, SpaceMismatch, UnknownSurface
 from .rationals import Rat, rat, rat_str, vadd, vneg, vscale, vsub, vzero
 
 
@@ -103,9 +103,10 @@ def k3(g: int) -> SurfaceModel:
 
 
 def surface_model(kind: str, *, index: int | None = None, genus: int | None = None) -> SurfaceModel:
-    """Build a surface lattice from a textual kind: 'p2', 'p1xp1', 'f<i>'
-    (or 'f' with index=...), or 'k3' with genus=...; 'f0' is the same lattice
-    as 'p1xp1' up to generator naming."""
+    """Build a surface lattice from a textual kind: 'p2', 'p1xp1' (basis H1,
+    H2), 'f<i>' or 'f' with index=... (the Hirzebruch surface F_i, basis H,
+    F; so 'f0' is F_0, the lattice of 'p1xp1' under other names), or 'k3'
+    with genus=...."""
     kind = kind.lower()
     if kind == "p2":
         return p2()
@@ -121,7 +122,7 @@ def surface_model(kind: str, *, index: int | None = None, genus: int | None = No
         return hirzebruch(index)
     if kind.startswith("f") and kind[1:].isdigit():
         return hirzebruch(int(kind[1:]))
-    raise ValueError(f"unknown surface kind: {kind!r}")
+    raise UnknownSurface(f"unknown surface kind {kind!r} (use p2, p1xp1, f<i>, k3)")
 
 
 # ---------------------------------------------------------------------------
@@ -334,32 +335,25 @@ def _unit(dim: int, i: int) -> tuple[Rat, ...]:
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
 
 
-def divisor(surface: SurfaceModel, space: SpaceId, label: str) -> DivClass:
-    """Unit basis divisor by label (caret spellings accepted)."""
-    labels = divisor_labels(surface, space)
-    want = normalize_label(label)
+def _basis_unit(cls, what: str, labels: tuple[str, ...], surface, space, label: str):
     try:
-        i = labels.index(want)
+        i = labels.index(normalize_label(label))
     except ValueError:
         raise SpaceMismatch(
-            f"no divisor basis label {label!r} on {surface}/{space}; "
+            f"no {what} basis label {label!r} on {surface}/{space}; "
             f"valid labels: {', '.join(labels)}"
         ) from None
-    return DivClass(surface, space, _unit(len(labels), i))
+    return cls(surface, space, _unit(len(labels), i))
+
+
+def divisor(surface: SurfaceModel, space: SpaceId, label: str) -> DivClass:
+    """Unit basis divisor by label (caret spellings accepted)."""
+    return _basis_unit(DivClass, "divisor", divisor_labels(surface, space), surface, space, label)
 
 
 def curve(surface: SurfaceModel, space: SpaceId, label: str) -> CurClass:
     """Unit basis curve by label (caret spellings accepted)."""
-    labels = curve_labels(surface, space)
-    want = normalize_label(label)
-    try:
-        i = labels.index(want)
-    except ValueError:
-        raise SpaceMismatch(
-            f"no curve basis label {label!r} on {surface}/{space}; "
-            f"valid labels: {', '.join(labels)}"
-        ) from None
-    return CurClass(surface, space, _unit(len(labels), i))
+    return _basis_unit(CurClass, "curve", curve_labels(surface, space), surface, space, label)
 
 
 def divisor_basis(surface: SurfaceModel, space: SpaceId) -> tuple[tuple[str, DivClass], ...]:
@@ -395,30 +389,17 @@ def pull_a(d: DivClass, target: SpaceId) -> DivClass:
     """
     s = d.surface
     rho = s.rank
-    if target.kind is SpaceKind.NESTED:
-        _require(
-            d.space == hilb(target.n + 1),
-            f"pull_a to {target} needs a class on hilb({target.n + 1}), got {d.space}",
-        )
-        out = list(vzero(divisor_rank(s, target)))
-        for i in range(rho):
-            out[i] += d.coords[i]
-            out[rho + i] += d.coords[i]
-        out[2 * rho] += d.coords[rho]
-        out[2 * rho + 1] += d.coords[rho]
-        return DivClass(s, target, tuple(out))
-    if target.kind is SpaceKind.UNIV:
-        _require(
-            d.space == hilb(target.n),
-            f"pull_a to {target} needs a class on hilb({target.n}), got {d.space}",
-        )
-        out = list(vzero(divisor_rank(s, target)))
-        for i in range(rho):
-            out[i] += d.coords[i]
-            out[rho + i] += d.coords[i]
-        out[2 * rho] += d.coords[rho]
-        return DivClass(s, target, tuple(out))
-    raise SpaceMismatch(f"pull_a targets nested or universal spaces, not {target}")
+    if target.kind not in (SpaceKind.NESTED, SpaceKind.UNIV):
+        raise SpaceMismatch(f"pull_a targets nested or universal spaces, not {target}")
+    source = hilb(target.n + 1) if target.kind is SpaceKind.NESTED else hilb(target.n)
+    _require(d.space == source, f"pull_a to {target} needs a class on {source}, got {d.space}")
+    out = list(vzero(divisor_rank(s, target)))
+    for i in range(rho):
+        out[i] += d.coords[i]
+        out[rho + i] += d.coords[i]
+    for k in range(2 * rho, len(out)):  # Bdiff/2 and Bb/2, or B/2
+        out[k] += d.coords[rho]
+    return DivClass(s, target, tuple(out))
 
 
 def pull_b(d: DivClass, target: SpaceId) -> DivClass:
@@ -430,34 +411,17 @@ def pull_b(d: DivClass, target: SpaceId) -> DivClass:
     """
     s = d.surface
     rho = s.rank
-    if target.kind is SpaceKind.NESTED:
-        out = list(vzero(divisor_rank(s, target)))
-        if target.n == 1:
-            _require(
-                d.space.kind is SpaceKind.SURFACE,
-                f"pull_b to nested(1) needs a surface class (X^[1] = X), got {d.space}",
-            )
-            for i in range(rho):
-                out[rho + i] += d.coords[i]
-        else:
-            _require(
-                d.space == hilb(target.n),
-                f"pull_b to {target} needs a class on hilb({target.n}), got {d.space}",
-            )
-            for i in range(rho):
-                out[rho + i] += d.coords[i]
-            out[2 * rho + 1] += d.coords[rho]
-        return DivClass(s, target, tuple(out))
-    if target.kind is SpaceKind.UNIV:
-        _require(
-            d.space.kind is SpaceKind.SURFACE,
-            f"pull_b to {target} needs a surface class, got {d.space}",
-        )
-        out = list(vzero(divisor_rank(s, target)))
-        for i in range(rho):
-            out[rho + i] += d.coords[i]
-        return DivClass(s, target, tuple(out))
-    raise SpaceMismatch(f"pull_b targets nested or universal spaces, not {target}")
+    if target.kind not in (SpaceKind.NESTED, SpaceKind.UNIV):
+        raise SpaceMismatch(f"pull_b targets nested or universal spaces, not {target}")
+    from_hilb = target.kind is SpaceKind.NESTED and target.n >= 2
+    source = hilb(target.n) if from_hilb else surface_space()
+    _require(d.space == source, f"pull_b to {target} needs a class on {source}, got {d.space}")
+    out = list(vzero(divisor_rank(s, target)))
+    for i in range(rho):
+        out[rho + i] += d.coords[i]
+    if from_hilb:
+        out[2 * rho + 1] += d.coords[rho]  # B/2 -> Bb/2
+    return DivClass(s, target, tuple(out))
 
 
 def pull_res(d: DivClass, target: SpaceId) -> DivClass:

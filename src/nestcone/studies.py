@@ -13,10 +13,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
-from typing import Sequence
 
 from .cone import (
     COORD_SUM,
@@ -34,14 +34,12 @@ from .rationals import Rat, rat_str
 from .spaces import (
     DivClass,
     SurfaceModel,
+    divisor,
     divisor_rank,
-    hirzebruch,
-    p1xp1,
     pull_a,
     pull_b,
     pull_res,
     surface_divisor,
-    tautological,
     tautological_a,
     univ,
 )
@@ -55,9 +53,12 @@ ORDER_B = "b"      # F_{k+1} = F_k + pull_b(L): the displayed recursion
 ORDER_RES = "res"  # variant with the extra copies pulled back along res
 
 
-def _butler_surface(i: int) -> SurfaceModel:
-    # F_0 and P1xP1 carry the same lattice; keep the (H, F) basis uniform.
-    return p1xp1() if i == 0 else hirzebruch(i)
+def _butler_table(i: int, n: int = 2):
+    """Inputs of the catalog nef table of F_i^[n,1]; for i = 0 that is the
+    P1xP1 table, F_0 and P1xP1 having the same lattice."""
+    if i == 0:
+        return nef_table_inputs("nef_f0_univ", n=n)
+    return nef_table_inputs("nef_fi_univ", i=i, n=n)
 
 
 @dataclass(frozen=True)
@@ -87,20 +88,18 @@ class ButlerInput:
         if lo < 1 or hi < lo:
             raise InvalidInput(f"k_range must be an inclusive range >= 1, got {self.k_range}")
 
-    @property
+    @cached_property
     def surface(self) -> SurfaceModel:
-        return _butler_surface(self.i)
+        return _butler_table(self.i)[0]
 
 
 def half_b_a(i: int) -> tuple[DivClass, DivClass]:
     """Both sides of the exact identity (H+F)^b + (H+F)^diff - D^a_{1,1}
     = (1/2)B^a on F_i^[2,1] (B^a = pull_a of the full nonreduced locus)."""
-    s = _butler_surface(i)
+    s = _butler_table(i)[0]
     sp = univ(2)
     hf = surface_divisor(s, (1, 1))
     lhs = pull_b(hf, sp) + pull_res(hf, sp) - tautological_a(s, sp, (1, 1))
-    from .spaces import divisor
-
     rhs = divisor(s, sp, "B/2")  # pull_a(B)/2 = B/2 on the universal family
     return lhs, rhs
 
@@ -131,9 +130,7 @@ def butler_class(inp: ButlerInput, k: int, ordering: str = ORDER_B) -> DivClass:
 
 def butler_nef_cone(i: int, n: int = 2):
     """The simplicial nef cone of F_i^[n,1] with its labeled spanning rays."""
-    table = "nef_f0_univ" if i == 0 else "nef_fi_univ"
-    params = {"n": n} if i == 0 else {"i": i, "n": n}
-    s, sp, ray_specs, _, _ = nef_table_inputs(table, **params)
+    s, sp, ray_specs, _, _ = _butler_table(i, n)
     rays = [(r.label, r.cls) for r in ray_specs]
     cone = cone_from_rays(divisor_rank(s, sp), [r.coords for _, r in rays])
     return cone, rays

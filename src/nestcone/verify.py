@@ -24,14 +24,28 @@ reported as SKIPPED, never silently passed.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Callable, Sequence
 
-from .cone import Cone, cone_equal, cone_from_rays, dual
-from .errors import RangeError, UnknownTable
+from .cone import (
+    COORD_SUM,
+    Cone,
+    CrossSection,
+    cone_contains,
+    cone_equal,
+    cone_from_rays,
+    cross_section,
+    dual,
+    positive_functional,
+)
+from .errors import FunctionalNotPositive, RangeError, UnknownTable
 from .pairing import (
     curve_family_a,
     curve_family_a_alt,
@@ -44,12 +58,13 @@ from .pairing import (
     nodal_curves_k3,
     pair,
 )
-from .rationals import Rat, rat_str
+from .rationals import Rat, primitive, rat_str
 from .spaces import (
     CurClass,
     DivClass,
     SurfaceModel,
     SpaceId,
+    SpaceKind,
     curve,
     divisor,
     divisor_rank,
@@ -145,6 +160,18 @@ class Certificate:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
+def _ray_and_dual_cones(
+    surface: SurfaceModel, space: SpaceId, rays: Sequence[DivClass], curves: Sequence[CurClass]
+) -> tuple[Cone, Cone]:
+    """cone(rays) and the dual of the cone of the curves' functionals: a
+    duality certificate holds when the two are equal."""
+    dim = divisor_rank(surface, space)
+    return (
+        cone_from_rays(dim, [r.coords for r in rays]),
+        dual(cone_from_rays(dim, [curve_functional(c) for c in curves])),
+    )
+
+
 def _certify(
     kind: str,
     surface: SurfaceModel,
@@ -153,49 +180,32 @@ def _certify(
     witnesses: Sequence[WitnessSpec],
     require_diagonal: bool,
 ) -> Certificate:
-    matrix = tuple(
-        tuple(pair(r.cls, w.cls) for r in rays) for w in witnesses
-    )
-    verdict = CERTIFIED
-    for i, w in enumerate(witnesses):
-        for j, r in enumerate(rays):
-            if matrix[i][j] < 0:
-                verdict = (
-                    f"failed: negative pairing {rat_str(matrix[i][j])} between "
-                    f"witness {w.label} and ray {r.label}"
-                )
-                break
-        if verdict != CERTIFIED:
-            break
-    if verdict == CERTIFIED and require_diagonal:
-        if len(rays) != len(witnesses):
-            verdict = "failed: matrix not diagonal-compatible (not square)"
-        else:
-            for i in range(len(witnesses)):
-                for j in range(len(rays)):
-                    bad = (i == j and matrix[i][j] <= 0) or (i != j and matrix[i][j] != 0)
-                    if bad:
-                        verdict = (
-                            "failed: matrix not diagonal-compatible at "
-                            f"({witnesses[i].label}, {rays[j].label})"
-                        )
-                        break
-                if verdict != CERTIFIED:
-                    break
-    if verdict == CERTIFIED:
-        dim = divisor_rank(surface, space)
-        ray_cone = cone_from_rays(dim, [r.cls.coords for r in rays])
-        functional_cone = cone_from_rays(
-            dim, [curve_functional(w.cls) for w in witnesses]
+    matrix = tuple(tuple(pair(r.cls, w.cls) for r in rays) for w in witnesses)
+    cells = [
+        (i == j, matrix[i][j], w, r)
+        for i, w in enumerate(witnesses)
+        for j, r in enumerate(rays)
+    ]
+    negative = next((c for c in cells if c[1] < 0), None)
+    off_diagonal = next((c for c in cells if (c[1] <= 0 if c[0] else c[1] != 0)), None)
+    if negative:
+        _, x, w, r = negative
+        verdict = f"failed: negative pairing {rat_str(x)} between witness {w.label} and ray {r.label}"
+    elif require_diagonal and len(rays) != len(witnesses):
+        verdict = "failed: matrix not diagonal-compatible (not square)"
+    elif require_diagonal and off_diagonal:
+        _, _, w, r = off_diagonal
+        verdict = f"failed: matrix not diagonal-compatible at ({w.label}, {r.label})"
+    else:
+        ray_cone, dual_cone = _ray_and_dual_cones(
+            surface, space, [r.cls for r in rays], [w.cls for w in witnesses]
         )
-        dual_cone = dual(functional_cone)
-        if not cone_equal(ray_cone, dual_cone):
-            from .cone import cone_contains
-
-            if cone_contains(dual_cone, ray_cone):
-                verdict = "failed: dual cone strictly larger than the span of the rays"
-            else:
-                verdict = "failed: cone of rays differs from the dual of the witnesses"
+        if cone_equal(ray_cone, dual_cone):
+            verdict = CERTIFIED
+        elif cone_contains(dual_cone, ray_cone):
+            verdict = "failed: dual cone strictly larger than the span of the rays"
+        else:
+            verdict = "failed: cone of rays differs from the dual of the witnesses"
     return Certificate(
         kind=kind,
         surface=surface.key,
@@ -337,13 +347,15 @@ class TableReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["section,row,col,expected,computed,status"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["section", "row", "col", "expected", "computed", "status"])
         for s in self.sections:
             for c in s.cells:
                 exp = "" if c.expected is None else rat_str(c.expected)
                 got = "" if c.computed is None else rat_str(c.computed)
-                lines.append(f"{s.title},{c.row},{c.col},{exp},{got},{c.status}")
-        return "\n".join(lines) + "\n"
+                writer.writerow([s.title, c.row, c.col, exp, got, c.status])
+        return buf.getvalue()
 
 
 def _exact_section(
@@ -396,10 +408,9 @@ def _duality_section(
         cc is not None for _, cc in cols
     )
     if all_resolved:
-        dim = divisor_rank(surface, space)
-        ray_cone = cone_from_rays(dim, [cc.coords for _, cc in cols])
-        wit_cone = cone_from_rays(dim, [curve_functional(rc) for _, rc in rows])
-        good = cone_equal(ray_cone, dual(wit_cone))
+        good = cone_equal(
+            *_ray_and_dual_cones(surface, space, [cc for _, cc in cols], [rc for _, rc in rows])
+        )
         checks = (
             SectionCheck(
                 "dual-cone equality", "pass" if good else "fail",
@@ -511,101 +522,58 @@ def eff_p2_3_2_data():
     return s, sp, rows, cols, expected
 
 
-def _chart_univ_entry(n: int):
-    """Summary-chart entry for Eff(P^2[n,1]).  The chart's curve subscripts
-    follow the legacy indexing Ca_{gamma,r} = sum m Ca - (r-1) Aa (marked
-    point not counted), decoded via curve_family_a_alt / curve_family_b."""
-    s = p2()
-    sp = univ(n)
-    hdiff = divisor(s, sp, "Hdiff")
-    hb = divisor(s, sp, "Hb")
-    bfull = _full_b(s, sp, "B/2")
-    if n == 3:
-        ray4 = ("D^a_1", tautological_a(s, sp, 1))
-        curves = [
-            ("C^a_{l,1}", curve_family_a_alt(s, sp, 1, 1)),
-            ("C^b_{l,1}", curve_family_b(s, sp, 1, 1)),
-            ("C^a_{l,2}", curve_family_a_alt(s, sp, 1, 2)),
-            ("C^b_{l,2}", curve_family_b(s, sp, 1, 2)),
-        ]
-    elif n == 4:
-        ray4 = ("2D^a_{3/2}", None)
-        curves = [
-            ("C^a_{l,1}", curve_family_a_alt(s, sp, 1, 1)),
-            ("C^b_{l,1}", curve_family_b(s, sp, 1, 1)),
-            ("C^a_{q,4}", curve_family_a_alt(s, sp, 2, 4)),
-            ("C^b_{q,4}", curve_family_b(s, sp, 2, 4)),
-        ]
-    else:  # n in (5, 6)
-        ray4 = ("D^a_2", tautological_a(s, sp, 2))
-        curves = [
-            ("C^a_{l,1}", curve_family_a_alt(s, sp, 1, 1)),
-            ("C^b_{l,1}", curve_family_b(s, sp, 1, 1)),
-            ("C^a_{q,5}", curve_family_a_alt(s, sp, 2, 5)),
-            ("C^b_{q,5}", curve_family_b(s, sp, 2, 5)),
-        ]
-    cols = [("H^diff", hdiff), ("B", bfull), ("H^b", hb), ray4]
-    return _duality_section(f"Eff(P2[{n},1])", s, sp, curves, cols)
+# The summary chart, entry by entry: (space, ray labels, moving-curve labels).
+# The labels name their classes through _chart_divisor and _chart_curve.
+_CHART = [
+    (univ(3), ("H^diff", "B", "H^b", "D^a_1"),
+     ("C^a_{l,1}", "C^b_{l,1}", "C^a_{l,2}", "C^b_{l,2}")),
+    (univ(4), ("H^diff", "B", "H^b", "2D^a_{3/2}"),
+     ("C^a_{l,1}", "C^b_{l,1}", "C^a_{q,4}", "C^b_{q,4}")),
+    (univ(5), ("H^diff", "B", "H^b", "D^a_2"),
+     ("C^a_{l,1}", "C^b_{l,1}", "C^a_{q,5}", "C^b_{q,5}")),
+    (univ(6), ("H^diff", "B", "H^b", "D^a_2"),
+     ("C^a_{l,1}", "C^b_{l,1}", "C^a_{q,5}", "C^b_{q,5}")),
+    (nested(2), ("H^diff", "B^a", "B^b", "D^a_1", "D^b_1"),
+     ("C^a_{l,1}", "C^b_{l,1}", "C^a_{l,2}", "C^b_{l,2}", "C^c_{l,2}")),
+    (nested(3), ("H^diff", "B^a", "B^b", "D^b_1", "E_1"),
+     ("C^a_{l,1}", "C^b_{l,1}", "C^b_{l,2}", "C^c_{l,2}", "C^a_{q,4}", "C^b_{q,3}")),
+    (nested(4), ("H^diff", "B^a", "B^b", "2D^b_{3/2}", "E_1"),
+     ("C^a_{l,1}", "C^b_{l,1}", "C^c_{l,2}", "C^a_{q,5}", "C^b_{q,4}", "C^c_{q,4}")),
+]
 
 
-def _chart_nested_entry(n: int):
-    """Summary-chart entry for Eff(P^2[n+1,n]).  The chart's B^a denotes the
-    pullback of the full nonreduced locus, B^a = Bdiff + Bb; its 'b'-side
-    curve subscripts follow the legacy constant-Aa convention
-    (curve_family_b_alt)."""
+def _chart_divisor(sp: SpaceId, label: str) -> DivClass | None:
+    """A summary-chart ray on P^2 by label.  B^a is the pullback of the full
+    nonreduced locus, B^a = Bdiff + Bb; E_1 and 2D^?_{3/2} have no printed
+    definition and resolve to None."""
     s = p2()
-    sp = nested(n)
-    hdiff = divisor(s, sp, "Hdiff")
-    b_a = _full_b(s, sp, "Bdiff/2") + _full_b(s, sp, "Bb/2")
-    b_b = _full_b(s, sp, "Bb/2")
-    if n == 2:
-        cols = [
-            ("H^diff", hdiff),
-            ("B^a", b_a),
-            ("B^b", b_b),
-            ("D^a_1", tautological_a(s, sp, 1)),
-            ("D^b_1", tautological_b(s, sp, 1)),
-        ]
-        curves = [
-            ("C^a_{l,1}", curve_family_a(s, sp, 1, 1)),
-            ("C^b_{l,1}", curve_family_b_alt(s, sp, 1, 1)),
-            ("C^a_{l,2}", curve_family_a(s, sp, 1, 2)),
-            ("C^b_{l,2}", curve_family_b_alt(s, sp, 1, 2)),
-            ("C^c_{l,2}", None),
-        ]
-    elif n == 3:
-        cols = [
-            ("H^diff", hdiff),
-            ("B^a", b_a),
-            ("B^b", b_b),
-            ("D^b_1", tautological_b(s, sp, 1)),
-            ("E_1", None),
-        ]
-        curves = [
-            ("C^a_{l,1}", curve_family_a(s, sp, 1, 1)),
-            ("C^b_{l,1}", curve_family_b_alt(s, sp, 1, 1)),
-            ("C^b_{l,2}", curve_family_b_alt(s, sp, 1, 2)),
-            ("C^c_{l,2}", None),
-            ("C^a_{q,4}", curve_family_a(s, sp, 2, 4)),
-            ("C^b_{q,3}", curve_family_b_alt(s, sp, 2, 3)),
-        ]
-    else:  # n == 4
-        cols = [
-            ("H^diff", hdiff),
-            ("B^a", b_a),
-            ("B^b", b_b),
-            ("2D^b_{3/2}", None),
-            ("E_1", None),
-        ]
-        curves = [
-            ("C^a_{l,1}", curve_family_a(s, sp, 1, 1)),
-            ("C^b_{l,1}", curve_family_b_alt(s, sp, 1, 1)),
-            ("C^c_{l,2}", None),
-            ("C^a_{q,5}", curve_family_a(s, sp, 2, 5)),
-            ("C^b_{q,4}", curve_family_b_alt(s, sp, 2, 4)),
-            ("C^c_{q,4}", None),
-        ]
-    return _duality_section(f"Eff(P2[{n + 1},{n}])", s, sp, curves, cols)
+    if label == "B^a":
+        return _full_b(s, sp, "Bdiff/2") + _full_b(s, sp, "Bb/2")
+    if label in ("B", "B^b"):
+        return _full_b(s, sp, label + "/2")
+    if label.startswith("H"):
+        return divisor(s, sp, label)
+    m = re.fullmatch(r"D\^([ab])_(\d+)", label)
+    if m is None:
+        return None
+    return (tautological_a if m[1] == "a" else tautological_b)(s, sp, int(m[2]))
+
+
+def _chart_curve(sp: SpaceId, label: str) -> CurClass | None:
+    """A summary-chart moving curve on P^2 by label: C^a_{gamma,r} and
+    C^b_{gamma,r} sweep the line l or the conic q through r points.  The
+    chart follows legacy indexing: on Univ(n) the marked point is not counted
+    in r (curve_family_a_alt), and on Nested(n) the b side keeps a constant
+    Aa coefficient (curve_family_b_alt).  C^c_* has no printed definition and
+    resolves to None."""
+    side, gamma, r = re.fullmatch(r"C\^([abc])_\{([lq]),(\d+)\}", label).groups()
+    if side == "c":
+        return None
+    if sp.kind is SpaceKind.UNIV:
+        family = curve_family_a_alt if side == "a" else curve_family_b
+    else:
+        family = curve_family_a if side == "a" else curve_family_b_alt
+    return family(p2(), sp, {"l": 1, "q": 2}[gamma], int(r))
 
 
 def reconstruct_e1(n: int) -> DivClass:
@@ -631,197 +599,147 @@ def reconstruct_e1(n: int) -> DivClass:
 
 
 # ---------------------------------------------------------------------------
-# Standard certificates
+# Nef tables: one template per space kind, fed by one record per surface
 # ---------------------------------------------------------------------------
+# A surface record is (X, labels of the nef generators H_j of X, the
+# extremal curves gamma_j dual to them as (label, class)).  A K3 record has
+# no such curves: its witnesses are the nodal curves, with gamma . H = 2g-2,
+# and its extremal tautological slope is f(m) = k3_extremal_slope(g, m).
 
-def _prov_pb(note: str = "") -> Provenance:
-    return Provenance(PULLBACK_OF_NEF, note)
+def _nef_p2():
+    return p2(), ("H",), (("l", 1),)
 
 
-def _prov_res(note: str = "") -> Provenance:
-    return Provenance(RESIDUE_OF_NEF, note)
+def _nef_f0():
+    return p1xp1(), ("H_1", "H_2"), (("(0,1)", (0, 1)), ("(1,0)", (1, 0)))
 
 
-def _prov_assert(note: str) -> Provenance:
-    return Provenance(ASSERTED, note)
+def _nef_fi(i: int):
+    return hirzebruch(i), ("H", "F"), (("F", (0, 1)), ("E", (1, -i)))
+
+
+def _nef_k3(g: int):
+    return k3(g), ("H",), None
+
+
+def _pulled(record, sp: SpaceId, suffix: str, side: str, r: int, r_label: str):
+    """Rows (ray label, ray, witness label, witness, diagonal) pairing each
+    nef generator of X, pulled back to sp (basis name + suffix), with its
+    dual curve swept along `side` ('a', 'b', or '' on X^[n]) through r
+    points."""
+    s, gens, curves = record
+    head = f"C^{side}" if side else "C"
+    if curves is None:
+        ca, cb = nodal_curves_k3(s, sp)
+        wits = [(f"{head}_nodal", cb if side == "b" else ca, 2 * s.genus - 2)]
+    else:
+        family = curve_family_b if side == "b" else curve_family_a
+        wits = [
+            (f"{head}_{{{lab},{r_label}}}", family(s, sp, gamma, r), 1)
+            for lab, gamma in curves
+        ]
+    return [
+        (f"{lab}^{suffix}" if suffix else lab, divisor(s, sp, name + suffix), *wit)
+        for lab, name, wit in zip(gens, s.generator_names, wits)
+    ]
+
+
+def _extremal(record, sp: SpaceId, head: str, taut, k: str, m: int, a: str):
+    """The row of the extremal tautological class of X^[m], built by `taut`
+    from its slope, against the curve `a`; k is m-1 written in n."""
+    s = record[0]
+    if s.genus is not None:
+        sub, slope = f"f({m})", k3_extremal_slope(s.genus, m)
+    else:
+        sub, slope = (k if s.rank == 1 else f"({k},{k})"), (m - 1,) * s.rank
+    label = f"{head}_{sub}" if len(sub) == 1 else f"{head}_{{{sub}}}"
+    return [(label, taut(slope), a, curve(s, sp, a), 1)]
+
+
+def _hilb_template(record, n: int):
+    s, sp = record[0], hilb(n)
+    return sp, {
+        "gen": _pulled(record, sp, "", "", n, "n"),
+        "D": _extremal(record, sp, "D", partial(tautological, s, n), "n-1", n, "A"),
+    }
+
+
+def _nested_template(record, n: int):
+    s, sp = record[0], nested(n)
+    return sp, {
+        "diff": _pulled(record, sp, "diff", "a", n + 1, "n+1"),
+        "b": _pulled(record, sp, "b", "b", n, "n"),
+        "Da": _extremal(record, sp, "D^a", partial(tautological_a, s, sp), "n", n + 1, "A^a"),
+        "Db": _extremal(record, sp, "D^b", partial(tautological_b, s, sp), "n-1", n, "A^b"),
+    }
+
+
+def _univ_template(record, n: int):
+    s, sp = record[0], univ(n)
+    return sp, {
+        "diff": _pulled(record, sp, "diff", "a", n - 1, "n-1"),
+        "b": _pulled(record, sp, "b", "b", n, "n"),
+        "Da": _extremal(record, sp, "D^a", partial(tautological_a, s, sp), "n-1", n, "A^a"),
+    }
+
+
+# template block -> (provenance tag, note given where the table cites notes)
+_NEF_PROVENANCE = {
+    "gen": (ASSERTED, "induced nef class on the Hilbert scheme"),
+    "D": (ASSERTED, "tautological class of a spanning line bundle"),
+    "b": (PULLBACK_OF_NEF, "pull_b of a nef class"),
+    "Db": (PULLBACK_OF_NEF, "pull_b of a nef tautological class"),
+    "diff": (RESIDUE_OF_NEF, "pull_res of a nef class"),
+    "Da": (PULLBACK_OF_NEF, "pull_a of a nef tautological class"),
+}
+
+
+@dataclass(frozen=True)
+class NefTable:
+    """A catalog nef table: `template` fed by the surface `record`, its
+    blocks of rows taken in `order`."""
+
+    template: Callable
+    record: Callable
+    order: tuple[str, ...]
+    cite: bool = False
+
+    def inputs(self, n: int, **surface_params):
+        record = self.record(**surface_params)
+        sp, blocks = self.template(record, n)
+        rays, wits, diag = [], [], []
+        for block in self.order:
+            tag, note = _NEF_PROVENANCE[block]
+            for ray_label, ray, wit_label, wit, d in blocks[block]:
+                rays.append(RaySpec(ray_label, ray, Provenance(tag, note if self.cite else "")))
+                wits.append(WitnessSpec(wit_label, wit))
+                diag.append(Fraction(d))
+        return record[0], sp, rays, wits, diag
+
+    def __call__(self, table_id: str, **params) -> tuple[TableSection, ...]:
+        s, sp, rays, wits, diag = self.inputs(**params)
+        expected = [[d if i == j else 0 for j in range(len(rays))] for i, d in enumerate(diag)]
+        cert = certify_nef(s, sp, rays, wits)
+        check = SectionCheck(
+            "nef duality certificate", "pass" if cert.ok else "fail", cert.verdict
+        )
+        section = _exact_section(
+            f"{table_id} ({s.key}, {sp})",
+            [(w.label, w.cls) for w in wits],
+            [(r.label, r.cls) for r in rays],
+            expected,
+            checks=[check],
+        )
+        return (section,)
 
 
 def nef_table_inputs(table_id: str, **params):
     """(surface, space, rays, witnesses, expected diagonal) for the nef
     tables in the catalog."""
-    if table_id == "hilb_p2_nef":
-        n = params["n"]
-        s = p2()
-        sp = hilb(n)
-        rays = [
-            RaySpec("H", divisor(s, sp, "H"), _prov_assert("induced nef class on the Hilbert scheme")),
-            RaySpec("D_{n-1}", tautological(s, n, n - 1), _prov_assert("tautological class of a spanning line bundle")),
-        ]
-        wits = [
-            WitnessSpec("C_{l,n}", curve_family_a(s, sp, 1, n)),
-            WitnessSpec("A", curve(s, sp, "A")),
-        ]
-        diag = [Fraction(1)] * 2
-        return s, sp, rays, wits, diag
-    if table_id == "nef_p2_nested":
-        n = params["n"]
-        s = p2()
-        sp = nested(n)
-        rays = [
-            RaySpec("H^b", divisor(s, sp, "Hb"), _prov_pb("pull_b of a nef class")),
-            RaySpec("D^b_{n-1}", tautological_b(s, sp, n - 1), _prov_pb("pull_b of a nef tautological class")),
-            RaySpec("H^diff", divisor(s, sp, "Hdiff"), _prov_res("pull_res of a nef class")),
-            RaySpec("D^a_n", tautological_a(s, sp, n), _prov_pb("pull_a of a nef tautological class")),
-        ]
-        wits = [
-            WitnessSpec("C^b_{l,n}", curve_family_b(s, sp, 1, n)),
-            WitnessSpec("A^b", curve(s, sp, "Ab")),
-            WitnessSpec("C^a_{l,n+1}", curve_family_a(s, sp, 1, n + 1)),
-            WitnessSpec("A^a", curve(s, sp, "Aa")),
-        ]
-        diag = [Fraction(1)] * 4
-        return s, sp, rays, wits, diag
-    if table_id == "nef_f0_nested":
-        n = params["n"]
-        s = p1xp1()
-        sp = nested(n)
-        rays = [
-            RaySpec("H_1^diff", divisor(s, sp, "H1diff"), _prov_res()),
-            RaySpec("H_2^diff", divisor(s, sp, "H2diff"), _prov_res()),
-            RaySpec("H_1^b", divisor(s, sp, "H1b"), _prov_pb()),
-            RaySpec("H_2^b", divisor(s, sp, "H2b"), _prov_pb()),
-            RaySpec("D^a_{(n,n)}", tautological_a(s, sp, (n, n)), _prov_pb()),
-            RaySpec("D^b_{(n-1,n-1)}", tautological_b(s, sp, (n - 1, n - 1)), _prov_pb()),
-        ]
-        wits = [
-            WitnessSpec("C^a_{(0,1),n+1}", curve_family_a(s, sp, (0, 1), n + 1)),
-            WitnessSpec("C^a_{(1,0),n+1}", curve_family_a(s, sp, (1, 0), n + 1)),
-            WitnessSpec("C^b_{(0,1),n}", curve_family_b(s, sp, (0, 1), n)),
-            WitnessSpec("C^b_{(1,0),n}", curve_family_b(s, sp, (1, 0), n)),
-            WitnessSpec("A^a", curve(s, sp, "Aa")),
-            WitnessSpec("A^b", curve(s, sp, "Ab")),
-        ]
-        diag = [Fraction(1)] * 6
-        return s, sp, rays, wits, diag
-    if table_id == "nef_fi_nested":
-        i, n = params["i"], params["n"]
-        s = hirzebruch(i)
-        sp = nested(n)
-        rays = [
-            RaySpec("H^diff", divisor(s, sp, "Hdiff"), _prov_res()),
-            RaySpec("F^diff", divisor(s, sp, "Fdiff"), _prov_res()),
-            RaySpec("H^b", divisor(s, sp, "Hb"), _prov_pb()),
-            RaySpec("F^b", divisor(s, sp, "Fb"), _prov_pb()),
-            RaySpec("D^a_{(n,n)}", tautological_a(s, sp, (n, n)), _prov_pb()),
-            RaySpec("D^b_{(n-1,n-1)}", tautological_b(s, sp, (n - 1, n - 1)), _prov_pb()),
-        ]
-        wits = [
-            WitnessSpec("C^a_{F,n+1}", curve_family_a(s, sp, (0, 1), n + 1)),
-            WitnessSpec("C^a_{E,n+1}", curve_family_a(s, sp, (1, -i), n + 1)),
-            WitnessSpec("C^b_{F,n}", curve_family_b(s, sp, (0, 1), n)),
-            WitnessSpec("C^b_{E,n}", curve_family_b(s, sp, (1, -i), n)),
-            WitnessSpec("A^a", curve(s, sp, "Aa")),
-            WitnessSpec("A^b", curve(s, sp, "Ab")),
-        ]
-        diag = [Fraction(1)] * 6
-        return s, sp, rays, wits, diag
-    if table_id == "nef_k3_nested":
-        g, n = params["g"], params["n"]
-        if n < g + 1:
-            raise RangeError(f"nef_k3_nested requires n >= g+1, got n={n}, g={g}")
-        s = k3(g)
-        sp = nested(n)
-        ca_nodal, cb_nodal = nodal_curves_k3(s, sp)
-        rays = [
-            RaySpec("H^b", divisor(s, sp, "Hb"), _prov_pb()),
-            RaySpec(f"D^b_{{f({n})}}", tautological_b(s, sp, k3_extremal_slope(g, n)), _prov_pb()),
-            RaySpec("H^diff", divisor(s, sp, "Hdiff"), _prov_res()),
-            RaySpec(f"D^a_{{f({n + 1})}}", tautological_a(s, sp, k3_extremal_slope(g, n + 1)), _prov_pb()),
-        ]
-        wits = [
-            WitnessSpec("C^b_nodal", cb_nodal),
-            WitnessSpec("A^b", curve(s, sp, "Ab")),
-            WitnessSpec("C^a_nodal", ca_nodal),
-            WitnessSpec("A^a", curve(s, sp, "Aa")),
-        ]
-        diag = [Fraction(2 * g - 2), Fraction(1), Fraction(2 * g - 2), Fraction(1)]
-        return s, sp, rays, wits, diag
-    if table_id == "nef_p2_univ":
-        n = params["n"]
-        s = p2()
-        sp = univ(n)
-        rays = [
-            RaySpec("H^diff", divisor(s, sp, "Hdiff"), _prov_res()),
-            RaySpec("H^b", divisor(s, sp, "Hb"), _prov_pb()),
-            RaySpec("D^a_{n-1}", tautological_a(s, sp, n - 1), _prov_pb()),
-        ]
-        wits = [
-            WitnessSpec("C^a_{l,n-1}", curve_family_a(s, sp, 1, n - 1)),
-            WitnessSpec("C^b_{l,n}", curve_family_b(s, sp, 1, n)),
-            WitnessSpec("A^a", curve(s, sp, "Aa")),
-        ]
-        diag = [Fraction(1)] * 3
-        return s, sp, rays, wits, diag
-    if table_id == "nef_f0_univ":
-        n = params["n"]
-        s = p1xp1()
-        sp = univ(n)
-        rays = [
-            RaySpec("H_1^diff", divisor(s, sp, "H1diff"), _prov_res()),
-            RaySpec("H_2^diff", divisor(s, sp, "H2diff"), _prov_res()),
-            RaySpec("H_1^b", divisor(s, sp, "H1b"), _prov_pb()),
-            RaySpec("H_2^b", divisor(s, sp, "H2b"), _prov_pb()),
-            RaySpec("D^a_{(n-1,n-1)}", tautological_a(s, sp, (n - 1, n - 1)), _prov_pb()),
-        ]
-        wits = [
-            WitnessSpec("C^a_{(0,1),n-1}", curve_family_a(s, sp, (0, 1), n - 1)),
-            WitnessSpec("C^a_{(1,0),n-1}", curve_family_a(s, sp, (1, 0), n - 1)),
-            WitnessSpec("C^b_{(0,1),n}", curve_family_b(s, sp, (0, 1), n)),
-            WitnessSpec("C^b_{(1,0),n}", curve_family_b(s, sp, (1, 0), n)),
-            WitnessSpec("A^a", curve(s, sp, "Aa")),
-        ]
-        diag = [Fraction(1)] * 5
-        return s, sp, rays, wits, diag
-    if table_id == "nef_fi_univ":
-        i, n = params["i"], params["n"]
-        s = hirzebruch(i)
-        sp = univ(n)
-        rays = [
-            RaySpec("H^diff", divisor(s, sp, "Hdiff"), _prov_res()),
-            RaySpec("F^diff", divisor(s, sp, "Fdiff"), _prov_res()),
-            RaySpec("H^b", divisor(s, sp, "Hb"), _prov_pb()),
-            RaySpec("F^b", divisor(s, sp, "Fb"), _prov_pb()),
-            RaySpec("D^a_{(n-1,n-1)}", tautological_a(s, sp, (n - 1, n - 1)), _prov_pb()),
-        ]
-        wits = [
-            WitnessSpec("C^a_{F,n-1}", curve_family_a(s, sp, (0, 1), n - 1)),
-            WitnessSpec("C^a_{E,n-1}", curve_family_a(s, sp, (1, -i), n - 1)),
-            WitnessSpec("C^b_{F,n}", curve_family_b(s, sp, (0, 1), n)),
-            WitnessSpec("C^b_{E,n}", curve_family_b(s, sp, (1, -i), n)),
-            WitnessSpec("A^a", curve(s, sp, "Aa")),
-        ]
-        diag = [Fraction(1)] * 5
-        return s, sp, rays, wits, diag
-    if table_id == "nef_k3_univ":
-        g, n = params["g"], params["n"]
-        if n < g + 1:
-            raise RangeError(f"nef_k3_univ requires n >= g+1, got n={n}, g={g}")
-        s = k3(g)
-        sp = univ(n)
-        ca_nodal, cb_nodal = nodal_curves_k3(s, sp)
-        rays = [
-            RaySpec("H^diff", divisor(s, sp, "Hdiff"), _prov_res()),
-            RaySpec("H^b", divisor(s, sp, "Hb"), _prov_pb()),
-            RaySpec(f"D^a_{{f({n})}}", tautological_a(s, sp, k3_extremal_slope(g, n)), _prov_pb()),
-        ]
-        wits = [
-            WitnessSpec("C^a_nodal", ca_nodal),
-            WitnessSpec("C^b_nodal", cb_nodal),
-            WitnessSpec("A^a", curve(s, sp, "Aa")),
-        ]
-        diag = [Fraction(2 * g - 2), Fraction(2 * g - 2), Fraction(1)]
-        return s, sp, rays, wits, diag
-    raise UnknownTable(table_id)
+    build = CATALOG[table_id].build if table_id in CATALOG else None
+    if not isinstance(build, NefTable):
+        raise UnknownTable(table_id)
+    return build.inputs(**params)
 
 
 def standard_nef_certificate(table_id: str, **params) -> Certificate:
@@ -829,37 +747,88 @@ def standard_nef_certificate(table_id: str, **params) -> Certificate:
     return certify_nef(s, sp, rays, wits)
 
 
-def standard_eff_certificate(table_id: str) -> Certificate:
-    if table_id == "eff_p2_2_1":
-        s, sp, rows, cols, _ = eff_p2_2_1_data()
-    elif table_id == "eff_p2_3_2":
-        s, sp, rows, cols, _ = eff_p2_3_2_data()
-    else:
-        raise UnknownTable(table_id)
-    rays = [
-        RaySpec(lab, cls, _prov_assert("effective generator of the claimed cone"))
-        for lab, cls in cols
-    ]
-    moving = [
-        WitnessSpec(lab, cls, _prov_assert("moving curve: irreducible representatives cover a dense open set"))
-        for lab, cls in rows
-    ]
-    return certify_eff(s, sp, rays, moving)
-
-
 def standard_nef_cone(table_id: str, **params) -> Cone:
     s, sp, rays, _, _ = nef_table_inputs(table_id, **params)
     return cone_from_rays(divisor_rank(s, sp), [r.cls.coords for r in rays])
 
 
-def standard_eff_cone(table_id: str) -> Cone:
-    if table_id == "eff_p2_2_1":
-        s, sp, _, cols, _ = eff_p2_2_1_data()
-    elif table_id == "eff_p2_3_2":
-        s, sp, _, cols, _ = eff_p2_3_2_data()
-    else:
+# ---------------------------------------------------------------------------
+# Effective-cone tables
+# ---------------------------------------------------------------------------
+
+# table id -> (legacy-frame data, notes on the printed source)
+EFF_TABLES = {
+    "eff_p2_2_1": (eff_p2_2_1_data, ()),
+    "eff_p2_3_2": (
+        eff_p2_3_2_data,
+        (
+            "row C_{1,0}: the legacy source prints (1,0,2,0,0); the B_1/B_2 "
+            "cells are transposed there and the catalog stores the corrected "
+            "row (1,2,0,0,0)",
+        ),
+    ),
+}
+
+
+def _eff_data(table_id: str):
+    if table_id not in EFF_TABLES:
         raise UnknownTable(table_id)
+    return EFF_TABLES[table_id][0]()
+
+
+def standard_eff_certificate(table_id: str) -> Certificate:
+    s, sp, rows, cols, _ = _eff_data(table_id)
+    rays = [
+        RaySpec(lab, cls, Provenance(ASSERTED, "effective generator of the claimed cone"))
+        for lab, cls in cols
+    ]
+    moving = [
+        WitnessSpec(
+            lab,
+            cls,
+            Provenance(
+                ASSERTED, "moving curve: irreducible representatives cover a dense open set"
+            ),
+        )
+        for lab, cls in rows
+    ]
+    return certify_eff(s, sp, rays, moving)
+
+
+def standard_eff_cone(table_id: str) -> Cone:
+    s, sp, _, cols, _ = _eff_data(table_id)
     return cone_from_rays(divisor_rank(s, sp), [c.coords for _, c in cols])
+
+
+def _eff_sections(table_id: str) -> tuple[TableSection, ...]:
+    s, sp, rows, cols, expected = _eff_data(table_id)
+    cert = standard_eff_certificate(table_id)
+    check = SectionCheck(
+        "moving-curve duality certificate", "pass" if cert.ok else "fail", cert.verdict
+    )
+    return (
+        _exact_section(
+            f"{table_id} ({s.key}, {sp})",
+            rows,
+            cols,
+            expected,
+            checks=[check],
+            notes=EFF_TABLES[table_id][1],
+        ),
+    )
+
+
+def _eff_summary_sections(table_id: str) -> tuple[TableSection, ...]:
+    return tuple(
+        _duality_section(
+            f"Eff(P2[{sp.n},1])" if sp.kind is SpaceKind.UNIV else f"Eff(P2[{sp.n + 1},{sp.n}])",
+            p2(),
+            sp,
+            [(lab, _chart_curve(sp, lab)) for lab in curves],
+            [(lab, _chart_divisor(sp, lab)) for lab in rays],
+        )
+        for sp, rays, curves in _CHART
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -871,30 +840,10 @@ class TableSpec:
     id: str
     description: str
     defaults: dict
-    build: Callable[..., tuple[TableSection, ...]]
+    build: Callable[..., tuple[TableSection, ...]]  # (table id, **params)
 
 
-def _nef_table_sections(table_id: str, **params) -> tuple[TableSection, ...]:
-    s, sp, rays, wits, diag = nef_table_inputs(table_id, **params)
-    expected = [
-        [diag[i] if i == j else Fraction(0) for j in range(len(rays))]
-        for i in range(len(wits))
-    ]
-    cert = certify_nef(s, sp, rays, wits)
-    check = SectionCheck(
-        "nef duality certificate", "pass" if cert.ok else "fail", cert.verdict
-    )
-    section = _exact_section(
-        f"{table_id} ({s.key}, {sp})",
-        [(w.label, w.cls) for w in wits],
-        [(r.label, r.cls) for r in rays],
-        expected,
-        checks=[check],
-    )
-    return (section,)
-
-
-def _pairing_p2_hilb_sections(n: int) -> tuple[TableSection, ...]:
+def _pairing_p2_hilb_sections(table_id: str, n: int) -> tuple[TableSection, ...]:
     s = p2()
     sp = hilb(n)
     c1 = curve(s, sp, "C1")
@@ -902,10 +851,10 @@ def _pairing_p2_hilb_sections(n: int) -> tuple[TableSection, ...]:
     rows = [("C_0", c1 - a), ("C_1", c1), ("A", a)]
     cols = [("H", divisor(s, sp, "H")), ("B", _full_b(s, sp, "B/2"))]
     expected = [[1, 2], [1, 0], [0, -2]]
-    return (_exact_section(f"pairing_p2_hilb (n={n})", rows, cols, expected),)
+    return (_exact_section(f"{table_id} (n={n})", rows, cols, expected),)
 
 
-def _pairing_p2_nested_sections(n: int) -> tuple[TableSection, ...]:
+def _pairing_p2_nested_sections(table_id: str, n: int) -> tuple[TableSection, ...]:
     s = p2()
     sp = nested(n)
     ca1 = curve(s, sp, "Ca1")
@@ -934,46 +883,12 @@ def _pairing_p2_nested_sections(n: int) -> tuple[TableSection, ...]:
         [0, 0, 1, 0],
         [0, 2, 0, -2],
     ]
-    return (_exact_section(f"pairing_p2_nested (n={n})", rows, cols, expected),)
+    return (_exact_section(f"{table_id} (n={n})", rows, cols, expected),)
 
 
-def _eff_sections(table_id: str) -> tuple[TableSection, ...]:
-    if table_id == "eff_p2_2_1":
-        s, sp, rows, cols, expected = eff_p2_2_1_data()
-        notes = ()
-    else:
-        s, sp, rows, cols, expected = eff_p2_3_2_data()
-        notes = (
-            "row C_{1,0}: the legacy source prints (1,0,2,0,0); the B_1/B_2 "
-            "cells are transposed there and the catalog stores the corrected "
-            "row (1,2,0,0,0)",
-        )
-    cert = standard_eff_certificate(table_id)
-    check = SectionCheck(
-        "moving-curve duality certificate", "pass" if cert.ok else "fail", cert.verdict
-    )
-    return (
-        _exact_section(
-            f"{table_id} ({s.key}, {sp})", rows, cols, expected, checks=[check], notes=notes
-        ),
-    )
-
-
-def _eff_summary_sections() -> tuple[TableSection, ...]:
-    return (
-        _chart_univ_entry(3),
-        _chart_univ_entry(4),
-        _chart_univ_entry(5),
-        _chart_univ_entry(6),
-        _chart_nested_entry(2),
-        _chart_nested_entry(3),
-        _chart_nested_entry(4),
-    )
-
-
-def _k3_g1n_sections(g: int, n: int) -> tuple[TableSection, ...]:
+def _k3_g1n_sections(table_id: str, g: int, n: int) -> tuple[TableSection, ...]:
     if n <= g:
-        raise RangeError(f"k3_g1n requires n > g, got n={n}, g={g}")
+        raise RangeError(f"{table_id} requires n > g, got n={n}, g={g}")
     s = k3(g)
     sp = hilb(n)
     rows = [("g^1_n", g1n_curve(s, sp)), ("A", curve(s, sp, "A"))]
@@ -982,8 +897,13 @@ def _k3_g1n_sections(g: int, n: int) -> tuple[TableSection, ...]:
         (f"D_{{f({n})}}", tautological(s, n, k3_extremal_slope(g, n))),
     ]
     expected = [[2 * g - 2, 0], [0, 1]]
-    return (_exact_section(f"k3_g1n (g={g}, n={n})", rows, cols, expected),)
+    return (_exact_section(f"{table_id} (g={g}, n={n})", rows, cols, expected),)
 
+
+# Block orders; each fixes the order of a table's rays, and so its output.
+_RANK1_NESTED = ("b", "Db", "diff", "Da")
+_RANK2_NESTED = ("diff", "b", "Da", "Db")
+_UNIV = ("diff", "b", "Da")
 
 CATALOG: dict[str, TableSpec] = {
     spec.id: spec
@@ -992,55 +912,55 @@ CATALOG: dict[str, TableSpec] = {
             "hilb_p2_nef",
             "nef cone of P2^[n]: spanning rays against dual curves",
             {"n": 3},
-            lambda n: _nef_table_sections("hilb_p2_nef", n=n),
+            NefTable(_hilb_template, _nef_p2, ("gen", "D"), cite=True),
         ),
         TableSpec(
             "nef_p2_nested",
             "nef cone of P2^[n+1,n]: spanning rays against dual curves",
             {"n": 3},
-            lambda n: _nef_table_sections("nef_p2_nested", n=n),
+            NefTable(_nested_template, _nef_p2, _RANK1_NESTED, cite=True),
         ),
         TableSpec(
             "nef_f0_nested",
             "nef cone of (P1xP1)^[n+1,n]",
             {"n": 3},
-            lambda n: _nef_table_sections("nef_f0_nested", n=n),
+            NefTable(_nested_template, _nef_f0, _RANK2_NESTED),
         ),
         TableSpec(
             "nef_fi_nested",
             "nef cone of F_i^[n+1,n]",
             {"i": 1, "n": 3},
-            lambda i, n: _nef_table_sections("nef_fi_nested", i=i, n=n),
+            NefTable(_nested_template, _nef_fi, _RANK2_NESTED),
         ),
         TableSpec(
             "nef_k3_nested",
             "nef cone of K3^[n+1,n] for a general genus-g K3 (n >= g+1)",
             {"g": 3, "n": 4},
-            lambda g, n: _nef_table_sections("nef_k3_nested", g=g, n=n),
+            NefTable(_nested_template, _nef_k3, _RANK1_NESTED),
         ),
         TableSpec(
             "nef_p2_univ",
             "nef cone of the universal family P2^[n,1]",
             {"n": 3},
-            lambda n: _nef_table_sections("nef_p2_univ", n=n),
+            NefTable(_univ_template, _nef_p2, _UNIV),
         ),
         TableSpec(
             "nef_f0_univ",
             "nef cone of (P1xP1)^[n,1]",
             {"n": 3},
-            lambda n: _nef_table_sections("nef_f0_univ", n=n),
+            NefTable(_univ_template, _nef_f0, _UNIV),
         ),
         TableSpec(
             "nef_fi_univ",
             "nef cone of F_i^[n,1]",
             {"i": 1, "n": 3},
-            lambda i, n: _nef_table_sections("nef_fi_univ", i=i, n=n),
+            NefTable(_univ_template, _nef_fi, _UNIV),
         ),
         TableSpec(
             "nef_k3_univ",
             "nef cone of K3^[n,1] (n >= g+1)",
             {"g": 3, "n": 4},
-            lambda g, n: _nef_table_sections("nef_k3_univ", g=g, n=n),
+            NefTable(_univ_template, _nef_k3, _UNIV),
         ),
         TableSpec(
             "pairing_p2_hilb",
@@ -1058,13 +978,13 @@ CATALOG: dict[str, TableSpec] = {
             "eff_p2_2_1",
             "effective cone of P2^[2,1] against its moving curves",
             {},
-            lambda: _eff_sections("eff_p2_2_1"),
+            _eff_sections,
         ),
         TableSpec(
             "eff_p2_3_2",
             "effective cone of P2^[3,2] against its moving curves",
             {},
-            lambda: _eff_sections("eff_p2_3_2"),
+            _eff_sections,
         ),
         TableSpec(
             "eff_summary",
@@ -1098,26 +1018,33 @@ def reproduce_table(table_id: str, **params) -> TableReport:
         if k not in spec.defaults:
             raise RangeError(f"table {table_id} takes no parameter {k!r}")
         merged[k] = v
-    sections = spec.build(**merged)
+    sections = spec.build(table_id, **merged)
     return TableReport(table_id, merged, tuple(sections))
 
 
 def table_cone_with_labels(table_id: str, **params) -> tuple[Cone, list[tuple[str, tuple]]]:
     """Cone spanned by a table's divisor rays plus (label, primitive ray)
     pairs for figure labeling."""
-    from .rationals import primitive
-
-    if table_id in ("eff_p2_2_1", "eff_p2_3_2"):
-        if table_id == "eff_p2_2_1":
-            s, sp, _, cols, _ = eff_p2_2_1_data()
-        else:
-            s, sp, _, cols, _ = eff_p2_3_2_data()
-        rays = [(lab, c.coords) for lab, c in cols]
-        dim = divisor_rank(s, sp)
+    if table_id in EFF_TABLES:
+        s, sp, _, cols, _ = _eff_data(table_id)
     else:
-        s, sp, ray_specs, _, _ = nef_table_inputs(table_id, **params)
-        rays = [(r.label, r.cls.coords) for r in ray_specs]
-        dim = divisor_rank(s, sp)
-    cone = cone_from_rays(dim, [coords for _, coords in rays])
-    labeled = [(lab, primitive(coords)) for lab, coords in rays]
-    return cone, labeled
+        s, sp, rays, _, _ = nef_table_inputs(table_id, **params)
+        cols = [(r.label, r.cls) for r in rays]
+    cone = cone_from_rays(divisor_rank(s, sp), [c.coords for _, c in cols])
+    return cone, [(lab, primitive(c.coords)) for lab, c in cols]
+
+
+def table_cross_section(table_id: str, **params) -> tuple[CrossSection, list[str]]:
+    """Cross-section of a table's cone at coordinate sum 1 (at the cone's
+    positive functional where the coordinate sum is not positive on every
+    ray), with each vertex labelled by the spanning ray through it, or '?'."""
+    cone, labeled = table_cone_with_labels(table_id, **params)
+    try:
+        cs = cross_section(cone, COORD_SUM)
+    except FunctionalNotPositive:
+        cs = cross_section(cone, positive_functional(cone))
+    labels = [
+        next((lab for lab, ray in labeled if ray == primitive(v)), "?")
+        for v in cs.vertices
+    ]
+    return cs, labels

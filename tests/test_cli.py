@@ -102,6 +102,33 @@ def test_pair_parse_error_exit_2(capsys):
     assert "byte" in err
 
 
+def test_pair_zero_denominator_is_parse_error(capsys):
+    code, out, err = run(capsys, "pair", "--space", "hilb", "--n", "3", "1/0*H", "C1")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error at byte 2:")
+    assert "Traceback" not in err
+
+
+def test_pair_reports_error_of_given_order(capsys):
+    # Neither order parses: the incomplete divisor is the error to report,
+    # not the swapped attempt's complaint about C1.
+    code, _, err = run(capsys, "pair", "--space", "hilb", "--n", "3", "H+", "C1")
+    assert code == 2
+    assert err.startswith("parse error at byte 2:")
+    assert "end of input" in err
+
+
+def test_pair_f0_is_hirzebruch(capsys):
+    code, out, _ = run(
+        capsys, "pair", "--surface", "f0", "--space", "nested", "--n", "2", "Fb", "Cb1"
+    )
+    assert code == 0
+    assert out.strip() == "1"
+    code, _, err = run(capsys, "pair", "--surface", "f9x", "--space", "hilb", "--n", "3", "H", "A")
+    assert code == 2
+    assert "unknown surface" in err
+
+
 def test_usage_error_exit_2(capsys):
     code, _, err = run(capsys, "pair", "--surface", "k3", "--space", "hilb",
                        "--n", "3", "H", "A")
@@ -126,11 +153,11 @@ def test_verify_all(capsys):
     assert "skipped" in out  # the summary chart reports its skipped cells
 
 
-def test_verify_all_jobs(capsys):
-    code1, out1, _ = run(capsys, "verify", "--all", "--jobs", "4")
-    assert code1 == 0
-    code2, out2, _ = run(capsys, "verify", "--all")
-    assert out1 == out2  # parallelism does not change output order
+def test_verify_all_rejects_table_params(capsys):
+    for flag in ("--n", "--g", "--i"):
+        code, out, err = run(capsys, "verify", "--all", flag, "50")
+        assert code == 2 and out == ""
+        assert "--all" in err
 
 
 def test_table_command_formats(capsys):

@@ -62,6 +62,16 @@ def test_surface_model_factory():
     assert nc.surface_model("k3", genus=4) == nc.k3(4)
 
 
+def test_surface_model_f0_and_unknown_kind():
+    f0 = nc.surface_model("f0")
+    assert f0 == nc.hirzebruch(0)
+    assert f0.generator_names == ("H", "F")
+    assert f0.gram == nc.p1xp1().gram
+    with pytest.raises(nc.UnknownSurface):
+        nc.surface_model("p3")
+    assert issubclass(nc.UnknownSurface, nc.NestconeError)
+
+
 # ---------------------------------------------------------------------------
 # Spaces, ranks, labels
 # ---------------------------------------------------------------------------

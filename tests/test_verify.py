@@ -1,3 +1,5 @@
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -222,3 +224,17 @@ def test_table_cone_with_labels():
     assert len(cs.vertices) == 4 and len(cs.edges) == 4
     labels = dict(labeled)
     assert set(labels) == {"H_1", "H_2", "B", "D_{1,1}"}
+
+
+# ---------------------------------------------------------------------------
+# CSV export
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("table_id", sorted(nc.CATALOG))
+def test_csv_rows_have_six_fields(table_id):
+    report = nc.reproduce_table(table_id)
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert rows[0] == ["section", "row", "col", "expected", "computed", "status"]
+    cells = [(s.title, c.row, c.col, c.status) for s in report.sections for c in s.cells]
+    assert [(r[0], r[1], r[2], r[5]) for r in rows[1:]] == cells
+    assert all(len(r) == 6 for r in rows)
