@@ -1,6 +1,8 @@
 """Golden-output fixture: SHA-256 digests of every catalog report, every
-certificate, every cross-section rendering and the stdout of the README's
-CLI examples.  A refactor must leave every digest unchanged.
+certificate, every cross-section rendering, the stdout of the README's CLI
+examples and the lattice layer (pairing tables, bases, pull and push maps,
+curve families) over a grid of surfaces and spaces.  A refactor must leave
+every digest unchanged.
 
 Table CSV is digested only through the README example, whose rows hold no
 comma and so are the same with or without CSV quoting."""
@@ -13,6 +15,7 @@ import pytest
 
 import nestcone as nc
 from nestcone.cli import main
+from nestcone.errors import NestconeError
 
 # One non-default point per parameterised table.
 NON_DEFAULT = {
@@ -100,7 +103,67 @@ def readme_digests() -> dict[str, str]:
     return {" ".join(argv): _sha(_cli(*argv)) for argv in README_EXAMPLES}
 
 
-# Digests taken on the code before the catalog was turned into data.
+LATTICE_SURFACES = (nc.p2(), nc.p1xp1(), nc.hirzebruch(2), nc.k3(4))
+LATTICE_SPACES = (
+    nc.surface_space(),
+    *(nc.hilb(n) for n in (2, 3, 5)),
+    *(nc.nested(n) for n in (1, 2, 3, 5)),
+    *(nc.univ(n) for n in (2, 3, 5)),
+)
+
+
+def _outcome(fn, *args) -> str:
+    """A class's JSON, or the name of the library error the call raised."""
+    try:
+        return fn(*args).json_str()
+    except NestconeError as e:
+        return type(e).__name__
+
+
+def _lattice_lines(s, sp) -> list[str]:
+    lines = [
+        _sha(nc.pairing_table(s, sp).to_csv()),
+        str(nc.divisor_rank(s, sp)),
+        str(nc.curve_rank(s, sp)),
+        ",".join(nc.divisor_labels(s, sp)),
+        ",".join(nc.curve_labels(s, sp)),
+    ]
+    # Every pull into sp from every space it could come from: the surface
+    # and the Hilbert schemes of n and n+1 points.
+    sources = [nc.surface_space()]
+    if sp.n is not None:
+        sources += [nc.hilb(m) for m in (sp.n, sp.n + 1) if m >= 2]
+    for src in sources:
+        for lab, d in nc.divisor_basis(s, src):
+            for pull in (nc.pull_a, nc.pull_b, nc.pull_res):
+                lines.append(f"{pull.__name__} {src} {lab}: {_outcome(pull, d, sp)}")
+    for lab in nc.curve_labels(s, sp):
+        c = nc.curve(s, sp, lab)
+        for push in (nc.pushforward_a, nc.pushforward_b):
+            lines.append(f"{push.__name__} {lab}: {_outcome(push, c)}")
+    units = [tuple(int(i == j) for j in range(s.rank)) for i in range(s.rank)]
+    for family in (nc.curve_family_a, nc.curve_family_b, nc.curve_family_a_alt, nc.curve_family_b_alt):
+        for gamma in units:
+            for r in (1, 2):
+                lines.append(f"{family.__name__} {gamma} {r}: {_outcome(family, s, sp, gamma, r)}")
+    for named in (nc.tautological_a, nc.tautological_b):
+        for m in units:
+            lines.append(f"{named.__name__} {m}: {_outcome(named, s, sp, m)}")
+    for named in (nc.exceptional_class, nc.canonical_class):
+        lines.append(f"{named.__name__}: {_outcome(named, s, sp)}")
+    return lines
+
+
+def lattice_digests() -> dict[str, str]:
+    return {
+        _key("lattice", s.key, str(sp)): _sha("\n".join(_lattice_lines(s, sp)))
+        for s in LATTICE_SURFACES
+        for sp in LATTICE_SPACES
+    }
+
+
+# Digests taken on the code before the catalog was turned into data; the
+# lattice ones before the basis layout became one table.
 GOLDEN = {
     'table:eff_p2_2_1': '9706da6b2d8f52dfc3930e71bbb2e66f75c7061dbbc52f05e582290f8dbe5100',
     'table:eff_p2_3_2': '5ea79ad0480a2391ca1b95b3ec42bca92b124d841abd3865434d3410cc483579',
@@ -203,6 +266,50 @@ GOLDEN = {
     'butler --i 1 --a 1 --b 1 --n 4 --k-max 5': 'd3e084b87c973d0887b93fdaf321fffcda7e746dae3e904454c83856bda46756',
     'asymptotic --k-max 30 --format json': '78202d905d53d4acd15472ba86ca64a6b949e4a3d2f94e27b987d8f5cfa028c8',
     'cross-section --table nef_p2_nested --n 3 --format svg --out': 'f3495d5284614a97d0c4640805ae9cd77cbb5a1492b28d275a05ca2315d41d51',
+    'lattice:p2:surface': '846762781ab1425d29178f054828ad36be1eaf3e0ea416540d3bacd48c81657c',
+    'lattice:p2:hilb(2)': '2d82abe2614ad2ba93db0cc0f39fa026f514376b3f7a838aabc60d7fc2f89c85',
+    'lattice:p2:hilb(3)': 'a00bc4e561a618ffd1979a78f1566cb0377f7fb6637d9ed5ced737ffc64eb9fe',
+    'lattice:p2:hilb(5)': '67a996f616b479ecc080d32bf95f5bb9c42bb717054b6ef723c584e55aad2bca',
+    'lattice:p2:nested(1)': 'e4449ebf24c390ab642355a69395b4b979c5d145e0d21ea1c61900e3ab05d98a',
+    'lattice:p2:nested(2)': '7f59e432658ba1d8464e48648001d60232952f3f474bded354444053c2a6e96d',
+    'lattice:p2:nested(3)': 'db44270177e0ac7a5ea9fe65c1ba5208b7e1e6d4872347a31d49ac35ec2f06bf',
+    'lattice:p2:nested(5)': '1ad6f7a100825c10bcde7772e14fff31bc2d635706c84fd894582d89277074c1',
+    'lattice:p2:univ(2)': 'c80d8042a2b8bca63817f26450a6bafb95dac708ce634524c35db181557796d2',
+    'lattice:p2:univ(3)': '1883591dac528ebe447270fc66cdb6db6f628c4f75591c10690bfcfcaca7277b',
+    'lattice:p2:univ(5)': 'a6efbed9cf1374209abd9c611a598802f3141c5d0de4876ed19421afc1738e74',
+    'lattice:p1xp1:surface': '45c93d1a2ea7927e6583bda6357dbe25a730d7310cc55d7dbefc5266e5e097e6',
+    'lattice:p1xp1:hilb(2)': '7b0c8934b691eea5dba8dab202c7123d1a9a7ee6e0251030d168864c99bca6c2',
+    'lattice:p1xp1:hilb(3)': 'f6caca6653acbc83fc6581cf93a2c445152dd155104b4a834132b5133e2713bc',
+    'lattice:p1xp1:hilb(5)': '68737379f89badc1505072e74664b248cead1d7d416ecdb67537ee497d9dbd59',
+    'lattice:p1xp1:nested(1)': '1abe55b23553df9c7c7ab61527fc70241c85eb2f23c866c884e978482ffcaf32',
+    'lattice:p1xp1:nested(2)': '5ee1da20584a9ff012f4148d0d0eca1b807776fb3348b688ac6c74957418745c',
+    'lattice:p1xp1:nested(3)': '413679e4bf29712395b965dff32d1889dbb4232d4007e0cf1f268a39e870296e',
+    'lattice:p1xp1:nested(5)': 'dc30971a728bcdf6b0bd7185aa6c0f12b84812111961d24c07dddf327c56cd21',
+    'lattice:p1xp1:univ(2)': 'd3139569cf99d1a3bfb87dddcb59cefd1c112c349b4c4b8830fa184ccd8fdd6b',
+    'lattice:p1xp1:univ(3)': '7729f1e18f55da2c46e4b2c153c9048b09c32106fa531a799715d5e6c6159265',
+    'lattice:p1xp1:univ(5)': 'b5e3e5a9a258f6f270887cb1597f47d58916bc33629a7c8c4e09e7d555f7f0fd',
+    'lattice:f2:surface': '0dd2536ec6b595fd8c0f2b9caf81e7d35491a91bcffbbbfd6b00b66669ae9a64',
+    'lattice:f2:hilb(2)': '9715e846a61f3160d6c929fe03f4566a3baa6a897c2877b551707356a305f486',
+    'lattice:f2:hilb(3)': '01e3e22dcdca5ca3455ddbe009ab9cb11e1fa4905d36ca8ac5828bec867f998e',
+    'lattice:f2:hilb(5)': '8de3934a5f1880bd61c171878c224e35251de1aac2777c58ada703436d3070ab',
+    'lattice:f2:nested(1)': 'fda86410ba48d5d9e12e25f3c1464c6ec62939b125c24feb946ec5d75338a2db',
+    'lattice:f2:nested(2)': '8d2dc722f9f8972a4e1875e400d241746c9e06b7d0f8e38c96b1770786bf7144',
+    'lattice:f2:nested(3)': '7354b21cc6504820958272139a667dc40f2f28fc80ac63b5e2115dd7bddbc8d5',
+    'lattice:f2:nested(5)': 'a71c48f255e467a5a6a9a9679ca62c56b4df9d1f285d998bac49513800dd9b09',
+    'lattice:f2:univ(2)': 'fbef92e361f49d1a125a16529cefe8e03d36c72c82d80415e0a3d33775704697',
+    'lattice:f2:univ(3)': '5cb511d51ec4938197f3d5bfa31d143714347503f2212361c893fd3b0f2446dd',
+    'lattice:f2:univ(5)': '9ff65a2a6c651e8075d225cc7c187d888fcee8c78fabcaab84e77081e65c0813',
+    'lattice:k3-g4:surface': '5ecfe98c75d7be07359b3697fed6aefc53b44de90e5d4c89ee8c9e759ca14452',
+    'lattice:k3-g4:hilb(2)': '898068cea2559c7bc07b93e4fc186fe79f5a8a4c365425d0dd500427e1ec7fc7',
+    'lattice:k3-g4:hilb(3)': '06e918dfaa29f373042ef4ae2a2914c2228294a798cc6cb2d24fe96816616063',
+    'lattice:k3-g4:hilb(5)': '1a3d5338f8a056d882264f2246d87f9cb00768781f979840e2e1fe5deca2de56',
+    'lattice:k3-g4:nested(1)': '1a6f3501a4233bfb1da03dc41d9f4732cd4ec5e814058b547ce6bd26413c7158',
+    'lattice:k3-g4:nested(2)': 'cd7b15115bf6d176ef66de90991bd45395b66177fa5ae6ada7e0fdcfc8c824f0',
+    'lattice:k3-g4:nested(3)': '877f7ab7ef7d2326f4d6d04120ddbb3d362f31293a69ec8900e814377e3797c5',
+    'lattice:k3-g4:nested(5)': '865dd40ddb94ed2f267413551ea7779d2c3a55aa28a73d5e65464321d569d41b',
+    'lattice:k3-g4:univ(2)': '807bf23ad8ddb96f6e7b748ba43e130457da5e33abdf706661364f568717200d',
+    'lattice:k3-g4:univ(3)': '93e9490437c7ac6d2f85efc2090e1648b4fa6a1939b3f7b09f45520a4e5c0d75',
+    'lattice:k3-g4:univ(5)': '923877f11503dd66fb81deac0f6e3b019f00cb1b43ee05311f28aa0ea9651fea',
 }
 
 
@@ -213,8 +320,8 @@ def no_color(monkeypatch):
 
 @pytest.mark.parametrize(
     "digests",
-    [table_digests, certificate_digests, cross_section_digests, readme_digests],
-    ids=["tables", "certificates", "cross_sections", "readme"],
+    [table_digests, certificate_digests, cross_section_digests, readme_digests, lattice_digests],
+    ids=["tables", "certificates", "cross_sections", "readme", "lattice"],
 )
 def test_golden_digests(digests):
     got = digests()

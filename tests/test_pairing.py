@@ -336,3 +336,44 @@ def test_curve_functional_matches_pair(a, b, c, d):
         expected = nc.pair(basis, cur)
         got = sum(fi * xi for fi, xi in zip(f, basis.coords))
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# Property test: the projection formula
+# ---------------------------------------------------------------------------
+
+PROJECTION_SURFACES = [nc.p2(), nc.p1xp1(), nc.hirzebruch(2), nc.k3(4)]
+small_rats = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+@st.composite
+def projection_cases(draw):
+    """A space X^[n+1,n] or X^[n,1], one of its projections, the space the
+    projection maps to, and random classes on both ends."""
+    s = draw(st.sampled_from(PROJECTION_SURFACES))
+    kind = draw(st.sampled_from(["nested", "univ"]))
+    side = draw(st.sampled_from(["a", "b"]))
+    if kind == "nested":
+        n = draw(st.integers(min_value=1, max_value=6))
+        sp = nc.nested(n)
+        src = nc.hilb(n + 1) if side == "a" else (nc.hilb(n) if n >= 2 else nc.surface_space())
+    else:
+        n = draw(st.integers(min_value=2, max_value=6))
+        sp = nc.univ(n)
+        src = nc.hilb(n) if side == "a" else nc.surface_space()
+    d = nc.DivClass(s, src, draw(st.lists(small_rats, min_size=nc.divisor_rank(s, src),
+                                          max_size=nc.divisor_rank(s, src))))
+    c = nc.CurClass(s, sp, draw(st.lists(small_rats, min_size=nc.curve_rank(s, sp),
+                                         max_size=nc.curve_rank(s, sp))))
+    return side, sp, d, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=projection_cases())
+def test_projection_formula(case):
+    """pair(pull_x D, C) == pair(D, pushforward_x C) for x in {a, b}."""
+    side, sp, d, c = case
+    pull = nc.pull_a if side == "a" else nc.pull_b
+    push = nc.pushforward_a if side == "a" else nc.pushforward_b
+    assert push(c).space == d.space
+    assert nc.pair(pull(d, sp), c) == nc.pair(d, push(c))
