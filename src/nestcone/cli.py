@@ -50,6 +50,14 @@ from .verify import (
 #   NUMBER  := digits ['/' digits]
 #   LABEL   := letter (letter | digit | '^')* ['/' digits]
 # At most one class label per product; parse errors cite byte offsets.
+# Digits are ASCII.  At most _MAX_DIGITS digits per expression keep every
+# coefficient, and the pairing of two expressions, under the interpreter's
+# limit on printing an integer; parentheses and unary minus nested at most
+# _MAX_DEPTH deep keep the recursive descent under its recursion limit.
+
+_DIGITS = frozenset("0123456789")
+_MAX_DIGITS = 1000
+_MAX_DEPTH = 100
 
 
 class _Tok:
@@ -59,10 +67,17 @@ class _Tok:
         self.offset = offset
 
 
+def _skip_digits(src: str, k: int) -> int:
+    while k < len(src) and src[k] in _DIGITS:
+        k += 1
+    return k
+
+
 def _tokenize(src: str) -> list[_Tok]:
     toks = []
     i = 0
     n = len(src)
+    digits = 0
     while i < n:
         c = src[i]
         if c.isspace():
@@ -72,19 +87,18 @@ def _tokenize(src: str) -> list[_Tok]:
             toks.append(_Tok(c, c, i))
             i += 1
             continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
+        if c in _DIGITS:
+            j = _skip_digits(src, i)
             if j < n and src[j] == "/":
-                k = j + 1
-                while k < n and src[k].isdigit():
-                    k += 1
+                k = _skip_digits(src, j + 1)
                 if k == j + 1:
                     raise ParseError("expected digits after '/'", j + 1)
                 if not src[j + 1:k].strip("0"):
                     raise ParseError("zero denominator", j + 1)
                 j = k
+            digits += j - i
+            if digits > _MAX_DIGITS:
+                raise ParseError(f"the numbers hold more than {_MAX_DIGITS} digits", i)
             toks.append(_Tok("num", src[i:j], i))
             i = j
             continue
@@ -93,9 +107,7 @@ def _tokenize(src: str) -> list[_Tok]:
             while j < n and (src[j].isalnum() or src[j] == "^"):
                 j += 1
             if j < n and src[j] == "/":
-                k = j + 1
-                while k < n and src[k].isdigit():
-                    k += 1
+                k = _skip_digits(src, j + 1)
                 if k > j + 1:
                     j = k
             toks.append(_Tok("label", src[i:j], i))
@@ -119,6 +131,7 @@ class _Parser:
         self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
+        self.depth = 0
         self.resolve = resolve  # label, offset -> class
 
     def peek(self) -> _Tok:
@@ -168,20 +181,25 @@ class _Parser:
 
     def factor(self) -> _Value:
         t = self.next()
-        if t.kind == "-":
-            v = self.factor()
-            return _Value(-v.scalar, v.cls)
         if t.kind == "num":
             return _Value(Fraction(t.text))
         if t.kind == "label":
             return _Value(Fraction(1), self.resolve(t.text, t.offset))
-        if t.kind == "(":
+        if t.kind not in ("-", "("):
+            raise ParseError(f"unexpected token {t.text or 'end of input'!r}", t.offset)
+        if self.depth == _MAX_DEPTH:
+            raise ParseError(f"expression nested more than {_MAX_DEPTH} deep", t.offset)
+        self.depth += 1
+        if t.kind == "-":
+            v = self.factor()
+            v = _Value(-v.scalar, v.cls)
+        else:
             v = self.expr()
             close = self.next()
             if close.kind != ")":
                 raise ParseError("expected ')'", close.offset)
-            return v
-        raise ParseError(f"unexpected token {t.text or 'end of input'!r}", t.offset)
+        self.depth -= 1
+        return v
 
 
 def _parse_class(src: str, surface: SurfaceModel, space: SpaceId, unit, zero, what: str):

@@ -78,22 +78,3 @@ def solve_unique(a_rows: Sequence[Sequence], b: Sequence) -> list[Fraction]:
     for r, c in enumerate(pivots):
         x[c] = m[r][-1]
     return x
-
-
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : A x = 0} for A given by `rows` with `ncols` columns."""
-    if not rows:
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
-        basis.append(v)
-    return basis

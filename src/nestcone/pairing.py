@@ -2,7 +2,9 @@
 families, nodal curves on K3 surfaces, pushforwards, and linear
 reconstruction of classes from prescribed pairings.
 
-Pairing rules (g = surface Gram matrix):
+Pairing rules (g = surface Gram matrix): each curve block of the basis
+layout pairs through g with the divisor block of its side, and the boundary
+classes pair by `BOUNDARY_PAIRINGS`; every other pairing is zero.
 
 * Hilb(n):   C_i . H_j[n] = g_ij, C_i . B/2 = 0, A . H_j = 0, A . B/2 = -1.
 * Nested(n): Ca_i . Hdiff_j = g_ij (zero elsewhere);
@@ -36,20 +38,25 @@ from typing import Sequence, Union
 
 from . import linalg
 from .errors import NotK3, RangeError, SpaceMismatch
-from .rationals import Rat, rat, rat_str, vzero
+from .rationals import Rat, rat, rat_str
 from .spaces import (
+    CURVE_LAYOUT,
+    DIVISOR_LAYOUT,
     CurClass,
     DivClass,
+    MVec,
     SpaceId,
     SpaceKind,
     SurfaceModel,
+    basis_map,
     curve,
-    curve_labels,
-    curve_rank,
-    divisor_labels,
+    divisor,
     divisor_rank,
-    hilb,
-    surface_space,
+    is_block,
+    layout,
+    pr_a_space,
+    pr_b_space,
+    surface_coords,
 )
 
 
@@ -74,36 +81,30 @@ class PairingTable:
         return "\n".join(lines) + "\n"
 
 
+# (boundary curve, boundary divisor) -> intersection number, for every space
+# kind whose layout holds both classes.
+BOUNDARY_PAIRINGS = {
+    ("A", "B/2"): Fraction(-1),
+    ("Aa", "B/2"): Fraction(-1),
+    ("Aa", "Bdiff/2"): Fraction(-1),
+    ("Ab", "Bdiff/2"): Fraction(1),
+    ("Ab", "Bb/2"): Fraction(-1),
+}
+
+
 @lru_cache(maxsize=None)
 def pairing_table(surface: SurfaceModel, space: SpaceId) -> PairingTable:
-    rho = surface.rank
-    g = surface.gram
-    rows = curve_labels(surface, space)
-    cols = divisor_labels(surface, space)
+    rows, row_at = layout(surface, space, CURVE_LAYOUT)
+    cols, col_at = layout(surface, space, DIVISOR_LAYOUT)
     m = [[Fraction(0)] * len(cols) for _ in rows]
-    if space.kind is SpaceKind.SURFACE:
-        for i in range(rho):
-            for j in range(rho):
-                m[i][j] = g[i][j]
-    elif space.kind is SpaceKind.HILB:
-        for i in range(rho):
-            for j in range(rho):
-                m[i][j] = g[i][j]
-        m[rho][rho] = Fraction(-1)  # A . B/2
-    elif space.kind is SpaceKind.NESTED:
-        for i in range(rho):
-            for j in range(rho):
-                m[i][j] = g[i][j]            # Ca_i . Hdiff_j
-                m[rho + i][rho + j] = g[i][j]  # Cb_i . Hb_j
-        m[2 * rho][2 * rho] = Fraction(-1)       # Aa . Bdiff/2
-        m[2 * rho + 1][2 * rho] = Fraction(1)    # Ab . Bdiff/2
-        m[2 * rho + 1][2 * rho + 1] = Fraction(-1)  # Ab . Bb/2
-    else:  # UNIV
-        for i in range(rho):
-            for j in range(rho):
-                m[i][j] = g[i][j]
-                m[rho + i][rho + j] = g[i][j]
-        m[2 * rho][2 * rho] = Fraction(-1)  # Aa . B/2
+    sides = zip(filter(is_block, row_at), filter(is_block, col_at))
+    for curve_block, divisor_block in sides:
+        for r, gram_row in zip(row_at[curve_block], surface.gram):
+            for c, g in zip(col_at[divisor_block], gram_row):
+                m[r][c] = g
+    for (cur, div), value in BOUNDARY_PAIRINGS.items():
+        if cur in row_at and div in col_at:
+            m[row_at[cur][0]][col_at[div][0]] = value
     return PairingTable(
         surface, space, rows, cols, tuple(tuple(row) for row in m)
     )
@@ -140,102 +141,73 @@ def curve_functional(c: CurClass) -> tuple[Rat, ...]:
 # Derived curve families
 # ---------------------------------------------------------------------------
 
-GammaVec = Union[int, Rat, Sequence]
-
-
-def _coerce_gamma(surface: SurfaceModel, gamma: GammaVec) -> tuple[Rat, ...]:
-    """Curve class on X as coefficients in the H_i basis.  Coefficients may
-    be negative (e.g. the negative section E = H - iF on a Hirzebruch
-    surface)."""
-    if isinstance(gamma, (int, Fraction, str)):
-        if surface.rank != 1:
-            raise SpaceMismatch(
-                f"{surface} has rank {surface.rank}; pass a length-{surface.rank} vector"
-            )
-        return (rat(gamma),)
-    out = tuple(rat(x) for x in gamma)
-    if len(out) != surface.rank:
-        raise SpaceMismatch(f"expected {surface.rank} curve coefficients, got {len(out)}")
-    return out
-
-
 def _check_r(r: int, lo: int, hi: int, what: str) -> None:
     if not isinstance(r, int) or not (lo <= r <= hi):
         raise RangeError(f"{what} requires {lo} <= r <= {hi}, got r={r}")
 
 
-def _combo(surface, space, gamma, a_side: bool, coeff_aa: Rat, coeff_ab: Rat = Fraction(0)):
-    rho = surface.rank
-    out = list(vzero(curve_rank(surface, space)))
-    offset = 0 if a_side else rho
-    if space.kind is SpaceKind.HILB:
-        offset = 0
-    for i, mi in enumerate(gamma):
-        out[offset + i] += mi
-    if space.kind is SpaceKind.HILB:
-        out[rho] += coeff_aa  # A
-    elif space.kind is SpaceKind.NESTED:
-        out[2 * rho] += coeff_aa
-        out[2 * rho + 1] += coeff_ab
-    else:  # UNIV
-        out[2 * rho] += coeff_aa
+def _combo(surface, space, gamma: MVec, block: str, boundary: dict[str, int]) -> CurClass:
+    """sum gamma_i times the curve block (e.g. "Ca_i") plus the boundary
+    curves with the given coefficients, all addressed by layout label."""
+    labels, at = layout(surface, space, CURVE_LAYOUT)
+    out = [Fraction(0)] * len(labels)
+    for k, mi in zip(at[block], surface_coords(surface, gamma), strict=True):
+        out[k] = mi
+    for label, coeff in boundary.items():
+        out[at[label][0]] = Fraction(coeff)
     return CurClass(surface, space, tuple(out))
 
 
-def curve_family_a(surface: SurfaceModel, space: SpaceId, gamma: GammaVec, r: int) -> CurClass:
+def curve_family_a(surface: SurfaceModel, space: SpaceId, gamma: MVec, r: int) -> CurClass:
     """Moving-point curve family on the 'a' side (or the single family on a
     Hilbert scheme): one point of the configuration moves along a curve of
     class gamma while r points of the configuration lie on that curve."""
-    mm = _coerce_gamma(surface, gamma)
     if space.kind is SpaceKind.HILB:
         _check_r(r, 1, space.n, "Hilb C_{gamma,r}")
-        return _combo(surface, space, mm, True, Fraction(-(r - 1)))
+        return _combo(surface, space, gamma, "C_i", {"A": -(r - 1)})
     if space.kind is SpaceKind.NESTED:
         _check_r(r, 1, space.n + 1, "nested Ca_{gamma,r}")
-        return _combo(surface, space, mm, True, Fraction(-(r - 1)))
+        return _combo(surface, space, gamma, "Ca_i", {"Aa": -(r - 1)})
     if space.kind is SpaceKind.UNIV:
         _check_r(r, 1, space.n - 1, "universal Ca_{gamma,r}")
-        return _combo(surface, space, mm, True, Fraction(-r))
+        return _combo(surface, space, gamma, "Ca_i", {"Aa": -r})
     raise SpaceMismatch(f"curve_family_a is not defined on {space}")
 
 
-def curve_family_b(surface: SurfaceModel, space: SpaceId, gamma: GammaVec, r: int) -> CurClass:
+def curve_family_b(surface: SurfaceModel, space: SpaceId, gamma: MVec, r: int) -> CurClass:
     """Moving-point curve family on the 'b' side."""
-    mm = _coerce_gamma(surface, gamma)
     if space.kind is SpaceKind.NESTED:
         _check_r(r, 1, space.n, "nested Cb_{gamma,r}")
-        return _combo(surface, space, mm, False, Fraction(-r), Fraction(-(r - 1)))
+        return _combo(surface, space, gamma, "Cb_i", {"Aa": -r, "Ab": -(r - 1)})
     if space.kind is SpaceKind.UNIV:
         _check_r(r, 1, space.n, "universal Cb_{gamma,r}")
-        return _combo(surface, space, mm, False, Fraction(-(r - 1)))
+        return _combo(surface, space, gamma, "Cb_i", {"Aa": -(r - 1)})
     raise SpaceMismatch(f"curve_family_b is not defined on {space}")
 
 
-def curve_family_b_alt(surface: SurfaceModel, space: SpaceId, gamma: GammaVec, r: int) -> CurClass:
+def curve_family_b_alt(surface: SurfaceModel, space: SpaceId, gamma: MVec, r: int) -> CurClass:
     """Constant-Aa-coefficient variant of the nested 'b' family:
     sum m_i Cb_i - Aa - (r-1) Ab.
 
     This convention appears in some legacy tables; it agrees with
     `curve_family_b` at r = 1 but violates the pushforward identity for
     r >= 2.  Kept for decoding those tables and for regression tests."""
-    mm = _coerce_gamma(surface, gamma)
     if space.kind is not SpaceKind.NESTED:
         raise SpaceMismatch(f"curve_family_b_alt is only defined on nested spaces, not {space}")
     _check_r(r, 1, space.n, "nested alt Cb_{gamma,r}")
-    return _combo(surface, space, mm, False, Fraction(-1), Fraction(-(r - 1)))
+    return _combo(surface, space, gamma, "Cb_i", {"Aa": -1, "Ab": -(r - 1)})
 
 
-def curve_family_a_alt(surface: SurfaceModel, space: SpaceId, gamma: GammaVec, r: int) -> CurClass:
+def curve_family_a_alt(surface: SurfaceModel, space: SpaceId, gamma: MVec, r: int) -> CurClass:
     """Variant of the universal-family 'a' curve with coefficient -(r-1) on
     Aa (marked point counted off the curve): sum m_i Ca_i - (r-1) Aa.
 
     Legacy tables index their universal-family curves this way; agrees with
     `curve_family_a` after shifting r by one."""
-    mm = _coerce_gamma(surface, gamma)
     if space.kind is not SpaceKind.UNIV:
         raise SpaceMismatch(f"curve_family_a_alt is only defined on universal spaces, not {space}")
     _check_r(r, 1, space.n, "universal alt Ca_{gamma,r}")
-    return _combo(surface, space, mm, True, Fraction(-(r - 1)))
+    return _combo(surface, space, gamma, "Ca_i", {"Aa": -(r - 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +236,13 @@ def nodal_curves_k3(surface: SurfaceModel, space: SpaceId) -> tuple[CurClass, Cu
     if n <= g:
         raise RangeError(f"nodal curve classes require n > g, got n={n}, g={g}")
     if space.kind is SpaceKind.HILB:
-        c = curve(surface, space, "C1") - Fraction(n - 1 + g) * curve(surface, space, "A")
-        return c, None
+        return _combo(surface, space, 1, "C_i", {"A": -(n - 1 + g)}), None
     if space.kind is SpaceKind.NESTED:
-        aa = curve(surface, space, "Aa")
-        ab = curve(surface, space, "Ab")
-        ca = curve(surface, space, "Ca1") - Fraction(n + g) * aa
-        cb = curve(surface, space, "Cb1") - Fraction(n + g) * aa - Fraction(n - 1 + g) * ab
-        return ca, cb
-    aa = curve(surface, space, "Aa")
-    ca = curve(surface, space, "Ca1") - Fraction(n - 1 + g) * aa
-    cb = curve(surface, space, "Cb1") - Fraction(n - 1 + g) * aa
-    return ca, cb
+        ca = _combo(surface, space, 1, "Ca_i", {"Aa": -(n + g)})
+        return ca, _combo(surface, space, 1, "Cb_i", {"Aa": -(n + g), "Ab": -(n - 1 + g)})
+    collisions = {"Aa": -(n - 1 + g)}
+    ca = _combo(surface, space, 1, "Ca_i", collisions)
+    return ca, _combo(surface, space, 1, "Cb_i", collisions)
 
 
 def g1n_curve(surface: SurfaceModel, space: SpaceId) -> CurClass:
@@ -296,6 +263,19 @@ def k3_extremal_slope(g: int, m: int) -> Rat:
 # Reconstruction from prescribed pairings
 # ---------------------------------------------------------------------------
 
+def _from_pairings(surface, space, rows, unit, what: str, functional, result):
+    nrows = []
+    vals = []
+    for x, v in rows:
+        if isinstance(x, str):
+            x = unit(surface, space, x)
+        if x.surface != surface or x.space != space:
+            raise SpaceMismatch(f"prescribed {what} lives on a different space")
+        nrows.append(list(functional(x)))
+        vals.append(rat(v))
+    return result(surface, space, tuple(linalg.solve_unique(nrows, vals)))
+
+
 def class_from_pairings(
     surface: SurfaceModel,
     space: SpaceId,
@@ -303,20 +283,10 @@ def class_from_pairings(
 ) -> CurClass:
     """The unique curve class pairing to the prescribed values against the
     given divisors (labels are resolved to unit basis divisors)."""
-    from .spaces import divisor as basis_divisor
-
     m = pairing_table(surface, space).matrix
-    nrows = []
-    vals = []
-    for d, v in rows:
-        if isinstance(d, str):
-            d = basis_divisor(surface, space, d)
-        if d.surface != surface or d.space != space:
-            raise SpaceMismatch("prescribed divisor lives on a different space")
-        nrows.append(linalg.matvec(m, d.coords))
-        vals.append(rat(v))
-    sol = linalg.solve_unique(nrows, vals)
-    return CurClass(surface, space, tuple(sol))
+    return _from_pairings(
+        surface, space, rows, divisor, "divisor", lambda d: linalg.matvec(m, d.coords), CurClass
+    )
 
 
 def divisor_from_pairings(
@@ -326,17 +296,7 @@ def divisor_from_pairings(
 ) -> DivClass:
     """The unique divisor class pairing to the prescribed values against the
     given curves (labels are resolved to unit basis curves)."""
-    nrows = []
-    vals = []
-    for c, v in rows:
-        if isinstance(c, str):
-            c = curve(surface, space, c)
-        if c.surface != surface or c.space != space:
-            raise SpaceMismatch("prescribed curve lives on a different space")
-        nrows.append(list(curve_functional(c)))
-        vals.append(rat(v))
-    sol = linalg.solve_unique(nrows, vals)
-    return DivClass(surface, space, tuple(sol))
+    return _from_pairings(surface, space, rows, curve, "curve", curve_functional, DivClass)
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +309,7 @@ def pushforward_a(c: CurClass) -> CurClass:
     Nested(n) -> Hilb(n+1): Ca_i, Cb_i -> C_i; Aa -> A; Ab -> 0.
     Univ(n)   -> Hilb(n):   Ca_i, Cb_i -> C_i; Aa -> A.
     """
-    s = c.surface
-    rho = s.rank
-    if c.space.kind not in (SpaceKind.NESTED, SpaceKind.UNIV):
-        raise SpaceMismatch(f"pushforward_a is defined on nested/universal spaces, not {c.space}")
-    target = hilb(c.space.n + 1) if c.space.kind is SpaceKind.NESTED else hilb(c.space.n)
-    out = list(vzero(curve_rank(s, target)))
-    for i in range(rho):
-        out[i] += c.coords[i] + c.coords[rho + i]
-    out[rho] += c.coords[2 * rho]  # Aa -> A
-    return CurClass(s, target, tuple(out))
+    return basis_map(c, pr_a_space(c.space), {"Ca_i": "C_i", "Cb_i": "C_i", "Aa": "A"})
 
 
 def pushforward_b(c: CurClass) -> CurClass:
@@ -368,15 +319,6 @@ def pushforward_b(c: CurClass) -> CurClass:
     Nested(1) -> Surface (X^[1] = X): Cb_i -> H_i; everything else -> 0.
     Univ(n) -> Surface: Cb_i -> H_i; Ca_i, Aa -> 0.
     """
-    s = c.surface
-    rho = s.rank
-    if c.space.kind not in (SpaceKind.NESTED, SpaceKind.UNIV):
-        raise SpaceMismatch(f"pushforward_b is defined on nested/universal spaces, not {c.space}")
-    to_hilb = c.space.kind is SpaceKind.NESTED and c.space.n >= 2
-    target = hilb(c.space.n) if to_hilb else surface_space()
-    out = list(vzero(curve_rank(s, target)))
-    for i in range(rho):
-        out[i] += c.coords[rho + i]
-    if to_hilb:
-        out[rho] += c.coords[2 * rho + 1]  # Ab -> A
-    return CurClass(s, target, tuple(out))
+    target = pr_b_space(c.space)
+    rules = {"Cb_i": "C_i", "Ab": "A"} if target.kind is SpaceKind.HILB else {"Cb_i": "H_i"}
+    return basis_map(c, target, rules)

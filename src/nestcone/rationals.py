@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Rat = Fraction
 Vec = tuple[Rat, ...]
@@ -41,10 +41,6 @@ def parse_rat(s: str) -> Rat:
     return Fraction(s.strip())
 
 
-def vec(values: Iterable) -> Vec:
-    return tuple(rat(v) for v in values)
-
-
 def vzero(dim: int) -> Vec:
     return tuple(Fraction(0) for _ in range(dim))
 
@@ -68,10 +64,6 @@ def vscale(s, u: Sequence) -> Vec:
 
 def vdot(u: Sequence, v: Sequence) -> Rat:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True)), Fraction(0))
-
-
-def is_zero_vec(u: Sequence) -> bool:
-    return all(Fraction(a) == 0 for a in u)
 
 
 def primitive(u: Sequence) -> tuple[int, ...]:

@@ -7,6 +7,8 @@ bit-stable across runs and platforms.
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from typing import Sequence
 
@@ -123,11 +125,13 @@ def cross_section_csv(cs: CrossSection, labels: Sequence[str] | None = None) -> 
     header = ["vertex"] + [f"x{k}" for k in range(cs.dim)]
     if labels:
         header.append("label")
-    rows = [",".join(header)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     for k, vert in enumerate(cs.vertices):
         row = [str(k)] + [rat_str(x) for x in vert]
         if labels:
             row.append(labels[k])
-        rows.append(",".join(row))
-    rows.append("edges," + ";".join(f"{i}-{j}" for i, j in cs.edges))
-    return "\n".join(rows) + "\n"
+        writer.writerow(row)
+    writer.writerow(["edges", ";".join(f"{i}-{j}" for i, j in cs.edges)])
+    return buf.getvalue()

@@ -15,8 +15,10 @@ models numerical divisor/curve classes on four kinds of spaces:
                     (rank 2 rho + 1, basis Hdiff_*, Hb_*, B/2).
 
 The nonreduced-locus generator is always the half class B/2, which is the
-integral Picard generator.  Basis orders are fixed exactly as listed above;
-all serialization uses these labels.
+integral Picard generator.  The divisor and curve bases of every kind are
+written once, in `DIVISOR_LAYOUT` and `CURVE_LAYOUT`; ranks, labels, the
+pairing table and every pull and push map are read from them.  All
+serialization uses these labels.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import lru_cache
+from typing import ClassVar, Sequence, Union
 
 from .errors import InvalidGenus, InvalidIndex, RangeError, SpaceMismatch, UnknownSurface
 from .rationals import Rat, rat, rat_str, vadd, vneg, vscale, vsub, vzero
@@ -171,46 +174,76 @@ def univ(n: int) -> SpaceId:
     return SpaceId(SpaceKind.UNIV, n)
 
 
+# ---------------------------------------------------------------------------
+# Basis layout
+# ---------------------------------------------------------------------------
+# The divisor and curve bases of each space kind, in the notation of the
+# docstrings.  An entry ending in "_i" is a block of one class per surface
+# generator: "Hdiff_i" is H1diff, H2diff, ... (the generator names in place
+# of H) and "Ca_i" is Ca1, Ca2, ....  The k-th divisor block and the k-th
+# curve block are one side of the space and pair through the surface's Gram
+# matrix.
+
+LayoutTable = dict[SpaceKind, tuple[str, ...]]
+Basis = tuple[tuple[str, ...], dict[str, range]]  # labels, positions of each entry
+
+DIVISOR_LAYOUT: LayoutTable = {
+    SpaceKind.SURFACE: ("H_i",),
+    SpaceKind.HILB: ("H_i", "B/2"),
+    SpaceKind.NESTED: ("Hdiff_i", "Hb_i", "Bdiff/2", "Bb/2"),
+    SpaceKind.UNIV: ("Hdiff_i", "Hb_i", "B/2"),
+}
+CURVE_LAYOUT: LayoutTable = {
+    SpaceKind.SURFACE: ("H_i",),
+    SpaceKind.HILB: ("C_i", "A"),
+    SpaceKind.NESTED: ("Ca_i", "Cb_i", "Aa", "Ab"),
+    SpaceKind.UNIV: ("Ca_i", "Cb_i", "Aa"),
+}
+
+
+def is_block(entry: str) -> bool:
+    """Whether a layout entry stands for one class per surface generator."""
+    return entry.endswith("_i")
+
+
+@lru_cache(maxsize=None)
+def _expand(entries: tuple[str, ...], gens: tuple[str, ...]) -> Basis:
+    labels: list[str] = []
+    positions = {}
+    for entry in entries:
+        if not is_block(entry):
+            block = [entry]
+        elif entry.startswith("H"):
+            block = [g + entry[1:-2] for g in gens]
+        else:
+            block = [f"{entry[:-2]}{i}" for i in range(1, len(gens) + 1)]
+        positions[entry] = range(len(labels), len(labels) + len(block))
+        labels += block
+    return tuple(labels), positions
+
+
+def layout(surface: SurfaceModel, space: SpaceId, table: LayoutTable) -> Basis:
+    """The basis labels of `space` under `table` (`DIVISOR_LAYOUT` or
+    `CURVE_LAYOUT`) and the coordinate positions of each layout entry.  The
+    result is shared: do not mutate it."""
+    return _expand(table[space.kind], surface.generator_names)
+
+
+def divisor_labels(surface: SurfaceModel, space: SpaceId) -> tuple[str, ...]:
+    return layout(surface, space, DIVISOR_LAYOUT)[0]
+
+
+def curve_labels(surface: SurfaceModel, space: SpaceId) -> tuple[str, ...]:
+    return layout(surface, space, CURVE_LAYOUT)[0]
+
+
 def divisor_rank(surface: SurfaceModel, space: SpaceId) -> int:
-    rho = surface.rank
-    if space.kind is SpaceKind.SURFACE:
-        return rho
-    if space.kind is SpaceKind.HILB:
-        return rho + 1
-    if space.kind is SpaceKind.NESTED:
-        return 2 * rho + 2
-    return 2 * rho + 1
+    return len(divisor_labels(surface, space))
 
 
 def curve_rank(surface: SurfaceModel, space: SpaceId) -> int:
     """The curve basis pairs perfectly with the divisor basis."""
-    return divisor_rank(surface, space)
-
-
-def divisor_labels(surface: SurfaceModel, space: SpaceId) -> tuple[str, ...]:
-    gens = surface.generator_names
-    if space.kind is SpaceKind.SURFACE:
-        return gens
-    if space.kind is SpaceKind.HILB:
-        return gens + ("B/2",)
-    diff = tuple(f"{g}diff" for g in gens)
-    back = tuple(f"{g}b" for g in gens)
-    if space.kind is SpaceKind.NESTED:
-        return diff + back + ("Bdiff/2", "Bb/2")
-    return diff + back + ("B/2",)
-
-
-def curve_labels(surface: SurfaceModel, space: SpaceId) -> tuple[str, ...]:
-    rho = surface.rank
-    if space.kind is SpaceKind.SURFACE:
-        return surface.generator_names
-    if space.kind is SpaceKind.HILB:
-        return tuple(f"C{i}" for i in range(1, rho + 1)) + ("A",)
-    a = tuple(f"Ca{i}" for i in range(1, rho + 1))
-    b = tuple(f"Cb{i}" for i in range(1, rho + 1))
-    if space.kind is SpaceKind.NESTED:
-        return a + b + ("Aa", "Ab")
-    return a + b + ("Aa",)
+    return len(curve_labels(surface, space))
 
 
 def normalize_label(label: str) -> str:
@@ -223,19 +256,21 @@ def normalize_label(label: str) -> str:
 # Classes
 # ---------------------------------------------------------------------------
 
-def _coerce_coords(coords: Sequence, expected: int) -> tuple[Rat, ...]:
-    out = tuple(rat(c) for c in coords)
-    if len(out) != expected:
-        raise SpaceMismatch(f"expected {expected} coordinates, got {len(out)}")
-    return out
-
-
+@dataclass(frozen=True, eq=True)
 class _BaseClass:
     """Shared arithmetic for divisor and curve classes (immutable values)."""
 
     surface: SurfaceModel
     space: SpaceId
     coords: tuple[Rat, ...]
+    layout_table: ClassVar[LayoutTable]
+
+    def __post_init__(self):
+        coords = tuple(rat(c) for c in self.coords)
+        expected = len(self._labels())
+        if len(coords) != expected:
+            raise SpaceMismatch(f"expected {expected} coordinates, got {len(coords)}")
+        object.__setattr__(self, "coords", coords)
 
     def _check(self, other: "_BaseClass") -> None:
         if self.surface != other.surface or self.space != other.space:
@@ -264,7 +299,7 @@ class _BaseClass:
         return all(c == 0 for c in self.coords)
 
     def _labels(self) -> tuple[str, ...]:
-        raise NotImplementedError
+        return layout(self.surface, self.space, self.layout_table)[0]
 
     def expression(self) -> str:
         """Human/machine readable label arithmetic; re-parses to the same
@@ -295,32 +330,12 @@ class _BaseClass:
 
 @dataclass(frozen=True, eq=True)
 class DivClass(_BaseClass):
-    surface: SurfaceModel
-    space: SpaceId
-    coords: tuple[Rat, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coords", _coerce_coords(self.coords, divisor_rank(self.surface, self.space))
-        )
-
-    def _labels(self) -> tuple[str, ...]:
-        return divisor_labels(self.surface, self.space)
+    layout_table: ClassVar[LayoutTable] = DIVISOR_LAYOUT
 
 
 @dataclass(frozen=True, eq=True)
 class CurClass(_BaseClass):
-    surface: SurfaceModel
-    space: SpaceId
-    coords: tuple[Rat, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coords", _coerce_coords(self.coords, curve_rank(self.surface, self.space))
-        )
-
-    def _labels(self) -> tuple[str, ...]:
-        return curve_labels(self.surface, self.space)
+    layout_table: ClassVar[LayoutTable] = CURVE_LAYOUT
 
 
 def zero_divisor(surface: SurfaceModel, space: SpaceId) -> DivClass:
@@ -335,7 +350,8 @@ def _unit(dim: int, i: int) -> tuple[Rat, ...]:
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
 
 
-def _basis_unit(cls, what: str, labels: tuple[str, ...], surface, space, label: str):
+def _basis_unit(cls, what: str, surface, space, label: str):
+    labels = layout(surface, space, cls.layout_table)[0]
     try:
         i = labels.index(normalize_label(label))
     except ValueError:
@@ -348,96 +364,96 @@ def _basis_unit(cls, what: str, labels: tuple[str, ...], surface, space, label: 
 
 def divisor(surface: SurfaceModel, space: SpaceId, label: str) -> DivClass:
     """Unit basis divisor by label (caret spellings accepted)."""
-    return _basis_unit(DivClass, "divisor", divisor_labels(surface, space), surface, space, label)
+    return _basis_unit(DivClass, "divisor", surface, space, label)
 
 
 def curve(surface: SurfaceModel, space: SpaceId, label: str) -> CurClass:
     """Unit basis curve by label (caret spellings accepted)."""
-    return _basis_unit(CurClass, "curve", curve_labels(surface, space), surface, space, label)
+    return _basis_unit(CurClass, "curve", surface, space, label)
 
 
 def divisor_basis(surface: SurfaceModel, space: SpaceId) -> tuple[tuple[str, DivClass], ...]:
     """Ordered (label, unit class) descriptors of the divisor basis."""
-    labels = divisor_labels(surface, space)
-    return tuple(
-        (lab, DivClass(surface, space, _unit(len(labels), i))) for i, lab in enumerate(labels)
-    )
-
-
-def curve_basis(surface: SurfaceModel, space: SpaceId) -> tuple[tuple[str, CurClass], ...]:
-    labels = curve_labels(surface, space)
-    return tuple(
-        (lab, CurClass(surface, space, _unit(len(labels), i))) for i, lab in enumerate(labels)
-    )
+    return tuple((lab, divisor(surface, space, lab)) for lab in divisor_labels(surface, space))
 
 
 # ---------------------------------------------------------------------------
-# Pullback / residue maps
+# Projections, pullbacks and the residue map
 # ---------------------------------------------------------------------------
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise SpaceMismatch(msg)
+def pr_a_space(space: SpaceId) -> SpaceId:
+    """Where the forget-one-point projection pr_a maps a space:
+    Nested(n) -> Hilb(n+1), Univ(n) -> Hilb(n)."""
+    if space.kind is SpaceKind.NESTED:
+        return hilb(space.n + 1)
+    if space.kind is SpaceKind.UNIV:
+        return hilb(space.n)
+    raise SpaceMismatch(f"pr_a is defined on nested or universal spaces, not {space}")
+
+
+def pr_b_space(space: SpaceId) -> SpaceId:
+    """Where the forget-the-big-scheme projection pr_b maps a space:
+    Nested(n) -> Hilb(n) for n >= 2, Nested(1) -> Surface (X^[1] = X),
+    Univ(n) -> Surface."""
+    if space.kind is SpaceKind.NESTED and space.n >= 2:
+        return hilb(space.n)
+    if space.kind in (SpaceKind.NESTED, SpaceKind.UNIV):
+        return surface_space()
+    raise SpaceMismatch(f"pr_b is defined on nested or universal spaces, not {space}")
+
+
+def basis_map(x, target: SpaceId, rules: dict[str, str]):
+    """The image on `target` of a divisor or curve class x under the linear
+    map that sends each basis class of x's space to the sum of the target
+    basis classes `rules` gives for it, both in layout notation (for example
+    ``{"H_i": "Hdiff_i + Hb_i", "B/2": "B/2"}``).  Basis classes the rules
+    leave out map to zero."""
+    _, source = layout(x.surface, x.space, x.layout_table)
+    labels, dest = layout(x.surface, target, x.layout_table)
+    out = [Fraction(0)] * len(labels)
+    for entry, image in rules.items():
+        for part in image.split(" + "):
+            if part not in dest:
+                raise SpaceMismatch(f"{target} has no basis class {part}")
+            for k, j in zip(source[entry], dest[part], strict=True):
+                out[j] += x.coords[k]
+    return type(x)(x.surface, target, tuple(out))
+
+
+def _pull(d: DivClass, target: SpaceId, source: SpaceId, rules: dict[str, str],
+          name: str) -> DivClass:
+    if d.space != source:
+        raise SpaceMismatch(f"{name} to {target} needs a class on {source}, got {d.space}")
+    return basis_map(d, target, rules)
 
 
 def pull_a(d: DivClass, target: SpaceId) -> DivClass:
     """Pullback along the forget-one-point projection pr_a.
 
-    Nested(n): source Hilb(n+1); H_i[n+1] -> Hdiff_i + Hb_i and
-    B[n+1]/2 -> Bdiff/2 + Bb/2.
-    Univ(n):   source Hilb(n);   H_i[n] -> Hdiff_i + Hb_i and B[n]/2 -> B/2.
+    Nested(n): source Hilb(n+1); H_i -> Hdiff_i + Hb_i, B/2 -> Bdiff/2 + Bb/2.
+    Univ(n):   source Hilb(n);   H_i -> Hdiff_i + Hb_i, B/2 -> B/2.
     """
-    s = d.surface
-    rho = s.rank
-    if target.kind not in (SpaceKind.NESTED, SpaceKind.UNIV):
-        raise SpaceMismatch(f"pull_a targets nested or universal spaces, not {target}")
-    source = hilb(target.n + 1) if target.kind is SpaceKind.NESTED else hilb(target.n)
-    _require(d.space == source, f"pull_a to {target} needs a class on {source}, got {d.space}")
-    out = list(vzero(divisor_rank(s, target)))
-    for i in range(rho):
-        out[i] += d.coords[i]
-        out[rho + i] += d.coords[i]
-    for k in range(2 * rho, len(out)):  # Bdiff/2 and Bb/2, or B/2
-        out[k] += d.coords[rho]
-    return DivClass(s, target, tuple(out))
+    boundary = "Bdiff/2 + Bb/2" if target.kind is SpaceKind.NESTED else "B/2"
+    rules = {"H_i": "Hdiff_i + Hb_i", "B/2": boundary}
+    return _pull(d, target, pr_a_space(target), rules, "pull_a")
 
 
 def pull_b(d: DivClass, target: SpaceId) -> DivClass:
     """Pullback along the forget-the-big-scheme projection pr_b.
 
-    Nested(n), n >= 2: source Hilb(n); H_i[n] -> Hb_i, B[n]/2 -> Bb/2.
+    Nested(n), n >= 2: source Hilb(n); H_i -> Hb_i, B/2 -> Bb/2.
     Nested(1):         source Surface (X^[1] = X); H_i -> Hb_i.
     Univ(n):           source Surface; H_i -> Hb_i.
     """
-    s = d.surface
-    rho = s.rank
-    if target.kind not in (SpaceKind.NESTED, SpaceKind.UNIV):
-        raise SpaceMismatch(f"pull_b targets nested or universal spaces, not {target}")
-    from_hilb = target.kind is SpaceKind.NESTED and target.n >= 2
-    source = hilb(target.n) if from_hilb else surface_space()
-    _require(d.space == source, f"pull_b to {target} needs a class on {source}, got {d.space}")
-    out = list(vzero(divisor_rank(s, target)))
-    for i in range(rho):
-        out[rho + i] += d.coords[i]
-    if from_hilb:
-        out[2 * rho + 1] += d.coords[rho]  # B/2 -> Bb/2
-    return DivClass(s, target, tuple(out))
+    source = pr_b_space(target)
+    rules = {"H_i": "Hb_i", "B/2": "Bb/2"} if source.kind is SpaceKind.HILB else {"H_i": "Hb_i"}
+    return _pull(d, target, source, rules, "pull_b")
 
 
 def pull_res(d: DivClass, target: SpaceId) -> DivClass:
-    """Pullback along the residual-point map: H_i -> Hdiff_i."""
-    s = d.surface
-    rho = s.rank
-    _require(
-        d.space.kind is SpaceKind.SURFACE,
-        f"pull_res needs a surface class, got {d.space}",
-    )
-    if target.kind not in (SpaceKind.NESTED, SpaceKind.UNIV):
-        raise SpaceMismatch(f"pull_res targets nested or universal spaces, not {target}")
-    out = list(vzero(divisor_rank(s, target)))
-    for i in range(rho):
-        out[i] += d.coords[i]
-    return DivClass(s, target, tuple(out))
+    """Pullback along the residual-point map from the surface to a nested or
+    universal space: H_i -> Hdiff_i."""
+    return _pull(d, target, surface_space(), {"H_i": "Hdiff_i"}, "pull_res")
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +463,10 @@ def pull_res(d: DivClass, target: SpaceId) -> DivClass:
 MVec = Union[int, Rat, Sequence]
 
 
-def _coerce_m(surface: SurfaceModel, m: MVec) -> tuple[Rat, ...]:
+def surface_coords(surface: SurfaceModel, m: MVec) -> tuple[Rat, ...]:
+    """Coefficients m_i of a class sum m_i H_i on the surface: a vector of
+    length rho, or a bare number when rho = 1.  Coefficients may be negative
+    (the section E = H - iF of a Hirzebruch surface)."""
     if isinstance(m, (int, Fraction, str)):
         if surface.rank != 1:
             raise SpaceMismatch(
@@ -456,36 +475,34 @@ def _coerce_m(surface: SurfaceModel, m: MVec) -> tuple[Rat, ...]:
         return (rat(m),)
     out = tuple(rat(x) for x in m)
     if len(out) != surface.rank:
-        raise SpaceMismatch(f"expected {surface.rank} line-bundle coefficients, got {len(out)}")
+        raise SpaceMismatch(f"expected {surface.rank} surface coefficients, got {len(out)}")
     return out
 
 
 def tautological(surface: SurfaceModel, n: int, m: MVec) -> DivClass:
     """The tautological divisor D_m[n] = sum m_i H_i[n] - B[n]/2 on Hilb(n)."""
-    mm = _coerce_m(surface, m)
+    mm = surface_coords(surface, m)
     return DivClass(surface, hilb(n), mm + (Fraction(-1),))
 
 
 def surface_divisor(surface: SurfaceModel, m: MVec) -> DivClass:
     """A divisor sum m_i H_i on the surface itself."""
-    return DivClass(surface, surface_space(), _coerce_m(surface, m))
+    return DivClass(surface, surface_space(), surface_coords(surface, m))
 
 
 def tautological_a(surface: SurfaceModel, space: SpaceId, m: MVec) -> DivClass:
     """D^a_m = pull_a of the tautological divisor (from Hilb(n+1) for nested
     spaces, Hilb(n) for universal families)."""
-    if space.kind is SpaceKind.NESTED:
-        return pull_a(tautological(surface, space.n + 1, m), space)
-    if space.kind is SpaceKind.UNIV:
-        return pull_a(tautological(surface, space.n, m), space)
-    raise SpaceMismatch(f"tautological_a lives on nested or universal spaces, not {space}")
+    return pull_a(tautological(surface, pr_a_space(space).n, m), space)
 
 
 def tautological_b(surface: SurfaceModel, space: SpaceId, m: MVec) -> DivClass:
-    """D^b_m = pull_b of the tautological divisor from Hilb(n); nested only."""
-    if space.kind is not SpaceKind.NESTED or space.n < 2:
+    """D^b_m = pull_b of the tautological divisor from Hilb(n); nested(n),
+    n >= 2, only."""
+    source = pr_b_space(space)
+    if source.kind is not SpaceKind.HILB:
         raise SpaceMismatch(f"tautological_b lives on nested(n), n >= 2, not {space}")
-    return pull_b(tautological(surface, space.n, m), space)
+    return pull_b(tautological(surface, source.n, m), space)
 
 
 def exceptional_class(surface: SurfaceModel, space: SpaceId) -> DivClass:
@@ -502,9 +519,5 @@ def canonical_class(surface: SurfaceModel, space: SpaceId) -> DivClass:
     if space.kind is not SpaceKind.NESTED:
         raise SpaceMismatch(f"canonical_class is implemented for nested spaces, not {space}")
     kx = DivClass(surface, surface_space(), surface.canonical)
-    if space.n == 1:
-        k_b = pull_b(kx, space)
-    else:
-        k_hilb = DivClass(surface, hilb(space.n), surface.canonical + (Fraction(0),))
-        k_b = pull_b(k_hilb, space)
-    return k_b + pull_res(kx, space) + exceptional_class(surface, space)
+    k_b = basis_map(kx, pr_b_space(space), {"H_i": "H_i"})
+    return pull_b(k_b, space) + pull_res(kx, space) + exceptional_class(surface, space)

@@ -21,6 +21,7 @@ from math import comb
 from .cone import (
     COORD_SUM,
     Cone,
+    CrossSection,
     cone_contains,
     cone_equal,
     cone_from_rays,
@@ -36,7 +37,6 @@ from .spaces import (
     SurfaceModel,
     divisor,
     divisor_rank,
-    pull_a,
     pull_b,
     pull_res,
     surface_divisor,
@@ -381,15 +381,14 @@ class AsymptoticReport:
         return "\n".join(lines) + "\n"
 
 
-def _section_distance(k: int) -> Rat:
+def _section_distance(cone_k: Cone, limit_square: CrossSection) -> Rat:
     """Max-coordinate distance between the coordsum cross-section vertices of
     E_k and the nearest vertices of the limit square."""
-    cs = cross_section(asymptotic_cone(k), COORD_SUM)
-    limit_cs = cross_section(limit_cone(), COORD_SUM)
+    cs = cross_section(cone_k, COORD_SUM)
     worst = Fraction(0)
     for v in cs.vertices:
         best = None
-        for w in limit_cs.vertices:
+        for w in limit_square.vertices:
             d = max(abs(a - b) for a, b in zip(v, w))
             if best is None or d < best:
                 best = d
@@ -401,6 +400,7 @@ def asymptotic_report(k_max: int) -> AsymptoticReport:
     if k_max < 2:
         raise RangeError(f"k_max must be >= 2, got {k_max}")
     limit = limit_cone()
+    limit_square = cross_section(limit, COORD_SUM)
     steps = []
     prev = asymptotic_cone(1)
     for k in range(2, k_max + 1):
@@ -413,7 +413,7 @@ def asymptotic_report(k_max: int) -> AsymptoticReport:
                 deviation_2=curves[3].deviation,
                 nested_in_previous=cone_contains(prev, cone_k),
                 contains_limit=cone_contains(cone_k, limit),
-                section_distance=_section_distance(k),
+                section_distance=_section_distance(cone_k, limit_square),
             )
         )
         prev = cone_k

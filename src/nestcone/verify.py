@@ -86,7 +86,6 @@ from .spaces import (
 
 PULLBACK_OF_NEF = "pullback-of-nef"
 RESIDUE_OF_NEF = "residue-of-nef"
-PULLBACK_OF_EFFECTIVE = "pullback-of-effective"
 ASSERTED = "asserted"
 
 

@@ -1,7 +1,12 @@
+import contextlib
+import csv
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nestcone as nc
 from nestcone.cli import main, parse_curve_expr, parse_divisor_expr
@@ -109,6 +114,41 @@ def test_pair_zero_denominator_is_parse_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "expr, offset",
+    [
+        ("1" * 5000 + "*H", 0),  # past the interpreter's int-string limit
+        ("9" * 600 + "*" + "9" * 600 + "*H", 601),  # a product too long to print
+        ("(" * 3000 + "H" + ")" * 3000, 100),  # past the recursion limit
+        ("H+" + "-" * 3000 + "H", 102),
+        ("\u00b2*H", 0),  # a digit that is not a decimal digit
+    ],
+    ids=["long-number", "long-product", "deep-parentheses", "deep-minus", "superscript-digit"],
+)
+def test_pair_oversized_input_is_parse_error(capsys, expr, offset):
+    code, out, err = run(capsys, "pair", "--space", "hilb", "--n", "3", expr, "C1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"parse error at byte {offset}:")
+    assert "Traceback" not in err
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    args=st.lists(
+        st.text() | st.text(alphabet="0123456789/()*+-^ HCABabdif"), min_size=2, max_size=2
+    )
+)
+def test_pair_fuzz_exit_codes(args):
+    """Any text as the two pair arguments ends in exit code 0, 1 or 2,
+    never in an exception."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["pair", "--space", "nested", "--n", "3", *args])
+    assert code in (0, 1, 2)
+
+
 def test_pair_reports_error_of_given_order(capsys):
     # Neither order parses: the incomplete divisor is the error to report,
     # not the swapped attempt's complaint about C1.
@@ -208,6 +248,17 @@ def test_cross_section_svg_and_out_file(tmp_path, capsys):
     text = path.read_text()
     assert text.startswith("<svg")
     assert text.count("<circle") == 4
+
+
+@pytest.mark.parametrize(
+    "table_id", [*sorted(t for t in nc.CATALOG if "nef" in t), "eff_p2_2_1", "eff_p2_3_2"]
+)
+def test_cross_section_csv_rows_match_header(capsys, table_id):
+    code, out, _ = run(capsys, "cross-section", "--table", table_id, "--format", "csv")
+    assert code == 0
+    header, *rows, edges = list(csv.reader(io.StringIO(out)))
+    assert header[-1] == "label" and edges[0] == "edges"
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_cross_section_json(capsys):
