@@ -35,6 +35,9 @@ from .spaces import (
 from .studies import ButlerInput, asymptotic_report, butler_check
 from .verify import (
     CATALOG,
+    EFF_MOVING,
+    NEF_DUAL,
+    certified_tables,
     reproduce_table,
     standard_eff_certificate,
     standard_nef_certificate,
@@ -49,11 +52,13 @@ from .verify import (
 #   factor  := NUMBER | LABEL | '-' factor | '(' expr ')'
 #   NUMBER  := digits ['/' digits]
 #   LABEL   := letter (letter | digit | '^')* ['/' digits]
-# At most one class label per product; parse errors cite byte offsets.
-# Digits are ASCII.  At most _MAX_DIGITS digits per expression keep every
-# coefficient, and the pairing of two expressions, under the interpreter's
-# limit on printing an integer; parentheses and unary minus nested at most
-# _MAX_DEPTH deep keep the recursive descent under its recursion limit.
+# At most one class label per product.  Parse errors cite byte offsets: the
+# tokenizer and the parser count characters, and _parse_class converts the
+# offset of an error once.  Digits are ASCII.  At most _MAX_DIGITS digits
+# per expression, and in `pair --genus`, keep every coefficient, and the
+# pairing of two expressions, under the interpreter's limit on printing an
+# integer; parentheses and unary minus nested at most _MAX_DEPTH deep keep
+# the recursive descent under its recursion limit.
 
 _DIGITS = frozenset("0123456789")
 _MAX_DIGITS = 1000
@@ -209,7 +214,10 @@ def _parse_class(src: str, surface: SurfaceModel, space: SpaceId, unit, zero, wh
         except NestconeError as e:
             raise ParseError(str(e), offset) from e
 
-    v = _Parser(src, resolve).parse()
+    try:
+        v = _Parser(src, resolve).parse()
+    except ParseError as e:
+        raise ParseError(e.message, len(src[:e.offset].encode("utf-8"))) from e.__cause__
     if v.cls is None:
         if v.scalar == 0:
             return zero(surface, space)
@@ -305,6 +313,8 @@ def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
     (the two arguments may be given in either order)."""
     from .pairing import pair
 
+    if genus is not None and abs(genus) >= 10**_MAX_DIGITS:
+        raise click.UsageError(f"--genus holds more than {_MAX_DIGITS} digits")
     s = surface_model(surface_name, genus=genus)
     sp = _space_from_flags(space_kind, n)
     # Accept (divisor, curve) in either order for convenience; when neither
@@ -343,7 +353,7 @@ def cmd_table(table_id, n, g, i, fmt, out):
 
 @cli.command("nef")
 @click.option("--table", "table_id", required=True,
-              type=click.Choice(sorted(t for t in CATALOG if "nef" in t)))
+              type=click.Choice(certified_tables(NEF_DUAL)))
 @click.option("--n", type=int, default=None)
 @click.option("--g", "--genus", "g", type=int, default=None)
 @click.option("--i", type=int, default=None)
@@ -356,7 +366,7 @@ def cmd_nef(table_id, n, g, i, fmt):
 
 @cli.command("eff")
 @click.option("--table", "table_id", required=True,
-              type=click.Choice(["eff_p2_2_1", "eff_p2_3_2"]))
+              type=click.Choice(certified_tables(EFF_MOVING)))
 @click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
 def cmd_eff(table_id, fmt):
     """Produce and check the moving-curve certificate for a catalog
@@ -397,7 +407,7 @@ def cmd_verify(table_id, run_all, n, g, i):
 
 @cli.command("cross-section")
 @click.option("--table", "table_id", required=True,
-              type=click.Choice(sorted(t for t in CATALOG if "nef" in t or t.startswith("eff_p2"))))
+              type=click.Choice(certified_tables(NEF_DUAL, EFF_MOVING)))
 @click.option("--n", type=int, default=None)
 @click.option("--g", "--genus", "g", type=int, default=None)
 @click.option("--i", type=int, default=None)

@@ -66,4 +66,5 @@ class ParseError(NestconeError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte offset {offset})")
+        self.message = message
         self.offset = offset

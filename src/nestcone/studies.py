@@ -36,14 +36,13 @@ from .spaces import (
     DivClass,
     SurfaceModel,
     divisor,
-    divisor_rank,
     pull_b,
     pull_res,
     surface_divisor,
     tautological_a,
     univ,
 )
-from .verify import nef_table_inputs
+from .verify import TableInputs, table_inputs
 
 # ---------------------------------------------------------------------------
 # Butler criterion on F_i^[2,1]
@@ -53,12 +52,13 @@ ORDER_B = "b"      # F_{k+1} = F_k + pull_b(L): the displayed recursion
 ORDER_RES = "res"  # variant with the extra copies pulled back along res
 
 
-def _butler_table(i: int, n: int = 2):
-    """Inputs of the catalog nef table of F_i^[n,1]; for i = 0 that is the
-    P1xP1 table, F_0 and P1xP1 having the same lattice."""
+def butler_table(i: int) -> TableInputs:
+    """Inputs of the catalog nef table of F_i^[2,1], whose rays span the
+    simplicial nef cone; for i = 0 that is the P1xP1 table, F_0 and P1xP1
+    having the same lattice."""
     if i == 0:
-        return nef_table_inputs("nef_f0_univ", n=n)
-    return nef_table_inputs("nef_fi_univ", i=i, n=n)
+        return table_inputs("nef_f0_univ", n=2)
+    return table_inputs("nef_fi_univ", i=i, n=2)
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,13 @@ class ButlerInput:
 
     @cached_property
     def surface(self) -> SurfaceModel:
-        return _butler_table(self.i)[0]
+        return butler_table(self.i).surface
 
 
 def half_b_a(i: int) -> tuple[DivClass, DivClass]:
     """Both sides of the exact identity (H+F)^b + (H+F)^diff - D^a_{1,1}
     = (1/2)B^a on F_i^[2,1] (B^a = pull_a of the full nonreduced locus)."""
-    s = _butler_table(i)[0]
+    s = butler_table(i).surface
     sp = univ(2)
     hf = surface_divisor(s, (1, 1))
     lhs = pull_b(hf, sp) + pull_res(hf, sp) - tautological_a(s, sp, (1, 1))
@@ -126,14 +126,6 @@ def butler_class(inp: ButlerInput, k: int, ordering: str = ORDER_B) -> DivClass:
         extra = surface_divisor(s, ((k - 1) * na, (k - 1) * nb))
         cls = cls + (pull_b(extra, sp) if ordering == ORDER_B else pull_res(extra, sp))
     return cls
-
-
-def butler_nef_cone(i: int, n: int = 2):
-    """The simplicial nef cone of F_i^[n,1] with its labeled spanning rays."""
-    s, sp, ray_specs, _, _ = _butler_table(i, n)
-    rays = [(r.label, r.cls) for r in ray_specs]
-    cone = cone_from_rays(divisor_rank(s, sp), [r.coords for _, r in rays])
-    return cone, rays
 
 
 @dataclass(frozen=True)
@@ -201,11 +193,9 @@ def butler_check(inp: ButlerInput, ordering: str = ORDER_B) -> ButlerReport:
     """Per-k position of F_k - K in the nef cone of F_i^[2,1], with the
     coefficient vector on the five spanning rays (the cone is simplicial,
     so the coefficients are the unique solution of a linear system)."""
-    cone, rays = butler_nef_cone(inp.i)
-    ray_matrix = [
-        [rays[j][1].coords[r] for j in range(len(rays))]
-        for r in range(cone.dim)
-    ]
+    table = butler_table(inp.i)
+    cone = table.cone
+    ray_matrix = [list(row) for row in zip(*(r.cls.coords for r in table.rays))]
     lo, hi = inp.k_range
     steps = []
     for k in range(lo, hi + 1):
@@ -215,7 +205,7 @@ def butler_check(inp: ButlerInput, ordering: str = ORDER_B) -> ButlerReport:
             ButlerStep(
                 k=k,
                 coords=cls.coords,
-                ray_labels=tuple(lab for lab, _ in rays),
+                ray_labels=tuple(r.label for r in table.rays),
                 ray_coefficients=tuple(coeffs),
                 position=position(cone, cls.coords),
             )
@@ -276,17 +266,12 @@ class MovingCurve:
         }
 
 
-def asymptotic_moving_curves(k: int) -> list[MovingCurve]:
-    """The four moving-curve functionals cutting out E_k in the frame
-    (H1, H2, B1, B2): the two fixed coordinate-plane functionals and the
-    two k-dependent ones, whose annihilated extremal rays are
-    H1 - (k/(2 a_k)) B1 and H2 - (k/(2(a'_k - 1))) B2."""
-    if k < 1:
-        raise RangeError(f"k must be >= 1, got {k}")
+def _moving_curves(d1: Rat, d2: Rat) -> list[MovingCurve]:
+    """The four facet functionals with deviations d1 and d2: the two fixed
+    coordinate-plane functionals and the normals of the extremal rays
+    H1 - d1 B1 and H2 - d2 B2."""
     z = Fraction(0)
     one = Fraction(1)
-    d1 = Fraction(k, 2 * a_k(k))
-    d2 = Fraction(k, 2 * (a_k_prime(k) - 1))
     return [
         MovingCurve("plane(H2,B1,B2)", (one, z, z, z), (z, z, one, z), z),
         MovingCurve("plane(H1,B1,B2)", (z, one, z, z), (z, z, z, one), z),
@@ -299,10 +284,22 @@ def asymptotic_moving_curves(k: int) -> list[MovingCurve]:
     ]
 
 
+def asymptotic_moving_curves(k: int) -> list[MovingCurve]:
+    """The four moving-curve functionals cutting out E_k in the frame
+    (H1, H2, B1, B2), with deviations k/(2 a_k) and k/(2(a'_k - 1))."""
+    if k < 1:
+        raise RangeError(f"k must be >= 1, got {k}")
+    return _moving_curves(Fraction(k, 2 * a_k(k)), Fraction(k, 2 * (a_k_prime(k) - 1)))
+
+
+def _cut_out(curves: list[MovingCurve]) -> Cone:
+    """The cone cut out by the curves' functionals: the dual of their span."""
+    return dual(cone_from_rays(FRAME.dim, [m.functional for m in curves]))
+
+
 def asymptotic_cone(k: int) -> Cone:
     """E_k as the dual of the four moving-curve functionals."""
-    funcs = [m.functional for m in asymptotic_moving_curves(k)]
-    return dual(cone_from_rays(FRAME.dim, funcs))
+    return _cut_out(asymptotic_moving_curves(k))
 
 
 def limit_cone() -> Cone:
@@ -384,16 +381,10 @@ class AsymptoticReport:
 def _section_distance(cone_k: Cone, limit_square: CrossSection) -> Rat:
     """Max-coordinate distance between the coordsum cross-section vertices of
     E_k and the nearest vertices of the limit square."""
-    cs = cross_section(cone_k, COORD_SUM)
-    worst = Fraction(0)
-    for v in cs.vertices:
-        best = None
-        for w in limit_square.vertices:
-            d = max(abs(a - b) for a, b in zip(v, w))
-            if best is None or d < best:
-                best = d
-        worst = max(worst, best)
-    return worst
+    return max(
+        min(max(abs(a - b) for a, b in zip(v, w)) for w in limit_square.vertices)
+        for v in cross_section(cone_k, COORD_SUM).vertices
+    )
 
 
 def asymptotic_report(k_max: int) -> AsymptoticReport:
@@ -404,8 +395,8 @@ def asymptotic_report(k_max: int) -> AsymptoticReport:
     steps = []
     prev = asymptotic_cone(1)
     for k in range(2, k_max + 1):
-        cone_k = asymptotic_cone(k)
         curves = asymptotic_moving_curves(k)
+        cone_k = _cut_out(curves)
         steps.append(
             AsymptoticStep(
                 k=k,
@@ -417,14 +408,7 @@ def asymptotic_report(k_max: int) -> AsymptoticReport:
             )
         )
         prev = cone_k
-    # The limit cone: all deviations shrink to 0, so the E_k decrease to the
-    # orthant; verify the orthant is contained in every computed E_k and that
-    # it is exactly the stated span.
-    limit_ok = cone_equal(
-        limit,
-        cone_from_rays(
-            FRAME.dim,
-            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-        ),
-    )
+    # All deviations shrink to 0, so the E_k decrease to the cone the same
+    # functionals cut out at deviation 0; it must be the stated limit.
+    limit_ok = cone_equal(limit, _cut_out(_moving_curves(Fraction(0), Fraction(0))))
     return AsymptoticReport(k_max, tuple(steps), limit_ok)

@@ -15,6 +15,13 @@ really moves) is geometric input, not something a lattice computation can
 decide; every ray therefore carries a provenance tag and the certified
 statement is exactly the convex-duality identity.
 
+Every certified catalog table (nef and eff alike) flows one way: its
+``TableInputs`` (rays, witnesses, expected pairings; read by
+``table_inputs``) feed one ``Certificate``, and the table's section takes
+its cells from ``Certificate.matrix``, so no cell is paired twice.  The
+same inputs give the table's cone (``TableInputs.cone``) for
+cross-sections and the Butler study.
+
 The catalog reproduces reference intersection tables cell by cell.  Legacy
 labels (H_1, B_1, D_{1,1}, C_{2,1,1}, ...) are translated to canonical
 classes through data dictionaries; labels with no known definition
@@ -32,14 +39,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cone import (
     COORD_SUM,
     Cone,
     CrossSection,
     cone_contains,
-    cone_equal,
     cone_from_rays,
     cross_section,
     dual,
@@ -111,6 +117,25 @@ class WitnessSpec:
     provenance: Provenance | None = None
 
 
+class TableInputs(NamedTuple):
+    """What a certified table is built from: its rays and witnesses on
+    `space` over `surface`, and the exact pairings the reference prints
+    (rows = witnesses, cols = rays; None where nothing is printed)."""
+
+    surface: SurfaceModel
+    space: SpaceId
+    rays: Sequence[RaySpec]
+    witnesses: Sequence[WitnessSpec]
+    expected: list[list] | None
+
+    @property
+    def cone(self) -> Cone:
+        """cone(rays) in the divisor lattice of the space."""
+        return cone_from_rays(
+            divisor_rank(self.surface, self.space), [r.cls.coords for r in self.rays]
+        )
+
+
 NEF_DUAL = "NefDual"
 EFF_MOVING = "EffMoving"
 
@@ -159,18 +184,6 @@ class Certificate:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-def _ray_and_dual_cones(
-    surface: SurfaceModel, space: SpaceId, rays: Sequence[DivClass], curves: Sequence[CurClass]
-) -> tuple[Cone, Cone]:
-    """cone(rays) and the dual of the cone of the curves' functionals: a
-    duality certificate holds when the two are equal."""
-    dim = divisor_rank(surface, space)
-    return (
-        cone_from_rays(dim, [r.coords for r in rays]),
-        dual(cone_from_rays(dim, [curve_functional(c) for c in curves])),
-    )
-
-
 def _certify(
     kind: str,
     surface: SurfaceModel,
@@ -196,15 +209,15 @@ def _certify(
         _, _, w, r = off_diagonal
         verdict = f"failed: matrix not diagonal-compatible at ({w.label}, {r.label})"
     else:
-        ray_cone, dual_cone = _ray_and_dual_cones(
-            surface, space, [r.cls for r in rays], [w.cls for w in witnesses]
-        )
-        if cone_equal(ray_cone, dual_cone):
+        # No pairing is negative, so cone(rays) already lies in the dual of
+        # the witnesses: the identity holds exactly when that dual lies in
+        # cone(rays).
+        ray_cone = TableInputs(surface, space, rays, witnesses, None).cone
+        functionals = cone_from_rays(ray_cone.dim, [curve_functional(w.cls) for w in witnesses])
+        if cone_contains(ray_cone, dual(functionals)):
             verdict = CERTIFIED
-        elif cone_contains(dual_cone, ray_cone):
-            verdict = "failed: dual cone strictly larger than the span of the rays"
         else:
-            verdict = "failed: cone of rays differs from the dual of the witnesses"
+            verdict = "failed: dual cone strictly larger than the span of the rays"
     return Certificate(
         kind=kind,
         surface=surface.key,
@@ -241,6 +254,10 @@ def certify_eff(
     non-negative and cone(rays) equal to the dual of the moving-curve
     functionals."""
     return _certify(EFF_MOVING, surface, space, rays, moving, require_diagonal=False)
+
+
+def _certify_table(kind: str, inp: TableInputs) -> Certificate:
+    return _certify(kind, inp.surface, inp.space, inp.rays, inp.witnesses, kind == NEF_DUAL)
 
 
 # ---------------------------------------------------------------------------
@@ -357,84 +374,43 @@ class TableReport:
         return buf.getvalue()
 
 
-def _exact_section(
+def _section(
     title: str,
-    rows: Sequence[tuple[str, CurClass]],
-    cols: Sequence[tuple[str, DivClass]],
-    expected: Sequence[Sequence],
-    checks: Sequence[SectionCheck] = (),
-    notes: Sequence[str] = (),
+    rows: Sequence[str],
+    cols: Sequence[str],
+    matrix: Sequence[Sequence[Rat | None]],
+    expected: Sequence[Sequence] | None,
+    checks: Sequence[SectionCheck],
+    notes: Sequence[str],
 ) -> TableSection:
+    """A section from a computed matrix (rows x cols, None where a label is
+    unresolved: that cell is SKIPPED).  `expected` holds the exact values,
+    or is None for generator charts without printed numbers, whose cells
+    must be non-negative."""
+    if expected is None:
+        expected = [[None] * len(cols)] * len(rows)
     cells = []
-    for (rl, rc), exp_row in zip(rows, expected, strict=True):
-        for (cl, cc), exp in zip(cols, exp_row, strict=True):
-            want = Fraction(exp)
-            got = pair(cc, rc)
-            cells.append(
-                CellCheck(rl, cl, want, got, MATCH if got == want else DIFF)
-            )
-    return TableSection(
-        title,
-        tuple(rl for rl, _ in rows),
-        tuple(cl for cl, _ in cols),
-        tuple(cells),
-        tuple(checks),
-        tuple(notes),
-    )
+    for rl, got_row, exp_row in zip(rows, matrix, expected, strict=True):
+        for cl, got, exp in zip(cols, got_row, exp_row, strict=True):
+            want = None if exp is None else Fraction(exp)
+            if got is None:
+                status = SKIPPED
+            elif want is None:
+                status = MATCH if got >= 0 else DIFF
+            else:
+                status = MATCH if got == want else DIFF
+            cells.append(CellCheck(rl, cl, want, got, status))
+    return TableSection(title, tuple(rows), tuple(cols), tuple(cells), tuple(checks), tuple(notes))
 
 
-def _duality_section(
-    title: str,
-    surface: SurfaceModel,
-    space: SpaceId,
-    rows: Sequence[tuple[str, CurClass | None]],
-    cols: Sequence[tuple[str, DivClass | None]],
-    notes: Sequence[str] = (),
-) -> TableSection:
-    """Section for generator charts without printed numbers: each resolvable
-    (moving curve, effective ray) pairing must be non-negative; cells with an
-    unresolved label are SKIPPED.  When every label resolves, the full
-    dual-cone identity is checked as well."""
-    cells = []
-    for rl, rc in rows:
-        for cl, cc in cols:
-            if rc is None or cc is None:
-                cells.append(CellCheck(rl, cl, None, None, SKIPPED))
-                continue
-            got = pair(cc, rc)
-            cells.append(CellCheck(rl, cl, None, got, MATCH if got >= 0 else DIFF))
-    all_resolved = all(rc is not None for _, rc in rows) and all(
-        cc is not None for _, cc in cols
-    )
-    if all_resolved:
-        good = cone_equal(
-            *_ray_and_dual_cones(surface, space, [cc for _, cc in cols], [rc for _, rc in rows])
-        )
-        checks = (
-            SectionCheck(
-                "dual-cone equality", "pass" if good else "fail",
-                "cone(rays) == dual(moving-curve functionals)",
-            ),
-        )
-    else:
-        unresolved = [rl for rl, rc in rows if rc is None] + [
-            cl for cl, cc in cols if cc is None
-        ]
-        checks = (
-            SectionCheck(
-                "dual-cone equality",
-                "skipped",
-                "unresolved labels: " + ", ".join(unresolved),
-            ),
-        )
-    return TableSection(
-        title,
-        tuple(rl for rl, _ in rows),
-        tuple(cl for cl, _ in cols),
-        tuple(cells),
-        checks,
-        tuple(notes),
-    )
+def _pairings(
+    rows: Sequence[tuple[str, CurClass | None]], cols: Sequence[tuple[str, DivClass | None]]
+):
+    """(row labels, col labels, matrix) of (label, curve) rows paired with
+    (label, divisor) cols, for tables without a certificate; None where
+    either class is unresolved."""
+    matrix = [[None if r is None or c is None else pair(c, r) for _, c in cols] for _, r in rows]
+    return [lab for lab, _ in rows], [lab for lab, _ in cols], matrix
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +421,17 @@ def _full_b(surface: SurfaceModel, space: SpaceId, half_label: str) -> DivClass:
     return Fraction(2) * divisor(surface, space, half_label)
 
 
-def eff_p2_2_1_data():
+def _eff_inputs(s: SurfaceModel, sp: SpaceId, rows, cols, expected) -> TableInputs:
+    """Inputs of an effective-cone table: (label, class) rows of moving
+    curves against (label, class) cols of effective rays."""
+    effective = Provenance(ASSERTED, "effective generator of the claimed cone")
+    moves = Provenance(ASSERTED, "moving curve: irreducible representatives cover a dense open set")
+    rays = [RaySpec(lab, cls, effective) for lab, cls in cols]
+    moving = [WitnessSpec(lab, cls, moves) for lab, cls in rows]
+    return TableInputs(s, sp, rays, moving, expected)
+
+
+def _eff_p2_2_1() -> TableInputs:
     """Eff(P^2[2,1]) modeled on the universal family Univ(2): the formal
     nested(1) lattice is rank-degenerate (the subscheme is a single reduced
     point, so Bb and Ab vanish), and Univ(2) carries exactly the three
@@ -472,7 +458,7 @@ def eff_p2_2_1_data():
         [1, 0, 0, 1],
         [0, 1, 0, 1],
     ]
-    return s, sp, rows, cols, expected
+    return _eff_inputs(s, sp, rows, cols, expected)
 
 
 # The legacy source prints the row C_{1,0} of the Eff(P^2[3,2]) table as
@@ -482,27 +468,22 @@ def eff_p2_2_1_data():
 EFF_P2_3_2_PRINTED_VARIANT = {"C_{1,0}": (1, 0, 2, 0, 0)}
 
 
-def eff_p2_3_2_data():
+def _eff_p2_3_2() -> TableInputs:
     """Eff(P^2[3,2]) on Nested(2) in the legacy frame H_1 = Hdiff,
     B_1 = Bdiff, B_2 = Bb, D_{1,k} = k(H_1+H_2) - (B_1+B_2)/2,
     D_{2,k} = kH_2 - B_2/2."""
     s = p2()
     sp = nested(2)
-    hdiff = divisor(s, sp, "Hdiff")
-    b1 = _full_b(s, sp, "Bdiff/2")
-    b2 = _full_b(s, sp, "Bb/2")
-    d11 = tautological_a(s, sp, 1)
-    d21 = tautological_b(s, sp, 1)
     aa = curve(s, sp, "Aa")
     ab = curve(s, sp, "Ab")
     ca1 = curve(s, sp, "Ca1")
     cb1 = curve(s, sp, "Cb1")
     cols = [
-        ("H_1", hdiff),
-        ("B_1", b1),
-        ("B_2", b2),
-        ("D_{1,1}", d11),
-        ("D_{2,1}", d21),
+        ("H_1", divisor(s, sp, "Hdiff")),
+        ("B_1", _full_b(s, sp, "Bdiff/2")),
+        ("B_2", _full_b(s, sp, "Bb/2")),
+        ("D_{1,1}", tautological_a(s, sp, 1)),
+        ("D_{2,1}", tautological_b(s, sp, 1)),
     ]
     rows = [
         ("C_{1,1}", ca1),
@@ -518,7 +499,7 @@ def eff_p2_3_2_data():
         [0, 0, 2, 0, 0],
         [0, 2, 0, 0, 1],
     ]
-    return s, sp, rows, cols, expected
+    return _eff_inputs(s, sp, rows, cols, expected)
 
 
 # The summary chart, entry by entry: (space, ray labels, moving-curve labels).
@@ -695,15 +676,16 @@ _NEF_PROVENANCE = {
 
 @dataclass(frozen=True)
 class NefTable:
-    """A catalog nef table: `template` fed by the surface `record`, its
-    blocks of rows taken in `order`."""
+    """Inputs of a catalog nef table: `template` fed by the surface
+    `record`, its blocks of rows taken in `order`; the expected matrix is
+    diagonal."""
 
     template: Callable
     record: Callable
     order: tuple[str, ...]
     cite: bool = False
 
-    def inputs(self, n: int, **surface_params):
+    def __call__(self, n: int, **surface_params) -> TableInputs:
         record = self.record(**surface_params)
         sp, blocks = self.template(record, n)
         rays, wits, diag = [], [], []
@@ -712,122 +694,89 @@ class NefTable:
             for ray_label, ray, wit_label, wit, d in blocks[block]:
                 rays.append(RaySpec(ray_label, ray, Provenance(tag, note if self.cite else "")))
                 wits.append(WitnessSpec(wit_label, wit))
-                diag.append(Fraction(d))
-        return record[0], sp, rays, wits, diag
+                diag.append(d)
+        expected = [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
+        return TableInputs(record[0], sp, rays, wits, expected)
+
+
+# ---------------------------------------------------------------------------
+# Certified tables
+# ---------------------------------------------------------------------------
+
+_CHECK_NAMES = {NEF_DUAL: "nef duality certificate", EFF_MOVING: "moving-curve duality certificate"}
+
+
+@dataclass(frozen=True)
+class CertifiedTable:
+    """A catalog table certified by one duality identity: `inputs` builds
+    its rays, witnesses and expected pairings from the table parameters,
+    and its one section takes its cells from the certificate's matrix."""
+
+    kind: str  # NEF_DUAL or EFF_MOVING
+    inputs: Callable[..., TableInputs]
+    notes: tuple[str, ...]
 
     def __call__(self, table_id: str, **params) -> tuple[TableSection, ...]:
-        s, sp, rays, wits, diag = self.inputs(**params)
-        expected = [[d if i == j else 0 for j in range(len(rays))] for i, d in enumerate(diag)]
-        cert = certify_nef(s, sp, rays, wits)
-        check = SectionCheck(
-            "nef duality certificate", "pass" if cert.ok else "fail", cert.verdict
-        )
-        section = _exact_section(
-            f"{table_id} ({s.key}, {sp})",
-            [(w.label, w.cls) for w in wits],
-            [(r.label, r.cls) for r in rays],
-            expected,
-            checks=[check],
-        )
-        return (section,)
+        inp = self.inputs(**params)
+        cert = _certify_table(self.kind, inp)
+        check = SectionCheck(_CHECK_NAMES[self.kind], "pass" if cert.ok else "fail", cert.verdict)
+        title = f"{table_id} ({inp.surface.key}, {inp.space})"
+        grid = cert.witness_labels, cert.ray_labels, cert.matrix
+        return (_section(title, *grid, inp.expected, [check], self.notes),)
 
 
-def nef_table_inputs(table_id: str, **params):
-    """(surface, space, rays, witnesses, expected diagonal) for the nef
-    tables in the catalog."""
-    build = CATALOG[table_id].build if table_id in CATALOG else None
-    if not isinstance(build, NefTable):
+def certified_tables(*kinds: str) -> list[str]:
+    """Sorted ids of the catalog tables certified by one of `kinds`."""
+    return sorted(
+        tid
+        for tid, spec in CATALOG.items()
+        if isinstance(spec.build, CertifiedTable) and spec.build.kind in kinds
+    )
+
+
+def table_inputs(table_id: str, **params) -> TableInputs:
+    """(surface, space, rays, witnesses, expected) of a certified table."""
+    if table_id not in certified_tables(NEF_DUAL, EFF_MOVING):
         raise UnknownTable(table_id)
-    return build.inputs(**params)
+    return CATALOG[table_id].build.inputs(**params)
+
+
+def _standard_certificate(kind: str, table_id: str, params: dict) -> Certificate:
+    if table_id not in certified_tables(kind):
+        raise UnknownTable(table_id)
+    return _certify_table(kind, table_inputs(table_id, **params))
 
 
 def standard_nef_certificate(table_id: str, **params) -> Certificate:
-    s, sp, rays, wits, _ = nef_table_inputs(table_id, **params)
-    return certify_nef(s, sp, rays, wits)
-
-
-def standard_nef_cone(table_id: str, **params) -> Cone:
-    s, sp, rays, _, _ = nef_table_inputs(table_id, **params)
-    return cone_from_rays(divisor_rank(s, sp), [r.cls.coords for r in rays])
-
-
-# ---------------------------------------------------------------------------
-# Effective-cone tables
-# ---------------------------------------------------------------------------
-
-# table id -> (legacy-frame data, notes on the printed source)
-EFF_TABLES = {
-    "eff_p2_2_1": (eff_p2_2_1_data, ()),
-    "eff_p2_3_2": (
-        eff_p2_3_2_data,
-        (
-            "row C_{1,0}: the legacy source prints (1,0,2,0,0); the B_1/B_2 "
-            "cells are transposed there and the catalog stores the corrected "
-            "row (1,2,0,0,0)",
-        ),
-    ),
-}
-
-
-def _eff_data(table_id: str):
-    if table_id not in EFF_TABLES:
-        raise UnknownTable(table_id)
-    return EFF_TABLES[table_id][0]()
+    return _standard_certificate(NEF_DUAL, table_id, params)
 
 
 def standard_eff_certificate(table_id: str) -> Certificate:
-    s, sp, rows, cols, _ = _eff_data(table_id)
-    rays = [
-        RaySpec(lab, cls, Provenance(ASSERTED, "effective generator of the claimed cone"))
-        for lab, cls in cols
-    ]
-    moving = [
-        WitnessSpec(
-            lab,
-            cls,
-            Provenance(
-                ASSERTED, "moving curve: irreducible representatives cover a dense open set"
-            ),
-        )
-        for lab, cls in rows
-    ]
-    return certify_eff(s, sp, rays, moving)
+    return _standard_certificate(EFF_MOVING, table_id, {})
 
 
-def standard_eff_cone(table_id: str) -> Cone:
-    s, sp, _, cols, _ = _eff_data(table_id)
-    return cone_from_rays(divisor_rank(s, sp), [c.coords for _, c in cols])
-
-
-def _eff_sections(table_id: str) -> tuple[TableSection, ...]:
-    s, sp, rows, cols, expected = _eff_data(table_id)
-    cert = standard_eff_certificate(table_id)
-    check = SectionCheck(
-        "moving-curve duality certificate", "pass" if cert.ok else "fail", cert.verdict
-    )
-    return (
-        _exact_section(
-            f"{table_id} ({s.key}, {sp})",
-            rows,
-            cols,
-            expected,
-            checks=[check],
-            notes=EFF_TABLES[table_id][1],
-        ),
-    )
+def _chart_section(sp: SpaceId, ray_labels, curve_labels) -> TableSection:
+    """A summary-chart entry.  When all its labels resolve it is certified
+    against its moving curves; otherwise its resolvable cells are paired and
+    the dual-cone check is skipped."""
+    rows = [(lab, _chart_curve(sp, lab)) for lab in curve_labels]
+    cols = [(lab, _chart_divisor(sp, lab)) for lab in ray_labels]
+    unresolved = [lab for lab, cls in rows + cols if cls is None]
+    if unresolved:
+        grid = _pairings(rows, cols)
+        status, detail = SKIPPED, "unresolved labels: " + ", ".join(unresolved)
+    else:
+        cert = _certify_table(EFF_MOVING, _eff_inputs(p2(), sp, rows, cols, None))
+        grid = cert.witness_labels, cert.ray_labels, cert.matrix
+        status = "pass" if cert.ok else "fail"
+        detail = "cone(rays) == dual(moving-curve functionals)"
+    check = SectionCheck("dual-cone equality", status, detail)
+    title = f"Eff(P2[{sp.n},1])" if sp.kind is SpaceKind.UNIV else f"Eff(P2[{sp.n + 1},{sp.n}])"
+    return _section(title, *grid, None, [check], ())
 
 
 def _eff_summary_sections(table_id: str) -> tuple[TableSection, ...]:
-    return tuple(
-        _duality_section(
-            f"Eff(P2[{sp.n},1])" if sp.kind is SpaceKind.UNIV else f"Eff(P2[{sp.n + 1},{sp.n}])",
-            p2(),
-            sp,
-            [(lab, _chart_curve(sp, lab)) for lab in curves],
-            [(lab, _chart_divisor(sp, lab)) for lab in rays],
-        )
-        for sp, rays, curves in _CHART
-    )
+    return tuple(_chart_section(*entry) for entry in _CHART)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +799,7 @@ def _pairing_p2_hilb_sections(table_id: str, n: int) -> tuple[TableSection, ...]
     rows = [("C_0", c1 - a), ("C_1", c1), ("A", a)]
     cols = [("H", divisor(s, sp, "H")), ("B", _full_b(s, sp, "B/2"))]
     expected = [[1, 2], [1, 0], [0, -2]]
-    return (_exact_section(f"{table_id} (n={n})", rows, cols, expected),)
+    return (_section(f"{table_id} (n={n})", *_pairings(rows, cols), expected, (), ()),)
 
 
 def _pairing_p2_nested_sections(table_id: str, n: int) -> tuple[TableSection, ...]:
@@ -882,7 +831,7 @@ def _pairing_p2_nested_sections(table_id: str, n: int) -> tuple[TableSection, ..
         [0, 0, 1, 0],
         [0, 2, 0, -2],
     ]
-    return (_exact_section(f"{table_id} (n={n})", rows, cols, expected),)
+    return (_section(f"{table_id} (n={n})", *_pairings(rows, cols), expected, (), ()),)
 
 
 def _k3_g1n_sections(table_id: str, g: int, n: int) -> tuple[TableSection, ...]:
@@ -896,7 +845,7 @@ def _k3_g1n_sections(table_id: str, g: int, n: int) -> tuple[TableSection, ...]:
         (f"D_{{f({n})}}", tautological(s, n, k3_extremal_slope(g, n))),
     ]
     expected = [[2 * g - 2, 0], [0, 1]]
-    return (_exact_section(f"{table_id} (g={g}, n={n})", rows, cols, expected),)
+    return (_section(f"{table_id} (g={g}, n={n})", *_pairings(rows, cols), expected, (), ()),)
 
 
 # Block orders; each fixes the order of a table's rays, and so its output.
@@ -911,55 +860,59 @@ CATALOG: dict[str, TableSpec] = {
             "hilb_p2_nef",
             "nef cone of P2^[n]: spanning rays against dual curves",
             {"n": 3},
-            NefTable(_hilb_template, _nef_p2, ("gen", "D"), cite=True),
+            CertifiedTable(
+                NEF_DUAL, NefTable(_hilb_template, _nef_p2, ("gen", "D"), cite=True), ()
+            ),
         ),
         TableSpec(
             "nef_p2_nested",
             "nef cone of P2^[n+1,n]: spanning rays against dual curves",
             {"n": 3},
-            NefTable(_nested_template, _nef_p2, _RANK1_NESTED, cite=True),
+            CertifiedTable(
+                NEF_DUAL, NefTable(_nested_template, _nef_p2, _RANK1_NESTED, cite=True), ()
+            ),
         ),
         TableSpec(
             "nef_f0_nested",
             "nef cone of (P1xP1)^[n+1,n]",
             {"n": 3},
-            NefTable(_nested_template, _nef_f0, _RANK2_NESTED),
+            CertifiedTable(NEF_DUAL, NefTable(_nested_template, _nef_f0, _RANK2_NESTED), ()),
         ),
         TableSpec(
             "nef_fi_nested",
             "nef cone of F_i^[n+1,n]",
             {"i": 1, "n": 3},
-            NefTable(_nested_template, _nef_fi, _RANK2_NESTED),
+            CertifiedTable(NEF_DUAL, NefTable(_nested_template, _nef_fi, _RANK2_NESTED), ()),
         ),
         TableSpec(
             "nef_k3_nested",
             "nef cone of K3^[n+1,n] for a general genus-g K3 (n >= g+1)",
             {"g": 3, "n": 4},
-            NefTable(_nested_template, _nef_k3, _RANK1_NESTED),
+            CertifiedTable(NEF_DUAL, NefTable(_nested_template, _nef_k3, _RANK1_NESTED), ()),
         ),
         TableSpec(
             "nef_p2_univ",
             "nef cone of the universal family P2^[n,1]",
             {"n": 3},
-            NefTable(_univ_template, _nef_p2, _UNIV),
+            CertifiedTable(NEF_DUAL, NefTable(_univ_template, _nef_p2, _UNIV), ()),
         ),
         TableSpec(
             "nef_f0_univ",
             "nef cone of (P1xP1)^[n,1]",
             {"n": 3},
-            NefTable(_univ_template, _nef_f0, _UNIV),
+            CertifiedTable(NEF_DUAL, NefTable(_univ_template, _nef_f0, _UNIV), ()),
         ),
         TableSpec(
             "nef_fi_univ",
             "nef cone of F_i^[n,1]",
             {"i": 1, "n": 3},
-            NefTable(_univ_template, _nef_fi, _UNIV),
+            CertifiedTable(NEF_DUAL, NefTable(_univ_template, _nef_fi, _UNIV), ()),
         ),
         TableSpec(
             "nef_k3_univ",
             "nef cone of K3^[n,1] (n >= g+1)",
             {"g": 3, "n": 4},
-            NefTable(_univ_template, _nef_k3, _UNIV),
+            CertifiedTable(NEF_DUAL, NefTable(_univ_template, _nef_k3, _UNIV), ()),
         ),
         TableSpec(
             "pairing_p2_hilb",
@@ -977,13 +930,21 @@ CATALOG: dict[str, TableSpec] = {
             "eff_p2_2_1",
             "effective cone of P2^[2,1] against its moving curves",
             {},
-            _eff_sections,
+            CertifiedTable(EFF_MOVING, _eff_p2_2_1, ()),
         ),
         TableSpec(
             "eff_p2_3_2",
             "effective cone of P2^[3,2] against its moving curves",
             {},
-            _eff_sections,
+            CertifiedTable(
+                EFF_MOVING,
+                _eff_p2_3_2,
+                (
+                    "row C_{1,0}: the legacy source prints (1,0,2,0,0); the B_1/B_2 "
+                    "cells are transposed there and the catalog stores the corrected "
+                    "row (1,2,0,0,0)",
+                ),
+            ),
         ),
         TableSpec(
             "eff_summary",
@@ -1024,13 +985,8 @@ def reproduce_table(table_id: str, **params) -> TableReport:
 def table_cone_with_labels(table_id: str, **params) -> tuple[Cone, list[tuple[str, tuple]]]:
     """Cone spanned by a table's divisor rays plus (label, primitive ray)
     pairs for figure labeling."""
-    if table_id in EFF_TABLES:
-        s, sp, _, cols, _ = _eff_data(table_id)
-    else:
-        s, sp, rays, _, _ = nef_table_inputs(table_id, **params)
-        cols = [(r.label, r.cls) for r in rays]
-    cone = cone_from_rays(divisor_rank(s, sp), [c.coords for _, c in cols])
-    return cone, [(lab, primitive(c.coords)) for lab, c in cols]
+    inp = table_inputs(table_id, **params)
+    return inp.cone, [(r.label, primitive(r.cls.coords)) for r in inp.rays]
 
 
 def table_cross_section(table_id: str, **params) -> tuple[CrossSection, list[str]]:

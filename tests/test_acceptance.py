@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import nestcone as nc
-from nestcone.verify import nef_table_inputs
 
 F = Fraction
 
@@ -128,10 +127,10 @@ def test_04_eff_certificates():
         ok &= nc.standard_eff_certificate(table).ok
         ok &= nc.reproduce_table(table).ok  # printed cells exact
     ok &= nc.cone_contains(
-        nc.standard_eff_cone("eff_p2_2_1"), nc.standard_nef_cone("nef_p2_univ", n=2)
+        nc.table_inputs("eff_p2_2_1").cone, nc.table_inputs("nef_p2_univ", n=2).cone
     )
     ok &= nc.cone_contains(
-        nc.standard_eff_cone("eff_p2_3_2"), nc.standard_nef_cone("nef_p2_nested", n=2)
+        nc.table_inputs("eff_p2_3_2").cone, nc.table_inputs("nef_p2_nested", n=2).cone
     )
     report(4, "effective certificates exact; Eff contains Nef on both spaces", ok)
 

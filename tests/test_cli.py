@@ -122,14 +122,31 @@ def test_pair_zero_denominator_is_parse_error(capsys):
         ("(" * 3000 + "H" + ")" * 3000, 100),  # past the recursion limit
         ("H+" + "-" * 3000 + "H", 102),
         ("\u00b2*H", 0),  # a digit that is not a decimal digit
+        ("\u00e9+?", 3),  # offsets count bytes: e-acute is two in UTF-8
+        ("H +\u00a0?", 5),  # and so is the no-break space
     ],
-    ids=["long-number", "long-product", "deep-parentheses", "deep-minus", "superscript-digit"],
+    ids=[
+        "long-number", "long-product", "deep-parentheses", "deep-minus", "superscript-digit",
+        "e-acute", "no-break-space",
+    ],
 )
 def test_pair_oversized_input_is_parse_error(capsys, expr, offset):
     code, out, err = run(capsys, "pair", "--space", "hilb", "--n", "3", expr, "C1")
     assert code == 2 and out == ""
     assert err.startswith(f"parse error at byte {offset}:")
     assert "Traceback" not in err
+
+
+def test_pair_oversized_genus_is_usage_error(capsys):
+    # A genus of 1000 digits keeps the pairing printable; a longer one is refused.
+    argv = ["pair", "--surface", "k3", "--space", "hilb", "--n", "3", "999*H", "999*C1"]
+    code, out, err = run(capsys, *argv, "--genus", "9" * 4299)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: --genus holds more than 1000 digits")
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, *argv, "--genus", "9" * 1000)
+    assert code == 0
+    assert int(out) == 999 * 999 * (2 * (10**1000 - 1) - 2)
 
 
 @settings(

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nestcone.cone import (
@@ -277,3 +277,18 @@ def test_dual_dual_contains_original_even_with_lineality(rays):
     dd = dual(dual(c))
     assert cone_contains(dd, c)
     assert cone_equal(c, dd)  # dual-dual is the closure; cones here are closed
+
+
+_VEC4 = st.tuples(*[st.integers(-5, 5)] * 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_VEC4, min_size=1, max_size=5), st.lists(_VEC4, min_size=1, max_size=8))
+def test_nonnegative_pairings_put_rays_in_the_dual(functionals, candidates):
+    """The lemma behind a certificate's single cone test: when every
+    pairing w . r is non-negative, cone(R) lies in dual(cone(W))."""
+    rays = [
+        r for r in candidates if all(sum(a * b for a, b in zip(w, r)) >= 0 for w in functionals)
+    ]
+    assume(any(any(r) for r in rays) and any(any(w) for w in functionals))
+    assert cone_contains(dual(cone_from_rays(4, functionals)), cone_from_rays(4, rays))

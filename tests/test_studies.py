@@ -4,7 +4,7 @@ import pytest
 
 import nestcone as nc
 from nestcone.errors import InvalidInput, RangeError
-from nestcone.studies import ORDER_B, ORDER_RES, a_k, a_k_prime, butler_nef_cone
+from nestcone.studies import ORDER_B, ORDER_RES, a_k, a_k_prime, butler_table
 
 
 F = Fraction
@@ -87,11 +87,12 @@ def test_butler_grid_interior():
 def test_butler_synthetic_boundary():
     # A class with a zero ray coefficient sits on the boundary of the
     # simplicial nef cone.
-    cone, rays = butler_nef_cone(1)
-    boundary = sum((cls for _, cls in rays[1:]), 0 * rays[0][1])
-    assert nc.position(cone, boundary.coords) == "Boundary"
-    interior = boundary + rays[0][1]
-    assert nc.position(cone, interior.coords) == "Interior"
+    table = butler_table(1)
+    rays = [r.cls for r in table.rays]
+    boundary = sum(rays[1:], 0 * rays[0])
+    assert nc.position(table.cone, boundary.coords) == "Boundary"
+    interior = boundary + rays[0]
+    assert nc.position(table.cone, interior.coords) == "Interior"
 
 
 def test_half_b_a_identity_all_indices():
@@ -163,6 +164,15 @@ def test_asymptotic_report():
     for k in range(2, 31):
         assert by_k[k].section_distance == F(1, k + 2)
         assert by_k[k].section_distance <= F(1, k)
+
+
+def test_limit_is_the_cone_cut_out_at_deviation_zero():
+    # limit_is_orthant compares limit_cone() with the cone the E_k
+    # functionals cut out at deviation 0; a nonzero deviation must differ.
+    from nestcone.studies import _cut_out, _moving_curves
+
+    assert nc.cone_equal(nc.limit_cone(), _cut_out(_moving_curves(F(0), F(0))))
+    assert not nc.cone_equal(nc.limit_cone(), _cut_out(_moving_curves(F(1, 5), F(0))))
 
 
 def test_asymptotic_nesting_chain():

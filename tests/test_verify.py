@@ -10,8 +10,7 @@ from nestcone.verify import (
     EFF_P2_3_2_PRINTED_VARIANT,
     RaySpec,
     WitnessSpec,
-    eff_p2_3_2_data,
-    nef_table_inputs,
+    table_inputs,
 )
 
 
@@ -75,7 +74,7 @@ def test_nef_certificate_k3_diagonal():
 
 
 def test_nef_certificate_swapped_witnesses_fails():
-    s, sp, rays, wits, _ = nef_table_inputs("nef_p2_nested", n=3)
+    s, sp, rays, wits, _ = table_inputs("nef_p2_nested", n=3)
     swapped = [wits[1], wits[0]] + list(wits[2:])
     cert = nc.certify_nef(s, sp, rays, swapped)
     assert not cert.ok
@@ -83,7 +82,7 @@ def test_nef_certificate_swapped_witnesses_fails():
 
 
 def test_nef_certificate_bad_ray_fails():
-    s, sp, rays, wits, _ = nef_table_inputs("nef_p2_univ", n=3)
+    s, sp, rays, wits, _ = table_inputs("nef_p2_univ", n=3)
     # Replace one spanning ray by a non-nef class: pairing goes negative.
     bad = RaySpec(
         "bad", rays[0].cls - nc.divisor(s, sp, "Hb") * 5, rays[0].provenance
@@ -94,9 +93,10 @@ def test_nef_certificate_bad_ray_fails():
 
 
 def test_nef_certificate_missing_ray_fails_cone_equality():
-    s, sp, rays, wits, _ = nef_table_inputs("nef_p2_nested", n=3)
+    s, sp, rays, wits, _ = table_inputs("nef_p2_nested", n=3)
     cert = nc.certify_nef(s, sp, rays[:3], wits[:3])
-    assert not cert.ok  # dual of 3 witnesses in rank 4 is bigger than 3 rays
+    # dual of 3 witnesses in rank 4 is bigger than 3 rays
+    assert cert.verdict == "failed: dual cone strictly larger than the span of the rays"
 
 
 def test_certificate_provenance_and_json():
@@ -113,7 +113,7 @@ def test_certificate_provenance_and_json():
 
 def test_provenance_tags_are_reconstructible():
     """Rays tagged pullback/residue really are pull_b/pull_a/pull_res images."""
-    s, sp, rays, _, _ = nef_table_inputs("nef_p2_nested", n=4)
+    s, sp, rays, _, _ = table_inputs("nef_p2_nested", n=4)
     by_label = {r.label: r for r in rays}
     assert by_label["H^b"].cls.coords == nc.pull_b(
         nc.divisor(s, nc.hilb(4), "H"), sp
@@ -143,24 +143,23 @@ def test_eff_certificates(table_id):
 
 def test_eff_contains_nef():
     # Eff(P2[2,1]) on Univ(2) contains Nef(P2[2,1]).
-    eff = nc.standard_eff_cone("eff_p2_2_1")
-    nef = nc.standard_nef_cone("nef_p2_univ", n=2)
+    eff = nc.table_inputs("eff_p2_2_1").cone
+    nef = nc.table_inputs("nef_p2_univ", n=2).cone
     assert nc.cone_contains(eff, nef)
     assert not nc.cone_equal(eff, nef)
     # Eff(P2[3,2]) on Nested(2) contains Nef(P2[3,2]).
-    eff2 = nc.standard_eff_cone("eff_p2_3_2")
-    nef2 = nc.standard_nef_cone("nef_p2_nested", n=2)
+    eff2 = nc.table_inputs("eff_p2_3_2").cone
+    nef2 = nc.table_inputs("nef_p2_nested", n=2).cone
     assert nc.cone_contains(eff2, nef2)
 
 
 def test_printed_variant_regression():
     """The corrected row passes; the printed row (with the transposed B
     cells) provably cannot: it contradicts the exact class dictionary."""
-    s, sp, rows, cols, expected = eff_p2_3_2_data()
-    row_by_label = dict(rows)
-    c10 = row_by_label["C_{1,0}"]
+    s, sp, rays, moving, expected = table_inputs("eff_p2_3_2")
+    c10 = next(w.cls for w in moving if w.label == "C_{1,0}")
     printed = EFF_P2_3_2_PRINTED_VARIANT["C_{1,0}"]
-    computed = tuple(nc.pair(cc, c10) for _, cc in cols)
+    computed = tuple(nc.pair(r.cls, c10) for r in rays)
     assert computed == (F(1), F(2), F(0), F(0), F(0))
     assert computed != tuple(F(x) for x in printed)
     # the discrepancy is exactly a B_1/B_2 transposition
