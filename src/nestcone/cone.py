@@ -1,9 +1,22 @@
 """Exact-rational polyhedral cone engine.
 
-Cones are stored by generator rays (primitive integer vectors).  Duals and
-extremal rays are computed by the double description method with the
-combinatorial adjacency test; everything is exact, deterministic, and
+Cones are stored by generator rays (primitive integer vectors), and all the
+work is integer arithmetic; everything is exact, deterministic, and
 reasonably fast for the dimensions used here (<= 8).
+
+* The dual is computed by the double description method (`_dd`, run once
+  per cone and cached), which keeps for every intermediate ray the bitmask
+  of the constraints it is tight on.  New rays come only from adjacent
+  pairs, found by the combinatorial test (`_adjacent`): a pair sharing
+  fewer tight constraints than dimension - lineality - 2 is rejected by a
+  popcount before the scan for a third ray tight on all of them.
+* Extremal rays come from the same DD's incidence data: a generator is
+  extremal when its tight facets have rank dim - lineality - 1, the
+  redundancy test of Fukuda & Prodon (1996).  No second DD is run.
+* Cross-section edges are the adjacent pairs among the extremal rays, by
+  the same combinatorial test on their tight-facet bitmasks.
+* Ranks (lineality, full-dimensionality, the redundancy test) are
+  fraction-free Bareiss elimination on integer rows (`linalg.rank`).
 
 Ray normalization: every stored ray is scaled by a positive rational to a
 primitive integer vector (cleared denominators, gcd 1).  Scaling factors are
@@ -17,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .errors import (
@@ -41,12 +55,34 @@ def _idot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
-def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec]]:
+def _adjacent(
+    masks: Sequence[int], pairs: Iterable[tuple[int, int]], floor: int
+) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j) of extreme rays that are adjacent, given every
+    extreme ray's bitmask of tight constraints: the combinatorial test of
+    Fukuda & Prodon (1996).
+
+    Adjacent rays span a 2-face, so their common tight constraints have rank
+    (dimension - lineality - 2) = `floor`, and hence at least that many bits:
+    a pair with fewer is rejected without a scan.  Otherwise they are
+    adjacent exactly when no third ray is tight on all of their common
+    constraints (only i and j themselves contain the common mask).
+    """
+    for i, j in pairs:
+        common = masks[i] & masks[j]
+        if common.bit_count() >= floor and len(
+            [m for m in masks if m & common == common]
+        ) == 2:
+            yield i, j
+
+
+def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, int]]]:
     """Double description: generators of {y : y . c >= 0 for all c}.
 
     The constraints are sorted, distinct, nonzero primitive vectors, as a
     Cone stores its rays.  Returns (lineality basis, extremal rays of the
-    pointed part).
+    pointed part), each ray with the bitmask of the constraints it is tight
+    on (bit i for cons[i]).
     """
     lin: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -80,39 +116,28 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec]]:
             lin, rays = new_lin, new_rays
             continue
 
-        scored = [(_idot(a, v), v, mask) for v, mask in rays]
-        pos = [(v, m) for s, v, m in scored if s > 0]
-        zero = [(v, m | bit) for s, v, m in scored if s == 0]
-        neg = [(v, m) for s, v, m in scored if s < 0]
-        current = [(v, m) for _, v, m in scored]
-        new_rays = pos + zero
-        for p, mp in pos:
-            sp = _idot(a, p)
-            for q, mq in neg:
-                common = mp & mq
-                adjacent = True
-                for w, mw in current:
-                    if w is p or w is q:
-                        continue
-                    if (common & mw) == common:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                sq = _idot(a, q)
-                v2 = primitive(tuple(sp * x - sq * y for x, y in zip(q, p)))
-                new_rays.append((v2, common | bit))
+        scored = [(_idot(a, v), v, m) for v, m in rays]
+        masks = [m for _, _, m in scored]
+        floor = dim - len(lin) - 2
+        pos = [i for i, (s, _, _) in enumerate(scored) if s > 0]
+        neg = [j for j, (s, _, _) in enumerate(scored) if s < 0]
+        new_rays = [(v, m | bit if s == 0 else m) for s, v, m in scored if s >= 0]
+        for i, j in _adjacent(masks, product(pos, neg), floor):
+            (sp, p, mp), (sq, q, mq) = scored[i], scored[j]
+            v2 = primitive(tuple(sp * x - sq * y for x, y in zip(q, p)))
+            new_rays.append((v2, (mp & mq) | bit))
         # Defensive dedup (exact adjacency should not produce duplicates).
         dedup: dict[IVec, int] = {}
         for v, m in new_rays:
             dedup[v] = dedup.get(v, m) | m
         rays = sorted(dedup.items())
 
-    lin_out = _canonical_lineality(lin, dim)
-    return lin_out, sorted(v for v, _ in rays)
+    return _canonical_lineality(lin), rays
 
 
-def _canonical_lineality(lin: Sequence[IVec], dim: int) -> list[IVec]:
+def _canonical_lineality(lin: Sequence[IVec]) -> list[IVec]:
+    """The one basis of span(lin): primitive rows of its reduced row-echelon
+    form, sorted."""
     if not lin:
         return []
     m, _ = linalg.rref(lin)
@@ -156,15 +181,27 @@ class Cone:
         return f"Cone(dim={self.dim}, rays={list(self.rays)})"
 
     @cached_property
-    def _dual_parts(self) -> tuple[list[IVec], list[IVec]]:
+    def _dual_parts(self) -> tuple[list[IVec], list[tuple[IVec, int]]]:
         return _dd(self.rays, self.dim)
+
+    @cached_property
+    def _incidence(self) -> list[int]:
+        """Per generator, the bitmask of the facets tight on it (bit i for
+        the i-th pointed-part ray of `_dual_parts`): the DD's incidence data
+        read the other way round.  The dual's lineality basis is tight on
+        every generator and has no bit."""
+        facets = self._dual_parts[1]
+        return [
+            sum(1 << i for i, (_, m) in enumerate(facets) if m >> k & 1)
+            for k in range(len(self.rays))
+        ]
 
     @cached_property
     def facet_normals(self) -> tuple[IVec, ...]:
         """Generators of the dual cone: facet normals plus, when this cone is
         not full-dimensional, +/- pairs spanning the orthogonal complement."""
         lin, rays = self._dual_parts
-        gens = list(rays)
+        gens = [v for v, _ in rays]
         for l in lin:
             gens.append(l)
             gens.append(tuple(-x for x in l))
@@ -172,8 +209,6 @@ class Cone:
 
     @cached_property
     def lineality_dim(self) -> int:
-        if not self.facet_normals:
-            return self.dim
         return self.dim - linalg.rank(self.facet_normals)
 
     @cached_property
@@ -203,10 +238,45 @@ def dual(c: Cone) -> Cone:
     return Cone(c.dim, c.facet_normals)
 
 
+def _extremal(c: Cone) -> list[int]:
+    """Indices of the generators on extremal faces, by the redundancy test of
+    Fukuda & Prodon (1996) on c's own DD: a generator is kept when its tight
+    facets, with the dual's lineality basis, have rank dim - lineality - 1."""
+    lin, facets = c._dual_parts
+    target = c.dim - c.lineality_dim - 1
+    keep = []
+    for k, mask in enumerate(c._incidence):
+        if len(lin) + mask.bit_count() < target:
+            continue
+        tight = lin + [f for i, (f, _) in enumerate(facets) if mask >> i & 1]
+        if linalg.rank(tight) == target:
+            keep.append(k)
+    return keep
+
+
 def extremal_rays(c: Cone) -> Cone:
-    """Minimal generator description: extremal rays (plus +/- pairs spanning
-    the lineality space when present), canonically sorted."""
-    return dual(dual(c))
+    """Minimal generator description, canonically sorted, read off the DD
+    that c already caches (no second DD).
+
+    A pointed cone gives its extremal generators.  A cone with a lineality
+    space L gives +/- the canonical basis of L (the primitive rows of the
+    reduced row-echelon form of the generators tight on every facet, which
+    span L) and, for each extremal face, its generators projected
+    orthogonally onto the complement of L, one canonical ray per face.
+    """
+    keep = [c.rays[k] for k in _extremal(c)]
+    if c.is_pointed:
+        return Cone(c.dim, keep)
+    full = (1 << len(c._dual_parts[1])) - 1
+    basis = _canonical_lineality([r for r, m in zip(c.rays, c._incidence) if m == full])
+    gram = [[_idot(a, b) for b in basis] for a in basis]
+
+    def project(r: IVec) -> tuple[Rat, ...]:
+        x = linalg.solve_unique(gram, [_idot(a, r) for a in basis])
+        return tuple(rj - _idot(x, col) for rj, col in zip(r, zip(*basis)))
+
+    gens = [project(r) for r in keep] + basis + [tuple(-x for x in b) for b in basis]
+    return Cone(c.dim, gens)
 
 
 def position(c: Cone, v: Sequence) -> str:
@@ -269,9 +339,10 @@ class CrossSection:
 
 
 def cross_section(c: Cone, normalization=COORD_SUM) -> CrossSection:
-    """Cross-section polytope of a pointed cone at functional value 1."""
-    ext = extremal_rays(c)
-    if not ext.is_pointed:
+    """Cross-section polytope of a pointed cone at functional value 1.  Its
+    edges come from the combinatorial adjacency test on the extremal
+    generators' tight-facet bitmasks."""
+    if not c.is_pointed:
         raise NotPointed("cross-sections require a pointed cone")
     if normalization == COORD_SUM:
         w = tuple(Fraction(1) for _ in range(c.dim))
@@ -279,8 +350,10 @@ def cross_section(c: Cone, normalization=COORD_SUM) -> CrossSection:
         if len(normalization) != c.dim:
             raise DimensionMismatch("normalizing functional has wrong length")
         w = tuple(Fraction(x) for x in normalization)
+    keep = _extremal(c)
     verts = []
-    for r in ext.rays:
+    for k in keep:
+        r = c.rays[k]
         s = vdot(w, r)
         if s <= 0:
             raise FunctionalNotPositive(
@@ -288,16 +361,7 @@ def cross_section(c: Cone, normalization=COORD_SUM) -> CrossSection:
             )
         verts.append(tuple(Fraction(x) / s for x in r))
     order = sorted(range(len(verts)), key=lambda i: verts[i])
-    verts = [verts[i] for i in order]
-    rays = [ext.rays[i] for i in order]
-    facets = ext.facet_normals
-    tight = [
-        [f for f in facets if _idot(f, r) == 0] for r in rays
-    ]
-    edges = []
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            common = [f for f in tight[i] if f in tight[j]]
-            if linalg.rank(common) == c.dim - 2:
-                edges.append((i, j))
-    return CrossSection(c.dim, tuple(verts), tuple(sorted(edges)))
+    masks = [c._incidence[keep[i]] for i in order]
+    floor = c.dim - len(c._dual_parts[0]) - 2
+    edges = _adjacent(masks, combinations(range(len(order)), 2), floor)
+    return CrossSection(c.dim, tuple(verts[i] for i in order), tuple(edges))

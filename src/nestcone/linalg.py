@@ -1,7 +1,8 @@
-"""Small exact-rational linear algebra kernel (dense, Fraction-valued).
+"""Small exact linear algebra kernel (dense).
 
-Sizes here are tiny (dimension <= 8), so plain Gaussian elimination over
-`Fraction` is both exact and fast.
+Sizes here are tiny (dimension <= 8).  `rref` and `solve_unique` run plain
+Gaussian elimination over `Fraction`; `rank` takes integer rows and runs
+fraction-free (Bareiss) elimination, so it never leaves `int`.
 """
 
 from __future__ import annotations
@@ -44,8 +45,30 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows by fraction-free (Bareiss) elimination.
+
+    After each pivot step every remaining entry is a minor of the input,
+    divided exactly by the previous pivot, so all arithmetic stays in `int`
+    and entries grow only like determinants.
+    """
+    m = [list(row) for row in rows]
+    r, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        pv = top[c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = pv
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
 def matvec(rows: Sequence[Sequence], v: Sequence) -> list[Fraction]:

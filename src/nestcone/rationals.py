@@ -72,8 +72,13 @@ def primitive(u: Sequence) -> tuple[int, ...]:
 
     The scaling factor is always positive, so the ray direction is preserved;
     flipping signs would change the cone a generator spans.  The zero vector
-    maps to itself.
+    maps to itself.  An all-`int` vector (the cone engine's case) is divided
+    by its gcd directly; anything else (`bool` included) goes through
+    `Fraction`.
     """
+    if all(type(a) is int for a in u):
+        g = gcd(*u)
+        return tuple(a // g for a in u) if g else tuple(u)
     fr = [Fraction(a) for a in u]
     if all(a == 0 for a in fr):
         return tuple(0 for _ in fr)

@@ -286,10 +286,12 @@ def _moving_curves(d1: Rat, d2: Rat) -> list[MovingCurve]:
 
 def asymptotic_moving_curves(k: int) -> list[MovingCurve]:
     """The four moving-curve functionals cutting out E_k in the frame
-    (H1, H2, B1, B2), with deviations k/(2 a_k) and k/(2(a'_k - 1))."""
+    (H1, H2, B1, B2).  Their deviations k/(2 a_k) and k/(2(a'_k - 1)) are
+    one number, since a'_k - 1 = a_k."""
     if k < 1:
         raise RangeError(f"k must be >= 1, got {k}")
-    return _moving_curves(Fraction(k, 2 * a_k(k)), Fraction(k, 2 * (a_k_prime(k) - 1)))
+    dev = Fraction(k, 2 * a_k(k))
+    return _moving_curves(dev, dev)
 
 
 def _cut_out(curves: list[MovingCurve]) -> Cone:

@@ -118,6 +118,15 @@ def test_a_k_values():
     assert a_k(10) == 65 and a_k_prime(10) == 66
 
 
+def test_one_deviation_for_both_moving_curves():
+    # a'_k - 1 = a_k, so the deviations k/(2 a_k) and k/(2(a'_k - 1)) of
+    # the two moving curves are one number.
+    for k in range(1, 500):
+        assert a_k_prime(k) - 1 == a_k(k)
+        curves = nc.asymptotic_moving_curves(k)
+        assert curves[2].deviation == curves[3].deviation == F(k, 2 * a_k(k))
+
+
 def test_moving_curves_exact():
     curves = nc.asymptotic_moving_curves(2)
     assert len(curves) == 4

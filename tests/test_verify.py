@@ -141,6 +141,19 @@ def test_eff_certificates(table_id):
         assert all(x >= 0 for x in row)
 
 
+def test_certify_eff_public_api():
+    s, sp, rays, moving, _ = table_inputs("eff_p2_2_1")
+    cert = nc.certify_eff(s, sp, rays, moving)
+    assert cert.ok
+    assert cert.json_str() == nc.standard_eff_certificate("eff_p2_2_1").json_str()
+    # A moving curve negated pairs negatively with some ray.
+    flipped = WitnessSpec(moving[0].label, -moving[0].cls, moving[0].provenance)
+    cert = nc.certify_eff(s, sp, rays, [flipped] + list(moving[1:]))
+    assert not cert.ok
+    assert cert.verdict.startswith("failed: negative pairing -")
+    assert f"witness {flipped.label} and ray" in cert.verdict
+
+
 def test_eff_contains_nef():
     # Eff(P2[2,1]) on Univ(2) contains Nef(P2[2,1]).
     eff = nc.table_inputs("eff_p2_2_1").cone
