@@ -2,22 +2,21 @@
 """Record a before/after benchmark comparison into BENCH_<pr>.json.
 
 Usage:
-    bench_record.py --pr N [--parent REV] [--change REV] [--workloads W ...]
-                    [--seeds S ...] [--seconds T] [--out PATH]
+    bench_record.py --pr N [--parent REV] [--change REV] [--seeds S ...]
 
 Both revisions are exported with `git archive` into a temporary directory,
 and each runs its own, unchanged `bench/run.py`.  For every workload and
 seed the two sides run back to back, alternating which goes first, so that
-a drift of the host's speed hits both sides alike.  Workloads, run length
-and each metric's direction default to the change's `BENCHMARK.json`; the
-seeds default to 1..10, ten pairs per workload.
+a drift of the host's speed hits both sides alike.  The workloads, the run
+length and each metric's direction come from the change's
+`BENCHMARK.json`; the seeds default to 1..10, ten pairs per workload.
 
 The JSON holds every result line as `bench/run.py` printed it; per
 workload and end-to-end metric, each side's median and quartiles and the
 number of pairs the change won (ties count for neither side); each side's
 failed operations; the git sha of both revisions, the Python version, the
 core count and the interpreter's environment flags.  It is written to
-`BENCH_<pr>.json` at the repository root unless `--out` says otherwise.
+`BENCH_<pr>.json` at the repository root.
 """
 
 from __future__ import annotations
@@ -104,10 +103,7 @@ def main() -> int:
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--parent", default="HEAD~1")
     ap.add_argument("--change", default="HEAD")
-    ap.add_argument("--workloads", nargs="+")
     ap.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
-    ap.add_argument("--seconds", type=int)
-    ap.add_argument("--out", type=Path)
     args = ap.parse_args()
 
     runs = []
@@ -115,14 +111,14 @@ def main() -> int:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         shas = {side: _export(getattr(args, side), tree) for side, tree in trees.items()}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        args.workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-        args.seconds = args.seconds or spec["run_seconds"]
+        workloads = [w["name"] for w in spec["workloads"]]
+        seconds = spec["run_seconds"]
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        for workload in args.workloads:
+        for workload in workloads:
             for n, seed in enumerate(args.seeds):
                 order = ("parent", "change") if n % 2 == 0 else ("change", "parent")
                 for side in order:
-                    res = _run(trees[side], workload, seed, args.seconds)
+                    res = _run(trees[side], workload, seed, seconds)
                     runs.append({"workload": workload, "seed": seed, "side": side, "result": res})
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps({k: round(v['value'], 4) for k, v in res['metrics'].items()})}",
@@ -130,7 +126,7 @@ def main() -> int:
 
     record = {
         "pr": args.pr,
-        "command": f"bench/run.py --seconds {args.seconds} --trace 0",
+        "command": f"bench/run.py --seconds {seconds} --trace 0",
         "parent": {"rev": args.parent, "sha": shas["parent"]},
         "change": {"rev": args.change, "sha": shas["change"]},
         "host": {
@@ -139,10 +135,10 @@ def main() -> int:
             "cores": os.cpu_count(),
             "env": {k: os.environ[k] for k in ENV_FLAGS if k in os.environ},
         },
-        "summary": {w: _summary(runs, w, better) for w in args.workloads},
+        "summary": {w: _summary(runs, w, better) for w in workloads},
         "runs": runs,
     }
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

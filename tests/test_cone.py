@@ -102,6 +102,18 @@ def test_extremal_rays_idempotent():
     assert e1.rays == e2.rays
 
 
+def test_extremal_rays_and_cross_section_reuse_the_cones_dd(monkeypatch):
+    import nestcone.cone as cone_module
+
+    inputs = []
+    dd = cone_module._dd
+    monkeypatch.setattr(cone_module, "_dd", lambda cons, dim: inputs.append(cons) or dd(cons, dim))
+    c = cone_from_rays(3, [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1), (0, 0, 1)])
+    assert len(extremal_rays(c).rays) == 4
+    assert len(cross_section(c, (0, 0, 1)).edges) == 4
+    assert inputs == [c.rays]  # one DD, over the generators; none over facet normals
+
+
 def test_position():
     c = cone_from_rays(2, [(1, 0), (1, 1)])
     assert position(c, (1, Fraction(1, 2))) == Position.INTERIOR
