@@ -2,14 +2,14 @@
 """Record a before/after benchmark comparison into BENCH_<pr>.json.
 
 Usage:
-    bench_record.py --pr N [--parent REV] [--change REV] [--seeds S ...]
+    bench_record.py --pr N --parent REV --change REV
 
 Both revisions are exported with `git archive` into a temporary directory,
 and each runs its own, unchanged `bench/run.py`.  For every workload and
 seed the two sides run back to back, alternating which goes first, so that
 a drift of the host's speed hits both sides alike.  The workloads, the run
 length and each metric's direction come from the change's
-`BENCHMARK.json`; the seeds default to 1..10, ten pairs per workload.
+`BENCHMARK.json`; the seeds are 1..10, ten pairs per workload.
 
 The JSON holds every result line as `bench/run.py` printed it; per
 workload and end-to-end metric, each side's median and quartiles and the
@@ -34,6 +34,7 @@ from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 11)
 ENV_FLAGS = (
     "PYTHONDONTWRITEBYTECODE",
     "PYTHONHASHSEED",
@@ -54,7 +55,12 @@ def _export(rev: str, dest: Path) -> str:
     """Write the committed tree of `rev` under `dest`; return its full sha."""
     sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
     with tarfile.open(fileobj=BytesIO(_git("archive", sha))) as tar:
-        tar.extractall(dest, filter="data")
+        # The "data" filter exists from Python 3.10.12 / 3.11.4 on; the
+        # archive is the repository's own, so older releases extract plainly.
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
     return sha
 
 
@@ -84,7 +90,6 @@ def _summary(runs: list[dict], workload: str, better: dict[str, str]) -> dict:
         values = {side: [p[side][name]["value"] for p in pairs] for side in ("parent", "change")}
         out[name] = {
             side: dict(zip(("q1", "median", "q3"), statistics.quantiles(v, n=4)))
-            if len(v) > 1 else {"median": v[0]}
             for side, v in values.items()
         }
         out[name]["change_wins"] = sum(
@@ -101,9 +106,8 @@ def _summary(runs: list[dict], workload: str, better: dict[str, str]) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True)
-    ap.add_argument("--parent", default="HEAD~1")
-    ap.add_argument("--change", default="HEAD")
-    ap.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
+    ap.add_argument("--parent", required=True, help="git revision of the baseline")
+    ap.add_argument("--change", required=True, help="git revision of the change")
     args = ap.parse_args()
 
     runs = []
@@ -115,7 +119,7 @@ def main() -> int:
         seconds = spec["run_seconds"]
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         for workload in workloads:
-            for n, seed in enumerate(args.seeds):
+            for n, seed in enumerate(SEEDS):
                 order = ("parent", "change") if n % 2 == 0 else ("change", "parent")
                 for side in order:
                     res = _run(trees[side], workload, seed, seconds)

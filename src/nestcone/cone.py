@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
@@ -70,9 +70,11 @@ def _adjacent(
     """
     for i, j in pairs:
         common = masks[i] & masks[j]
-        if common.bit_count() >= floor and len(
-            [m for m in masks if m & common == common]
-        ) == 2:
+        if common.bit_count() < floor:
+            continue
+        # i and j are two of the rays tight on `common`; stop at a third.
+        tight_on_common = (m for m in masks if m & common == common)
+        if next(islice(tight_on_common, 2, None), None) is None:
             yield i, j
 
 
