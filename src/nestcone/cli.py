@@ -42,6 +42,7 @@ from .verify import (
     standard_eff_certificate,
     standard_nef_certificate,
     table_cross_section,
+    table_params,
 )
 
 # ---------------------------------------------------------------------------
@@ -278,16 +279,6 @@ def _echo_certificate(title: str, cert, fmt: str) -> None:
         sys.exit(1)
 
 
-def _table_params(table_id: str, n, g, i) -> dict:
-    """The table's default parameters, overridden by the flags given; flags
-    the table does not take are ignored."""
-    given = {"n": n, "g": g, "i": i}
-    return {
-        key: val if given[key] is None else given[key]
-        for key, val in CATALOG[table_id].defaults.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -360,7 +351,7 @@ def cmd_table(table_id, n, g, i, fmt, out):
 @click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
 def cmd_nef(table_id, n, g, i, fmt):
     """Produce and check the duality certificate for a catalog nef cone."""
-    params = _table_params(table_id, n, g, i)
+    params = table_params(table_id, n=n, g=g, i=i)
     _echo_certificate(f"{table_id} {params}", standard_nef_certificate(table_id, **params), fmt)
 
 
@@ -417,7 +408,7 @@ def cmd_verify(table_id, run_all, n, g, i):
 def cmd_cross_section(table_id, n, g, i, fmt, out):
     """Emit the cross-section polytope of a catalog cone (vertices labeled
     by the generator rays)."""
-    cs, labels = table_cross_section(table_id, **_table_params(table_id, n, g, i))
+    cs, labels = table_cross_section(table_id, n=n, g=g, i=i)
     if fmt == "svg":
         _emit(render.cross_section_svg(cs, labels), out)
     elif fmt == "tikz":

@@ -71,13 +71,6 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def matvec(rows: Sequence[Sequence], v: Sequence) -> list[Fraction]:
-    return [
-        sum((Fraction(a) * Fraction(b) for a, b in zip(row, v, strict=True)), Fraction(0))
-        for row in rows
-    ]
-
-
 def solve_unique(a_rows: Sequence[Sequence], b: Sequence) -> list[Fraction]:
     """Solve A x = b demanding a unique solution.
 

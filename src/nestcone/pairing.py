@@ -12,6 +12,9 @@ classes pair by `BOUNDARY_PAIRINGS`; every other pairing is zero.
              Aa . Bdiff/2 = -1; Ab . Bdiff/2 = +1, Ab . Bb/2 = -1.
 * Univ(n):   Ca_i . Hdiff_j = g_ij; Cb_i . Hb_j = g_ij; Aa . B/2 = -1.
 
+`curve_functional` is the one place the table meets a curve; every pairing
+is the dot product of a curve's functional with a divisor's coordinates.
+
 Curve families (gamma = sum m_i H_i a curve class on X, r = number of points
 of the configuration constrained to lie on the moving curve):
 
@@ -38,7 +41,7 @@ from typing import Sequence, Union
 
 from . import linalg
 from .errors import NotK3, RangeError, SpaceMismatch
-from .rationals import Rat, rat, rat_str
+from .rationals import Rat, rat, rat_str, vdot
 from .spaces import (
     CURVE_LAYOUT,
     DIVISOR_LAYOUT,
@@ -51,7 +54,6 @@ from .spaces import (
     basis_map,
     curve,
     divisor,
-    divisor_rank,
     is_block,
     layout,
     pr_a_space,
@@ -116,25 +118,14 @@ def pair(d: DivClass, c: CurClass) -> Rat:
         raise SpaceMismatch(
             f"pairing requires classes on the same space: {d.space} vs {c.space}"
         )
-    m = pairing_table(d.surface, d.space).matrix
-    total = Fraction(0)
-    for r, cr in enumerate(c.coords):
-        if cr == 0:
-            continue
-        total += cr * sum(
-            (m[r][j] * dj for j, dj in enumerate(d.coords) if dj != 0), Fraction(0)
-        )
-    return total
+    return vdot(curve_functional(c), d.coords)
 
 
 def curve_functional(c: CurClass) -> tuple[Rat, ...]:
-    """The linear functional f on divisor coordinates with f . d = pair(d, c)."""
+    """The functional f on divisor coordinates with f . d = pair(d, c): the
+    rows of the pairing table weighted by the coordinates of c."""
     m = pairing_table(c.surface, c.space).matrix
-    dim = divisor_rank(c.surface, c.space)
-    return tuple(
-        sum((c.coords[r] * m[r][j] for r in range(len(c.coords))), Fraction(0))
-        for j in range(dim)
-    )
+    return tuple(vdot(c.coords, col) for col in zip(*m))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +276,7 @@ def class_from_pairings(
     given divisors (labels are resolved to unit basis divisors)."""
     m = pairing_table(surface, space).matrix
     return _from_pairings(
-        surface, space, rows, divisor, "divisor", lambda d: linalg.matvec(m, d.coords), CurClass
+        surface, space, rows, divisor, "divisor", lambda d: [vdot(r, d.coords) for r in m], CurClass
     )
 
 

@@ -63,7 +63,8 @@ def vscale(s, u: Sequence) -> Vec:
 
 
 def vdot(u: Sequence, v: Sequence) -> Rat:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True)), Fraction(0))
+    """Dot product of ints or Fractions as a Fraction, skipping zero terms."""
+    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), Fraction(0))
 
 
 def primitive(u: Sequence) -> tuple[int, ...]:

@@ -18,9 +18,11 @@ statement is exactly the convex-duality identity.
 Every certified catalog table (nef and eff alike) flows one way: its
 ``TableInputs`` (rays, witnesses, expected pairings; read by
 ``table_inputs``) feed one ``Certificate``, and the table's section takes
-its cells from ``Certificate.matrix``, so no cell is paired twice.  The
-same inputs give the table's cone (``TableInputs.cone``) for
-cross-sections and the Butler study.
+its cells from ``Certificate.matrix``, so no cell is paired twice.  Each
+witness's functional is computed once; every cell is a dot product with it,
+and the dual-cone check reads the same functionals.  The same inputs give
+the table's cone (``TableInputs.cone``) for cross-sections and the Butler
+study.
 
 The catalog reproduces reference intersection tables cell by cell.  Legacy
 labels (H_1, B_1, D_{1,1}, C_{2,1,1}, ...) are translated to canonical
@@ -51,7 +53,7 @@ from .cone import (
     dual,
     positive_functional,
 )
-from .errors import FunctionalNotPositive, RangeError, UnknownTable
+from .errors import FunctionalNotPositive, RangeError, SpaceMismatch, UnknownTable
 from .pairing import (
     curve_family_a,
     curve_family_a_alt,
@@ -62,9 +64,8 @@ from .pairing import (
     g1n_curve,
     k3_extremal_slope,
     nodal_curves_k3,
-    pair,
 )
-from .rationals import Rat, primitive, rat_str
+from .rationals import Rat, primitive, rat_str, vdot
 from .spaces import (
     CurClass,
     DivClass,
@@ -184,37 +185,40 @@ class Certificate:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-def _certify(
-    kind: str,
-    surface: SurfaceModel,
-    space: SpaceId,
-    rays: Sequence[RaySpec],
-    witnesses: Sequence[WitnessSpec],
-    require_diagonal: bool,
-) -> Certificate:
-    matrix = tuple(tuple(pair(r.cls, w.cls) for r in rays) for w in witnesses)
-    cells = [
-        (i == j, matrix[i][j], w, r)
-        for i, w in enumerate(witnesses)
-        for j, r in enumerate(rays)
-    ]
+def _pair_all(curves: Sequence[CurClass | None], divisors: Sequence[DivClass | None]):
+    """(functionals, matrix) of curves against divisors: each curve's
+    functional is computed once and each cell (rows = curves, cols =
+    divisors) is one dot product with it; None where a class is unresolved."""
+    fs = [None if c is None else curve_functional(c) for c in curves]
+    cells = [[None if f is None or d is None else vdot(f, d.coords) for d in divisors] for f in fs]
+    return fs, tuple(map(tuple, cells))
+
+
+def _certify(kind: str, inp: TableInputs) -> Certificate:
+    """The certificate of `kind` for `inp`; NefDual also needs a diagonal matrix."""
+    surface, space, rays, witnesses, _ = inp
+    for x in (*rays, *witnesses):
+        if (x.cls.surface, x.cls.space) != (surface, space):
+            raise SpaceMismatch(f"{x.label} is not a class on {surface.key}/{space}")
+    functionals, matrix = _pair_all([w.cls for w in witnesses], [r.cls for r in rays])
+    cells = [(i == j, x, w, r) for i, (w, row) in enumerate(zip(witnesses, matrix))
+             for j, (r, x) in enumerate(zip(rays, row))]
     negative = next((c for c in cells if c[1] < 0), None)
     off_diagonal = next((c for c in cells if (c[1] <= 0 if c[0] else c[1] != 0)), None)
     if negative:
         _, x, w, r = negative
         verdict = f"failed: negative pairing {rat_str(x)} between witness {w.label} and ray {r.label}"
-    elif require_diagonal and len(rays) != len(witnesses):
+    elif kind == NEF_DUAL and len(rays) != len(witnesses):
         verdict = "failed: matrix not diagonal-compatible (not square)"
-    elif require_diagonal and off_diagonal:
+    elif kind == NEF_DUAL and off_diagonal:
         _, _, w, r = off_diagonal
         verdict = f"failed: matrix not diagonal-compatible at ({w.label}, {r.label})"
     else:
         # No pairing is negative, so cone(rays) already lies in the dual of
         # the witnesses: the identity holds exactly when that dual lies in
         # cone(rays).
-        ray_cone = TableInputs(surface, space, rays, witnesses, None).cone
-        functionals = cone_from_rays(ray_cone.dim, [curve_functional(w.cls) for w in witnesses])
-        if cone_contains(ray_cone, dual(functionals)):
+        ray_cone = inp.cone
+        if cone_contains(ray_cone, dual(cone_from_rays(ray_cone.dim, functionals))):
             verdict = CERTIFIED
         else:
             verdict = "failed: dual cone strictly larger than the span of the rays"
@@ -241,7 +245,7 @@ def certify_nef(
     """Certify a nef cone: each witness curve must be dual to exactly one
     spanning ray (diagonal positive pairing matrix) and the rays must span
     the dual of the witness cone."""
-    return _certify(NEF_DUAL, surface, space, rays, witnesses, require_diagonal=True)
+    return _certify(NEF_DUAL, TableInputs(surface, space, rays, witnesses, None))
 
 
 def certify_eff(
@@ -253,11 +257,7 @@ def certify_eff(
     """Certify a pseudoeffective cone against moving curves: all pairings
     non-negative and cone(rays) equal to the dual of the moving-curve
     functionals."""
-    return _certify(EFF_MOVING, surface, space, rays, moving, require_diagonal=False)
-
-
-def _certify_table(kind: str, inp: TableInputs) -> Certificate:
-    return _certify(kind, inp.surface, inp.space, inp.rays, inp.witnesses, kind == NEF_DUAL)
+    return _certify(EFF_MOVING, TableInputs(surface, space, rays, moving, None))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +409,7 @@ def _pairings(
     """(row labels, col labels, matrix) of (label, curve) rows paired with
     (label, divisor) cols, for tables without a certificate; None where
     either class is unresolved."""
-    matrix = [[None if r is None or c is None else pair(c, r) for _, c in cols] for _, r in rows]
+    matrix = _pair_all([r for _, r in rows], [c for _, c in cols])[1]
     return [lab for lab, _ in rows], [lab for lab, _ in cols], matrix
 
 
@@ -718,7 +718,7 @@ class CertifiedTable:
 
     def __call__(self, table_id: str, **params) -> tuple[TableSection, ...]:
         inp = self.inputs(**params)
-        cert = _certify_table(self.kind, inp)
+        cert = _certify(self.kind, inp)
         check = SectionCheck(_CHECK_NAMES[self.kind], "pass" if cert.ok else "fail", cert.verdict)
         title = f"{table_id} ({inp.surface.key}, {inp.space})"
         grid = cert.witness_labels, cert.ray_labels, cert.matrix
@@ -738,13 +738,13 @@ def table_inputs(table_id: str, **params) -> TableInputs:
     """(surface, space, rays, witnesses, expected) of a certified table."""
     if table_id not in certified_tables(NEF_DUAL, EFF_MOVING):
         raise UnknownTable(table_id)
-    return CATALOG[table_id].build.inputs(**params)
+    return CATALOG[table_id].build.inputs(**table_params(table_id, **params))
 
 
 def _standard_certificate(kind: str, table_id: str, params: dict) -> Certificate:
     if table_id not in certified_tables(kind):
         raise UnknownTable(table_id)
-    return _certify_table(kind, table_inputs(table_id, **params))
+    return _certify(kind, table_inputs(table_id, **params))
 
 
 def standard_nef_certificate(table_id: str, **params) -> Certificate:
@@ -766,7 +766,7 @@ def _chart_section(sp: SpaceId, ray_labels, curve_labels) -> TableSection:
         grid = _pairings(rows, cols)
         status, detail = SKIPPED, "unresolved labels: " + ", ".join(unresolved)
     else:
-        cert = _certify_table(EFF_MOVING, _eff_inputs(p2(), sp, rows, cols, None))
+        cert = _certify(EFF_MOVING, _eff_inputs(p2(), sp, rows, cols, None))
         grid = cert.witness_labels, cert.ray_labels, cert.matrix
         status = "pass" if cert.ok else "fail"
         detail = "cone(rays) == dual(moving-curve functionals)"
@@ -962,24 +962,28 @@ CATALOG: dict[str, TableSpec] = {
 }
 
 
-def reproduce_table(table_id: str, **params) -> TableReport:
-    """Recompute every cell of a catalog table from the pairing engine and
-    report exact equality (or, for generator charts, non-negativity), with
-    unresolved labels reported as SKIPPED."""
+def table_params(table_id: str, **given) -> dict:
+    """The table's default parameters, overridden by the values given that
+    are not None; a value for a parameter the table does not take is a
+    RangeError."""
     spec = CATALOG.get(table_id)
     if spec is None:
         raise UnknownTable(
             f"unknown table {table_id!r}; known: {', '.join(sorted(CATALOG))}"
         )
-    merged = dict(spec.defaults)
-    for k, v in params.items():
-        if v is None:
-            continue
-        if k not in spec.defaults:
-            raise RangeError(f"table {table_id} takes no parameter {k!r}")
-        merged[k] = v
-    sections = spec.build(table_id, **merged)
-    return TableReport(table_id, merged, tuple(sections))
+    given = {k: v for k, v in given.items() if v is not None}
+    stray = [k for k in given if k not in spec.defaults]
+    if stray:
+        raise RangeError(f"table {table_id} takes no parameter {stray[0]!r}")
+    return {**spec.defaults, **given}
+
+
+def reproduce_table(table_id: str, **params) -> TableReport:
+    """Recompute every cell of a catalog table from the pairing engine and
+    report exact equality (or, for generator charts, non-negativity), with
+    unresolved labels reported as SKIPPED."""
+    merged = table_params(table_id, **params)
+    return TableReport(table_id, merged, tuple(CATALOG[table_id].build(table_id, **merged)))
 
 
 def table_cone_with_labels(table_id: str, **params) -> tuple[Cone, list[tuple[str, tuple]]]:

@@ -217,6 +217,13 @@ def test_verify_all_rejects_table_params(capsys):
         assert "--all" in err
 
 
+@pytest.mark.parametrize("command", ["table", "verify", "nef", "cross-section"])
+def test_table_flag_the_table_does_not_take_is_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "--table", "nef_p2_nested", "--g", "5")
+    assert code == 2 and out == ""
+    assert "takes no parameter 'g'" in err
+
+
 def test_table_command_formats(capsys):
     code, out, _ = run(capsys, "table", "--table", "pairing_p2_hilb", "--format", "json")
     assert code == 0

@@ -321,23 +321,6 @@ def test_pair_bilinear(a, b, c, d):
     assert nc.pair(d1, c1 + c2) == nc.pair(d1, c1) + nc.pair(d1, c2)
 
 
-@settings(max_examples=30, deadline=None)
-@given(a=coeffs, b=coeffs, c=coeffs, d=coeffs)
-def test_curve_functional_matches_pair(a, b, c, d):
-    s, sp = nc.p2(), nc.nested(2)
-    cur = (
-        a * nc.curve(s, sp, "Ca1")
-        + b * nc.curve(s, sp, "Cb1")
-        + c * nc.curve(s, sp, "Aa")
-        + d * nc.curve(s, sp, "Ab")
-    )
-    f = nc.curve_functional(cur)
-    for lab, basis in nc.divisor_basis(s, sp):
-        expected = nc.pair(basis, cur)
-        got = sum(fi * xi for fi, xi in zip(f, basis.coords))
-        assert got == expected
-
-
 # ---------------------------------------------------------------------------
 # Property test: the projection formula
 # ---------------------------------------------------------------------------
@@ -377,3 +360,34 @@ def test_projection_formula(case):
     push = nc.pushforward_a if side == "a" else nc.pushforward_b
     assert push(c).space == d.space
     assert nc.pair(pull(d, sp), c) == nc.pair(d, push(c))
+
+
+@st.composite
+def paired_classes(draw):
+    """A random divisor and a random curve class on one of the spaces X,
+    X^[n], X^[n+1,n] or X^[n,1] over a surface of PROJECTION_SURFACES."""
+    s = draw(st.sampled_from(PROJECTION_SURFACES))
+    kind = draw(st.sampled_from(["surface", "hilb", "nested", "univ"]))
+    n = draw(st.integers(min_value=2, max_value=6))
+    sp = nc.surface_space() if kind == "surface" else getattr(nc, kind)(n)
+
+    def coords(rank):
+        return draw(st.lists(small_rats, min_size=rank, max_size=rank))
+
+    d = nc.DivClass(s, sp, coords(nc.divisor_rank(s, sp)))
+    return d, nc.CurClass(s, sp, coords(nc.curve_rank(s, sp)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=paired_classes())
+def test_curve_functional_matches_pair(case):
+    """pair and curve_functional agree with the pairing table summed out
+    term by term: sum_r sum_j c_r M[r][j] d_j."""
+    d, c = case
+    m = nc.pairing_table(d.surface, d.space).matrix
+    expected = sum(
+        (cr * m[r][j] * dj for r, cr in enumerate(c.coords) for j, dj in enumerate(d.coords)),
+        F(0),
+    )
+    assert sum(f * x for f, x in zip(nc.curve_functional(c), d.coords, strict=True)) == expected
+    assert nc.pair(d, c) == expected

@@ -1,11 +1,12 @@
 import csv
 import io
+import re
 from fractions import Fraction
 
 import pytest
 
 import nestcone as nc
-from nestcone.errors import RangeError, UnknownTable
+from nestcone.errors import RangeError, SpaceMismatch, UnknownTable
 from nestcone.verify import (
     EFF_P2_3_2_PRINTED_VARIANT,
     RaySpec,
@@ -90,6 +91,18 @@ def test_nef_certificate_bad_ray_fails():
     cert = nc.certify_nef(s, sp, [bad] + list(rays[1:]), wits)
     assert not cert.ok
     assert cert.verdict.startswith("failed")
+
+
+@pytest.mark.parametrize(
+    "surface, space", [(nc.k3(5), nc.nested(3)), (nc.p2(), nc.nested(7))],
+    ids=["wrong-surface", "wrong-n"],
+)
+def test_certificate_rejects_classes_off_its_space(surface, space):
+    _, _, rays, wits, _ = table_inputs("nef_p2_nested", n=3)
+    with pytest.raises(SpaceMismatch, match=re.escape(rays[0].label)):
+        nc.certify_nef(surface, space, rays, wits)
+    with pytest.raises(SpaceMismatch, match=re.escape(wits[0].label)):
+        nc.certify_eff(surface, space, [], wits)
 
 
 def test_nef_certificate_missing_ray_fails_cone_equality():
