@@ -1,7 +1,8 @@
 """Golden-output fixture: SHA-256 digests of every catalog report, every
 certificate, every cross-section rendering, the stdout of the README's CLI
-examples and the lattice layer (pairing tables, bases, pull and push maps,
-curve families) over a grid of surfaces and spaces.  A refactor must leave
+examples, the lattice layer (pairing tables, bases, pull and push maps,
+curve families) over a grid of surfaces and spaces, and the `--help` of
+the program and of each command.  A refactor must leave
 every digest unchanged.
 
 Table CSV is digested only through the README example, whose rows hold no
@@ -14,7 +15,7 @@ import io
 import pytest
 
 import nestcone as nc
-from nestcone.cli import main
+from nestcone.cli import cli, main
 from nestcone.errors import NestconeError
 
 # One non-default point per parameterised table.
@@ -101,6 +102,23 @@ def cross_section_digests() -> dict[str, str]:
 
 def readme_digests() -> dict[str, str]:
     return {" ".join(argv): _sha(_cli(*argv)) for argv in README_EXAMPLES}
+
+
+def _help(*argv) -> str:
+    # The program name is fixed, since click otherwise takes it from how
+    # the tests were started.
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([*argv, "--help"], prog_name="nestcone", standalone_mode=False)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+def help_digests() -> dict[str, str]:
+    return {
+        _key("help", *argv): _sha(_help(*argv))
+        for argv in ((), *((cmd,) for cmd in sorted(cli.commands)))
+    }
 
 
 LATTICE_SURFACES = (nc.p2(), nc.p1xp1(), nc.hirzebruch(2), nc.k3(4))
@@ -313,18 +331,36 @@ GOLDEN = {
     'lattice:k3-g4:univ(2)': '807bf23ad8ddb96f6e7b748ba43e130457da5e33abdf706661364f568717200d',
     'lattice:k3-g4:univ(3)': '93e9490437c7ac6d2f85efc2090e1648b4fa6a1939b3f7b09f45520a4e5c0d75',
     'lattice:k3-g4:univ(5)': '923877f11503dd66fb81deac0f6e3b019f00cb1b43ee05311f28aa0ea9651fea',
+    # Taken before the commands shared one declaration of --n, --g and --i.
+    'help': '36253e364adc930ba2431dcd8743bea611828b90afb8fa9b2d91e38f8069c88a',
+    'help:asymptotic': '5e18b04d61df6903642d67873118e9eca6b8131b0ee6a2bacb00da099722cac8',
+    'help:butler': '6367f7d239d73932b7063f6bd5cb8d0bf796fb5659aada96eda4318ad4212d62',
+    'help:cross-section': '9540529cc4dc3e748e516848ebabbae38f5f89b30c53b5918a8f564c82d4c20a',
+    'help:eff': '2fa89b884853273d72b9376d67a4cf4f845255c73103dee72a01e2c5c500f5e9',
+    'help:nef': '912ca721177e9f25c260d97974584f7f5e9b50008cbfa636a727b7a6cec72558',
+    'help:pair': '81cb0d9a144b3dda894b84f60e3edf79b620a3faa519b0ae4f0793d9c62ecf13',
+    'help:table': '686c86e7d24217aec3ad17148ef2f43546260707f8a97104d0e0afefd3703bf3',
+    'help:verify': '497e97338c731709749d5b5d664d45bdcfe39997e1ad4f804a0ca1a4e87de826',
 }
 
 
 @pytest.fixture(autouse=True)
 def no_color(monkeypatch):
     monkeypatch.setenv("NESTCONE_NO_COLOR", "1")
+    monkeypatch.setenv("COLUMNS", "80")  # click wraps --help to the terminal
 
 
 @pytest.mark.parametrize(
     "digests",
-    [table_digests, certificate_digests, cross_section_digests, readme_digests, lattice_digests],
-    ids=["tables", "certificates", "cross_sections", "readme", "lattice"],
+    [
+        table_digests,
+        certificate_digests,
+        cross_section_digests,
+        readme_digests,
+        lattice_digests,
+        help_digests,
+    ],
+    ids=["tables", "certificates", "cross_sections", "readme", "lattice", "help"],
 )
 def test_golden_digests(digests):
     got = digests()
