@@ -3,11 +3,13 @@
 Exit codes: 0 success / everything certified, 1 verification failure or
 table diff, 2 usage or expression-parse errors.  All output is deterministic
 for fixed inputs; set NESTCONE_NO_COLOR to suppress ANSI styling.
+
+Every command but `verify` (which prints per table, failing reports to
+stderr) writes one text through `_emit`, the one output path.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from fractions import Fraction
@@ -16,7 +18,7 @@ import click
 
 from . import render
 from .errors import NestconeError, ParseError
-from .rationals import rat_str
+from .rationals import canonical_json, rat_str
 from .spaces import (
     CurClass,
     DivClass,
@@ -53,13 +55,15 @@ from .verify import (
 #   factor  := NUMBER | LABEL | '-' factor | '(' expr ')'
 #   NUMBER  := digits ['/' digits]
 #   LABEL   := letter (letter | digit | '^')* ['/' digits]
-# At most one class label per product.  Parse errors cite byte offsets: the
-# tokenizer and the parser count characters, and _parse_class converts the
-# offset of an error once.  Digits are ASCII.  At most _MAX_DIGITS digits
-# per expression, and in `pair --genus`, keep every coefficient, and the
-# pairing of two expressions, under the interpreter's limit on printing an
-# integer; parentheses and unary minus nested at most _MAX_DEPTH deep keep
-# the recursive descent under its recursion limit.
+# A value is a Fraction or a class, combined with the classes' own
+# arithmetic; every class comes from one `resolve`, so all of them live on
+# one (surface, space).  At most one class label per product.  Parse errors
+# cite byte offsets: the tokenizer and the parser count characters, and
+# _parse_class converts the offset of an error once.  Digits are ASCII.  At
+# most _MAX_DIGITS digits per expression, and in `pair --genus`, keep every
+# coefficient, and the pairing of two expressions, under the interpreter's
+# limit on printing an integer; parentheses and unary minus nested at most
+# _MAX_DEPTH deep keep the recursive descent under its recursion limit.
 
 _DIGITS = frozenset("0123456789")
 _MAX_DIGITS = 1000
@@ -124,14 +128,6 @@ def _tokenize(src: str) -> list[_Tok]:
     return toks
 
 
-class _Value:
-    """Scalar times at-most-one class."""
-
-    def __init__(self, scalar: Fraction, cls=None):
-        self.scalar = scalar
-        self.cls = cls
-
-
 class _Parser:
     def __init__(self, src: str, resolve):
         self.src = src
@@ -155,50 +151,39 @@ class _Parser:
             raise ParseError(f"unexpected token {t.text!r}", t.offset)
         return v
 
-    def expr(self) -> _Value:
+    def expr(self):
         v = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.next()
             w = self.term()
-            v = self._add(v, w, op)
+            if isinstance(v, Fraction) != isinstance(w, Fraction):
+                raise ParseError("cannot add a bare number to a class", op.offset)
+            v = v + w if op.kind == "+" else v - w
         return v
 
-    def _add(self, v: _Value, w: _Value, op: _Tok) -> _Value:
-        if op.kind == "-":
-            w = _Value(-w.scalar, w.cls)
-        if v.cls is None and w.cls is None:
-            return _Value(v.scalar + w.scalar)
-        if v.cls is not None and w.cls is not None:
-            try:
-                return _Value(Fraction(1), v.scalar * v.cls + w.scalar * w.cls)
-            except NestconeError as e:
-                raise ParseError(str(e), op.offset) from e
-        raise ParseError("cannot add a bare number to a class", op.offset)
-
-    def term(self) -> _Value:
+    def term(self):
         v = self.factor()
         while self.peek().kind == "*":
             op = self.next()
             w = self.factor()
-            if v.cls is not None and w.cls is not None:
+            if not isinstance(v, Fraction) and not isinstance(w, Fraction):
                 raise ParseError("at most one class per product", op.offset)
-            v = _Value(v.scalar * w.scalar, v.cls or w.cls)
+            v = v * w
         return v
 
-    def factor(self) -> _Value:
+    def factor(self):
         t = self.next()
         if t.kind == "num":
-            return _Value(Fraction(t.text))
+            return Fraction(t.text)
         if t.kind == "label":
-            return _Value(Fraction(1), self.resolve(t.text, t.offset))
+            return self.resolve(t.text, t.offset)
         if t.kind not in ("-", "("):
             raise ParseError(f"unexpected token {t.text or 'end of input'!r}", t.offset)
         if self.depth == _MAX_DEPTH:
             raise ParseError(f"expression nested more than {_MAX_DEPTH} deep", t.offset)
         self.depth += 1
         if t.kind == "-":
-            v = self.factor()
-            v = _Value(-v.scalar, v.cls)
+            v = -self.factor()
         else:
             v = self.expr()
             close = self.next()
@@ -219,11 +204,11 @@ def _parse_class(src: str, surface: SurfaceModel, space: SpaceId, unit, zero, wh
         v = _Parser(src, resolve).parse()
     except ParseError as e:
         raise ParseError(e.message, len(src[:e.offset].encode("utf-8"))) from e.__cause__
-    if v.cls is None:
-        if v.scalar == 0:
+    if isinstance(v, Fraction):
+        if v == 0:
             return zero(surface, space)
         raise ParseError(f"expression is a bare number, not a {what} class", 0)
-    return v.scalar * v.cls
+    return v
 
 
 def parse_divisor_expr(src: str, surface: SurfaceModel, space: SpaceId) -> DivClass:
@@ -235,8 +220,11 @@ def parse_curve_expr(src: str, surface: SurfaceModel, space: SpaceId) -> CurClas
 
 
 # ---------------------------------------------------------------------------
-# Flag handling
+# Flags and output
 # ---------------------------------------------------------------------------
+
+_SPACES = {"hilb": hilb, "nested": nested, "univ": univ}
+
 
 def _space_from_flags(kind: str, n: int | None) -> SpaceId:
     kind = kind.lower()
@@ -244,13 +232,17 @@ def _space_from_flags(kind: str, n: int | None) -> SpaceId:
         return surface_space()
     if n is None:
         raise click.UsageError(f"--space {kind} requires --n")
-    if kind == "hilb":
-        return hilb(n)
-    if kind == "nested":
-        return nested(n)
-    if kind == "univ":
-        return univ(n)
-    raise click.UsageError(f"unknown space {kind!r} (use hilb, nested, univ, surface)")
+    if kind not in _SPACES:
+        raise click.UsageError(f"unknown space {kind!r} (use hilb, nested, univ, surface)")
+    return _SPACES[kind](n)
+
+
+def _table_flags(fn):
+    """Declare a catalog table's parameters --n, --g/--genus and --i (click
+    lists options in the reverse order of application)."""
+    fn = click.option("--i", type=int, default=None)(fn)
+    fn = click.option("--g", "--genus", "g", type=int, default=None)(fn)
+    return click.option("--n", type=int, default=None)(fn)
 
 
 def _style(text: str, ok: bool) -> str:
@@ -259,24 +251,36 @@ def _style(text: str, ok: bool) -> str:
     return click.style(text, fg="green" if ok else "red")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None = None, ok: bool = True) -> None:
+    """Write `text`, ended in a newline, to the file `out` or to stdout;
+    exit 1 unless `ok`."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=not text.endswith("\n"))
-
-
-def _echo_certificate(title: str, cert, fmt: str) -> None:
-    if fmt == "json":
-        click.echo(cert.json_str())
-    else:
-        click.echo(f"{title}: {_style(cert.verdict, cert.ok)}")
-        for lab, row in zip(cert.witness_labels, cert.matrix):
-            cells = " ".join(rat_str(x) for x in row)
-            click.echo(f"  {lab}: [{cells}]")
-    if not cert.ok:
+        click.echo(text, nl=False)
+    if not ok:
         sys.exit(1)
+
+
+def _certificate_text(title: str, cert, fmt: str) -> str:
+    if fmt == "json":
+        return cert.json_str()
+    rows = (
+        f"  {lab}: [{' '.join(rat_str(x) for x in row)}]"
+        for lab, row in zip(cert.witness_labels, cert.matrix)
+    )
+    return "\n".join([f"{title}: {_style(cert.verdict, cert.ok)}", *rows])
+
+
+_CROSS_SECTION_FORMATS = {
+    "svg": render.cross_section_svg,
+    "tikz": render.cross_section_tikz,
+    "csv": render.cross_section_csv,
+    "json": lambda cs, labels: canonical_json({**cs.to_json(), "labels": labels}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -319,40 +323,31 @@ def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
             c = parse_curve_expr(divisor_expr, s, sp)
         except ParseError:
             raise first from None
-    click.echo(rat_str(pair(d, c)))
+    _emit(rat_str(pair(d, c)))
 
 
 @cli.command("table")
 @click.option("--table", "table_id", required=True, type=click.Choice(sorted(CATALOG)))
-@click.option("--n", type=int, default=None)
-@click.option("--g", "--genus", "g", type=int, default=None)
-@click.option("--i", type=int, default=None)
+@_table_flags
 @click.option("--format", "fmt", default="text", type=click.Choice(["text", "json", "csv"]))
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 def cmd_table(table_id, n, g, i, fmt, out):
     """Recompute a catalog table cell by cell and report matches/diffs."""
     report = reproduce_table(table_id, n=n, g=g, i=i)
-    if fmt == "json":
-        _emit(report.json_str() + "\n", out)
-    elif fmt == "csv":
-        _emit(report.to_csv(), out)
-    else:
-        _emit(report.text(), out)
-    if not report.ok:
-        sys.exit(1)
+    text = {"json": report.json_str, "csv": report.to_csv, "text": report.text}[fmt]()
+    _emit(text, out, report.ok)
 
 
 @cli.command("nef")
 @click.option("--table", "table_id", required=True,
               type=click.Choice(certified_tables(NEF_DUAL)))
-@click.option("--n", type=int, default=None)
-@click.option("--g", "--genus", "g", type=int, default=None)
-@click.option("--i", type=int, default=None)
+@_table_flags
 @click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
 def cmd_nef(table_id, n, g, i, fmt):
     """Produce and check the duality certificate for a catalog nef cone."""
     params = table_params(table_id, n=n, g=g, i=i)
-    _echo_certificate(f"{table_id} {params}", standard_nef_certificate(table_id, **params), fmt)
+    cert = standard_nef_certificate(table_id, **params)
+    _emit(_certificate_text(f"{table_id} {params}", cert, fmt), ok=cert.ok)
 
 
 @cli.command("eff")
@@ -362,15 +357,14 @@ def cmd_nef(table_id, n, g, i, fmt):
 def cmd_eff(table_id, fmt):
     """Produce and check the moving-curve certificate for a catalog
     effective cone."""
-    _echo_certificate(table_id, standard_eff_certificate(table_id), fmt)
+    cert = standard_eff_certificate(table_id)
+    _emit(_certificate_text(table_id, cert, fmt), ok=cert.ok)
 
 
 @cli.command("verify")
 @click.option("--table", "table_id", default=None, type=click.Choice(sorted(CATALOG)))
 @click.option("--all", "run_all", is_flag=True, help="verify the whole catalog")
-@click.option("--n", type=int, default=None)
-@click.option("--g", "--genus", "g", type=int, default=None)
-@click.option("--i", type=int, default=None)
+@_table_flags
 def cmd_verify(table_id, run_all, n, g, i):
     """Verify one catalog table, or the entire catalog with --all (the
     repository's primary acceptance gate)."""
@@ -399,26 +393,14 @@ def cmd_verify(table_id, run_all, n, g, i):
 @cli.command("cross-section")
 @click.option("--table", "table_id", required=True,
               type=click.Choice(certified_tables(NEF_DUAL, EFF_MOVING)))
-@click.option("--n", type=int, default=None)
-@click.option("--g", "--genus", "g", type=int, default=None)
-@click.option("--i", type=int, default=None)
-@click.option("--format", "fmt", default="svg",
-              type=click.Choice(["svg", "tikz", "csv", "json"]))
+@_table_flags
+@click.option("--format", "fmt", default="svg", type=click.Choice(list(_CROSS_SECTION_FORMATS)))
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 def cmd_cross_section(table_id, n, g, i, fmt, out):
     """Emit the cross-section polytope of a catalog cone (vertices labeled
     by the generator rays)."""
     cs, labels = table_cross_section(table_id, n=n, g=g, i=i)
-    if fmt == "svg":
-        _emit(render.cross_section_svg(cs, labels), out)
-    elif fmt == "tikz":
-        _emit(render.cross_section_tikz(cs, labels), out)
-    elif fmt == "csv":
-        _emit(render.cross_section_csv(cs, labels), out)
-    else:
-        payload = cs.to_json()
-        payload["labels"] = labels
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", out)
+    _emit(_CROSS_SECTION_FORMATS[fmt](cs, labels), out)
 
 
 @cli.command("butler")
@@ -438,12 +420,7 @@ def cmd_butler(i, a, b, n, k_min, k_max, ordering, fmt):
     except NestconeError as e:
         raise click.UsageError(str(e)) from e
     report = butler_check(inp, ordering)
-    if fmt == "json":
-        click.echo(report.json_str())
-    else:
-        click.echo(report.text(), nl=False)
-    if not report.all_interior:
-        sys.exit(1)
+    _emit(report.json_str() if fmt == "json" else report.text(), ok=report.all_interior)
 
 
 @cli.command("asymptotic")
@@ -456,12 +433,7 @@ def cmd_asymptotic(k_max, fmt):
         report = asymptotic_report(k_max)
     except NestconeError as e:
         raise click.UsageError(str(e)) from e
-    if fmt == "json":
-        click.echo(report.json_str())
-    else:
-        click.echo(report.text(), nl=False)
-    if not report.ok:
-        sys.exit(1)
+    _emit(report.json_str() if fmt == "json" else report.text(), ok=report.ok)
 
 
 def main(argv=None) -> int:

@@ -221,12 +221,6 @@ class Cone:
     def is_full_dimensional(self) -> bool:
         return linalg.rank(self.rays) == self.dim
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "rays": [[rat_str(x) for x in ray] for ray in self.rays],
-        }
-
 
 def cone_from_rays(dim: int, rays: Sequence[Sequence]) -> Cone:
     c = Cone(dim, rays)

@@ -1,18 +1,20 @@
-"""Exact rational scalars and small vector helpers.
+"""Exact rational scalars, the rational dot product, primitive integer
+vectors and the canonical JSON form.
 
 All coordinates in the library are `fractions.Fraction` values; nothing in the
 core ever touches floating point.  Rationals serialize to canonical "p/q"
-strings (plain "p" when the denominator is 1).
+strings (plain "p" when the denominator is 1), and every JSON document the
+library prints goes through `canonical_json`.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 Rat = Fraction
-Vec = tuple[Rat, ...]
 
 
 def rat(x) -> Rat:
@@ -41,25 +43,10 @@ def parse_rat(s: str) -> Rat:
     return Fraction(s.strip())
 
 
-def vzero(dim: int) -> Vec:
-    return tuple(Fraction(0) for _ in range(dim))
-
-
-def vadd(u: Sequence, v: Sequence) -> Vec:
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v, strict=True))
-
-
-def vsub(u: Sequence, v: Sequence) -> Vec:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v, strict=True))
-
-
-def vneg(u: Sequence) -> Vec:
-    return tuple(-Fraction(a) for a in u)
-
-
-def vscale(s, u: Sequence) -> Vec:
-    s = rat(s)
-    return tuple(s * Fraction(a) for a in u)
+def canonical_json(doc) -> str:
+    """The canonical JSON text of `doc`: sorted keys and no whitespace, so
+    equal documents print as equal bytes."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def vdot(u: Sequence, v: Sequence) -> Rat:

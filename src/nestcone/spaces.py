@@ -23,7 +23,6 @@ serialization uses these labels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,7 +30,7 @@ from functools import lru_cache
 from typing import ClassVar, Sequence, Union
 
 from .errors import InvalidGenus, InvalidIndex, RangeError, SpaceMismatch, UnknownSurface
-from .rationals import Rat, rat, rat_str, vadd, vneg, vscale, vsub, vzero
+from .rationals import Rat, canonical_json, rat, rat_str
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +280,20 @@ class _BaseClass:
 
     def __add__(self, other):
         self._check(other)
-        return type(self)(self.surface, self.space, vadd(self.coords, other.coords))
+        coords = tuple(a + b for a, b in zip(self.coords, other.coords))
+        return type(self)(self.surface, self.space, coords)
 
     def __sub__(self, other):
         self._check(other)
-        return type(self)(self.surface, self.space, vsub(self.coords, other.coords))
+        coords = tuple(a - b for a, b in zip(self.coords, other.coords))
+        return type(self)(self.surface, self.space, coords)
 
     def __neg__(self):
-        return type(self)(self.surface, self.space, vneg(self.coords))
+        return type(self)(self.surface, self.space, tuple(-a for a in self.coords))
 
     def __mul__(self, scalar):
-        return type(self)(self.surface, self.space, vscale(rat(scalar), self.coords))
+        s = rat(scalar)
+        return type(self)(self.surface, self.space, tuple(s * a for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -322,7 +324,7 @@ class _BaseClass:
         }
 
     def json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.surface}, {self.space}, {self.expression()})"
@@ -339,11 +341,11 @@ class CurClass(_BaseClass):
 
 
 def zero_divisor(surface: SurfaceModel, space: SpaceId) -> DivClass:
-    return DivClass(surface, space, vzero(divisor_rank(surface, space)))
+    return DivClass(surface, space, (0,) * divisor_rank(surface, space))
 
 
 def zero_curve(surface: SurfaceModel, space: SpaceId) -> CurClass:
-    return CurClass(surface, space, vzero(curve_rank(surface, space)))
+    return CurClass(surface, space, (0,) * curve_rank(surface, space))
 
 
 def _unit(dim: int, i: int) -> tuple[Rat, ...]:

@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +30,7 @@ from .cone import (
 )
 from .errors import InvalidInput, RangeError
 from .linalg import solve_unique
-from .rationals import Rat, rat_str
+from .rationals import Rat, canonical_json, rat_str
 from .spaces import (
     DivClass,
     SurfaceModel,
@@ -171,7 +170,7 @@ class ButlerReport:
         }
 
     def json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json())
 
     def text(self) -> str:
         inp = self.input
@@ -256,14 +255,6 @@ class MovingCurve:
     functional: tuple[Rat, ...]
     annihilated_ray: tuple[Rat, ...]
     deviation: Rat
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "functional": [rat_str(x) for x in self.functional],
-            "annihilated_ray": [rat_str(x) for x in self.annihilated_ray],
-            "deviation": rat_str(self.deviation),
-        }
 
 
 def _moving_curves(d1: Rat, d2: Rat) -> list[MovingCurve]:
@@ -364,7 +355,7 @@ class AsymptoticReport:
         }
 
     def json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json())
 
     def text(self) -> str:
         lines = [

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,7 +64,7 @@ from .pairing import (
     k3_extremal_slope,
     nodal_curves_k3,
 )
-from .rationals import Rat, primitive, rat_str, vdot
+from .rationals import Rat, canonical_json, primitive, rat_str, vdot
 from .spaces import (
     CurClass,
     DivClass,
@@ -182,7 +181,7 @@ class Certificate:
         }
 
     def json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json())
 
 
 def _pair_all(curves: Sequence[CurClass | None], divisors: Sequence[DivClass | None]):
@@ -343,7 +342,7 @@ class TableReport:
         }
 
     def json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json())
 
     def text(self) -> str:
         lines = [f"table {self.table_id} {self.params}: {'OK' if self.ok else 'FAIL'}"]

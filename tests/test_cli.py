@@ -38,6 +38,11 @@ def test_parse_divisor_expressions():
     assert d3.coords == (0, Fraction(-1), 0, 0)
     d4 = parse_divisor_expr("B^b/2", s, sp)
     assert d4.coords == (0, 0, 0, Fraction(1))
+    hilb = nc.hilb(3)
+    for zero in ("2 - 2", "0*H"):
+        assert parse_divisor_expr(zero, s, hilb) == nc.zero_divisor(s, hilb)
+    assert parse_divisor_expr("-(H - 2*B/2)", s, hilb).coords == (-1, 2)
+    assert parse_divisor_expr("H*2*3", s, hilb).coords == (6, 0)
 
 
 def test_parse_curve_expressions():
@@ -58,6 +63,12 @@ def test_parse_errors_cite_offsets():
     assert e.value.offset == 2
     with pytest.raises(ParseError):
         parse_divisor_expr("H + 3", s, sp)  # bare number added to a class
+    with pytest.raises(ParseError) as e:
+        parse_divisor_expr("1 + H", s, sp)
+    assert (e.value.offset, e.value.message) == (2, "cannot add a bare number to a class")
+    with pytest.raises(ParseError) as e:
+        parse_divisor_expr("H*H", s, sp)
+    assert (e.value.offset, e.value.message) == (1, "at most one class per product")
     with pytest.raises(ParseError):
         parse_divisor_expr("(H", s, sp)
     with pytest.raises(ParseError):
