@@ -345,7 +345,7 @@ GOLDEN = {
 
 
 @pytest.fixture(autouse=True)
-def no_color(monkeypatch):
+def plain_terminal(monkeypatch):
     monkeypatch.setenv("NESTCONE_NO_COLOR", "1")
     monkeypatch.setenv("COLUMNS", "80")  # click wraps --help to the terminal
 
