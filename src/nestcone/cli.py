@@ -253,12 +253,17 @@ def _style(text: str, ok: bool) -> str:
 
 def _emit(text: str, out: str | None = None, ok: bool = True) -> None:
     """Write `text`, ended in a newline, to the file `out` or to stdout;
-    exit 1 unless `ok`."""
+    exit 1 unless `ok`, and 2 with a one-line error if `out` cannot be
+    written."""
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            click.echo(f"error: cannot write {out}: {e.strerror}", err=True)
+            sys.exit(2)
     else:
         click.echo(text, nl=False)
     if not ok:
@@ -287,7 +292,7 @@ _CROSS_SECTION_FORMATS = {
 # Commands
 # ---------------------------------------------------------------------------
 
-@click.group()
+@click.group(no_args_is_help=False)
 def cli():
     """Exact intersection pairings and cone-duality certificates for
     Hilbert schemes of points, nested Hilbert schemes, and universal

@@ -50,8 +50,18 @@ def canonical_json(doc) -> str:
 
 
 def vdot(u: Sequence, v: Sequence) -> Rat:
-    """Dot product of ints or Fractions as a Fraction, skipping zero terms."""
-    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), Fraction(0))
+    """Dot product of ints or Fractions as a Fraction, skipping zero terms.
+
+    The sum is kept as one integer numerator over one integer denominator,
+    built from each factor's `numerator`/`denominator`, and reduced once at
+    the end; no intermediate Fraction is made.  Vectors of unequal length
+    raise ValueError."""
+    n, d = 0, 1
+    for a, b in zip(u, v, strict=True):
+        if a and b:
+            q = a.denominator * b.denominator
+            n, d = n * q + a.numerator * b.numerator * d, d * q
+    return Fraction(n, d)
 
 
 def primitive(u: Sequence) -> tuple[int, ...]:

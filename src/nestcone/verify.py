@@ -5,7 +5,10 @@ Two kinds of certificates are produced:
 * ``NefDual``   - a claimed nef cone is certified by exhibiting, for each
   spanning divisor ray, an effective curve dual to it: the pairing matrix
   must be diagonal with positive diagonal and the cone of rays must equal
-  the dual of the cone of witness-curve functionals.
+  the dual of the cone of witness-curve functionals.  When the matrix is
+  square and its size is the lattice rank, it proves that identity by
+  itself (rays and witnesses are dual bases); with fewer rays the identity
+  is decided by the double-description engine.
 * ``EffMoving`` - a claimed pseudoeffective cone is certified against moving
   curves: all pairings non-negative and cone(rays) equal to the dual of the
   moving-curve functionals.
@@ -212,6 +215,12 @@ def _certify(kind: str, inp: TableInputs) -> Certificate:
     elif kind == NEF_DUAL and off_diagonal:
         _, _, w, r = off_diagonal
         verdict = f"failed: matrix not diagonal-compatible at ({w.label}, {r.label})"
+    elif kind == NEF_DUAL and len(rays) == divisor_rank(surface, space):
+        # W.R^T = D with D k x k diagonal, positive diagonal and k = dim, so
+        # the ray matrix R and the functional matrix W are both bases.
+        # Write y = R^T c.  Then y in dual(W) <=> W y = D c >= 0 <=> c >= 0
+        # <=> y in cone(R): cone(rays) = dual(witnesses) with no DD.
+        verdict = CERTIFIED
     else:
         # No pairing is negative, so cone(rays) already lies in the dual of
         # the witnesses: the identity holds exactly when that dual lies in
@@ -243,7 +252,9 @@ def certify_nef(
 ) -> Certificate:
     """Certify a nef cone: each witness curve must be dual to exactly one
     spanning ray (diagonal positive pairing matrix) and the rays must span
-    the dual of the witness cone."""
+    the dual of the witness cone.  A square, full-rank matrix (as many rays
+    as the divisor rank) proves the second condition from the first; with
+    fewer rays a double-description run decides it."""
     return _certify(NEF_DUAL, TableInputs(surface, space, rays, witnesses, None))
 
 

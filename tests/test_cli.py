@@ -207,6 +207,22 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+def test_no_arguments_is_one_line_usage_error(capsys):
+    code, out, err = run(capsys)
+    assert (code, out, err) == (2, "", "usage error: Missing command.\n")
+
+
+def test_out_into_missing_directory_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(
+        capsys, "table", "--table", "eff_summary", "--format", "csv", "--out", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert not path.exists()
+
+
 def test_verify_single_table(capsys):
     code, out, _ = run(capsys, "verify", "--table", "nef_p2_nested", "--n", "5")
     assert code == 0

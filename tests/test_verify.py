@@ -4,13 +4,21 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nestcone as nc
+import nestcone.cone
+from nestcone.cone import cone_equal, cone_from_rays, dual
 from nestcone.errors import RangeError, SpaceMismatch, UnknownTable
+from nestcone.linalg import rank
+from nestcone.pairing import class_from_pairings, curve_functional
 from nestcone.verify import (
     EFF_P2_3_2_PRINTED_VARIANT,
+    NEF_DUAL,
     RaySpec,
     WitnessSpec,
+    certified_tables,
     table_inputs,
 )
 
@@ -110,6 +118,94 @@ def test_nef_certificate_missing_ray_fails_cone_equality():
     cert = nc.certify_nef(s, sp, rays[:3], wits[:3])
     # dual of 3 witnesses in rank 4 is bigger than 3 rays
     assert cert.verdict == "failed: dual cone strictly larger than the span of the rays"
+
+
+# One non-default parameter set per NefDual table, next to its defaults.
+_NEF_PARAMS = {
+    "hilb_p2_nef": {"n": 5},
+    "nef_f0_nested": {"n": 5},
+    "nef_f0_univ": {"n": 4},
+    "nef_fi_nested": {"i": 2, "n": 4},
+    "nef_fi_univ": {"i": 3, "n": 5},
+    "nef_k3_nested": {"g": 4, "n": 6},
+    "nef_k3_univ": {"g": 5, "n": 6},
+    "nef_p2_nested": {"n": 6},
+    "nef_p2_univ": {"n": 5},
+}
+
+
+def _dd_identity(inp) -> bool:
+    """cone(rays) = dual(witness functionals), decided by the DD engine."""
+    functionals = [curve_functional(w.cls) for w in inp.witnesses]
+    return cone_equal(inp.cone, dual(cone_from_rays(inp.cone.dim, functionals)))
+
+
+def test_nef_params_cover_every_nef_table():
+    assert sorted(_NEF_PARAMS) == certified_tables(NEF_DUAL)
+
+
+@pytest.mark.parametrize(
+    "table_id, params",
+    [(t, {}) for t in certified_tables(NEF_DUAL)] + sorted(_NEF_PARAMS.items()),
+)
+def test_nef_certificate_agrees_with_dd_cross_check(table_id, params):
+    """The diagonal theorem certifies these tables with no DD; the DD
+    engine confirms the cone identity it stands for."""
+    assert nc.standard_nef_certificate(table_id, **params).verdict == "certified"
+    assert _dd_identity(table_inputs(table_id, **params))
+
+
+@pytest.fixture
+def dd_calls(monkeypatch):
+    """The number of `cone._dd` runs so far, counted by a wrapper."""
+    calls = []
+    real = nestcone.cone._dd
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nestcone.cone, "_dd", counted)
+    return calls
+
+
+def test_full_rank_nef_certificate_runs_no_dd(dd_calls):
+    assert nc.standard_nef_certificate("nef_p2_nested", n=3).ok
+    assert dd_calls == []
+    s, sp, rays, wits, _ = table_inputs("nef_p2_nested", n=3)
+    nc.certify_nef(s, sp, rays[:3], wits[:3])  # k < dim: the DD decides
+    assert dd_calls
+
+
+_ENTRY = st.integers(-6, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(_ENTRY, min_size=4, max_size=4), min_size=4, max_size=4),
+    st.lists(st.integers(1, 50), min_size=4, max_size=4),
+)
+def test_diagonal_theorem_hypothesis(r, diagonal):
+    """Any basis R of the p2/nested(3) divisor lattice and positive diagonal
+    D: the curves with W.R^T = D certify cone(R) as nef, and the DD engine
+    agrees that cone(R) = dual(W)."""
+    assume(rank(r) == 4)
+    s, sp = nc.p2(), nc.nested(3)
+    why = nc.Provenance(nc.ASSERTED)
+    rays = [RaySpec(f"R{j}", nc.DivClass(s, sp, row), why) for j, row in enumerate(r)]
+    wits = [
+        WitnessSpec(
+            f"W{i}",
+            class_from_pairings(
+                s, sp, [(ray.cls, d if i == j else 0) for j, ray in enumerate(rays)]
+            ),
+        )
+        for i, d in enumerate(diagonal)
+    ]
+    cert = nc.certify_nef(s, sp, rays, wits)
+    assert cert.verdict == "certified"
+    assert [cert.matrix[i][i] for i in range(4)] == diagonal
+    assert _dd_identity(nc.TableInputs(s, sp, rays, wits, None))
 
 
 def test_certificate_provenance_and_json():
