@@ -15,8 +15,9 @@ reasonably fast for the dimensions used here (<= 8).
   redundancy test of Fukuda & Prodon (1996).  No second DD is run.
 * Cross-section edges are the adjacent pairs among the extremal rays, by
   the same combinatorial test on their tight-facet bitmasks.
-* Ranks (lineality, full-dimensionality, the redundancy test) are
-  fraction-free Bareiss elimination on integer rows (`linalg.rank`).
+* Ranks (lineality, full-dimensionality, the redundancy test) and the
+  canonical lineality basis come from one fraction-free Gauss-Jordan
+  elimination on integer rows (`linalg.rank`, `linalg.rref`).
 
 Ray normalization: every stored ray is scaled by a positive rational to a
 primitive integer vector (cleared denominators, gcd 1).  Scaling factors are

@@ -1,8 +1,9 @@
 """Small exact linear algebra kernel (dense).
 
-Sizes here are tiny (dimension <= 8).  `rref` and `solve_unique` run plain
-Gaussian elimination over `Fraction`; `rank` takes integer rows and runs
-fraction-free (Bareiss) elimination, so it never leaves `int`.
+Sizes here are tiny (dimension <= 8).  `rank`, `rref` and `solve_unique`
+read their answers from one fraction-free Gauss-Jordan elimination (`_gj`)
+on integer rows, so elimination never leaves `int`; rational input is first
+scaled row by row to primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -11,64 +12,53 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import Inconsistent, UnderDetermined
-
-Matrix = list[list[Fraction]]
-
-
-def to_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+from .rationals import primitive
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form; returns (matrix, pivot column indices)."""
-    m = to_matrix(rows)
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+def _gj(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, 1968) of integer rows;
+    returns (m, pivot column indices) with m = d * RREF, d the last pivot.
 
-
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of integer rows by fraction-free (Bareiss) elimination.
-
-    After each pivot step every remaining entry is a minor of the input,
-    divided exactly by the previous pivot, so all arithmetic stays in `int`
-    and entries grow only like determinants.
+    Each pivot step clears its column above and below the pivot as
+    (pv*a - f*b) // prev, prev the previous pivot.  Every entry is then a
+    minor of the input, so every division is exact and entries grow only
+    like determinants; each pivot row's pivot entry is the current pivot.
     """
     m = [list(row) for row in rows]
-    r, prev = 0, 1
+    pivots: list[int] = []
+    prev = 1
     for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         top = m[r]
         pv = top[c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], top)]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
         prev = pv
-        r += 1
-        if r == len(m):
+        pivots.append(c)
+        if len(pivots) == len(m):
             break
-    return r
+    return m, pivots
+
+
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows."""
+    return len(_gj(rows)[1])
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form; returns (matrix, pivot column indices).
+
+    Each row is first scaled by a positive rational to a primitive integer
+    vector, which leaves the reduced row-echelon form unchanged."""
+    m, pivots = _gj([primitive(row) for row in rows])
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def solve_unique(a_rows: Sequence[Sequence], b: Sequence) -> list[Fraction]:
@@ -77,20 +67,12 @@ def solve_unique(a_rows: Sequence[Sequence], b: Sequence) -> list[Fraction]:
     Raises UnderDetermined when the system is solvable but does not pin x
     down, and Inconsistent when no solution exists.
     """
-    a = to_matrix(a_rows)
-    if not a:
+    if not a_rows:
         raise UnderDetermined("empty system")
-    ncols = len(a[0])
-    aug = [row + [Fraction(x)] for row, x in zip(a, [Fraction(v) for v in b], strict=True)]
-    m, pivots = rref(aug)
-    for row in m:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            raise Inconsistent("no solution satisfies all the prescribed values")
+    ncols = len(a_rows[0])
+    m, pivots = _gj([primitive((*row, x)) for row, x in zip(a_rows, b, strict=True)])
     if pivots and pivots[-1] == ncols:
         raise Inconsistent("no solution satisfies all the prescribed values")
-    if len([p for p in pivots if p < ncols]) < ncols:
+    if len(pivots) < ncols:
         raise UnderDetermined("the prescribed values do not determine a unique class")
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][-1]
-    return x
+    return [Fraction(row[-1], row[c]) for row, c in zip(m, pivots)]

@@ -216,24 +216,12 @@ def butler_check(inp: ButlerInput, ordering: str = ORDER_B) -> ButlerReport:
 # Asymptotic limit cone
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AsymptoticFrame:
-    """Fixed 4-dimensional frame, basis (H1, H2, B1, B2), in which all the
-    cones E_k live; the identification between consecutive spaces acts as
-    the identity on these coordinates.
-
-    Translation assumption (flagged): B1 is the same-support nonreduced
-    locus (Bdiff) and B2 the locus where the smaller subscheme is
-    nonreduced (Bb)."""
-
-    labels: tuple[str, ...] = ("H1", "H2", "B1", "B2")
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-
-FRAME = AsymptoticFrame()
+# All the cones E_k live in one fixed 4-dimensional frame, basis (H1, H2,
+# B1, B2); the identification between consecutive spaces acts as the
+# identity on these coordinates.  Translation assumption (flagged): B1 is
+# the same-support nonreduced locus (Bdiff) and B2 the locus where the
+# smaller subscheme is nonreduced (Bb).
+FRAME_DIM = 4
 
 
 def a_k(k: int) -> int:
@@ -287,7 +275,7 @@ def asymptotic_moving_curves(k: int) -> list[MovingCurve]:
 
 def _cut_out(curves: list[MovingCurve]) -> Cone:
     """The cone cut out by the curves' functionals: the dual of their span."""
-    return dual(cone_from_rays(FRAME.dim, [m.functional for m in curves]))
+    return dual(cone_from_rays(FRAME_DIM, [m.functional for m in curves]))
 
 
 def asymptotic_cone(k: int) -> Cone:
@@ -297,8 +285,8 @@ def asymptotic_cone(k: int) -> Cone:
 
 def limit_cone() -> Cone:
     return cone_from_rays(
-        FRAME.dim,
-        [tuple(1 if j == i else 0 for j in range(FRAME.dim)) for i in range(FRAME.dim)],
+        FRAME_DIM,
+        [tuple(1 if j == i else 0 for j in range(FRAME_DIM)) for i in range(FRAME_DIM)],
     )
 
 

@@ -5,13 +5,13 @@ Two kinds of certificates are produced:
 * ``NefDual``   - a claimed nef cone is certified by exhibiting, for each
   spanning divisor ray, an effective curve dual to it: the pairing matrix
   must be diagonal with positive diagonal and the cone of rays must equal
-  the dual of the cone of witness-curve functionals.  When the matrix is
-  square and its size is the lattice rank, it proves that identity by
-  itself (rays and witnesses are dual bases); with fewer rays the identity
-  is decided by the double-description engine.
+  the dual of the cone of witness-curve functionals.  The identity is
+  decided by the matrix alone: it holds exactly when the matrix is as large
+  as the lattice rank (rays and witnesses are then dual bases).
 * ``EffMoving`` - a claimed pseudoeffective cone is certified against moving
   curves: all pairings non-negative and cone(rays) equal to the dual of the
-  moving-curve functionals.
+  moving-curve functionals, decided by the double-description engine (the
+  only certificate that runs it).
 
 Whether an individual ray really is nef/effective (and whether a curve
 really moves) is geometric input, not something a lattice computation can
@@ -42,7 +42,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb
 from typing import Callable, NamedTuple, Sequence
 
 from .cone import (
@@ -55,14 +54,13 @@ from .cone import (
     dual,
     positive_functional,
 )
-from .errors import FunctionalNotPositive, RangeError, SpaceMismatch, UnknownTable
+from .errors import EmptyInput, FunctionalNotPositive, RangeError, SpaceMismatch, UnknownTable
 from .pairing import (
     curve_family_a,
     curve_family_a_alt,
     curve_family_b,
     curve_family_b_alt,
     curve_functional,
-    divisor_from_pairings,
     g1n_curve,
     k3_extremal_slope,
     nodal_curves_k3,
@@ -117,7 +115,6 @@ class RaySpec:
 class WitnessSpec:
     label: str
     cls: CurClass
-    provenance: Provenance | None = None
 
 
 class TableInputs(NamedTuple):
@@ -215,21 +212,25 @@ def _certify(kind: str, inp: TableInputs) -> Certificate:
     elif kind == NEF_DUAL and off_diagonal:
         _, _, w, r = off_diagonal
         verdict = f"failed: matrix not diagonal-compatible at ({w.label}, {r.label})"
-    elif kind == NEF_DUAL and len(rays) == divisor_rank(surface, space):
-        # W.R^T = D with D k x k diagonal, positive diagonal and k = dim, so
-        # the ray matrix R and the functional matrix W are both bases.
-        # Write y = R^T c.  Then y in dual(W) <=> W y = D c >= 0 <=> c >= 0
-        # <=> y in cone(R): cone(rays) = dual(witnesses) with no DD.
-        verdict = CERTIFIED
     else:
-        # No pairing is negative, so cone(rays) already lies in the dual of
-        # the witnesses: the identity holds exactly when that dual lies in
-        # cone(rays).
-        ray_cone = inp.cone
-        if cone_contains(ray_cone, dual(cone_from_rays(ray_cone.dim, functionals))):
-            verdict = CERTIFIED
+        if kind == NEF_DUAL:
+            # W.R^T = D, k x k diagonal with a positive diagonal, forces
+            # rank W = rank R = k <= dim.  When k = dim, R and W are bases:
+            # write y = R^T c, then y in dual(W) <=> W y = D c >= 0 <=> c >= 0
+            # <=> y in cone(R).  When k < dim, dual(W) contains the kernel of
+            # W, a nonzero subspace and so a line, while cone(R) is simplicial
+            # and pointed; all pairings are >= 0, so cone(R) lies strictly
+            # inside dual(W).  The matrix alone decides; no DD runs.
+            if not rays:
+                raise EmptyInput("a cone needs at least one nonzero generator")
+            holds = len(rays) == divisor_rank(surface, space)
         else:
-            verdict = "failed: dual cone strictly larger than the span of the rays"
+            # No pairing is negative, so cone(rays) already lies in the dual
+            # of the moving curves: the identity holds exactly when that dual
+            # lies in cone(rays).
+            ray_cone = inp.cone
+            holds = cone_contains(ray_cone, dual(cone_from_rays(ray_cone.dim, functionals)))
+        verdict = CERTIFIED if holds else "failed: dual cone strictly larger than the span of the rays"
     return Certificate(
         kind=kind,
         surface=surface.key,
@@ -252,9 +253,9 @@ def certify_nef(
 ) -> Certificate:
     """Certify a nef cone: each witness curve must be dual to exactly one
     spanning ray (diagonal positive pairing matrix) and the rays must span
-    the dual of the witness cone.  A square, full-rank matrix (as many rays
-    as the divisor rank) proves the second condition from the first; with
-    fewer rays a double-description run decides it."""
+    the dual of the witness cone.  The matrix alone decides the second
+    condition, with no double-description run: it holds exactly when there
+    are as many rays as the divisor rank.  No rays raise EmptyInput."""
     return _certify(NEF_DUAL, TableInputs(surface, space, rays, witnesses, None))
 
 
@@ -435,9 +436,10 @@ def _eff_inputs(s: SurfaceModel, sp: SpaceId, rows, cols, expected) -> TableInpu
     """Inputs of an effective-cone table: (label, class) rows of moving
     curves against (label, class) cols of effective rays."""
     effective = Provenance(ASSERTED, "effective generator of the claimed cone")
-    moves = Provenance(ASSERTED, "moving curve: irreducible representatives cover a dense open set")
     rays = [RaySpec(lab, cls, effective) for lab, cls in cols]
-    moving = [WitnessSpec(lab, cls, moves) for lab, cls in rows]
+    # Asserted geometric input: each moving curve's irreducible
+    # representatives cover a dense open set.
+    moving = [WitnessSpec(lab, cls) for lab, cls in rows]
     return TableInputs(s, sp, rays, moving, expected)
 
 
@@ -564,28 +566,6 @@ def _chart_curve(sp: SpaceId, label: str) -> CurClass | None:
     else:
         family = curve_family_a if side == "a" else curve_family_b_alt
     return family(p2(), sp, {"l": 1, "q": 2}[gamma], int(r))
-
-
-def reconstruct_e1(n: int) -> DivClass:
-    """Best-effort reconstruction of the summary chart's E_1 class on
-    Nested(n) over P^2 (no printed definition exists; do not treat this as
-    authoritative).
-
-    Constraints used: E_1 counts configurations whose subscheme has two
-    points collinear with the residual point, giving pairings
-    (binom(n,2), n-1, n-1, -1) against (Ca1, Cb1, Aa, Ab)."""
-    s = p2()
-    sp = nested(n)
-    return divisor_from_pairings(
-        s,
-        sp,
-        [
-            ("Ca1", Fraction(comb(n, 2))),
-            ("Cb1", Fraction(n - 1)),
-            ("Aa", Fraction(n - 1)),
-            ("Ab", Fraction(-1)),
-        ],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import nestcone as nc
 import nestcone.cone
 from nestcone.cone import cone_equal, cone_from_rays, dual
-from nestcone.errors import RangeError, SpaceMismatch, UnknownTable
+from nestcone.errors import EmptyInput, RangeError, SpaceMismatch, UnknownTable
 from nestcone.linalg import rank
 from nestcone.pairing import class_from_pairings, curve_functional
 from nestcone.verify import (
@@ -173,8 +173,23 @@ def test_full_rank_nef_certificate_runs_no_dd(dd_calls):
     assert nc.standard_nef_certificate("nef_p2_nested", n=3).ok
     assert dd_calls == []
     s, sp, rays, wits, _ = table_inputs("nef_p2_nested", n=3)
-    nc.certify_nef(s, sp, rays[:3], wits[:3])  # k < dim: the DD decides
-    assert dd_calls
+    nc.certify_nef(s, sp, rays[:3], wits[:3])  # k < dim: the matrix decides too
+    assert dd_calls == []
+
+
+@pytest.mark.parametrize(
+    "table_id, params",
+    [(t, {}) for t in certified_tables(NEF_DUAL)] + sorted(_NEF_PARAMS.items()),
+)
+def test_nef_tables_run_no_dd(dd_calls, table_id, params):
+    assert nc.standard_nef_certificate(table_id, **params).ok
+    assert dd_calls == []
+
+
+def test_certify_nef_without_rays_is_empty_input():
+    s, sp = nc.p2(), nc.nested(3)
+    with pytest.raises(EmptyInput, match="^a cone needs at least one nonzero generator$"):
+        nc.certify_nef(s, sp, [], [])
 
 
 _ENTRY = st.integers(-6, 6)
@@ -188,7 +203,8 @@ _ENTRY = st.integers(-6, 6)
 def test_diagonal_theorem_hypothesis(r, diagonal):
     """Any basis R of the p2/nested(3) divisor lattice and positive diagonal
     D: the curves with W.R^T = D certify cone(R) as nef, and the DD engine
-    agrees that cone(R) = dual(W)."""
+    agrees that cone(R) = dual(W).  The first k < 4 rays and witnesses fail,
+    and the DD engine agrees that cone(R) != dual(W) there."""
     assume(rank(r) == 4)
     s, sp = nc.p2(), nc.nested(3)
     why = nc.Provenance(nc.ASSERTED)
@@ -206,6 +222,10 @@ def test_diagonal_theorem_hypothesis(r, diagonal):
     assert cert.verdict == "certified"
     assert [cert.matrix[i][i] for i in range(4)] == diagonal
     assert _dd_identity(nc.TableInputs(s, sp, rays, wits, None))
+    for k in range(1, 4):
+        cert = nc.certify_nef(s, sp, rays[:k], wits[:k])
+        assert cert.verdict == "failed: dual cone strictly larger than the span of the rays"
+        assert not _dd_identity(nc.TableInputs(s, sp, rays[:k], wits[:k], None))
 
 
 def test_certificate_provenance_and_json():
@@ -256,7 +276,7 @@ def test_certify_eff_public_api():
     assert cert.ok
     assert cert.json_str() == nc.standard_eff_certificate("eff_p2_2_1").json_str()
     # A moving curve negated pairs negatively with some ray.
-    flipped = WitnessSpec(moving[0].label, -moving[0].cls, moving[0].provenance)
+    flipped = WitnessSpec(moving[0].label, -moving[0].cls)
     cert = nc.certify_eff(s, sp, rays, [flipped] + list(moving[1:]))
     assert not cert.ok
     assert cert.verdict.startswith("failed: negative pairing -")
@@ -311,27 +331,6 @@ def test_eff_summary_skip_handling():
     for title in ("Eff(P2[4,1])", "Eff(P2[3,2])", "Eff(P2[4,3])", "Eff(P2[5,4])"):
         checks = {c.name: c.status for c in by_title[title].checks}
         assert checks["dual-cone equality"] == "skipped"
-
-
-# ---------------------------------------------------------------------------
-# E_1 reconstruction (derived, flagged)
-# ---------------------------------------------------------------------------
-
-def test_reconstruct_e1():
-    e1_3 = nc.reconstruct_e1(3)
-    assert e1_3.coords == (F(3), F(2), F(-2), F(-1))
-    e1_4 = nc.reconstruct_e1(4)
-    assert e1_4.coords == (F(6), F(3), F(-3), F(-2))
-    # non-negative against every resolvable moving curve of the n=3 chart
-    s, sp = nc.p2(), nc.nested(3)
-    for cur in [
-        nc.curve_family_a(s, sp, 1, 1),
-        nc.curve_family_b_alt(s, sp, 1, 1),
-        nc.curve_family_b_alt(s, sp, 1, 2),
-        nc.curve_family_a(s, sp, 2, 4),
-        nc.curve_family_b_alt(s, sp, 2, 3),
-    ]:
-        assert nc.pair(e1_3, cur) >= 0
 
 
 # ---------------------------------------------------------------------------
