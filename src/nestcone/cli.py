@@ -450,7 +450,7 @@ def main(argv=None) -> int:
         code = e.code if isinstance(e.code, int) else 0
         return code
     except ParseError as e:
-        click.echo(f"parse error at byte {e.offset}: {e}", err=True)
+        click.echo(f"parse error at byte {e.offset}: {e.message}", err=True)
         return 2
     except click.UsageError as e:
         click.echo(f"usage error: {e.format_message()}", err=True)

@@ -10,14 +10,14 @@ reasonably fast for the dimensions used here (<= 8).
   pairs, found by the combinatorial test (`_adjacent`): a pair sharing
   fewer tight constraints than dimension - lineality - 2 is rejected by a
   popcount before the scan for a third ray tight on all of them.
-* Extremal rays come from the same DD's incidence data: a generator is
-  extremal when its tight facets have rank dim - lineality - 1, the
-  redundancy test of Fukuda & Prodon (1996).  No second DD is run.
+* Extremal rays and the lineality space are read off the same DD's
+  incidence data, each generator's bitmask of tight facets (Fukuda &
+  Prodon, 1996): a generator is extremal when its mask is not full and no
+  other non-full mask strictly contains it, and the full-mask generators
+  span the lineality space (its canonical basis is one `linalg.rref` of
+  them).  No second DD runs, and no elimination over facet normals.
 * Cross-section edges are the adjacent pairs among the extremal rays, by
   the same combinatorial test on their tight-facet bitmasks.
-* Ranks (lineality, full-dimensionality, the redundancy test) and the
-  canonical lineality basis come from one fraction-free Gauss-Jordan
-  elimination on integer rows (`linalg.rank`, `linalg.rref`).
 
 Ray normalization: every stored ray is scaled by a positive rational to a
 primitive integer vector (cleared denominators, gcd 1).  Scaling factors are
@@ -140,7 +140,7 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
 
 def _canonical_lineality(lin: Sequence[IVec]) -> list[IVec]:
     """The one basis of span(lin): primitive rows of its reduced row-echelon
-    form, sorted."""
+    form, sorted.  No elimination runs when lin is empty."""
     if not lin:
         return []
     m, _ = linalg.rref(lin)
@@ -204,23 +204,27 @@ class Cone:
         """Generators of the dual cone: facet normals plus, when this cone is
         not full-dimensional, +/- pairs spanning the orthogonal complement."""
         lin, rays = self._dual_parts
-        gens = [v for v, _ in rays]
-        for l in lin:
-            gens.append(l)
-            gens.append(tuple(-x for x in l))
+        gens = [v for v, _ in rays] + lin + [tuple(-x for x in l) for l in lin]
         return tuple(sorted(gens))
 
     @cached_property
+    def _full_mask(self) -> int:
+        """The mask of a generator tight on every facet: one in the lineality space."""
+        return (1 << len(self._dual_parts[1])) - 1
+
+    @cached_property
+    def _lineality_basis(self) -> list[IVec]:
+        """Canonical basis of the lineality space, spanned by the full-mask generators."""
+        full = self._full_mask
+        return _canonical_lineality([r for r, m in zip(self.rays, self._incidence) if m == full])
+
+    @cached_property
     def lineality_dim(self) -> int:
-        return self.dim - linalg.rank(self.facet_normals)
+        return len(self._lineality_basis)
 
     @cached_property
     def is_pointed(self) -> bool:
         return self.lineality_dim == 0
-
-    @cached_property
-    def is_full_dimensional(self) -> bool:
-        return linalg.rank(self.rays) == self.dim
 
 
 def cone_from_rays(dim: int, rays: Sequence[Sequence]) -> Cone:
@@ -236,19 +240,16 @@ def dual(c: Cone) -> Cone:
 
 
 def _extremal(c: Cone) -> list[int]:
-    """Indices of the generators on extremal faces, by the redundancy test of
-    Fukuda & Prodon (1996) on c's own DD: a generator is kept when its tight
-    facets, with the dual's lineality basis, have rank dim - lineality - 1."""
-    lin, facets = c._dual_parts
-    target = c.dim - c.lineality_dim - 1
-    keep = []
-    for k, mask in enumerate(c._incidence):
-        if len(lin) + mask.bit_count() < target:
-            continue
-        tight = lin + [f for i, (f, _) in enumerate(facets) if mask >> i & 1]
-        if linalg.rank(tight) == target:
-            keep.append(k)
-    return keep
+    """Indices of the generators on extremal faces, read off c's incidence
+    masks (Fukuda & Prodon, 1996): k is kept when its mask is neither full
+    nor strictly inside another non-full mask.  A generator lies in the
+    relative interior of the face its tight facets cut out, faces and masks
+    correspond in reverse order, and the full mask cuts out the lineality
+    space L.  Below an extremal face lies only L; a higher face contains an
+    extremal one, spanned by generators, one outside L with a larger mask."""
+    inner = [m for m in c._incidence if m != c._full_mask]
+    return [k for k, m in enumerate(c._incidence)
+            if m != c._full_mask and not any(o != m and o & m == m for o in inner)]
 
 
 def extremal_rays(c: Cone) -> Cone:
@@ -256,16 +257,14 @@ def extremal_rays(c: Cone) -> Cone:
     that c already caches (no second DD).
 
     A pointed cone gives its extremal generators.  A cone with a lineality
-    space L gives +/- the canonical basis of L (the primitive rows of the
-    reduced row-echelon form of the generators tight on every facet, which
-    span L) and, for each extremal face, its generators projected
-    orthogonally onto the complement of L, one canonical ray per face.
+    space L gives +/- the canonical basis of L and, for each extremal face,
+    its generators projected orthogonally onto the complement of L, one
+    canonical ray per face.
     """
     keep = [c.rays[k] for k in _extremal(c)]
     if c.is_pointed:
         return Cone(c.dim, keep)
-    full = (1 << len(c._dual_parts[1])) - 1
-    basis = _canonical_lineality([r for r, m in zip(c.rays, c._incidence) if m == full])
+    basis = c._lineality_basis
     gram = [[_idot(a, b) for b in basis] for a in basis]
 
     def project(r: IVec) -> tuple[Rat, ...]:

@@ -118,6 +118,14 @@ def test_pair_parse_error_exit_2(capsys):
     assert "byte" in err
 
 
+def test_pair_parse_error_states_its_offset_once(capsys):
+    code, out, err = run(capsys, "pair", "--surface", "p2", "--space", "hilb", "--n", "2", "H", "B")
+    assert code == 2 and out == ""
+    assert err == (
+        "parse error at byte 0: no curve basis label 'B' on p2/hilb(2); valid labels: C1, A\n"
+    )
+
+
 def test_pair_zero_denominator_is_parse_error(capsys):
     code, out, err = run(capsys, "pair", "--space", "hilb", "--n", "3", "1/0*H", "C1")
     assert code == 2 and out == ""

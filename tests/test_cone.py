@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from brute_cone import canonical_basis, project_off
 from nestcone.cone import (
     COORD_SUM,
+    _extremal,
     Cone,
     CrossSection,
     Position,
@@ -74,7 +76,8 @@ def test_dual_of_orthant():
     c = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     d = dual(c)
     assert set(d.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert c.is_pointed and c.is_full_dimensional
+    # full-dimensional exactly when the dual is pointed
+    assert c.is_pointed and d.is_pointed
 
 
 def test_dual_of_low_dimensional_cone():
@@ -195,6 +198,95 @@ def test_cross_section_deterministic():
     b = cross_section(c, (0, 0, 1))
     assert a == b
     assert a.to_json() == b.to_json()
+
+
+# ---------------------------------------------------------------------------
+# Incidence-mask kernel beyond the brute-force oracle's d <= 5
+# ---------------------------------------------------------------------------
+
+def moment_rays(m, d):
+    """The rays (1, t, ..., t^d) at t = 1..m: the cone over the cyclic
+    polytope C(m, d), all m of whose rays are extremal."""
+    return [tuple(t**i for i in range(d + 1)) for t in range(1, m + 1)]
+
+
+def padded(rays, count, rng):
+    """rays plus `count` interior generators, each a combination of all of
+    them with weights in 1..3, shuffled."""
+    pad = [
+        tuple(sum(w * x for w, x in zip(ws, col)) for col in zip(*rays))
+        for ws in ([rng.randint(1, 3) for _ in rays] for _ in range(count))
+    ]
+    gens = rays + pad
+    rng.shuffle(gens)
+    return gens
+
+
+@pytest.fixture
+def eliminated_rows(monkeypatch):
+    """Every row handed to the one elimination behind `linalg.rank`, `rref`
+    and `solve_unique`, collected by a wrapper."""
+    import nestcone.linalg as linalg
+
+    rows = []
+    real = linalg._gj
+
+    def counted(m):
+        rows.extend(tuple(r) for r in m)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "_gj", counted)
+    return rows
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_extremal_rays_of_padded_cyclic_cones(d):
+    rays = moment_rays(d + 3, d)
+    c = cone_from_rays(d + 1, padded(rays, 4, random.Random(d)))
+    assert extremal_rays(c).rays == tuple(sorted(rays))
+    assert c.lineality_dim == 0
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_extremal_rays_of_cyclic_cones_times_a_line(d):
+    rays = moment_rays(d + 3, d)
+    line = (1,) * (d + 2)
+    gens = [r + (0,) for r in padded(rays, 4, random.Random(d))]
+    c = cone_from_rays(d + 2, gens + [line, tuple(-x for x in line)])
+    want = {line, tuple(-x for x in line)} | {project_off(r + (0,), [line]) for r in rays}
+    assert extremal_rays(c).rays == tuple(sorted(want))
+    assert c.lineality_dim == 1
+    assert sorted(c.rays[k] for k in _extremal(c)) == sorted(r + (0,) for r in rays)
+
+
+def test_subspace_cone_has_only_full_masks():
+    a, b = (1, 2, 0, 1), (0, 1, 1, -1)
+    c = cone_from_rays(4, [a, b, tuple(-x - y for x, y in zip(a, b))])
+    assert c._dual_parts[1] == []  # no facets
+    assert all(m == c._full_mask for m in c._incidence)
+    assert _extremal(c) == []  # no generator lies off the lineality space
+    assert c.lineality_dim == 2
+    basis = canonical_basis([a, b], 4)
+    assert extremal_rays(c).rays == tuple(sorted(basis + [tuple(-x for x in v) for v in basis]))
+    whole = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    assert whole.lineality_dim == 3
+    assert whole.facet_normals == ()
+
+
+def test_pointed_cone_questions_run_no_elimination(eliminated_rows):
+    c = cone_from_rays(7, padded(moment_rays(9, 6), 4, random.Random(0)))
+    assert len(extremal_rays(c).rays) == 9
+    assert len(cross_section(c).vertices) == 9
+    assert c.lineality_dim == 0
+    assert eliminated_rows == []
+
+
+def test_lineality_eliminates_only_the_full_mask_generators(eliminated_rows):
+    line = (1, 1, 1, 1, 1)
+    gens = [r + (0,) for r in moment_rays(6, 3)] + [line, tuple(-x for x in line)]
+    c = cone_from_rays(5, gens)
+    assert c.lineality_dim == 1
+    assert sorted(eliminated_rows) == sorted([line, tuple(-x for x in line)])
 
 
 # ---------------------------------------------------------------------------
