@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from brute_cone import canonical_basis, project_off
 from nestcone.cone import (
     COORD_SUM,
-    _extremal,
     Cone,
     CrossSection,
     Position,
+    _extremal,
     cone_contains,
     cone_equal,
     cone_from_rays,
