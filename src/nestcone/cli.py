@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 
 import click
 
 from . import render
 from .errors import NestconeError, ParseError
-from .rationals import canonical_json, rat_str
+from .rationals import canonical_json, rat, rat_str
 from .spaces import (
     CurClass,
     DivClass,
     SurfaceModel,
     SpaceId,
+    _BaseClass,
     curve,
     divisor,
     hilb,
@@ -55,7 +55,7 @@ from .verify import (
 #   factor  := NUMBER | LABEL | '-' factor | '(' expr ')'
 #   NUMBER  := digits ['/' digits]
 #   LABEL   := letter (letter | digit | '^')* ['/' digits]
-# A value is a Fraction or a class, combined with the classes' own
+# A value is a rational scalar or a class, combined with the classes' own
 # arithmetic; every class comes from one `resolve`, so all of them live on
 # one (surface, space).  At most one class label per product.  Parse errors
 # cite byte offsets: the tokenizer and the parser count characters, and
@@ -156,7 +156,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.next()
             w = self.term()
-            if isinstance(v, Fraction) != isinstance(w, Fraction):
+            if isinstance(v, _BaseClass) != isinstance(w, _BaseClass):
                 raise ParseError("cannot add a bare number to a class", op.offset)
             v = v + w if op.kind == "+" else v - w
         return v
@@ -166,7 +166,7 @@ class _Parser:
         while self.peek().kind == "*":
             op = self.next()
             w = self.factor()
-            if not isinstance(v, Fraction) and not isinstance(w, Fraction):
+            if isinstance(v, _BaseClass) and isinstance(w, _BaseClass):
                 raise ParseError("at most one class per product", op.offset)
             v = v * w
         return v
@@ -174,7 +174,7 @@ class _Parser:
     def factor(self):
         t = self.next()
         if t.kind == "num":
-            return Fraction(t.text)
+            return rat(t.text)
         if t.kind == "label":
             return self.resolve(t.text, t.offset)
         if t.kind not in ("-", "("):
@@ -204,7 +204,7 @@ def _parse_class(src: str, surface: SurfaceModel, space: SpaceId, unit, zero, wh
         v = _Parser(src, resolve).parse()
     except ParseError as e:
         raise ParseError(e.message, len(src[:e.offset].encode("utf-8"))) from e.__cause__
-    if isinstance(v, Fraction):
+    if not isinstance(v, _BaseClass):
         if v == 0:
             return zero(surface, space)
         raise ParseError(f"expression is a bare number, not a {what} class", 0)

@@ -41,7 +41,7 @@ from .errors import (
     FunctionalNotPositive,
     NotPointed,
 )
-from .rationals import Rat, primitive, rat_str, vdot
+from .rationals import Rat, primitive, rat, rat_str, vdot
 
 IVec = tuple[int, ...]
 
@@ -341,7 +341,7 @@ def cross_section(c: Cone, normalization=COORD_SUM) -> CrossSection:
     if not c.is_pointed:
         raise NotPointed("cross-sections require a pointed cone")
     if normalization == COORD_SUM:
-        w = tuple(Fraction(1) for _ in range(c.dim))
+        w = (1,) * c.dim
     else:
         if len(normalization) != c.dim:
             raise DimensionMismatch("normalizing functional has wrong length")
@@ -355,7 +355,7 @@ def cross_section(c: Cone, normalization=COORD_SUM) -> CrossSection:
             raise FunctionalNotPositive(
                 f"functional is not strictly positive on ray {r}"
             )
-        verts.append(tuple(Fraction(x) / s for x in r))
+        verts.append(tuple(rat(Fraction(x, s)) for x in r))
     order = sorted(range(len(verts)), key=lambda i: verts[i])
     masks = [c._incidence[keep[i]] for i in order]
     floor = c.dim - len(c._dual_parts[0]) - 2

@@ -1,18 +1,18 @@
 """Small exact linear algebra kernel (dense).
 
-Sizes here are tiny (dimension <= 8).  `rank`, `rref` and `solve_unique`
-read their answers from one fraction-free Gauss-Jordan elimination (`_gj`)
-on integer rows, so elimination never leaves `int`; rational input is first
-scaled row by row to primitive integer vectors.
+Sizes here are tiny (dimension <= 8).  `rref` and `solve_unique` read their
+answers from one fraction-free Gauss-Jordan elimination (`_gj`) on integer
+rows, so elimination never leaves `int`; rational input is first scaled row
+by row to primitive integer vectors.  Their entries are in the normal form of
+`rationals`: an `int` when integral, else a `Fraction`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import Inconsistent, UnderDetermined
-from .rationals import primitive
+from .rationals import Rat, primitive, ratio
 
 
 def _gj(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
@@ -46,22 +46,17 @@ def _gj(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of integer rows."""
-    return len(_gj(rows)[1])
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Rat]], list[int]]:
     """Reduced row-echelon form; returns (matrix, pivot column indices).
 
     Each row is first scaled by a positive rational to a primitive integer
     vector, which leaves the reduced row-echelon form unchanged."""
     m, pivots = _gj([primitive(row) for row in rows])
     d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-    return [[Fraction(x, d) for x in row] for row in m], pivots
+    return [[ratio(x, d) for x in row] for row in m], pivots
 
 
-def solve_unique(a_rows: Sequence[Sequence], b: Sequence) -> list[Fraction]:
+def solve_unique(a_rows: Sequence[Sequence], b: Sequence) -> list[Rat]:
     """Solve A x = b demanding a unique solution.
 
     Raises UnderDetermined when the system is solvable but does not pin x
@@ -75,4 +70,4 @@ def solve_unique(a_rows: Sequence[Sequence], b: Sequence) -> list[Fraction]:
         raise Inconsistent("no solution satisfies all the prescribed values")
     if len(pivots) < ncols:
         raise UnderDetermined("the prescribed values do not determine a unique class")
-    return [Fraction(row[-1], row[c]) for row, c in zip(m, pivots)]
+    return [ratio(row[-1], row[c]) for row, c in zip(m, pivots)]

@@ -1,6 +1,5 @@
 """Intersection pairing between curve and divisor bases, derived curve
-families, nodal curves on K3 surfaces, pushforwards, and linear
-reconstruction of classes from prescribed pairings.
+families, nodal curves on K3 surfaces, and pushforwards.
 
 Pairing rules (g = surface Gram matrix): each curve block of the basis
 layout pairs through g with the divisor block of its side, and the boundary
@@ -35,13 +34,10 @@ and for decoding legacy tables that use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
 
-from . import linalg
 from .errors import NotK3, RangeError, SpaceMismatch
-from .rationals import Rat, rat, rat_str, vdot
+from .rationals import Rat, ratio, rat_str, vdot
 from .spaces import (
     CURVE_LAYOUT,
     DIVISOR_LAYOUT,
@@ -52,8 +48,6 @@ from .spaces import (
     SpaceKind,
     SurfaceModel,
     basis_map,
-    curve,
-    divisor,
     is_block,
     layout,
     pr_a_space,
@@ -86,11 +80,11 @@ class PairingTable:
 # (boundary curve, boundary divisor) -> intersection number, for every space
 # kind whose layout holds both classes.
 BOUNDARY_PAIRINGS = {
-    ("A", "B/2"): Fraction(-1),
-    ("Aa", "B/2"): Fraction(-1),
-    ("Aa", "Bdiff/2"): Fraction(-1),
-    ("Ab", "Bdiff/2"): Fraction(1),
-    ("Ab", "Bb/2"): Fraction(-1),
+    ("A", "B/2"): -1,
+    ("Aa", "B/2"): -1,
+    ("Aa", "Bdiff/2"): -1,
+    ("Ab", "Bdiff/2"): 1,
+    ("Ab", "Bb/2"): -1,
 }
 
 
@@ -98,7 +92,7 @@ BOUNDARY_PAIRINGS = {
 def pairing_table(surface: SurfaceModel, space: SpaceId) -> PairingTable:
     rows, row_at = layout(surface, space, CURVE_LAYOUT)
     cols, col_at = layout(surface, space, DIVISOR_LAYOUT)
-    m = [[Fraction(0)] * len(cols) for _ in rows]
+    m = [[0] * len(cols) for _ in rows]
     sides = zip(filter(is_block, row_at), filter(is_block, col_at))
     for curve_block, divisor_block in sides:
         for r, gram_row in zip(row_at[curve_block], surface.gram):
@@ -141,11 +135,11 @@ def _combo(surface, space, gamma: MVec, block: str, boundary: dict[str, int]) ->
     """sum gamma_i times the curve block (e.g. "Ca_i") plus the boundary
     curves with the given coefficients, all addressed by layout label."""
     labels, at = layout(surface, space, CURVE_LAYOUT)
-    out = [Fraction(0)] * len(labels)
+    out = [0] * len(labels)
     for k, mi in zip(at[block], surface_coords(surface, gamma), strict=True):
         out[k] = mi
     for label, coeff in boundary.items():
-        out[at[label][0]] = Fraction(coeff)
+        out[at[label][0]] = coeff
     return CurClass(surface, space, tuple(out))
 
 
@@ -247,47 +241,7 @@ def g1n_curve(surface: SurfaceModel, space: SpaceId) -> CurClass:
 def k3_extremal_slope(g: int, m: int) -> Rat:
     """f(m) = (m - 1 + g) / (2g - 2): slope of the extremal tautological nef
     ray on the Hilbert scheme of a genus-g K3 surface."""
-    return Fraction(m - 1 + g, 2 * g - 2)
-
-
-# ---------------------------------------------------------------------------
-# Reconstruction from prescribed pairings
-# ---------------------------------------------------------------------------
-
-def _from_pairings(surface, space, rows, unit, what: str, functional, result):
-    nrows = []
-    vals = []
-    for x, v in rows:
-        if isinstance(x, str):
-            x = unit(surface, space, x)
-        if x.surface != surface or x.space != space:
-            raise SpaceMismatch(f"prescribed {what} lives on a different space")
-        nrows.append(list(functional(x)))
-        vals.append(rat(v))
-    return result(surface, space, tuple(linalg.solve_unique(nrows, vals)))
-
-
-def class_from_pairings(
-    surface: SurfaceModel,
-    space: SpaceId,
-    rows: Sequence[tuple[Union[DivClass, str], Rat]],
-) -> CurClass:
-    """The unique curve class pairing to the prescribed values against the
-    given divisors (labels are resolved to unit basis divisors)."""
-    m = pairing_table(surface, space).matrix
-    return _from_pairings(
-        surface, space, rows, divisor, "divisor", lambda d: [vdot(r, d.coords) for r in m], CurClass
-    )
-
-
-def divisor_from_pairings(
-    surface: SurfaceModel,
-    space: SpaceId,
-    rows: Sequence[tuple[Union[CurClass, str], Rat]],
-) -> DivClass:
-    """The unique divisor class pairing to the prescribed values against the
-    given curves (labels are resolved to unit basis curves)."""
-    return _from_pairings(surface, space, rows, curve, "curve", curve_functional, DivClass)
+    return ratio(m - 1 + g, 2 * g - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Exact rational scalars, the rational dot product, primitive integer
 vectors and the canonical JSON form.
 
-All coordinates in the library are `fractions.Fraction` values; nothing in the
-core ever touches floating point.  Rationals serialize to canonical "p/q"
-strings (plain "p" when the denominator is 1), and every JSON document the
-library prints goes through `canonical_json`.
+An exact value in the library is an `int` when it is integral and a
+`fractions.Fraction` only when its denominator is above 1 (`Rat`); nothing
+in the core ever produces a `float`.  `rat`, `ratio` and `vdot` return this
+normal form.  `int` and `Fraction` compare and hash alike, so equal values
+stay equal whichever type holds them.  Rationals serialize to canonical
+"p/q" strings (plain "p" when the denominator is 1), and every JSON
+document the library prints goes through `canonical_json`.
 """
 
 from __future__ import annotations
@@ -14,17 +17,20 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-Rat = Fraction
+Rat = int | Fraction
 
 
 def rat(x) -> Rat:
-    """Coerce an int, string, or Fraction to an exact rational."""
-    if isinstance(x, Fraction):
+    """Coerce an int, string, or Fraction to an exact rational in normal
+    form: an `int` when integral, else a `Fraction`."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational scalar")
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
         return parse_rat(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
@@ -32,6 +38,8 @@ def rat(x) -> Rat:
 
 def rat_str(q) -> str:
     """Canonical string form: 'p' for integers, 'p/q' otherwise."""
+    if type(q) is int:
+        return str(q)
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
@@ -39,8 +47,13 @@ def rat_str(q) -> str:
 
 
 def parse_rat(s: str) -> Rat:
-    """Parse a canonical 'p' or 'p/q' string."""
-    return Fraction(s.strip())
+    """Parse a canonical 'p' or 'p/q' string to a normal-form rational."""
+    return rat(Fraction(s.strip()))
+
+
+def ratio(n: int, d: int) -> Rat:
+    """The quotient of two ints (d nonzero) in normal form."""
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
 def canonical_json(doc) -> str:
@@ -50,10 +63,11 @@ def canonical_json(doc) -> str:
 
 
 def vdot(u: Sequence, v: Sequence) -> Rat:
-    """Dot product of ints or Fractions as a Fraction, skipping zero terms.
+    """Dot product of ints or Fractions in normal form (an `int` when
+    integral, else a `Fraction`), skipping zero terms.
 
     The sum is kept as one integer numerator over one integer denominator,
-    built from each factor's `numerator`/`denominator`, and reduced once at
+    built from each factor's `numerator`/`denominator`, and divided once at
     the end; no intermediate Fraction is made.  Vectors of unequal length
     raise ValueError."""
     n, d = 0, 1
@@ -61,7 +75,7 @@ def vdot(u: Sequence, v: Sequence) -> Rat:
         if a and b:
             q = a.denominator * b.denominator
             n, d = n * q + a.numerator * b.numerator * d, d * q
-    return Fraction(n, d)
+    return ratio(n, d)
 
 
 def primitive(u: Sequence) -> tuple[int, ...]:

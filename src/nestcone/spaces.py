@@ -59,8 +59,8 @@ def p2() -> SurfaceModel:
         key="p2",
         rank=1,
         generator_names=("H",),
-        gram=((Fraction(1),),),
-        canonical=(Fraction(-3),),
+        gram=((1,),),
+        canonical=(-3,),
     )
 
 
@@ -70,8 +70,8 @@ def p1xp1() -> SurfaceModel:
         key="p1xp1",
         rank=2,
         generator_names=("H1", "H2"),
-        gram=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
-        canonical=(Fraction(-2), Fraction(-2)),
+        gram=((0, 1), (1, 0)),
+        canonical=(-2, -2),
     )
 
 
@@ -84,8 +84,8 @@ def hirzebruch(i: int) -> SurfaceModel:
         key=f"f{i}",
         rank=2,
         generator_names=("H", "F"),
-        gram=((Fraction(i), Fraction(1)), (Fraction(1), Fraction(0))),
-        canonical=(Fraction(-2), Fraction(i - 2)),
+        gram=((i, 1), (1, 0)),
+        canonical=(-2, i - 2),
         index=i,
     )
 
@@ -98,8 +98,8 @@ def k3(g: int) -> SurfaceModel:
         key=f"k3-g{g}",
         rank=1,
         generator_names=("H",),
-        gram=((Fraction(2 * g - 2),),),
-        canonical=(Fraction(0),),
+        gram=((2 * g - 2,),),
+        canonical=(0,),
         genus=g,
     )
 
@@ -349,7 +349,7 @@ def zero_curve(surface: SurfaceModel, space: SpaceId) -> CurClass:
 
 
 def _unit(dim: int, i: int) -> tuple[Rat, ...]:
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
+    return tuple(1 if j == i else 0 for j in range(dim))
 
 
 def _basis_unit(cls, what: str, surface, space, label: str):
@@ -412,7 +412,7 @@ def basis_map(x, target: SpaceId, rules: dict[str, str]):
     leave out map to zero."""
     _, source = layout(x.surface, x.space, x.layout_table)
     labels, dest = layout(x.surface, target, x.layout_table)
-    out = [Fraction(0)] * len(labels)
+    out = [0] * len(labels)
     for entry, image in rules.items():
         for part in image.split(" + "):
             if part not in dest:
@@ -484,7 +484,7 @@ def surface_coords(surface: SurfaceModel, m: MVec) -> tuple[Rat, ...]:
 def tautological(surface: SurfaceModel, n: int, m: MVec) -> DivClass:
     """The tautological divisor D_m[n] = sum m_i H_i[n] - B[n]/2 on Hilb(n)."""
     mm = surface_coords(surface, m)
-    return DivClass(surface, hilb(n), mm + (Fraction(-1),))
+    return DivClass(surface, hilb(n), mm + (-1,))
 
 
 def surface_divisor(surface: SurfaceModel, m: MVec) -> DivClass:

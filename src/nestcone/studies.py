@@ -120,7 +120,7 @@ def butler_class(inp: ButlerInput, k: int, ordering: str = ORDER_B) -> DivClass:
     na, nb = inp.n * inp.a, inp.n * inp.b
     hb_part = pull_b(surface_divisor(s, (na - 2, nb - 2)), sp)
     diff_part = pull_res(surface_divisor(s, (na - 2, nb - 2)), sp)
-    cls = hb_part + diff_part + Fraction(2) * tautological_a(s, sp, (1, 1))
+    cls = hb_part + diff_part + 2 * tautological_a(s, sp, (1, 1))
     if k > 1:
         extra = surface_divisor(s, ((k - 1) * na, (k - 1) * nb))
         cls = cls + (pull_b(extra, sp) if ordering == ORDER_B else pull_res(extra, sp))
@@ -249,8 +249,7 @@ def _moving_curves(d1: Rat, d2: Rat) -> list[MovingCurve]:
     """The four facet functionals with deviations d1 and d2: the two fixed
     coordinate-plane functionals and the normals of the extremal rays
     H1 - d1 B1 and H2 - d2 B2."""
-    z = Fraction(0)
-    one = Fraction(1)
+    z, one = 0, 1
     return [
         MovingCurve("plane(H2,B1,B2)", (one, z, z, z), (z, z, one, z), z),
         MovingCurve("plane(H1,B1,B2)", (z, one, z, z), (z, z, z, one), z),
@@ -391,5 +390,5 @@ def asymptotic_report(k_max: int) -> AsymptoticReport:
         prev = cone_k
     # All deviations shrink to 0, so the E_k decrease to the cone the same
     # functionals cut out at deviation 0; it must be the stated limit.
-    limit_ok = cone_equal(limit, _cut_out(_moving_curves(Fraction(0), Fraction(0))))
+    limit_ok = cone_equal(limit, _cut_out(_moving_curves(0, 0)))
     return AsymptoticReport(k_max, tuple(steps), limit_ok)

@@ -40,7 +40,6 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -65,7 +64,7 @@ from .pairing import (
     k3_extremal_slope,
     nodal_curves_k3,
 )
-from .rationals import Rat, canonical_json, primitive, rat_str, vdot
+from .rationals import Rat, canonical_json, primitive, rat, rat_str, vdot
 from .spaces import (
     CurClass,
     DivClass,
@@ -403,7 +402,7 @@ def _section(
     cells = []
     for rl, got_row, exp_row in zip(rows, matrix, expected, strict=True):
         for cl, got, exp in zip(cols, got_row, exp_row, strict=True):
-            want = None if exp is None else Fraction(exp)
+            want = None if exp is None else rat(exp)
             if got is None:
                 status = SKIPPED
             elif want is None:
@@ -429,7 +428,7 @@ def _pairings(
 # ---------------------------------------------------------------------------
 
 def _full_b(surface: SurfaceModel, space: SpaceId, half_label: str) -> DivClass:
-    return Fraction(2) * divisor(surface, space, half_label)
+    return 2 * divisor(surface, space, half_label)
 
 
 def _eff_inputs(s: SurfaceModel, sp: SpaceId, rows, cols, expected) -> TableInputs:

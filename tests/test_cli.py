@@ -45,6 +45,23 @@ def test_parse_divisor_expressions():
     assert parse_divisor_expr("H*2*3", s, hilb).coords == (6, 0)
 
 
+def test_parser_tells_scalars_from_classes_by_type():
+    """Scalars are ints or Fractions, never classes: half classes add up to
+    int coordinates, a product of numbers is still a bare number, and zero
+    times a class is the zero class."""
+    s, sp = nc.p2(), nc.hilb(3)
+    d = parse_divisor_expr("1/2*H + 1/2*H", s, sp)
+    assert d.coords == (1, 0) and all(type(x) is int for x in d.coords)
+    c = parse_curve_expr("1/2*A + 1/2*A", s, sp)
+    assert c.coords == (0, 1) and all(type(x) is int for x in c.coords)
+    with pytest.raises(ParseError) as e:
+        parse_divisor_expr("2*3", s, sp)
+    message = "expression is a bare number, not a divisor class"
+    assert (e.value.offset, e.value.message) == (0, message)
+    z = parse_divisor_expr("0*H", s, sp)
+    assert z == nc.zero_divisor(s, sp) and all(type(x) is int for x in z.coords)
+
+
 def test_parse_curve_expressions():
     s, sp = nc.p2(), nc.nested(3)
     c = parse_curve_expr("Ca1 - 2*Aa", s, sp)

@@ -224,8 +224,8 @@ def padded(rays, count, rng):
 
 @pytest.fixture
 def eliminated_rows(monkeypatch):
-    """Every row handed to the one elimination behind `linalg.rank`, `rref`
-    and `solve_unique`, collected by a wrapper."""
+    """Every row handed to the one elimination behind `linalg.rref` and
+    `solve_unique`, collected by a wrapper."""
     import nestcone.linalg as linalg
 
     rows = []

@@ -5,12 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestcone as nc
-from nestcone.errors import (
-    Inconsistent,
-    NotK3,
-    RangeError,
-    UnderDetermined,
-)
+from nestcone.errors import Inconsistent, NotK3, RangeError, UnderDetermined
+from nestcone.linalg import solve_unique
 
 
 def F(x):
@@ -262,44 +258,26 @@ def test_g1n_curve():
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction from pairings
+# Reconstruction from prescribed pairings
 # ---------------------------------------------------------------------------
 
-def test_divisor_from_pairings_roundtrip():
+def test_reconstruction_errors():
+    """A divisor is its unique solution of `solve_unique` over the curve
+    functionals and the prescribed pairings; too few pairings leave it
+    underdetermined, and contradictory ones admit none."""
     s, sp = nc.p2(), nc.nested(3)
+    f = {lab: nc.curve_functional(nc.curve(s, sp, lab)) for lab in nc.curve_labels(s, sp)}
     target = (
         2 * nc.divisor(s, sp, "Hdiff")
         - nc.divisor(s, sp, "Bb/2")
         + 5 * nc.divisor(s, sp, "Hb")
     )
-    rows = [
-        (lab, nc.pair(target, nc.curve(s, sp, lab)))
-        for lab in nc.curve_labels(s, sp)
-    ]
-    got = nc.divisor_from_pairings(s, sp, rows)
-    assert got.coords == target.coords
-
-
-def test_class_from_pairings_roundtrip():
-    s, sp = nc.p2(), nc.univ(3)
-    target = nc.curve(s, sp, "Ca1") - 4 * nc.curve(s, sp, "Aa")
-    rows = [
-        (lab, nc.pair(nc.divisor(s, sp, lab), target))
-        for lab in nc.divisor_labels(s, sp)
-    ]
-    got = nc.class_from_pairings(s, sp, rows)
-    assert got.coords == target.coords
-
-
-def test_reconstruction_errors():
-    s, sp = nc.p2(), nc.nested(3)
+    values = [nc.pair(target, nc.curve(s, sp, lab)) for lab in f]
+    assert solve_unique(list(f.values()), values) == list(target.coords)
     with pytest.raises(UnderDetermined):
-        nc.divisor_from_pairings(s, sp, [("Ca1", F(1))])
+        solve_unique([f["Ca1"]], [1])
     with pytest.raises(Inconsistent):
-        nc.divisor_from_pairings(
-            s, sp,
-            [("Ca1", F(1)), ("Ca1", F(2)), ("Cb1", F(0)), ("Aa", F(0)), ("Ab", F(0))],
-        )
+        solve_unique([f["Ca1"], f["Ca1"], f["Cb1"], f["Aa"], f["Ab"]], [1, 2, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------

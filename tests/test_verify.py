@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import nestcone as nc
 import nestcone.cone
+from brute_cone import dot, rank, rref
 from nestcone.cone import cone_equal, cone_from_rays, dual
 from nestcone.errors import EmptyInput, RangeError, SpaceMismatch, UnknownTable
-from nestcone.linalg import rank
-from nestcone.pairing import class_from_pairings, curve_functional
+from nestcone.pairing import curve_functional
 from nestcone.verify import (
     EFF_P2_3_2_PRINTED_VARIANT,
     NEF_DUAL,
@@ -195,6 +195,21 @@ def test_certify_nef_without_rays_is_empty_input():
 _ENTRY = st.integers(-6, 6)
 
 
+def _witness(rays, i: int, d: int):
+    """The curve W with pair(R_j, W) = d for j = i and 0 otherwise, solved by
+    the independent Fraction elimination `brute_cone.rref`."""
+    s, sp = rays[0].cls.surface, rays[0].cls.space
+    m = nc.pairing_table(s, sp).matrix
+    dim = len(m)
+    system = [
+        [*(dot(row, ray.cls.coords) for row in m), d if j == i else 0]
+        for j, ray in enumerate(rays)
+    ]
+    reduced, pivots = rref(system, dim + 1)
+    assert pivots == list(range(dim))
+    return nc.CurClass(s, sp, tuple(row[-1] for row in reduced))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.lists(_ENTRY, min_size=4, max_size=4), min_size=4, max_size=4),
@@ -205,19 +220,11 @@ def test_diagonal_theorem_hypothesis(r, diagonal):
     D: the curves with W.R^T = D certify cone(R) as nef, and the DD engine
     agrees that cone(R) = dual(W).  The first k < 4 rays and witnesses fail,
     and the DD engine agrees that cone(R) != dual(W) there."""
-    assume(rank(r) == 4)
+    assume(rank(r, 4) == 4)
     s, sp = nc.p2(), nc.nested(3)
     why = nc.Provenance(nc.ASSERTED)
     rays = [RaySpec(f"R{j}", nc.DivClass(s, sp, row), why) for j, row in enumerate(r)]
-    wits = [
-        WitnessSpec(
-            f"W{i}",
-            class_from_pairings(
-                s, sp, [(ray.cls, d if i == j else 0) for j, ray in enumerate(rays)]
-            ),
-        )
-        for i, d in enumerate(diagonal)
-    ]
+    wits = [WitnessSpec(f"W{i}", _witness(rays, i, d)) for i, d in enumerate(diagonal)]
     cert = nc.certify_nef(s, sp, rays, wits)
     assert cert.verdict == "certified"
     assert [cert.matrix[i][i] for i in range(4)] == diagonal
