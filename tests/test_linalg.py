@@ -52,6 +52,15 @@ def _nonzero_rows(m):
 
 
 @settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_rank_matches_reference(case):
+    """The rank, read as the pivot count of `rref`, on integer matrices with
+    zero and dependent rows."""
+    rows, ncols = case
+    assert len(rref(rows)[1]) == len(ref_rref(rows, ncols)[1])
+
+
+@settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rref_matches_reference(case):
     rows, ncols = case
