@@ -28,11 +28,10 @@ its sign.  Lineality directions surface as pairs v, -v among the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -276,10 +275,11 @@ def extremal_rays(c: Cone) -> Cone:
 
 
 def position(c: Cone, v: Sequence) -> str:
-    """Classify a vector against the cone via its facet normals."""
+    """Classify a vector (entries read with `rat`) against the cone via its
+    facet normals."""
     if len(v) != c.dim:
         raise DimensionMismatch(f"vector of length {len(v)} in dimension {c.dim}")
-    vv = tuple(Fraction(x) for x in v)
+    vv = tuple(rat(x) for x in v)
     tight = False
     for f in c.facet_normals:
         s = vdot(f, vv)
@@ -316,8 +316,7 @@ def positive_functional(c: Cone) -> tuple[int, ...]:
 COORD_SUM = "coordsum"
 
 
-@dataclass(frozen=True)
-class CrossSection:
+class CrossSection(NamedTuple):
     """Vertices (rays scaled to functional value 1, lexicographically sorted)
     and edges (index pairs of vertices sharing dim-2 independent tight
     facets)."""
@@ -335,9 +334,10 @@ class CrossSection:
 
 
 def cross_section(c: Cone, normalization=COORD_SUM) -> CrossSection:
-    """Cross-section polytope of a pointed cone at functional value 1.  Its
-    edges come from the combinatorial adjacency test on the extremal
-    generators' tight-facet bitmasks."""
+    """Cross-section polytope of a pointed cone at functional value 1 of
+    `normalization` (COORD_SUM or a vector whose entries are read with
+    `rat`).  Its edges come from the combinatorial adjacency test on the
+    extremal generators' tight-facet bitmasks."""
     if not c.is_pointed:
         raise NotPointed("cross-sections require a pointed cone")
     if normalization == COORD_SUM:
@@ -345,7 +345,7 @@ def cross_section(c: Cone, normalization=COORD_SUM) -> CrossSection:
     else:
         if len(normalization) != c.dim:
             raise DimensionMismatch("normalizing functional has wrong length")
-        w = tuple(Fraction(x) for x in normalization)
+        w = tuple(rat(x) for x in normalization)
     keep = _extremal(c)
     verts = []
     for k in keep:

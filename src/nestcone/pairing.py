@@ -33,8 +33,8 @@ and for decoding legacy tables that use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import NotK3, RangeError, SpaceMismatch
 from .rationals import Rat, ratio, rat_str, vdot
@@ -60,8 +60,7 @@ from .spaces import (
 # The pairing table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairingTable:
+class PairingTable(NamedTuple):
     """Curve-basis x divisor-basis intersection matrix of a space."""
 
     surface: SurfaceModel

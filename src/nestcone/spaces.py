@@ -23,11 +23,9 @@ serialization uses these labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import InvalidGenus, InvalidIndex, RangeError, SpaceMismatch, UnknownSurface
 from .rationals import Rat, canonical_json, rat, rat_str
@@ -37,8 +35,7 @@ from .rationals import Rat, canonical_json, rat, rat_str
 # Surfaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(NamedTuple):
     """A surface's Neron-Severi lattice with its intersection form."""
 
     key: str
@@ -138,8 +135,7 @@ class SpaceKind(str, Enum):
     UNIV = "univ"
 
 
-@dataclass(frozen=True)
-class SpaceId:
+class SpaceId(NamedTuple):
     """Descriptor of the moduli space a class lives on."""
 
     kind: SpaceKind
@@ -255,21 +251,41 @@ def normalize_label(label: str) -> str:
 # Classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
 class _BaseClass:
-    """Shared arithmetic for divisor and curve classes (immutable values)."""
+    """Shared arithmetic for divisor and curve classes (immutable values).
+    Two classes are equal when they are of one type and agree in surface,
+    space and coordinates; a divisor never equals a curve."""
 
+    __slots__ = ("surface", "space", "coords")
     surface: SurfaceModel
     space: SpaceId
     coords: tuple[Rat, ...]
-    layout_table: ClassVar[LayoutTable]
+    layout_table: LayoutTable  # set by DivClass and CurClass
 
-    def __post_init__(self):
-        coords = tuple(rat(c) for c in self.coords)
-        expected = len(self._labels())
+    def __init__(self, surface: SurfaceModel, space: SpaceId, coords: Sequence) -> None:
+        coords = tuple(rat(c) for c in coords)
+        expected = len(layout(surface, space, self.layout_table)[0])
         if len(coords) != expected:
             raise SpaceMismatch(f"expected {expected} coordinates, got {len(coords)}")
-        object.__setattr__(self, "coords", coords)
+        for name, value in zip(_BaseClass.__slots__, (surface, space, coords)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.surface, self.space, self.coords
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def _check(self, other: "_BaseClass") -> None:
         if self.surface != other.surface or self.space != other.space:
@@ -330,14 +346,14 @@ class _BaseClass:
         return f"{type(self).__name__}({self.surface}, {self.space}, {self.expression()})"
 
 
-@dataclass(frozen=True, eq=True)
 class DivClass(_BaseClass):
-    layout_table: ClassVar[LayoutTable] = DIVISOR_LAYOUT
+    __slots__ = ()
+    layout_table = DIVISOR_LAYOUT
 
 
-@dataclass(frozen=True, eq=True)
 class CurClass(_BaseClass):
-    layout_table: ClassVar[LayoutTable] = CURVE_LAYOUT
+    __slots__ = ()
+    layout_table = CURVE_LAYOUT
 
 
 def zero_divisor(surface: SurfaceModel, space: SpaceId) -> DivClass:
@@ -372,11 +388,6 @@ def divisor(surface: SurfaceModel, space: SpaceId, label: str) -> DivClass:
 def curve(surface: SurfaceModel, space: SpaceId, label: str) -> CurClass:
     """Unit basis curve by label (caret spellings accepted)."""
     return _basis_unit(CurClass, "curve", surface, space, label)
-
-
-def divisor_basis(surface: SurfaceModel, space: SpaceId) -> tuple[tuple[str, DivClass], ...]:
-    """Ordered (label, unit class) descriptors of the divisor basis."""
-    return tuple((lab, divisor(surface, space, lab)) for lab in divisor_labels(surface, space))
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +479,15 @@ MVec = Union[int, Rat, Sequence]
 def surface_coords(surface: SurfaceModel, m: MVec) -> tuple[Rat, ...]:
     """Coefficients m_i of a class sum m_i H_i on the surface: a vector of
     length rho, or a bare number when rho = 1.  Coefficients may be negative
-    (the section E = H - iF of a Hirzebruch surface)."""
-    if isinstance(m, (int, Fraction, str)):
+    (the section E = H - iF of a Hirzebruch surface).  A bare value goes
+    through `rat`, so a float is refused."""
+    if isinstance(m, str) or not isinstance(m, Sequence):
+        value = rat(m)
         if surface.rank != 1:
             raise SpaceMismatch(
                 f"{surface} has rank {surface.rank}; pass a length-{surface.rank} vector"
             )
-        return (rat(m),)
+        return (value,)
     out = tuple(rat(x) for x in m)
     if len(out) != surface.rank:
         raise SpaceMismatch(f"expected {surface.rank} surface coefficients, got {len(out)}")

@@ -12,10 +12,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
 from .cone import (
     COORD_SUM,
@@ -60,7 +60,6 @@ def butler_table(i: int) -> TableInputs:
     return table_inputs("nef_fi_univ", i=i, n=2)
 
 
-@dataclass(frozen=True)
 class ButlerInput:
     """Ample class A = aH + bF on F_i and the line bundle L = nA.
 
@@ -72,20 +71,21 @@ class ButlerInput:
     a: int
     b: int
     n: int
-    k_range: tuple[int, int] = (1, 5)
+    k_range: tuple[int, int]
 
-    def __post_init__(self):
-        if self.i < 0:
-            raise InvalidInput(f"Hirzebruch index must be >= 0, got {self.i}")
-        if self.a < 1:
-            raise InvalidInput(f"A.F = a must be positive, got {self.a}")
-        if self.b < 1:
-            raise InvalidInput(f"A.E = b must be positive, got {self.b}")
-        if self.n < 4:
-            raise InvalidInput(f"the criterion needs n >= 4, got {self.n}")
-        lo, hi = self.k_range
+    def __init__(self, i: int, a: int, b: int, n: int, k_range: tuple[int, int] = (1, 5)):
+        if i < 0:
+            raise InvalidInput(f"Hirzebruch index must be >= 0, got {i}")
+        if a < 1:
+            raise InvalidInput(f"A.F = a must be positive, got {a}")
+        if b < 1:
+            raise InvalidInput(f"A.E = b must be positive, got {b}")
+        if n < 4:
+            raise InvalidInput(f"the criterion needs n >= 4, got {n}")
+        lo, hi = k_range
         if lo < 1 or hi < lo:
-            raise InvalidInput(f"k_range must be an inclusive range >= 1, got {self.k_range}")
+            raise InvalidInput(f"k_range must be an inclusive range >= 1, got {k_range}")
+        self.i, self.a, self.b, self.n, self.k_range = i, a, b, n, k_range
 
     @cached_property
     def surface(self) -> SurfaceModel:
@@ -127,8 +127,7 @@ def butler_class(inp: ButlerInput, k: int, ordering: str = ORDER_B) -> DivClass:
     return cls
 
 
-@dataclass(frozen=True)
-class ButlerStep:
+class ButlerStep(NamedTuple):
     k: int
     coords: tuple[Rat, ...]
     ray_labels: tuple[str, ...]
@@ -136,8 +135,7 @@ class ButlerStep:
     position: str
 
 
-@dataclass(frozen=True)
-class ButlerReport:
+class ButlerReport(NamedTuple):
     input: ButlerInput
     ordering: str
     steps: tuple[ButlerStep, ...]
@@ -229,12 +227,7 @@ def a_k(k: int) -> int:
     return comb(k + 2, 2) - 1
 
 
-def a_k_prime(k: int) -> int:
-    return comb(k + 2, 2)
-
-
-@dataclass(frozen=True)
-class MovingCurve:
+class MovingCurve(NamedTuple):
     """One of the four facet functionals cutting out E_k, together with the
     extremal ray of E_k it annihilates and that ray's deviation from the
     corresponding limit ray."""
@@ -289,8 +282,7 @@ def limit_cone() -> Cone:
     )
 
 
-@dataclass(frozen=True)
-class AsymptoticStep:
+class AsymptoticStep(NamedTuple):
     k: int
     deviation_1: Rat
     deviation_2: Rat
@@ -299,8 +291,7 @@ class AsymptoticStep:
     section_distance: Rat  # max-coordinate distance of vertices to the limit square
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     k_max: int
     steps: tuple[AsymptoticStep, ...]
     limit_is_orthant: bool

@@ -39,7 +39,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -95,23 +94,20 @@ RESIDUE_OF_NEF = "residue-of-nef"
 ASSERTED = "asserted"
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Why a ray is believed nef/effective (geometric input, cited)."""
 
     tag: str
     note: str = ""
 
 
-@dataclass(frozen=True)
-class RaySpec:
+class RaySpec(NamedTuple):
     label: str
     cls: DivClass
     provenance: Provenance
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
+class WitnessSpec(NamedTuple):
     label: str
     cls: CurClass
 
@@ -141,8 +137,7 @@ EFF_MOVING = "EffMoving"
 CERTIFIED = "certified"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: str
     surface: str
     space: str
@@ -279,8 +274,7 @@ DIFF = "diff"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     row: str
     col: str
     expected: Rat | None
@@ -288,15 +282,13 @@ class CellCheck:
     status: str
 
 
-@dataclass(frozen=True)
-class SectionCheck:
+class SectionCheck(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TableSection:
+class TableSection(NamedTuple):
     title: str
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
@@ -311,8 +303,7 @@ class TableSection:
         )
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     table_id: str
     params: dict
     sections: tuple[TableSection, ...]
@@ -663,8 +654,7 @@ _NEF_PROVENANCE = {
 }
 
 
-@dataclass(frozen=True)
-class NefTable:
+class NefTable(NamedTuple):
     """Inputs of a catalog nef table: `template` fed by the surface
     `record`, its blocks of rows taken in `order`; the expected matrix is
     diagonal."""
@@ -695,8 +685,7 @@ class NefTable:
 _CHECK_NAMES = {NEF_DUAL: "nef duality certificate", EFF_MOVING: "moving-curve duality certificate"}
 
 
-@dataclass(frozen=True)
-class CertifiedTable:
+class CertifiedTable(NamedTuple):
     """A catalog table certified by one duality identity: `inputs` builds
     its rays, witnesses and expected pairings from the table parameters,
     and its one section takes its cells from the certificate's matrix."""
@@ -772,8 +761,7 @@ def _eff_summary_sections(table_id: str) -> tuple[TableSection, ...]:
 # Catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     id: str
     description: str
     defaults: dict

@@ -2,7 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -235,6 +239,17 @@ def test_usage_error_exit_2(capsys):
 def test_no_arguments_is_one_line_usage_error(capsys):
     code, out, err = run(capsys)
     assert (code, out, err) == (2, "", "usage error: Missing command.\n")
+
+
+
+def test_cli_import_loads_no_dataclasses():
+    # Records are NamedTuples or slotted classes, which cost next to nothing
+    # to declare; the dataclass machinery would dominate start-up.
+    src = str(Path(nc.__file__).resolve().parents[1])
+    code = "import sys, nestcone.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_out_into_missing_directory_is_one_line_error(tmp_path, capsys):

@@ -181,6 +181,18 @@ def test_cross_section_requires_positive_functional():
     assert len(cs.vertices) == 2
 
 
+
+def test_float_scalars_get_rats_error():
+    c = cone_from_rays(2, [(1, 0), (0, 1)])
+    with pytest.raises(TypeError, match="cannot build an exact rational from float"):
+        cross_section(c, (0.1, 0.3))
+    with pytest.raises(TypeError, match="cannot build an exact rational from float"):
+        position(c, (0.1, 0.2))
+    cs = cross_section(c, (Fraction(1, 10), "3/10"))
+    assert cs.vertices == ((0, Fraction(10, 3)), (10, 0))
+    assert position(c, ("1/10", Fraction(1, 5))) == Position.INTERIOR
+
+
 def test_positive_functional():
     c = cone_from_rays(2, [(1, -1), (1, 1)])
     w = positive_functional(c)

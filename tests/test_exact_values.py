@@ -4,13 +4,13 @@ is integral and a `Fraction` only when its denominator is above 1, never a
 
 The sweep runs the whole catalog at its defaults, every standard
 certificate, the asymptotic study, a cross-section and a Butler scan, and
-walks the dataclasses they return.  A field annotated with `Rat` holds
+walks the records they return: NamedTuples and the slotted class types.
+A field annotated with `Rat` holds
 exact values (class coordinates, certificate matrices, table cells,
 cross-section vertices, deviations, ray coefficients); each of its entries
 is checked.  No other field may hold a float either.
 """
 
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -26,20 +26,32 @@ def _entries(x):
         yield x
 
 
+def _fields(obj) -> dict[str, str]:
+    """{name: annotation text} of the fields of a record, a NamedTuple or a
+    class with `__slots__`; empty for any other value."""
+    mro = type(obj).__mro__
+    names = getattr(obj, "_fields", None) or [n for k in mro for n in vars(k).get("__slots__", ())]
+    hints = {}
+    for k in reversed(mro):
+        hints.update(vars(k).get("__annotations__", {}))
+    return {n: str(hints[n]) for n in names if n in hints}
+
+
 def _sweep(obj, seen: Counter, bad: list) -> None:
-    """Count the exact values under `obj` by (dataclass, field) in `seen`;
+    """Count the exact values under `obj` by (record type, field) in `seen`;
     append every value not in normal form, and every float, to `bad`."""
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            if "Rat" not in str(f.type):
+    fields = _fields(obj)
+    if fields:
+        for name, hint in fields.items():
+            value = getattr(obj, name)
+            if "Rat" not in hint:
                 _sweep(value, seen, bad)
                 continue
             for q in _entries(value):
-                seen[type(obj).__name__, f.name] += 1
+                seen[type(obj).__name__, name] += 1
                 normal = type(q) is int or (type(q) is Fraction and q.denominator > 1)
-                if not (normal or (q is None and "None" in str(f.type))):
-                    bad.append((type(obj).__name__, f.name, q))
+                if not (normal or (q is None and "None" in hint)):
+                    bad.append((type(obj).__name__, name, q))
     elif isinstance(obj, (tuple, list)):
         for y in obj:
             _sweep(y, seen, bad)

@@ -152,7 +152,8 @@ def _lattice_lines(s, sp) -> list[str]:
     if sp.n is not None:
         sources += [nc.hilb(m) for m in (sp.n, sp.n + 1) if m >= 2]
     for src in sources:
-        for lab, d in nc.divisor_basis(s, src):
+        for lab in nc.divisor_labels(s, src):
+            d = nc.divisor(s, src, lab)
             for pull in (nc.pull_a, nc.pull_b, nc.pull_res):
                 lines.append(f"{pull.__name__} {src} {lab}: {_outcome(pull, d, sp)}")
     for lab in nc.curve_labels(s, sp):

@@ -148,6 +148,27 @@ def test_class_arithmetic_and_mismatch():
         h + nc.divisor(nc.k3(3), sp, "H")
 
 
+
+def test_classes_are_immutable_values():
+    s, sp = nc.p2(), nc.hilb(2)
+    d = nc.DivClass(s, sp, (1, Fraction(2, 2)))
+    same = nc.divisor(s, sp, "H") + nc.divisor(s, sp, "B/2")
+    assert d == same and hash(d) == hash(same) and len({d, same}) == 1
+    assert d.coords == (1, 1) and type(d.coords[1]) is int
+    c = nc.CurClass(s, sp, d.coords)
+    assert d != c and c != d and len({d, c}) == 2
+    assert d != nc.DivClass(s, nc.hilb(3), d.coords)
+    with pytest.raises(AttributeError):
+        d.coords = (0, 0)
+    with pytest.raises(AttributeError):
+        del d.coords
+    with pytest.raises(AttributeError):
+        d.label = "H + B/2"
+    assert d.coords == (1, 1)
+    with pytest.raises(SpaceMismatch):
+        nc.DivClass(s, sp, (1,))
+
+
 def test_expression_roundtrip():
     from nestcone.cli import parse_divisor_expr
 
@@ -213,6 +234,14 @@ def test_tautological_classes():
     assert tq.coords == (F(1), F(2), F(-1))
     with pytest.raises(SpaceMismatch):
         nc.tautological_b(s, nc.nested(1), 1)
+
+
+
+def test_bare_float_coefficient_gets_rats_error():
+    for make in (lambda: nc.surface_divisor(nc.p2(), 0.5), lambda: nc.tautological(nc.p2(), 2, 0.5)):
+        with pytest.raises(TypeError, match="cannot build an exact rational from float"):
+            make()
+    assert nc.surface_divisor(nc.p2(), "1/2").coords == (Fraction(1, 2),)
 
 
 def test_exceptional_class():

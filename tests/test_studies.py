@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import nestcone as nc
 from nestcone.errors import InvalidInput, RangeError
-from nestcone.studies import ORDER_B, ORDER_RES, a_k, a_k_prime, butler_table
+from nestcone.studies import ORDER_B, ORDER_RES, a_k, butler_table
 
 
 F = Fraction
@@ -114,15 +115,15 @@ def test_butler_report_serialization():
 # ---------------------------------------------------------------------------
 
 def test_a_k_values():
-    assert a_k(2) == 5 and a_k_prime(2) == 6
-    assert a_k(10) == 65 and a_k_prime(10) == 66
+    assert a_k(2) == 5
+    assert a_k(10) == 65
 
 
 def test_one_deviation_for_both_moving_curves():
     # a'_k - 1 = a_k, so the deviations k/(2 a_k) and k/(2(a'_k - 1)) of
     # the two moving curves are one number.
     for k in range(1, 500):
-        assert a_k_prime(k) - 1 == a_k(k)
+        assert comb(k + 2, 2) - 1 == a_k(k)
         curves = nc.asymptotic_moving_curves(k)
         assert curves[2].deviation == curves[3].deviation == F(k, 2 * a_k(k))
 
