@@ -181,7 +181,6 @@ def test_cross_section_requires_positive_functional():
     assert len(cs.vertices) == 2
 
 
-
 def test_float_scalars_get_rats_error():
     c = cone_from_rays(2, [(1, 0), (0, 1)])
     with pytest.raises(TypeError, match="cannot build an exact rational from float"):

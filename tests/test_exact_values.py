@@ -5,10 +5,10 @@ is integral and a `Fraction` only when its denominator is above 1, never a
 The sweep runs the whole catalog at its defaults, every standard
 certificate, the asymptotic study, a cross-section and a Butler scan, and
 walks the records they return: NamedTuples and the slotted class types.
-A field annotated with `Rat` holds
-exact values (class coordinates, certificate matrices, table cells,
-cross-section vertices, deviations, ray coefficients); each of its entries
-is checked.  No other field may hold a float either.
+A field annotated with `Rat` holds exact values (class coordinates,
+certificate matrices, table cells, cross-section vertices, deviations, ray
+coefficients); each of its entries is checked.  No other field may hold a
+float either.
 """
 
 from collections import Counter

@@ -148,7 +148,6 @@ def test_class_arithmetic_and_mismatch():
         h + nc.divisor(nc.k3(3), sp, "H")
 
 
-
 def test_classes_are_immutable_values():
     s, sp = nc.p2(), nc.hilb(2)
     d = nc.DivClass(s, sp, (1, Fraction(2, 2)))
@@ -234,7 +233,6 @@ def test_tautological_classes():
     assert tq.coords == (F(1), F(2), F(-1))
     with pytest.raises(SpaceMismatch):
         nc.tautological_b(s, nc.nested(1), 1)
-
 
 
 def test_bare_float_coefficient_gets_rats_error():
