@@ -9,13 +9,16 @@ reasonably fast for the dimensions used here (<= 8).
   of the constraints it is tight on.  New rays come only from adjacent
   pairs, found by the combinatorial test (`_adjacent`): a pair sharing
   fewer tight constraints than dimension - lineality - 2 is rejected by a
-  popcount before the scan for a third ray tight on all of them.
+  popcount before the test for a third ray tight on all of them.  That
+  test ANDs per-constraint ray bitsets, built lazily by `_transpose`, the
+  one bit-matrix transpose.
 * Extremal rays and the lineality space are read off the same DD's
-  incidence data, each generator's bitmask of tight facets (Fukuda &
-  Prodon, 1996): a generator is extremal when its mask is not full and no
-  other non-full mask strictly contains it, and the full-mask generators
-  span the lineality space (its canonical basis is one `linalg.rref` of
-  them).  No second DD runs, and no elimination over facet normals.
+  incidence data, each generator's bitmask of tight facets (`_transpose`
+  of the facets' masks; Fukuda & Prodon, 1996): a generator is extremal
+  when its mask is not full and no other non-full mask strictly contains
+  it, and the full-mask generators span the lineality space (its
+  canonical basis is one `linalg.rref` of them).  No second DD runs, and
+  no elimination over facet normals.
 * Cross-section edges are the adjacent pairs among the extremal rays, by
   the same combinatorial test on their tight-facet bitmasks.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice, product
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import linalg
@@ -52,30 +55,60 @@ class Position:
 
 
 def _idot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    """The dot product of two integer vectors of equal length."""
+    if len(u) != len(v):
+        raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
+
+
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The bit matrix `rows` read by columns: bit r of column k is bit k of
+    row r.  There are as many columns as the widest row has bits."""
+    cols = [0] * max(rows, default=0).bit_length()
+    for r, m in enumerate(rows):
+        bit = 1 << r
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
 
 
 def _adjacent(
-    masks: Sequence[int], pairs: Iterable[tuple[int, int]], floor: int
+    masks: Sequence[int], pairs: Iterable[tuple[int, Iterable[int]]], floor: int
 ) -> Iterator[tuple[int, int]]:
     """The pairs (i, j) of extreme rays that are adjacent, given every
     extreme ray's bitmask of tight constraints: the combinatorial test of
-    Fukuda & Prodon (1996).
+    Fukuda & Prodon (1996).  `pairs` holds groups (i, js), one pair per j,
+    yielded in that order.
 
     Adjacent rays span a 2-face, so their common tight constraints have rank
     (dimension - lineality - 2) = `floor`, and hence at least that many bits:
-    a pair with fewer is rejected without a scan.  Otherwise they are
+    a pair with fewer is rejected without a test.  Otherwise they are
     adjacent exactly when no third ray is tight on all of their common
-    constraints (only i and j themselves contain the common mask).
+    constraints.  The rays tight on `common` are the AND, over its bits, of
+    per-constraint ray bitsets (the `_transpose` of `masks`, built when the
+    first pair passes the popcount), starting from all rays; the AND stops
+    once only i and j are left.
     """
-    for i, j in pairs:
-        common = masks[i] & masks[j]
-        if common.bit_count() < floor:
-            continue
-        # i and j are two of the rays tight on `common`; stop at a third.
-        tight_on_common = (m for m in masks if m & common == common)
-        if next(islice(tight_on_common, 2, None), None) is None:
-            yield i, j
+    cols = None
+    for i, js in pairs:
+        mi = masks[i]
+        for j in js:
+            common = mi & masks[j]
+            if common.bit_count() < floor:
+                continue
+            if cols is None:
+                cols = _transpose(masks)
+                everyone = (1 << len(masks)) - 1
+            pair = (1 << i) | (1 << j)
+            tight = everyone
+            while common and tight != pair:
+                low = common & -common
+                tight &= cols[low.bit_length() - 1]
+                common ^= low
+            if tight == pair:
+                yield i, j
 
 
 def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, int]]]:
@@ -89,10 +122,12 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
     lin: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
     ]
-    rays: list[tuple[IVec, int]] = []  # (vector, bitmask of tight constraints)
+    rays: list[IVec] = []
+    masks: list[int] = []  # per ray, the bitmask of its tight constraints
 
     for idx, a in enumerate(cons):
         bit = 1 << idx
+        scores = [_idot(a, v) for v in rays]
         dl = [_idot(a, l) for l in lin]
         pivot = next((j for j, d in enumerate(dl) if d != 0), None)
         if pivot is not None:
@@ -100,41 +135,40 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
             if dstar < 0:
                 lstar = tuple(-x for x in lstar)
                 dstar = -dstar
-            new_lin = []
-            for j, l in enumerate(lin):
-                if j == pivot:
-                    continue
-                new_lin.append(
-                    primitive(tuple(dstar * x - dl[j] * y for x, y in zip(l, lstar)))
-                )
-            new_rays = []
-            for v, mask in rays:
-                s = _idot(a, v)
-                v2 = primitive(tuple(dstar * x - s * y for x, y in zip(v, lstar)))
-                new_rays.append((v2, mask | bit))
+            lin = [
+                primitive([dstar * x - d * y for x, y in zip(l, lstar)])
+                for j, (l, d) in enumerate(zip(lin, dl)) if j != pivot
+            ]
+            rays = [
+                primitive([dstar * x - s * y for x, y in zip(v, lstar)])
+                for v, s in zip(rays, scores)
+            ]
             # lstar was in the lineality space, hence tight on every earlier
             # constraint, and a . lstar > 0.
-            new_rays.append((lstar, bit - 1))
-            lin, rays = new_lin, new_rays
+            rays.append(lstar)
+            masks = [m | bit for m in masks]
+            masks.append(bit - 1)
             continue
 
-        scored = [(_idot(a, v), v, m) for v, m in rays]
-        masks = [m for _, _, m in scored]
         floor = dim - len(lin) - 2
-        pos = [i for i, (s, _, _) in enumerate(scored) if s > 0]
-        neg = [j for j, (s, _, _) in enumerate(scored) if s < 0]
-        new_rays = [(v, m | bit if s == 0 else m) for s, v, m in scored if s >= 0]
-        for i, j in _adjacent(masks, product(pos, neg), floor):
-            (sp, p, mp), (sq, q, mq) = scored[i], scored[j]
-            v2 = primitive(tuple(sp * x - sq * y for x, y in zip(q, p)))
-            new_rays.append((v2, (mp & mq) | bit))
+        pos = [i for i, s in enumerate(scores) if s > 0]
+        neg = [j for j, s in enumerate(scores) if s < 0]
+        new_rays = [
+            (v, m | bit if s == 0 else m)
+            for v, m, s in zip(rays, masks, scores) if s >= 0
+        ]
+        for i, j in _adjacent(masks, ((i, neg) for i in pos), floor):
+            sp, sq, p, q = scores[i], scores[j], rays[i], rays[j]
+            v2 = primitive([sp * x - sq * y for x, y in zip(q, p)])
+            new_rays.append((v2, (masks[i] & masks[j]) | bit))
         # Defensive dedup (exact adjacency should not produce duplicates).
         dedup: dict[IVec, int] = {}
         for v, m in new_rays:
             dedup[v] = dedup.get(v, m) | m
-        rays = sorted(dedup.items())
+        rays = sorted(dedup)
+        masks = [dedup[v] for v in rays]
 
-    return _canonical_lineality(lin), rays
+    return _canonical_lineality(lin), list(zip(rays, masks))
 
 
 def _canonical_lineality(lin: Sequence[IVec]) -> list[IVec]:
@@ -189,14 +223,12 @@ class Cone:
     @cached_property
     def _incidence(self) -> list[int]:
         """Per generator, the bitmask of the facets tight on it (bit i for
-        the i-th pointed-part ray of `_dual_parts`): the DD's incidence data
-        read the other way round.  The dual's lineality basis is tight on
-        every generator and has no bit."""
-        facets = self._dual_parts[1]
-        return [
-            sum(1 << i for i, (_, m) in enumerate(facets) if m >> k & 1)
-            for k in range(len(self.rays))
-        ]
+        the i-th pointed-part ray of `_dual_parts`): the `_transpose` of the
+        DD's incidence data, padded with empty masks to one per generator.
+        The dual's lineality basis is tight on every generator and has no
+        bit."""
+        cols = _transpose([m for _, m in self._dual_parts[1]])
+        return cols + [0] * (len(self.rays) - len(cols))
 
     @cached_property
     def facet_normals(self) -> tuple[IVec, ...]:
@@ -359,5 +391,6 @@ def cross_section(c: Cone, normalization=COORD_SUM) -> CrossSection:
     order = sorted(range(len(verts)), key=lambda i: verts[i])
     masks = [c._incidence[keep[i]] for i in order]
     floor = c.dim - len(c._dual_parts[0]) - 2
-    edges = _adjacent(masks, combinations(range(len(order)), 2), floor)
+    n = len(order)
+    edges = _adjacent(masks, ((i, range(i + 1, n)) for i in range(n)), floor)
     return CrossSection(c.dim, tuple(verts[i] for i in order), tuple(edges))

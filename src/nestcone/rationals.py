@@ -85,12 +85,12 @@ def primitive(u: Sequence) -> tuple[int, ...]:
     The scaling factor is always positive, so the ray direction is preserved;
     flipping signs would change the cone a generator spans.  The zero vector
     maps to itself.  An all-`int` vector (the cone engine's case) is divided
-    by its gcd directly; anything else (`bool` included) goes through
-    `Fraction`.
+    by its gcd directly, and not at all when the gcd is 0 or 1; anything
+    else (`bool` included) goes through `Fraction`.
     """
-    if all(type(a) is int for a in u):
+    if {int}.issuperset(map(type, u)):
         g = gcd(*u)
-        return tuple(a // g for a in u) if g else tuple(u)
+        return tuple(u) if g < 2 else tuple([a // g for a in u])
     fr = [Fraction(a) for a in u]
     if all(a == 0 for a in fr):
         return tuple(0 for _ in fr)

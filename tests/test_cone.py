@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations, islice
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +13,10 @@ from nestcone.cone import (
     Cone,
     CrossSection,
     Position,
+    _adjacent,
     _extremal,
+    _idot,
+    _transpose,
     cone_contains,
     cone_equal,
     cone_from_rays,
@@ -61,6 +66,12 @@ def test_dimension_mismatch():
     c = cone_from_rays(2, [(1, 0)])
     with pytest.raises(DimensionMismatch):
         position(c, (1, 0, 0))
+
+
+def test_idot_rejects_unequal_lengths():
+    assert _idot((1, 2, 3), (4, 5, 6)) == 32
+    with pytest.raises(ValueError):
+        _idot((1, 2), (1, 2, 3))
 
 
 def test_dual_of_halfplane():
@@ -231,6 +242,43 @@ def padded(rays, count, rng):
     gens = rays + pad
     rng.shuffle(gens)
     return gens
+
+
+def ubt_facets(m, d):
+    """The facet count of the cyclic polytope C(m, d), the maximum the upper
+    bound theorem allows for m vertices in dimension d."""
+    k = d // 2
+    if d % 2:
+        return 2 * comb(m - k - 1, k)
+    return m * comb(m - k, k) // (m - k)
+
+
+def gale_facets(m, d):
+    """The d-sets of C(m, d)'s vertices 0..m-1 that span a facet, by Gale's
+    evenness condition: between any two vertices off the set, an even
+    number of the set's vertices lie."""
+    return {
+        s for s in combinations(range(m), d)
+        if all(sum(i < x < j for x in s) % 2 == 0
+               for i, j in combinations(sorted(set(range(m)) - set(s)), 2))
+    }
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_dual_of_cyclic_cones_has_gales_facets(d):
+    """The facet side of the kernel at d = 6..8: the dual of the cone over
+    C(d + 4, d) has the upper bound theorem's facet count, and each facet
+    normal is tight on exactly the vertices of one Gale facet."""
+    m = d + 4
+    rays = moment_rays(m, d)
+    normals = dual(cone_from_rays(d + 1, rays)).rays
+    assert len(normals) == ubt_facets(m, d)
+    tight_sets = set()
+    for f in normals:
+        vals = [sum(a * b for a, b in zip(f, r)) for r in rays]
+        assert min(vals) == 0
+        tight_sets.add(tuple(k for k, x in enumerate(vals) if x == 0))
+    assert tight_sets == gale_facets(m, d)
 
 
 @pytest.fixture
@@ -407,3 +455,62 @@ def test_nonnegative_pairings_put_rays_in_the_dual(functionals, candidates):
     ]
     assume(any(any(r) for r in rays) and any(any(w) for w in functionals))
     assert cone_contains(dual(cone_from_rays(4, functionals)), cone_from_rays(4, rays))
+
+
+# ---------------------------------------------------------------------------
+# The bit-matrix kernel: `_transpose` and `_adjacent`
+# ---------------------------------------------------------------------------
+
+def scan_adjacent(masks, pairs, floor):
+    """The reference test: a scan of every mask for a third ray tight on
+    the pair's common constraints."""
+    for i, j in pairs:
+        common = masks[i] & masks[j]
+        if common.bit_count() < floor:
+            continue
+        tight_on_common = (m for m in masks if m & common == common)
+        if next(islice(tight_on_common, 2, None), None) is None:
+            yield i, j
+
+
+_ROWS = st.lists(st.integers(0, 2**9 - 1), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROWS)
+def test_transpose_is_the_bit_matrix_transpose(rows):
+    cols = _transpose(rows)
+    assert len(cols) == max(rows, default=0).bit_length()
+    for k, col in enumerate(cols):
+        assert col == sum((rows[r] >> k & 1) << r for r in range(len(rows)))
+    back = _transpose(cols)
+    assert back + [0] * (len(rows) - len(back)) == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(0, 2**7 - 1)), min_size=2, max_size=10),
+    st.integers(0, 5),
+    st.randoms(use_true_random=False),
+)
+def test_adjacent_matches_the_scan(masks, floor, rng):
+    """The grouped pairs of `_dd` (positive x negative rays) and of
+    `cross_section` (i < j) give exactly the reference scan's pairs, in its
+    order; zero masks make empty common masks, and floor 0 lets them pass."""
+    n = len(masks)
+    pos = [i for i in range(n) if rng.random() < 0.5]
+    neg = [j for j in range(n) if j not in pos]
+    assert list(_adjacent(masks, ((i, neg) for i in pos), floor)) == list(
+        scan_adjacent(masks, ((i, j) for i in pos for j in neg), floor)
+    )
+    assert list(_adjacent(masks, ((i, range(i + 1, n)) for i in range(n)), floor)) == list(
+        scan_adjacent(masks, combinations(range(n), 2), floor)
+    )
+
+
+def test_two_lone_rays_are_adjacent():
+    """With floor 0 and no common constraint, as in a 2-D cross-section,
+    two rays are adjacent exactly when there is no third."""
+    assert list(_adjacent([0, 0], [(0, [1])], 0)) == [(0, 1)]
+    assert list(_adjacent([0, 0, 0], [(0, [1, 2]), (1, [2])], 0)) == []
+    assert list(_adjacent([0b01, 0b10], [(0, [1])], 1)) == []

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestcone.rationals import rat, rat_str, vdot
+from nestcone.rationals import primitive, rat, rat_str, vdot
 
 # Ints and Fractions mixed: zeros, negatives and values far beyond 64 bits.
 _SCALAR = st.one_of(
@@ -59,3 +60,43 @@ def test_rat_returns_the_normal_form(q, n, d):
 def test_rat_rejects_bool_and_float(x):
     with pytest.raises(TypeError):
         rat(x)
+
+
+def test_primitive_reads_bool_as_a_rational_and_returns_ints():
+    got = primitive((True, 2))
+    assert got == (1, 2) and [type(a) for a in got] == [int, int]
+
+
+@pytest.mark.parametrize("zero", [(), (0, 0, 0), [0, 0], (Fraction(0), 0)])
+def test_primitive_maps_the_zero_vector_to_itself(zero):
+    assert primitive(zero) == tuple(zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**20), 10**20), max_size=8))
+def test_primitive_of_an_int_vector(u):
+    """A gcd-1 int vector (list or tuple) comes back as a tuple equal to
+    it, the zero vector maps to itself, and any other int vector is divided
+    by its gcd."""
+    g = gcd(*u)
+    for vec in (u, tuple(u)):
+        got = primitive(vec)
+        assert type(got) is tuple and all(type(a) is int for a in got)
+        assert got == (tuple(u) if g in (0, 1) else tuple(a // g for a in u))
+    assert primitive([3 * a for a in u]) == primitive(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SCALAR, min_size=1, max_size=6), st.fractions(min_value=Fraction(1, 10**6)))
+def test_primitive_scales_by_a_positive_rational(u, c):
+    got = primitive(u)
+    assert all(type(a) is int for a in got)
+    if all(a == 0 for a in u):
+        assert got == tuple(0 for _ in u)
+        return
+    assert gcd(*got) == 1
+    assert primitive([c * a for a in u]) == got
+    # got = q * u for one positive rational q
+    k = next(i for i, a in enumerate(u) if a != 0)
+    q = Fraction(got[k]) / Fraction(u[k])
+    assert q > 0 and all(Fraction(a) * q == b for a, b in zip(u, got))
