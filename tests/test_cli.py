@@ -241,6 +241,125 @@ def test_no_arguments_is_one_line_usage_error(capsys):
     assert (code, out, err) == (2, "", "usage error: Missing command.\n")
 
 
+PAIR = ("pair", "--space", "hilb", "--n", "3")
+TESTS_DIR = str(Path(__file__).resolve().parent)
+
+
+def _quoted(ids) -> str:
+    return ", ".join(f"'{t}'" for t in ids)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("table", "--table", "foo"),
+         f"Invalid value for '--table': 'foo' is not one of {_quoted(sorted(nc.CATALOG))}."),
+        (("table", "--table", "it's"),
+         f"Invalid value for '--table': \"it's\" is not one of {_quoted(sorted(nc.CATALOG))}."),
+        (("table", "--table=foo"),
+         f"Invalid value for '--table': 'foo' is not one of {_quoted(sorted(nc.CATALOG))}."),
+        (("table", "--tabel", "x"),
+         "No such option '--tabel'. (Did you mean one of: '--help', '--table'?)"),
+        (("pair", "--bogus", "--help"), "No such option '--bogus'. Did you mean '--genus'?"),
+        (("table", "--="), "No such option '--'. (Did you mean one of: '--g', '--i', '--n'?)"),
+        (("--hlp",), "No such option '--hlp'. Did you mean '--help'?"),
+        (("table", "--table", "k3_g1n", "--n", "x"),
+         "Invalid value for '--n': 'x' is not a valid integer."),
+        (("table", "--n="), "Invalid value for '--n': '' is not a valid integer."),
+        (("table", "--table", "k3_g1n", "--genus", "x"),
+         "Invalid value for '--g' / '--genus': 'x' is not a valid integer."),
+        (("pair", "--n", "--help"), "Invalid value for '--n': '--help' is not a valid integer."),
+        ((*PAIR, "H"), "Missing argument 'CURVE_EXPR'."),
+        (("pair",), "Missing argument 'DIVISOR_EXPR'."),
+        (("frob",), "No such command 'frob'."),
+        (("pari",), "No such command 'pari'. Did you mean 'pair'?"),
+        (("--", "frob"), "No such command 'frob'."),
+        (("",), "No such command ''."),
+        (("table", "--table", "k3_g1n", "--n"), "Option '--n' requires an argument."),
+        ((*PAIR, "H", "A", "c"), "Got unexpected extra argument (c)"),
+        ((*PAIR, "H", "A", "c", "d"), "Got unexpected extra arguments (c d)"),
+        (("nef",), "Missing option '--table'. Choose from:\n\t"
+         + ",\n\t".join(sorted(t for t in nc.CATALOG if "nef" in t))),
+        (("eff",), "Missing option '--table'. Choose from:\n\teff_p2_2_1,\n\teff_p2_3_2"),
+        (("verify", "--all=3"), "Option '--all' does not take a value."),
+        (("verify", "--all="), "Option '--all' does not take a value."),
+        (("pair", "--help=1"), "Option '--help' does not take a value."),
+        (("table", "--table", "eff_summary", "--out", TESTS_DIR),
+         f"Invalid value for '--out': File '{TESTS_DIR}' is a directory."),
+        (("table", "-H"), "No such option '-H'."),
+        (("table", "-Hx"), "No such option '-H'."),
+        (("table", "-n=3"), "No such option '-n'."),
+        (("-x",), "No such option '-x'."),
+        (("--", "-x"), "No such option '-x'."),
+        # The first option given is the first one checked, ahead of a
+        # missing --table.
+        (("table", "--n", "x", "--table", "foo"),
+         "Invalid value for '--n': 'x' is not a valid integer."),
+        (("table", "--format", "bogus"),
+         "Invalid value for '--format': 'bogus' is not one of 'text', 'json', 'csv'."),
+        (("butler", "--ordering", "x"), "Invalid value for '--ordering': 'x' is not one of 'b', 'res'."),
+    ],
+)
+def test_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (("pair", "--space=hilb", "--n=3", "H", "C1"), "1\n"),
+        (("pair", "H", "--space", "hilb", "C1", "--n", "3"), "1\n"),  # options after arguments
+        ((*PAIR, "--", "-H", "C1"), "-1\n"),  # after --, -H is an expression
+        (("pair", "--n", "x", "--space", "hilb", "--n", "3", "H", "C1"), "1\n"),  # the last --n counts
+        (("pair", "--genus", " 7 ", "--surface", "k3", "--space", "hilb", "--n", "3", "H", "C1"),
+         "12\n"),  # int() takes surrounding blanks
+        (("asymptotic", "--k-max", "1_0", "--k-max", "3"), None),
+        # A help request is answered before the values are checked.
+        ((*PAIR, "--n", "x", "H", "A", "extra", "--help"), None),
+    ],
+)
+def test_option_parsing(capsys, argv, stdout):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert stdout is None or out == stdout
+
+
+def test_option_value_may_start_with_a_dash(capsys):
+    code, out, err = run(capsys, "pair", "--space", "hilb", "--n", "-3", "H", "C1")
+    assert (code, out, err) == (2, "", "error: Hilb(n) requires n >= 2, got -3\n")
+
+
+def test_colour_only_on_a_terminal(capsys, monkeypatch):
+    monkeypatch.delenv("NESTCONE_NO_COLOR")
+    assert run(capsys, "verify", "--table", "k3_g1n")[1] == "k3_g1n: OK (4 cells)\n"
+
+    class Terminal(io.StringIO):
+        def isatty(self):
+            return True
+
+    term = Terminal()
+    monkeypatch.setattr(sys, "stdout", term)
+    assert main(["verify", "--table", "k3_g1n"]) == 0
+    assert term.getvalue() == "k3_g1n: \x1b[32mOK\x1b[0m (4 cells)\n"
+    term.truncate(0)
+    monkeypatch.setenv("NESTCONE_NO_COLOR", "1")
+    assert main(["verify", "--table", "k3_g1n"]) == 0
+    assert term.getvalue().endswith("k3_g1n: OK (4 cells)\n")
+
+
+def test_module_help_names_the_module():
+    src = str(Path(nc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestcone.cli", "--help"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == (
+        "Usage: python -m nestcone.cli [OPTIONS] COMMAND [ARGS]..."
+    )
+
+
 def test_cli_import_loads_no_dataclasses():
     # Records are NamedTuples or slotted classes, which cost next to nothing
     # to declare; declaring dataclasses took over half of `import nestcone`.
