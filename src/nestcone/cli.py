@@ -2,21 +2,24 @@
 
 Exit codes: 0 success / everything certified, 1 verification failure or
 table diff, 2 usage or expression-parse errors.  All output is deterministic
-for fixed inputs; set NESTCONE_NO_COLOR to suppress ANSI styling.
+for fixed inputs.  Certificate verdicts and `verify` statuses are coloured
+only when stdout is a terminal and NESTCONE_NO_COLOR is unset (or empty).
 
-Every command but `verify` (which prints per table, failing reports to
-stderr) writes one text through `_emit`, the one output path.
+Each command's options and arguments are one declarative table, from which
+the parser, `--help` and the usage errors are all derived; the command line
+needs nothing outside the standard library.  Every command but `verify`
+(which prints per table, failing reports to stderr) writes one text through
+`_emit`, the one output path.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import sys
 
-import click
-
 from . import render
-from .errors import NestconeError, ParseError
+from .errors import NestconeError, ParseError, UsageError
 from .rationals import canonical_json, rat, rat_str
 from .spaces import (
     CurClass,
@@ -220,6 +223,286 @@ def parse_curve_expr(src: str, surface: SurfaceModel, space: SpaceId) -> CurClas
 
 
 # ---------------------------------------------------------------------------
+# Option tables, parsing and --help
+# ---------------------------------------------------------------------------
+# Each command declares its options and arguments once, as a tuple of
+# _Param; the parser, the --help text and the usage errors all read that
+# tuple.  The rules, messages and help layout are those of click 8, on which
+# earlier releases of this command line were built, so scripts see the same
+# behaviour: options and arguments interleave, `--opt value` and
+# `--opt=value` both work, `--` ends the options, an option that takes a
+# value takes the next token whatever it is, and a repeated option keeps its
+# last value.  `--help` wins over every value check; the other values are
+# checked in the order their options were first given, then the arguments,
+# then the options left at their defaults, and the first failure is the one
+# reported.
+
+_FLAG = "flag"
+_FILE = "file"
+_METAVARS = {int: "INTEGER", str: "TEXT", _FILE: "FILE"}
+
+
+class _Param:
+    """An option, spelled `names`, or with no names a positional argument.
+    `kind` converts its value: int, str, a tuple of choices, _FILE (a path
+    that is not a directory, nor an existing file that cannot be read) or
+    _FLAG (no value: True when given)."""
+
+    __slots__ = ("names", "dest", "kind", "default", "required", "show_default", "help")
+
+    def __init__(self, *names, dest=None, kind=str, default=None, required=False,
+                 show_default=False, help=""):
+        self.names = names
+        self.dest = dest or names[0].lstrip("-").replace("-", "_")
+        self.kind = kind
+        self.default = default
+        self.required = required
+        self.show_default = show_default
+        self.help = help
+
+    def hint(self) -> str:
+        """How a usage error names this parameter."""
+        if not self.names:
+            return f"'{self.dest.upper()}'"
+        return " / ".join(f"'{name}'" for name in self.names)
+
+    def convert(self, value):
+        kind = self.kind
+        if kind is int:
+            try:
+                return int(value)
+            except ValueError:
+                problem = f"{value!r} is not a valid integer."
+        elif isinstance(kind, tuple):
+            if value in kind:
+                return value
+            problem = f"{value!r} is not one of {', '.join(map(repr, kind))}."
+        elif kind is _FILE:
+            shown = value.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+            if os.path.isdir(value):
+                problem = f"File {shown!r} is a directory."
+            elif os.path.exists(value) and not os.access(value, os.R_OK):
+                problem = f"File {shown!r} is not readable."
+            else:
+                return value
+        else:
+            return value
+        raise UsageError(f"Invalid value for {self.hint()}: {problem}")
+
+    def missing(self) -> str:
+        text = f"Missing {'option' if self.names else 'argument'} {self.hint()}."
+        if isinstance(self.kind, tuple):
+            text += " Choose from:\n\t" + ",\n\t".join(self.kind)
+        return text
+
+    def help_row(self) -> tuple[str, str]:
+        term = ", ".join(self.names)
+        if self.kind is not _FLAG:
+            kind = self.kind
+            term += " " + (f"[{'|'.join(kind)}]" if isinstance(kind, tuple) else _METAVARS[kind])
+        extra = []
+        if self.show_default and self.default is not None:
+            extra.append(f"default: {self.default}")
+        if self.required:
+            extra.append("required")
+        if not extra:
+            return term, self.help
+        tail = f"[{'; '.join(extra)}]"
+        return term, f"{self.help}  {tail}" if self.help else tail
+
+
+_HELP = _Param("--help", kind=_FLAG, help="Show this message and exit.")
+
+# Declare a catalog table's parameters --n, --g/--genus and --i.
+_TABLE_FLAGS = (_Param("--n", kind=int), _Param("--g", "--genus", kind=int), _Param("--i", kind=int))
+
+_PROGRAM_HELP = """Exact intersection pairings and cone-duality certificates for
+    Hilbert schemes of points, nested Hilbert schemes, and universal
+    families over rational and K3 surfaces."""
+
+# Command name -> (function, parameters); the function's docstring is the
+# command's help text.
+COMMANDS: dict = {}
+
+
+def _command(name: str, *params: _Param):
+    def register(fn):
+        COMMANDS[name] = (fn, (*params, _HELP))
+        return fn
+
+    return register
+
+
+def _did_you_mean(word: str, names) -> str:
+    from difflib import get_close_matches  # only a misspelling needs it
+
+    matches = sorted(get_close_matches(word, names))
+    if len(matches) == 1:
+        return f" Did you mean {matches[0]!r}?"
+    if matches:
+        return f" (Did you mean one of: {', '.join(map(repr, matches))}?)"
+    return ""
+
+
+def _parse(params, args: list[str], interspersed: bool = True):
+    """Split `args` into (values, order, positional): the raw value of each
+    option given, by dest (True for a flag), the options in the order first
+    given, and the positional arguments.  With `interspersed` false the
+    options end at the first positional argument, which starts the
+    positionals."""
+    by_name = {name: p for p in params for name in p.names}
+    values, order, positional = {}, [], []
+    rest = list(args)
+    while rest:
+        arg = rest.pop(0)
+        if arg == "--":
+            break
+        if arg[:1] != "-" or arg == "-":
+            if not interspersed:
+                rest.insert(0, arg)
+                break
+            positional.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        p = by_name.get(name)
+        if p is None:
+            if arg[:2] != "--":  # one dash: its first letter is the option
+                raise UsageError(f"No such option {'-' + arg[1]!r}.")
+            raise UsageError(f"No such option {name!r}.{_did_you_mean(name, by_name)}")
+        if p.kind is _FLAG:
+            if eq:
+                raise UsageError(f"Option {name!r} does not take a value.")
+            value = True
+        elif not eq:
+            if not rest:
+                raise UsageError(f"Option {name!r} requires an argument.")
+            value = rest.pop(0)
+        values[p.dest] = value
+        if p not in order:
+            order.append(p)
+    return values, order, positional + rest
+
+
+def _prog_name() -> str:
+    """The program as the user ran it: the script's file name, or
+    `python -m <module>` under -m."""
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    if not package:
+        return os.path.basename(sys.argv[0])
+    name = os.path.splitext(os.path.basename(sys.argv[0]))[0]
+    module = package if name == "__main__" else f"{package}.{name}"
+    return f"python -m {module.lstrip('.')}"
+
+
+def _short_help(text: str, limit: int) -> str:
+    """`text` cut after its first sentence, or to `limit` characters with
+    "..." at a word boundary."""
+    words = text.split()
+    total = 0
+    for i, word in enumerate(words):
+        total += len(word) + (i > 0)
+        if total > limit:
+            break
+        if word[-1] == ".":
+            return " ".join(words[: i + 1])
+        if total == limit and i != len(words) - 1:
+            break
+    else:
+        return " ".join(words)
+    total += len("...")
+    while i > 0:
+        total -= len(words[i]) + (i > 0)
+        if total <= limit:
+            break
+        i -= 1
+    return " ".join(words[:i]) + "..."
+
+
+def _help_text(path: str, doc: str, params, commands=None) -> str:
+    """The --help text of the command `path`, or of the program when
+    `commands` lists its commands.  It is wrapped to the terminal's width
+    less 2, at most 78 and at least 50 columns; help texts are single
+    paragraphs."""
+    import textwrap  # only --help wraps text
+
+    width = max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
+
+    def fill(text, width, first="", later=""):
+        text = " ".join(filter(None, (line.strip() for line in text.splitlines())))
+        return textwrap.fill(
+            text, width, initial_indent=first, subsequent_indent=later, replace_whitespace=False
+        )
+
+    def table(rows):
+        col = min(max(len(term) for term, _ in rows), 30) + 2
+        out = []
+        for term, text in rows:
+            out.append(f"  {term}")
+            if text:
+                out.append(" " * (col - len(term)) if len(term) <= col - 2 else "\n" + " " * (col + 2))
+                lines = fill(text, max(width - col - 2, 10)).splitlines()
+                out.append(("\n" + " " * (col + 2)).join(lines))
+            out.append("\n")
+        return "".join(out)
+
+    pieces = " ".join(
+        ["[OPTIONS]", *(p.dest.upper() for p in params if not p.names)]
+        + (["COMMAND [ARGS]..."] if commands else [])
+    )
+    prefix = f"Usage: {path} "
+    if width >= len(prefix) + 20:
+        parts = [fill(pieces, width, prefix, " " * len(prefix))]
+    else:
+        parts = [prefix, "\n", fill(pieces, width, " " * 11, " " * 11)]
+    parts.append("\n")
+    if doc:  # docstrings are gone under python -OO
+        parts += ["\n", fill(doc, width, "  ", "  "), "\n"]
+    parts += ["\n", "Options:\n", table([p.help_row() for p in params if p.names])]
+    if commands:
+        limit = width - 6 - max(map(len, commands))
+        rows = [(name, _short_help(fn.__doc__ or "", limit)) for name, (fn, _) in sorted(commands.items())]
+        parts += ["\n", "Commands:\n", table(rows)]
+    return "".join(parts)
+
+
+def _run(args: list[str]) -> None:
+    """Run the command line `args` (without the program name)."""
+    asked, _, rest = _parse((_HELP,), args, interspersed=False)
+    if not asked and rest and rest[0] not in COMMANDS and rest[0].startswith("-"):
+        # A command name that looks like an option (it came after `--`) is
+        # read as one, so that `-- --help` still asks for help.
+        asked = _parse((_HELP,), rest, interspersed=False)[0]
+    if asked:
+        _echo(_help_text(_prog_name(), _PROGRAM_HELP, (_HELP,), COMMANDS))
+        return
+    if not rest:
+        raise UsageError("Missing command.")
+    name = rest[0]
+    if name not in COMMANDS:
+        raise UsageError(f"No such command {name!r}.{_did_you_mean(name, COMMANDS)}")
+    fn, params = COMMANDS[name]
+    values, order, positional = _parse(params, rest[1:])
+    if values.get("help"):
+        _echo(_help_text(f"{_prog_name()} {name}", fn.__doc__, params))
+        return
+    arguments = [p for p in params if not p.names]
+    values.update(zip((p.dest for p in arguments), positional))
+    kwargs = {}
+    for p in (*order, *arguments, *(p for p in params if p.names and p not in order)):
+        if p.dest in values:
+            kwargs[p.dest] = p.convert(values[p.dest])
+        elif p.required:
+            raise UsageError(p.missing())
+        elif p is not _HELP:
+            kwargs[p.dest] = p.default
+    extra = positional[len(arguments):]
+    if extra:
+        s = "s" if len(extra) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+    fn(**kwargs)
+
+
+# ---------------------------------------------------------------------------
 # Flags and output
 # ---------------------------------------------------------------------------
 
@@ -231,30 +514,31 @@ def _space_from_flags(kind: str, n: int | None) -> SpaceId:
     if kind == "surface":
         return surface_space()
     if n is None:
-        raise click.UsageError(f"--space {kind} requires --n")
+        raise UsageError(f"--space {kind} requires --n")
     if kind not in _SPACES:
-        raise click.UsageError(f"unknown space {kind!r} (use hilb, nested, univ, surface)")
+        raise UsageError(f"unknown space {kind!r} (use hilb, nested, univ, surface)")
     return _SPACES[kind](n)
 
 
-def _table_flags(fn):
-    """Declare a catalog table's parameters --n, --g/--genus and --i (click
-    lists options in the reverse order of application)."""
-    fn = click.option("--i", type=int, default=None)(fn)
-    fn = click.option("--g", "--genus", "g", type=int, default=None)(fn)
-    return click.option("--n", type=int, default=None)(fn)
+def _echo(text: str, err: bool = False) -> None:
+    """Write `text` to stdout, or to stderr if `err`, and flush."""
+    stream = sys.stderr if err else sys.stdout
+    stream.write(text)
+    stream.flush()
 
 
 def _style(text: str, ok: bool) -> str:
-    if os.environ.get("NESTCONE_NO_COLOR"):
+    """`text` in green if `ok`, else red, when stdout is a terminal and
+    NESTCONE_NO_COLOR is unset."""
+    if os.environ.get("NESTCONE_NO_COLOR") or not sys.stdout.isatty():
         return text
-    return click.style(text, fg="green" if ok else "red")
+    return f"\x1b[{32 if ok else 31}m{text}\x1b[0m"
 
 
 def _emit(text: str, out: str | None = None, ok: bool = True) -> None:
     """Write `text`, ended in a newline, to the file `out` or to stdout;
-    exit 1 unless `ok`, and 2 with a one-line error if `out` cannot be
-    written."""
+    exit 1 unless `ok`.  A file that cannot be written is an error (exit
+    2)."""
     if not text.endswith("\n"):
         text += "\n"
     if out:
@@ -262,10 +546,9 @@ def _emit(text: str, out: str | None = None, ok: bool = True) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
-            click.echo(f"error: cannot write {out}: {e.strerror}", err=True)
-            sys.exit(2)
+            raise NestconeError(f"cannot write {out}: {e.strerror}") from e
     else:
-        click.echo(text, nl=False)
+        _echo(text)
     if not ok:
         sys.exit(1)
 
@@ -292,21 +575,16 @@ _CROSS_SECTION_FORMATS = {
 # Commands
 # ---------------------------------------------------------------------------
 
-@click.group(no_args_is_help=False)
-def cli():
-    """Exact intersection pairings and cone-duality certificates for
-    Hilbert schemes of points, nested Hilbert schemes, and universal
-    families over rational and K3 surfaces."""
-
-
-@cli.command("pair")
-@click.option("--surface", "surface_name", default="p2", show_default=True,
-              help="p2, p1xp1 (basis H1, H2), f<i> (F_i, basis H, F; f0 is F_0) or k3")
-@click.option("--genus", type=int, default=None, help="genus for --surface k3")
-@click.option("--space", "space_kind", default="hilb", show_default=True)
-@click.option("--n", type=int, default=None)
-@click.argument("divisor_expr")
-@click.argument("curve_expr")
+@_command(
+    "pair",
+    _Param("--surface", dest="surface_name", default="p2", show_default=True,
+           help="p2, p1xp1 (basis H1, H2), f<i> (F_i, basis H, F; f0 is F_0) or k3"),
+    _Param("--genus", kind=int, help="genus for --surface k3"),
+    _Param("--space", dest="space_kind", default="hilb", show_default=True),
+    _Param("--n", kind=int),
+    _Param(dest="divisor_expr", required=True),
+    _Param(dest="curve_expr", required=True),
+)
 def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
     """Exact intersection pairing of a divisor expression with a curve
     expression, e.g.  pair --space nested --n 3 "A^b" "B^b/2"
@@ -314,7 +592,7 @@ def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
     from .pairing import pair
 
     if genus is not None and abs(genus) >= 10**_MAX_DIGITS:
-        raise click.UsageError(f"--genus holds more than {_MAX_DIGITS} digits")
+        raise UsageError(f"--genus holds more than {_MAX_DIGITS} digits")
     s = surface_model(surface_name, genus=genus)
     sp = _space_from_flags(space_kind, n)
     # Accept (divisor, curve) in either order for convenience; when neither
@@ -331,11 +609,13 @@ def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
     _emit(rat_str(pair(d, c)))
 
 
-@cli.command("table")
-@click.option("--table", "table_id", required=True, type=click.Choice(sorted(CATALOG)))
-@_table_flags
-@click.option("--format", "fmt", default="text", type=click.Choice(["text", "json", "csv"]))
-@click.option("--out", default=None, type=click.Path(dir_okay=False))
+@_command(
+    "table",
+    _Param("--table", dest="table_id", required=True, kind=tuple(sorted(CATALOG))),
+    *_TABLE_FLAGS,
+    _Param("--format", dest="fmt", default="text", kind=("text", "json", "csv")),
+    _Param("--out", kind=_FILE),
+)
 def cmd_table(table_id, n, g, i, fmt, out):
     """Recompute a catalog table cell by cell and report matches/diffs."""
     report = reproduce_table(table_id, n=n, g=g, i=i)
@@ -343,11 +623,12 @@ def cmd_table(table_id, n, g, i, fmt, out):
     _emit(text, out, report.ok)
 
 
-@cli.command("nef")
-@click.option("--table", "table_id", required=True,
-              type=click.Choice(certified_tables(NEF_DUAL)))
-@_table_flags
-@click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
+@_command(
+    "nef",
+    _Param("--table", dest="table_id", required=True, kind=tuple(certified_tables(NEF_DUAL))),
+    *_TABLE_FLAGS,
+    _Param("--format", dest="fmt", default="text", kind=("text", "json")),
+)
 def cmd_nef(table_id, n, g, i, fmt):
     """Produce and check the duality certificate for a catalog nef cone."""
     params = table_params(table_id, n=n, g=g, i=i)
@@ -355,10 +636,11 @@ def cmd_nef(table_id, n, g, i, fmt):
     _emit(_certificate_text(f"{table_id} {params}", cert, fmt), ok=cert.ok)
 
 
-@cli.command("eff")
-@click.option("--table", "table_id", required=True,
-              type=click.Choice(certified_tables(EFF_MOVING)))
-@click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
+@_command(
+    "eff",
+    _Param("--table", dest="table_id", required=True, kind=tuple(certified_tables(EFF_MOVING))),
+    _Param("--format", dest="fmt", default="text", kind=("text", "json")),
+)
 def cmd_eff(table_id, fmt):
     """Produce and check the moving-curve certificate for a catalog
     effective cone."""
@@ -366,17 +648,19 @@ def cmd_eff(table_id, fmt):
     _emit(_certificate_text(table_id, cert, fmt), ok=cert.ok)
 
 
-@cli.command("verify")
-@click.option("--table", "table_id", default=None, type=click.Choice(sorted(CATALOG)))
-@click.option("--all", "run_all", is_flag=True, help="verify the whole catalog")
-@_table_flags
+@_command(
+    "verify",
+    _Param("--table", dest="table_id", kind=tuple(sorted(CATALOG))),
+    _Param("--all", dest="run_all", kind=_FLAG, default=False, help="verify the whole catalog"),
+    *_TABLE_FLAGS,
+)
 def cmd_verify(table_id, run_all, n, g, i):
     """Verify one catalog table, or the entire catalog with --all (the
     repository's primary acceptance gate)."""
     if run_all == (table_id is not None):
-        raise click.UsageError("give exactly one of --table or --all")
+        raise UsageError("give exactly one of --table or --all")
     if run_all and (n, g, i) != (None, None, None):
-        raise click.UsageError("--all runs every table at its defaults; it takes no --n, --g or --i")
+        raise UsageError("--all runs every table at its defaults; it takes no --n, --g or --i")
     ids = sorted(CATALOG) if run_all else [table_id]
     failed = 0
     for tid in ids:
@@ -387,20 +671,22 @@ def cmd_verify(table_id, run_all, n, g, i):
         )
         status = "OK" if report.ok else "FAIL"
         extra = f" ({n_cells} cells, {n_skip} skipped)" if n_skip else f" ({n_cells} cells)"
-        click.echo(f"{tid}: {_style(status, report.ok)}{extra}")
+        _echo(f"{tid}: {_style(status, report.ok)}{extra}\n")
         if not report.ok:
             failed += 1
-            click.echo(report.text(), err=True)
+            _echo(report.text() + "\n", err=True)
     if failed:
         sys.exit(1)
 
 
-@cli.command("cross-section")
-@click.option("--table", "table_id", required=True,
-              type=click.Choice(certified_tables(NEF_DUAL, EFF_MOVING)))
-@_table_flags
-@click.option("--format", "fmt", default="svg", type=click.Choice(list(_CROSS_SECTION_FORMATS)))
-@click.option("--out", default=None, type=click.Path(dir_okay=False))
+@_command(
+    "cross-section",
+    _Param("--table", dest="table_id", required=True,
+           kind=tuple(certified_tables(NEF_DUAL, EFF_MOVING))),
+    *_TABLE_FLAGS,
+    _Param("--format", dest="fmt", default="svg", kind=tuple(_CROSS_SECTION_FORMATS)),
+    _Param("--out", kind=_FILE),
+)
 def cmd_cross_section(table_id, n, g, i, fmt, out):
     """Emit the cross-section polytope of a catalog cone (vertices labeled
     by the generator rays)."""
@@ -408,58 +694,59 @@ def cmd_cross_section(table_id, n, g, i, fmt, out):
     _emit(_CROSS_SECTION_FORMATS[fmt](cs, labels), out)
 
 
-@cli.command("butler")
-@click.option("--i", type=int, default=1, show_default=True)
-@click.option("--a", type=int, default=1, show_default=True)
-@click.option("--b", type=int, default=1, show_default=True)
-@click.option("--n", type=int, default=4, show_default=True)
-@click.option("--k-min", type=int, default=1, show_default=True)
-@click.option("--k-max", type=int, default=5, show_default=True)
-@click.option("--ordering", default="b", type=click.Choice(["b", "res"]), show_default=True)
-@click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
+@_command(
+    "butler",
+    _Param("--i", kind=int, default=1, show_default=True),
+    _Param("--a", kind=int, default=1, show_default=True),
+    _Param("--b", kind=int, default=1, show_default=True),
+    _Param("--n", kind=int, default=4, show_default=True),
+    _Param("--k-min", kind=int, default=1, show_default=True),
+    _Param("--k-max", kind=int, default=5, show_default=True),
+    _Param("--ordering", kind=("b", "res"), default="b", show_default=True),
+    _Param("--format", dest="fmt", default="text", kind=("text", "json")),
+)
 def cmd_butler(i, a, b, n, k_min, k_max, ordering, fmt):
     """Projective-normality scan: position of the adjoint classes in the
     nef cone of the universal family over a Hirzebruch surface."""
     try:
         inp = ButlerInput(i=i, a=a, b=b, n=n, k_range=(k_min, k_max))
     except NestconeError as e:
-        raise click.UsageError(str(e)) from e
+        raise UsageError(str(e)) from e
     report = butler_check(inp, ordering)
     _emit(report.json_str() if fmt == "json" else report.text(), ok=report.all_interior)
 
 
-@cli.command("asymptotic")
-@click.option("--k-max", type=int, default=10, show_default=True)
-@click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
+@_command(
+    "asymptotic",
+    _Param("--k-max", kind=int, default=10, show_default=True),
+    _Param("--format", dest="fmt", default="text", kind=("text", "json")),
+)
 def cmd_asymptotic(k_max, fmt):
     """Nesting and convergence of the asymptotic effective cones in the
     fixed 4-dimensional frame (H1, H2, B1, B2)."""
     try:
         report = asymptotic_report(k_max)
     except NestconeError as e:
-        raise click.UsageError(str(e)) from e
+        raise UsageError(str(e)) from e
     _emit(report.json_str() if fmt == "json" else report.text(), ok=report.ok)
 
 
 def main(argv=None) -> int:
-    """Entry point with the documented exit-code contract."""
+    """Run the command line `argv` (default: sys.argv[1:]) and return its
+    exit code: 0, 1 or 2 as the module docstring says."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        _run(sys.argv[1:] if argv is None else list(argv))
         return 0
     except SystemExit as e:
-        code = e.code if isinstance(e.code, int) else 0
-        return code
+        return e.code if isinstance(e.code, int) else 0
     except ParseError as e:
-        click.echo(f"parse error at byte {e.offset}: {e.message}", err=True)
+        _echo(f"parse error at byte {e.offset}: {e.message}\n", err=True)
         return 2
-    except click.UsageError as e:
-        click.echo(f"usage error: {e.format_message()}", err=True)
-        return 2
-    except click.ClickException as e:
-        e.show()
+    except UsageError as e:
+        _echo(f"usage error: {e}\n", err=True)
         return 2
     except NestconeError as e:
-        click.echo(f"error: {e}", err=True)
+        _echo(f"error: {e}\n", err=True)
         return 2
 
 

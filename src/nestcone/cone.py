@@ -29,8 +29,6 @@ direction whose canonical primitive form starts with a negative entry keeps
 its sign.  Lineality directions surface as pairs v, -v among the generators.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cached_property
 from operator import mul

@@ -68,3 +68,8 @@ class ParseError(NestconeError):
         super().__init__(f"{message} (at byte offset {offset})")
         self.message = message
         self.offset = offset
+
+
+class UsageError(NestconeError):
+    """A command line names an unknown command or option, misses or
+    misspells a value, or combines flags that exclude each other."""

@@ -31,8 +31,6 @@ constant-coefficient variant is kept as `curve_family_b_alt` for regression
 and for decoding legacy tables that use it.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from typing import NamedTuple
 

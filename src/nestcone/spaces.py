@@ -21,8 +21,6 @@ pairing table and every pull and push map are read from them.  All
 serialization uses these labels.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence, Union

@@ -10,8 +10,6 @@
   k/(2a_k) with a_k = binom(k+2,2)-1.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cached_property
 from math import comb

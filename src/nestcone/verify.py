@@ -34,8 +34,6 @@ classes through data dictionaries; labels with no known definition
 reported as SKIPPED, never silently passed.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import re

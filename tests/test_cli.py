@@ -1,12 +1,15 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import ForwardRef
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -325,6 +328,16 @@ def test_option_parsing(capsys, argv, stdout):
     assert stdout is None or out == stdout
 
 
+def test_out_must_be_readable_if_it_exists(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "x.csv"
+    path.write_text("old")
+    monkeypatch.setattr(os, "access", lambda p, mode: os.fspath(p) != str(path))
+    code, out, err = run(capsys, "table", "--table", "eff_summary", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: Invalid value for '--out': File '{path}' is not readable.\n"
+    assert path.read_text() == "old"
+
+
 def test_option_value_may_start_with_a_dash(capsys):
     code, out, err = run(capsys, "pair", "--space", "hilb", "--n", "-3", "H", "C1")
     assert (code, out, err) == (2, "", "error: Hilb(n) requires n >= 2, got -3\n")
@@ -363,11 +376,37 @@ def test_module_help_names_the_module():
 def test_cli_import_loads_no_dataclasses():
     # Records are NamedTuples or slotted classes, which cost next to nothing
     # to declare; declaring dataclasses took over half of `import nestcone`.
+    # The option parser is the module's own: click loaded 27 modules,
+    # `inspect` among them, that no command needs.  Only --help needs
+    # `textwrap`, and only a misspelt option or command `difflib`.
     src = str(Path(nc.__file__).resolve().parents[1])
-    code = "import sys, nestcone.cli; print('dataclasses' in sys.modules)"
+    names = ("dataclasses", "click", "inspect", "textwrap", "difflib")
+    code = f"import sys, nestcone.cli; print([m for m in {names} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_record_annotations_are_objects():
+    # typing.NamedTuple compiles each field annotation given as a string
+    # into a ForwardRef when the class is declared: 88 compile calls at
+    # import when the record modules postponed their annotations.
+    def parts(t):
+        yield t
+        for arg in getattr(t, "__args__", ()):
+            yield from parts(arg)
+
+    modules = [importlib.import_module(f"nestcone.{m.name}") for m in pkgutil.iter_modules(nc.__path__)]
+    records = [
+        obj for mod in modules for obj in vars(mod).values()
+        if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+        and obj.__module__ == mod.__name__
+    ]
+    assert len(records) >= 21
+    for record in records:
+        for field, t in record.__annotations__.items():
+            bad = [p for p in parts(t) if isinstance(p, (str, ForwardRef))]
+            assert not bad, (record.__name__, field, bad)
 
 
 def test_out_into_missing_directory_is_one_line_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ is integral and a `Fraction` only when its denominator is above 1, never a
 The sweep runs the whole catalog at its defaults, every standard
 certificate, the asymptotic study, a cross-section and a Butler scan, and
 walks the records they return: NamedTuples and the slotted class types.
-A field annotated with `Rat` holds exact values (class coordinates,
+A field annotated with `Rat` (`int | Fraction`) holds exact values (class coordinates,
 certificate matrices, table cells, cross-section vertices, deviations, ray
 coefficients); each of its entries is checked.  No other field may hold a
 float either.
@@ -44,7 +44,7 @@ def _sweep(obj, seen: Counter, bad: list) -> None:
     if fields:
         for name, hint in fields.items():
             value = getattr(obj, name)
-            if "Rat" not in hint:
+            if "Fraction" not in hint:  # Rat is int | Fraction
                 _sweep(value, seen, bad)
                 continue
             for q in _entries(value):

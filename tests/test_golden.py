@@ -15,7 +15,8 @@ import io
 import pytest
 
 import nestcone as nc
-from nestcone.cli import cli, main
+from nestcone import cli
+from nestcone.cli import main
 from nestcone.errors import NestconeError
 
 # One non-default point per parameterised table.
@@ -104,20 +105,10 @@ def readme_digests() -> dict[str, str]:
     return {" ".join(argv): _sha(_cli(*argv)) for argv in README_EXAMPLES}
 
 
-def _help(*argv) -> str:
-    # The program name is fixed, since click otherwise takes it from how
-    # the tests were started.
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main([*argv, "--help"], prog_name="nestcone", standalone_mode=False)
-    assert code == 0, argv
-    return buf.getvalue()
-
-
 def help_digests() -> dict[str, str]:
     return {
-        _key("help", *argv): _sha(_help(*argv))
-        for argv in ((), *((cmd,) for cmd in sorted(cli.commands)))
+        _key("help", *argv): _sha(_cli(*argv, "--help"))
+        for argv in ((), *((cmd,) for cmd in sorted(cli.COMMANDS)))
     }
 
 
@@ -348,7 +339,9 @@ GOLDEN = {
 @pytest.fixture(autouse=True)
 def plain_terminal(monkeypatch):
     monkeypatch.setenv("NESTCONE_NO_COLOR", "1")
-    monkeypatch.setenv("COLUMNS", "80")  # click wraps --help to the terminal
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal
+    # --help otherwise names the program after how the tests were started.
+    monkeypatch.setattr(cli, "_prog_name", lambda: "nestcone")
 
 
 @pytest.mark.parametrize(
