@@ -1,9 +1,11 @@
 """Command-line front end (``nestcone``).
 
 Exit codes: 0 success / everything certified, 1 verification failure or
-table diff, 2 usage or expression-parse errors.  All output is deterministic
-for fixed inputs.  Certificate verdicts and `verify` statuses are coloured
-only when stdout is a terminal and NESTCONE_NO_COLOR is unset (or empty).
+table diff, 2 usage or expression-parse errors or a stdout that cannot be
+written (silently when the reader closed the pipe), 130 when interrupted
+with Ctrl-C.  All output is deterministic for fixed inputs.  Certificate
+verdicts and `verify` statuses are coloured only when stdout is a terminal
+and NESTCONE_NO_COLOR is unset (or empty).
 
 Each command's options and arguments are one declarative table, from which
 the parser, `--help` and the usage errors are all derived; the command line
@@ -17,6 +19,7 @@ from __future__ import annotations
 import os
 import shutil
 import sys
+from typing import NoReturn
 
 from . import render
 from .errors import NestconeError, ParseError, UsageError
@@ -750,5 +753,31 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> NoReturn:
+    """The process entry of `nestcone` and `python -m nestcone.cli`: run
+    `main`, flush stdout and stderr, and end the process with os._exit, so
+    that no interpreter teardown runs and no implicit flush is left that
+    could raise.  An OSError out of `main` comes from writing the standard
+    streams (`_emit` reports an unwritable --out itself): it is exit 2, with
+    one line on stderr unless the reader closed the pipe.  Ctrl-C prints
+    `Aborted.` and exits 130."""
+    message = ""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except KeyboardInterrupt:
+        code, message = 130, "Aborted.\n"
+    except BrokenPipeError:
+        code = 2
+    except OSError as e:
+        code, message = 2, f"error: cannot write stdout: {e.strerror}\n"
+    try:
+        sys.stderr.write(message)
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry()

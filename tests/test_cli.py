@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import importlib
@@ -5,8 +6,12 @@ import io
 import json
 import os
 import pkgutil
+import re
+import shlex
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import ForwardRef
@@ -16,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nestcone as nc
+from nestcone import cli
 from nestcone.cli import main, parse_curve_expr, parse_divisor_expr
 from nestcone.errors import ParseError
 
@@ -328,6 +334,74 @@ def test_option_parsing(capsys, argv, stdout):
     assert stdout is None or out == stdout
 
 
+# Values that no option expects: empty, dashes, an option name, non-ASCII.
+_JUNK = st.sampled_from(["", "-", "--", "-3", "--n", "--help", "-x", "é", "日本", "x"]) | st.text(max_size=4)
+_WORDS = st.sampled_from(
+    ["p2", "p1xp1", "f0", "f2", "k3", "hilb", "nested", "univ", "surface",
+     "H", "A^b", "B^b/2", "Hb", "C1", "2*H - A", "Cb1"]
+)
+
+
+def _rarely(draw, strategy, fallback):
+    """A draw from `strategy` about one time in four, else `fallback`."""
+    return draw(strategy) if draw(st.integers(0, 3)) == 0 else fallback
+
+
+def _value(draw, p):
+    """A value for the _Param `p`, read off its kind, or now and then junk."""
+    if p.kind is int:  # small, so that no drawn command runs long
+        good = st.integers(-2, 8).map(str)
+    elif isinstance(p.kind, tuple):
+        good = st.sampled_from(p.kind)
+    elif p.kind is cli._FILE:  # relative to the test's working directory
+        good = st.sampled_from(["out.txt", "missing/out.txt", ".", ""])
+    else:
+        good = _WORDS
+    return _rarely(draw, _JUNK, draw(good))
+
+
+@st.composite
+def _command_lines(draw):
+    name = _rarely(draw, _JUNK, draw(st.sampled_from(sorted(cli.COMMANDS))))
+    params = cli.COMMANDS[name][1] if name in cli.COMMANDS else (cli._HELP,)
+    groups = [[_rarely(draw, st.sampled_from(["--nope", "-q", "--", "--k-max=", "ü"]), "--")]]
+    if groups[0] == ["--"]:
+        groups = []
+    for p in params:
+        if p is cli._HELP and _rarely(draw, st.just(True), False) is False:
+            continue
+        if p is not cli._HELP and not draw(st.booleans()):
+            continue
+        if not p.names:
+            groups.append([_value(draw, p)])
+        elif p.kind is cli._FLAG:
+            groups.append([p.names[0] + _rarely(draw, _JUNK.map("={}".format), "")])
+        elif draw(st.booleans()):
+            groups.append([draw(st.sampled_from(p.names)), _value(draw, p)])
+        else:
+            groups.append([f"{draw(st.sampled_from(p.names))}={_value(draw, p)}"])
+    return [name, *(arg for group in draw(st.permutations(groups)) for arg in group)]
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_command_lines())
+def test_command_line_fuzz_keeps_the_exit_contract(argv, tmp_path, monkeypatch):
+    """Whole command lines drawn from the option tables in cli.COMMANDS end
+    in exit 0, 1 or 2 with no traceback, and an exit 2 prints nothing on
+    stdout and one error on stderr."""
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("usage error: ", "parse error at byte ", "error: "))
+
+
 def test_out_must_be_readable_if_it_exists(tmp_path, capsys, monkeypatch):
     path = tmp_path / "x.csv"
     path.write_text("old")
@@ -561,3 +635,137 @@ def test_fixed_point_formatter():
     assert _fixed(Fraction(25, 2), places=0) == "13"  # round half away from zero
     assert _fixed(Fraction(-25, 2), places=0) == "-13"
     assert _fixed(Fraction(7)) == "7"
+
+
+# ---------------------------------------------------------------------------
+# The process entry
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = str(Path(nc.__file__).resolve().parents[1])
+
+
+def _spawn(argv, unbuffered=False, **kwargs):
+    """A real `python -m nestcone.cli` process."""
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80", "NESTCONE_NO_COLOR": "1"}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # stdout writes through, so the write raises, not the flush
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "nestcone.cli", *argv], env=env, stdin=subprocess.DEVNULL, **kwargs
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [("verify", "--all"), (*PAIR, "H", "C1")])
+def test_closed_pipe_exits_2_silently(argv, unbuffered):
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = _spawn(argv, unbuffered, stdout=w, stderr=subprocess.PIPE)
+    finally:
+        os.close(w)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (2, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [("verify", "--all"), (*PAIR, "H", "C1")])
+def test_full_stdout_exits_2_with_one_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = _spawn(argv, unbuffered, stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode() == "error: cannot write stdout: No space left on device\n"
+    assert "Traceback" not in err.decode()
+
+
+def test_ctrl_c_exits_130():
+    proc = _spawn(["asymptotic", "--k-max", "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        time.sleep(1.5)  # well past the import: the study runs for hours
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, out) == (130, b"")
+    assert err.decode() == "Aborted.\n"
+    assert "Traceback" not in err.decode()
+
+
+def _readme_examples():
+    """The argument lists of the README's `nestcone ...` examples."""
+    lines = (REPO / "README.md").read_text().splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("nestcone ")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *_readme_examples(),
+        ["--help"],
+        ["cross-section", "--help"],
+        ["table", "--table", "foo"],  # a usage error, exit 2
+        ["asymptotic", "--k-max", "1000", "--format", "json"],  # more than a pipe buffer
+    ],
+    ids=" ".join,
+)
+def test_process_writes_what_main_writes(argv, tmp_path, monkeypatch):
+    """A real process prints what `main` prints in process, byte for byte,
+    with the same exit code, and writes the same --out file: ending the
+    process with os._exit drops no buffered output."""
+    proc = _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path)
+    stdout, stderr = proc.communicate(timeout=120)
+    files = {}
+    for path in tmp_path.iterdir():
+        files[path.name] = path.read_bytes()
+        path.unlink()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_prog_name", lambda: "python -m nestcone.cli")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert proc.returncode == code
+    assert stdout == out.getvalue().encode()
+    assert stderr == err.getvalue().encode()
+    assert files == {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    if "--out" in argv:
+        assert files[argv[argv.index("--out") + 1]].endswith(b"</svg>\n")
+    if "1000" in argv:
+        assert len(stdout) > 65536
+
+
+def test_readme_examples_are_found():
+    examples = _readme_examples()
+    assert len(examples) >= 9
+    assert ["verify", "--all"] in examples
+
+
+def test_main_never_ends_the_process(capsys, monkeypatch):
+    """`main` is the in-process API: it returns its code, and only `entry`
+    calls os._exit."""
+    def no_exit(code):
+        raise AssertionError(f"os._exit({code}) called in process")
+
+    monkeypatch.setattr(os, "_exit", no_exit)
+    assert run(capsys, *PAIR, "H", "C1")[0] == 0
+    failing = cli.asymptotic_report(3)._replace(limit_is_orthant=False)
+    monkeypatch.setattr(cli, "asymptotic_report", lambda k_max: failing)
+    assert run(capsys, "asymptotic", "--k-max", "3")[0] == 1
+    assert run(capsys, "table", "--table", "foo")[0] == 2
+    assert run(capsys, "--help")[0] == 0
+
+
+def test_installed_command_is_the_process_entry():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    pyproject = (REPO / "pyproject.toml").read_text()
+    module, name = re.search(
+        r'^\[project\.scripts\]\nnestcone = "([\w.]+):(\w+)"$', pyproject, re.M
+    ).groups()
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
+    assert (module, getattr(cli, name)) == (cli.__name__, cli.entry)
