@@ -364,13 +364,10 @@ def _value(draw, p):
 def _command_lines(draw):
     name = _rarely(draw, _JUNK, draw(st.sampled_from(sorted(cli.COMMANDS))))
     params = cli.COMMANDS[name][1] if name in cli.COMMANDS else (cli._HELP,)
-    groups = [[_rarely(draw, st.sampled_from(["--nope", "-q", "--", "--k-max=", "ü"]), "--")]]
-    if groups[0] == ["--"]:
-        groups = []
+    stray = st.sampled_from(["--nope", "-q", "--", "--k-max=", "ü"])
+    groups = [[draw(stray)] for _ in range(_rarely(draw, st.integers(1, 2), 0))]
     for p in params:
-        if p is cli._HELP and _rarely(draw, st.just(True), False) is False:
-            continue
-        if p is not cli._HELP and not draw(st.booleans()):
+        if not (_rarely(draw, st.just(True), False) if p is cli._HELP else draw(st.booleans())):
             continue
         if not p.names:
             groups.append([_value(draw, p)])
@@ -656,8 +653,8 @@ def _spawn(argv, unbuffered=False, **kwargs):
     )
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("argv", [("verify", "--all"), (*PAIR, "H", "C1")])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("verify", "--all"), (*PAIR, "H", "C1")], ids=["verify", "pair"])
 def test_closed_pipe_exits_2_silently(argv, unbuffered):
     r, w = os.pipe()
     os.close(r)
@@ -670,8 +667,8 @@ def test_closed_pipe_exits_2_silently(argv, unbuffered):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("argv", [("verify", "--all"), (*PAIR, "H", "C1")])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("verify", "--all"), (*PAIR, "H", "C1")], ids=["verify", "pair"])
 def test_full_stdout_exits_2_with_one_line(argv, unbuffered):
     with open("/dev/full", "wb") as full:
         proc = _spawn(argv, unbuffered, stdout=full, stderr=subprocess.PIPE)
