@@ -7,124 +7,30 @@ a ``fractions.Fraction`` otherwise, and no code path produces a float - even
 the SVG emitter rounds by integer arithmetic.  Records (surfaces, spaces,
 certificates, reports, cross-sections, study steps) are `typing.NamedTuple`s
 and so plain tuples; divisor and curve classes are immutable slotted values.
+
+The package imports none of its modules itself.  ``nestcone.<name>`` for a
+public name is resolved on first use (PEP 562): the modules ``errors``,
+``rationals``, ``spaces``, ``pairing``, ``cone``, ``verify`` and ``studies``
+are searched in that order, each imported when the search reaches it, and
+the first one's module-level value of that name is returned.  Modules of
+the package therefore import names from one another (``from .linalg import
+rref``), never ``from . import <module>``: that form consults this search
+first, which would import ``verify`` while ``cone`` is half initialised.
 """
 
-from .errors import (
-    DimensionMismatch,
-    EmptyInput,
-    FunctionalNotPositive,
-    Inconsistent,
-    InvalidGenus,
-    InvalidIndex,
-    InvalidInput,
-    NestconeError,
-    NotK3,
-    NotPointed,
-    ParseError,
-    RangeError,
-    SpaceMismatch,
-    UnderDetermined,
-    UnknownSurface,
-    UnknownTable,
-)
-from .rationals import Rat, parse_rat, primitive, rat, rat_str
-from .spaces import (
-    CurClass,
-    DivClass,
-    SpaceId,
-    SpaceKind,
-    SurfaceModel,
-    canonical_class,
-    curve,
-    curve_labels,
-    curve_rank,
-    divisor,
-    divisor_labels,
-    divisor_rank,
-    exceptional_class,
-    hilb,
-    hirzebruch,
-    k3,
-    nested,
-    normalize_label,
-    p1xp1,
-    p2,
-    pull_a,
-    pull_b,
-    pull_res,
-    surface_divisor,
-    surface_model,
-    surface_space,
-    tautological,
-    tautological_a,
-    tautological_b,
-    univ,
-    zero_curve,
-    zero_divisor,
-)
-from .pairing import (
-    PairingTable,
-    curve_family_a,
-    curve_family_a_alt,
-    curve_family_b,
-    curve_family_b_alt,
-    curve_functional,
-    g1n_curve,
-    k3_extremal_slope,
-    nodal_curves_k3,
-    pair,
-    pairing_table,
-    pushforward_a,
-    pushforward_b,
-)
-from .cone import (
-    COORD_SUM,
-    Cone,
-    CrossSection,
-    Position,
-    cone_contains,
-    cone_equal,
-    cone_from_rays,
-    cross_section,
-    dual,
-    extremal_rays,
-    position,
-    positive_functional,
-)
-from .verify import (
-    ASSERTED,
-    CATALOG,
-    EFF_P2_3_2_PRINTED_VARIANT,
-    Certificate,
-    Provenance,
-    PULLBACK_OF_NEF,
-    RESIDUE_OF_NEF,
-    RaySpec,
-    TableInputs,
-    TableReport,
-    WitnessSpec,
-    certify_eff,
-    certified_tables,
-    certify_nef,
-    reproduce_table,
-    standard_eff_certificate,
-    standard_nef_certificate,
-    table_cone_with_labels,
-    table_cross_section,
-    table_inputs,
-)
-from .studies import (
-    AsymptoticReport,
-    ButlerInput,
-    ButlerReport,
-    MovingCurve,
-    asymptotic_cone,
-    asymptotic_moving_curves,
-    asymptotic_report,
-    butler_check,
-    butler_class,
-    half_b_a,
-    limit_cone,
-)
+import sys as _sys
 
 __version__ = "0.1.0"
+
+_SEARCHED = ("errors", "rationals", "spaces", "pairing", "cone", "verify", "studies")
+
+
+def __getattr__(name: str):
+    if not name.startswith("_"):
+        for module in _SEARCHED:
+            qualified = f"{__name__}.{module}"
+            __import__(qualified)
+            namespace = vars(_sys.modules[qualified])
+            if name in namespace:
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

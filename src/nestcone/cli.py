@@ -16,14 +16,15 @@ needs nothing outside the standard library.  Every command but `verify`
 
 from __future__ import annotations
 
+import errno
 import os
 import shutil
 import sys
 from typing import NoReturn
 
-from . import render
 from .errors import NestconeError, ParseError, UsageError
 from .rationals import canonical_json, rat, rat_str
+from .render import cross_section_csv, cross_section_svg, cross_section_tikz
 from .spaces import (
     CurClass,
     DivClass,
@@ -526,6 +527,8 @@ def _space_from_flags(kind: str, n: int | None) -> SpaceId:
 def _echo(text: str, err: bool = False) -> None:
     """Write `text` to stdout, or to stderr if `err`, and flush."""
     stream = sys.stderr if err else sys.stdout
+    if stream is None:  # the descriptor was closed when the process started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     stream.write(text)
     stream.flush()
 
@@ -533,7 +536,7 @@ def _echo(text: str, err: bool = False) -> None:
 def _style(text: str, ok: bool) -> str:
     """`text` in green if `ok`, else red, when stdout is a terminal and
     NESTCONE_NO_COLOR is unset."""
-    if os.environ.get("NESTCONE_NO_COLOR") or not sys.stdout.isatty():
+    if os.environ.get("NESTCONE_NO_COLOR") or sys.stdout is None or not sys.stdout.isatty():
         return text
     return f"\x1b[{32 if ok else 31}m{text}\x1b[0m"
 
@@ -567,9 +570,9 @@ def _certificate_text(title: str, cert, fmt: str) -> str:
 
 
 _CROSS_SECTION_FORMATS = {
-    "svg": render.cross_section_svg,
-    "tikz": render.cross_section_tikz,
-    "csv": render.cross_section_csv,
+    "svg": cross_section_svg,
+    "tikz": cross_section_tikz,
+    "csv": cross_section_csv,
     "json": lambda cs, labels: canonical_json({**cs.to_json(), "labels": labels}),
 }
 
@@ -758,13 +761,15 @@ def entry() -> NoReturn:
     `main`, flush stdout and stderr, and end the process with os._exit, so
     that no interpreter teardown runs and no implicit flush is left that
     could raise.  An OSError out of `main` comes from writing the standard
-    streams (`_emit` reports an unwritable --out itself): it is exit 2, with
-    one line on stderr unless the reader closed the pipe.  Ctrl-C prints
+    streams (`_emit` reports an unwritable --out itself, and `_echo` one
+    closed at start-up, which Python sets to None): it is exit 2, with one
+    line on stderr unless the reader closed the pipe.  Ctrl-C prints
     `Aborted.` and exits 130."""
     message = ""
     try:
         code = main()
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except KeyboardInterrupt:
         code, message = 130, "Aborted.\n"
     except BrokenPipeError:
@@ -772,8 +777,9 @@ def entry() -> NoReturn:
     except OSError as e:
         code, message = 2, f"error: cannot write stdout: {e.strerror}\n"
     try:
-        sys.stderr.write(message)
-        sys.stderr.flush()
+        if sys.stderr is not None:
+            sys.stderr.write(message)
+            sys.stderr.flush()
     except OSError:
         pass
     os._exit(code)

@@ -34,13 +34,13 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import linalg
 from .errors import (
     DimensionMismatch,
     EmptyInput,
     FunctionalNotPositive,
     NotPointed,
 )
+from .linalg import rref, solve_unique
 from .rationals import Rat, primitive, rat, rat_str, vdot
 
 IVec = tuple[int, ...]
@@ -174,7 +174,7 @@ def _canonical_lineality(lin: Sequence[IVec]) -> list[IVec]:
     form, sorted.  No elimination runs when lin is empty."""
     if not lin:
         return []
-    m, _ = linalg.rref(lin)
+    m, _ = rref(lin)
     out = [primitive(row) for row in m if any(x != 0 for x in row)]
     return sorted(out)
 
@@ -297,7 +297,7 @@ def extremal_rays(c: Cone) -> Cone:
     gram = [[_idot(a, b) for b in basis] for a in basis]
 
     def project(r: IVec) -> tuple[Rat, ...]:
-        x = linalg.solve_unique(gram, [_idot(a, r) for a in basis])
+        x = solve_unique(gram, [_idot(a, r) for a in basis])
         return tuple(rj - _idot(x, col) for rj, col in zip(r, zip(*basis)))
 
     gens = [project(r) for r in keep] + basis + [tuple(-x for x in b) for b in basis]

@@ -64,30 +64,32 @@ def _project(u, v, vertices) -> list[tuple[Fraction, Fraction]]:
     ]
 
 
-def _layout(cs: CrossSection, size: int = 360, margin: int = 40):
+_SIZE = 360  # the SVG's width and height
+_MARGIN = 40
+
+
+def _layout(cs: CrossSection):
     pts = _project(*_projection_axes(cs.vertices), cs.vertices)
     xs = [p[0] for p in pts] or [Fraction(0)]
     ys = [p[1] for p in pts] or [Fraction(0)]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, Fraction(1))
-    scale = Fraction(size - 2 * margin) / span
+    scale = Fraction(_SIZE - 2 * _MARGIN) / span
 
     def place(p):
-        x = margin + (p[0] - xmin) * scale
-        y = size - margin - (p[1] - ymin) * scale  # flip y for screen coords
+        x = _MARGIN + (p[0] - xmin) * scale
+        y = _SIZE - _MARGIN - (p[1] - ymin) * scale  # flip y for screen coords
         return x, y
 
     return [place(p) for p in pts]
 
 
-def cross_section_svg(
-    cs: CrossSection, labels: Sequence[str] | None = None, size: int = 360
-) -> str:
-    pts = _layout(cs, size=size)
+def cross_section_svg(cs: CrossSection, labels: Sequence[str] | None = None) -> str:
+    pts = _layout(cs)
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
     ]
     for i, j in cs.edges:
         (x1, y1), (x2, y2) = pts[i], pts[j]

@@ -99,11 +99,10 @@ def k3(g: int) -> SurfaceModel:
     )
 
 
-def surface_model(kind: str, *, index: int | None = None, genus: int | None = None) -> SurfaceModel:
+def surface_model(kind: str, *, genus: int | None = None) -> SurfaceModel:
     """Build a surface lattice from a textual kind: 'p2', 'p1xp1' (basis H1,
-    H2), 'f<i>' or 'f' with index=... (the Hirzebruch surface F_i, basis H,
-    F; so 'f0' is F_0, the lattice of 'p1xp1' under other names), or 'k3'
-    with genus=...."""
+    H2), 'f<i>' (the Hirzebruch surface F_i, basis H, F; so 'f0' is F_0, the
+    lattice of 'p1xp1' under other names), or 'k3' with genus=...."""
     kind = kind.lower()
     if kind == "p2":
         return p2()
@@ -113,10 +112,6 @@ def surface_model(kind: str, *, index: int | None = None, genus: int | None = No
         if genus is None:
             raise InvalidGenus("k3 requires a genus")
         return k3(genus)
-    if kind == "f":
-        if index is None:
-            raise InvalidIndex("f requires an index")
-        return hirzebruch(index)
     if kind.startswith("f") and kind[1:].isdigit():
         return hirzebruch(int(kind[1:]))
     raise UnknownSurface(f"unknown surface kind {kind!r} (use p2, p1xp1, f<i>, k3)")

@@ -236,20 +236,16 @@ class MovingCurve(NamedTuple):
     deviation: Rat
 
 
-def _moving_curves(d1: Rat, d2: Rat) -> list[MovingCurve]:
-    """The four facet functionals with deviations d1 and d2: the two fixed
+def _moving_curves(d: Rat) -> list[MovingCurve]:
+    """The four facet functionals with deviation d: the two fixed
     coordinate-plane functionals and the normals of the extremal rays
-    H1 - d1 B1 and H2 - d2 B2."""
+    H1 - d B1 and H2 - d B2."""
     z, one = 0, 1
     return [
         MovingCurve("plane(H2,B1,B2)", (one, z, z, z), (z, z, one, z), z),
         MovingCurve("plane(H1,B1,B2)", (z, one, z, z), (z, z, z, one), z),
-        MovingCurve(
-            f"normal of H1-{rat_str(d1)}B1", (d1, z, one, z), (one, z, -d1, z), d1
-        ),
-        MovingCurve(
-            f"normal of H2-{rat_str(d2)}B2", (z, d2, z, one), (z, one, z, -d2), d2
-        ),
+        MovingCurve(f"normal of H1-{rat_str(d)}B1", (d, z, one, z), (one, z, -d, z), d),
+        MovingCurve(f"normal of H2-{rat_str(d)}B2", (z, d, z, one), (z, one, z, -d), d),
     ]
 
 
@@ -259,8 +255,7 @@ def asymptotic_moving_curves(k: int) -> list[MovingCurve]:
     one number, since a'_k - 1 = a_k."""
     if k < 1:
         raise RangeError(f"k must be >= 1, got {k}")
-    dev = Fraction(k, 2 * a_k(k))
-    return _moving_curves(dev, dev)
+    return _moving_curves(Fraction(k, 2 * a_k(k)))
 
 
 def _cut_out(curves: list[MovingCurve]) -> Cone:
@@ -379,5 +374,5 @@ def asymptotic_report(k_max: int) -> AsymptoticReport:
         prev = cone_k
     # All deviations shrink to 0, so the E_k decrease to the cone the same
     # functionals cut out at deviation 0; it must be the stated limit.
-    limit_ok = cone_equal(limit, _cut_out(_moving_curves(0, 0)))
+    limit_ok = cone_equal(limit, _cut_out(_moving_curves(0)))
     return AsymptoticReport(k_max, tuple(steps), limit_ok)

@@ -961,22 +961,17 @@ def reproduce_table(table_id: str, **params) -> TableReport:
     return TableReport(table_id, merged, tuple(CATALOG[table_id].build(table_id, **merged)))
 
 
-def table_cone_with_labels(table_id: str, **params) -> tuple[Cone, list[tuple[str, tuple]]]:
-    """Cone spanned by a table's divisor rays plus (label, primitive ray)
-    pairs for figure labeling."""
-    inp = table_inputs(table_id, **params)
-    return inp.cone, [(r.label, primitive(r.cls.coords)) for r in inp.rays]
-
-
 def table_cross_section(table_id: str, **params) -> tuple[CrossSection, list[str]]:
     """Cross-section of a table's cone at coordinate sum 1 (at the cone's
     positive functional where the coordinate sum is not positive on every
     ray), with each vertex labelled by the spanning ray through it, or '?'."""
-    cone, labeled = table_cone_with_labels(table_id, **params)
+    inp = table_inputs(table_id, **params)
+    cone = inp.cone
     try:
         cs = cross_section(cone, COORD_SUM)
     except FunctionalNotPositive:
         cs = cross_section(cone, positive_functional(cone))
+    labeled = [(r.label, primitive(r.cls.coords)) for r in inp.rays]
     labels = [
         next((lab for lab, ray in labeled if ray == primitive(v)), "?")
         for v in cs.vertices

@@ -233,22 +233,23 @@ def test_09_cone_engine_properties():
 def test_10_figure_fidelity():
     from nestcone.render import cross_section_svg, cross_section_tikz
 
-    eff_cone, _ = nc.table_cone_with_labels("eff_p2_2_1")
-    eff_cs = nc.cross_section(eff_cone)
-    nef_cone, _ = nc.table_cone_with_labels("nef_p2_nested", n=3)
-    nef_cs = nc.cross_section(nef_cone)
+    eff_cs = nc.cross_section(nc.table_inputs("eff_p2_2_1").cone)
+    nef_cs = nc.cross_section(nc.table_inputs("nef_p2_nested", n=3).cone)
+    eff_labelled, eff_labels = nc.table_cross_section("eff_p2_2_1")
     ok = (
         len(eff_cs.vertices) == 4
         and len(eff_cs.edges) == 4  # square: diagonals excluded
         and len(nef_cs.vertices) == 4
         and len(nef_cs.edges) == 6  # simplex section
+        and eff_labelled == eff_cs
+        and set(eff_labels) == {"H_1", "H_2", "B", "D_{1,1}"}
     )
     # bit-stability: identical output across repeated renders
     ok &= cross_section_svg(eff_cs) == cross_section_svg(
-        nc.cross_section(nc.table_cone_with_labels("eff_p2_2_1")[0])
+        nc.cross_section(nc.table_inputs("eff_p2_2_1").cone)
     )
     ok &= cross_section_tikz(nef_cs) == cross_section_tikz(
-        nc.cross_section(nc.table_cone_with_labels("nef_p2_nested", n=3)[0])
+        nc.cross_section(nc.table_inputs("nef_p2_nested", n=3).cone)
     )
     report(10, "figure fidelity: 4-vertex square and simplex section, "
                "bit-stable SVG/TikZ", ok)

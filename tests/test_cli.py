@@ -233,6 +233,8 @@ def test_pair_f0_is_hirzebruch(capsys):
     code, _, err = run(capsys, "pair", "--surface", "f9x", "--space", "hilb", "--n", "3", "H", "A")
     assert code == 2
     assert "unknown surface" in err
+    code, _, err = run(capsys, "pair", "--surface", "f", "--space", "hilb", "--n", "3", "H", "A")
+    assert (code, err) == (2, "error: unknown surface kind 'f' (use p2, p1xp1, f<i>, k3)\n")
 
 
 def test_usage_error_exit_2(capsys):
@@ -642,10 +644,12 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = str(Path(nc.__file__).resolve().parents[1])
 
 
-def _spawn(argv, unbuffered=False, **kwargs):
+def _spawn(argv, unbuffered=False, color=False, **kwargs):
     """A real `python -m nestcone.cli` process."""
     env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80", "NESTCONE_NO_COLOR": "1"}
     env.pop("PYTHONUNBUFFERED", None)
+    if color:  # verdicts are then coloured when stdout is a terminal
+        del env["NESTCONE_NO_COLOR"]
     if unbuffered:  # stdout writes through, so the write raises, not the flush
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen(
@@ -676,6 +680,31 @@ def test_full_stdout_exits_2_with_one_line(argv, unbuffered):
     assert proc.returncode == 2
     assert err.decode() == "error: cannot write stdout: No space left on device\n"
     assert "Traceback" not in err.decode()
+
+
+@pytest.mark.parametrize("argv", [("verify", "--all"), (*PAIR, "H", "C1")], ids=["verify", "pair"])
+def test_closed_stdout_exits_2_with_one_line(argv):
+    # With descriptor 1 closed at start-up, Python sets sys.stdout to None;
+    # colour is left on, so `verify` asks that None whether it is a terminal.
+    proc = _spawn(argv, color=True, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode() == "error: cannot write stdout: Bad file descriptor\n"
+
+
+def test_closed_stderr_keeps_the_exit_code():
+    # The usage error cannot be written, but the exit code still says 2.
+    proc = _spawn(["table", "--table", "foo"], preexec_fn=lambda: os.close(2), stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (2, b"")
+
+
+def test_closed_stdout_is_no_error_when_nothing_is_written(tmp_path):
+    argv = ["cross-section", "--table", "eff_p2_2_1", "--out", "eff.svg"]
+    proc = _spawn(argv, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, cwd=tmp_path)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert (tmp_path / "eff.svg").read_text().endswith("</svg>\n")
 
 
 def test_ctrl_c_exits_130():

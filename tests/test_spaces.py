@@ -57,7 +57,8 @@ def test_surface_model_validation():
 def test_surface_model_factory():
     assert nc.surface_model("p2") == nc.p2()
     assert nc.surface_model("p1xp1") == nc.p1xp1()
-    assert nc.surface_model("f", index=2) == nc.hirzebruch(2)
+    with pytest.raises(nc.UnknownSurface):
+        nc.surface_model("f")  # F_i is spelt f<i>
     assert nc.surface_model("f2") == nc.hirzebruch(2)
     assert nc.surface_model("k3", genus=4) == nc.k3(4)
 

@@ -181,8 +181,8 @@ def test_limit_is_the_cone_cut_out_at_deviation_zero():
     # functionals cut out at deviation 0; a nonzero deviation must differ.
     from nestcone.studies import _cut_out, _moving_curves
 
-    assert nc.cone_equal(nc.limit_cone(), _cut_out(_moving_curves(F(0), F(0))))
-    assert not nc.cone_equal(nc.limit_cone(), _cut_out(_moving_curves(F(1, 5), F(0))))
+    assert nc.cone_equal(nc.limit_cone(), _cut_out(_moving_curves(F(0))))
+    assert not nc.cone_equal(nc.limit_cone(), _cut_out(_moving_curves(F(1, 5))))
 
 
 def test_asymptotic_nesting_chain():

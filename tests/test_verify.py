@@ -344,12 +344,12 @@ def test_eff_summary_skip_handling():
 # Cross-section helper
 # ---------------------------------------------------------------------------
 
-def test_table_cone_with_labels():
-    cone, labeled = nc.table_cone_with_labels("eff_p2_2_1")
-    assert len(labeled) == 4
-    cs = nc.cross_section(cone)
+def test_table_cross_section_labels():
+    cone = nc.table_inputs("eff_p2_2_1").cone
+    assert len(cone.rays) == 4
+    cs, labels = nc.table_cross_section("eff_p2_2_1")
+    assert cs == nc.cross_section(cone)
     assert len(cs.vertices) == 4 and len(cs.edges) == 4
-    labels = dict(labeled)
     assert set(labels) == {"H_1", "H_2", "B", "D_{1,1}"}
 
 
