@@ -80,6 +80,17 @@ def table_digests() -> dict[str, str]:
     return out
 
 
+def table_text_digests() -> dict[str, str]:
+    """The text of `table --table T`, at the defaults and at NON_DEFAULT."""
+    out = {}
+    for tid in sorted(nc.CATALOG):
+        for params in ({}, NON_DEFAULT.get(tid)):
+            if params is not None:
+                flags = [x for k, v in sorted(params.items()) for x in (f"--{k}", str(v))]
+                out[_key("table-text", tid, params=params)] = _sha(_cli("table", "--table", tid, *flags))
+    return out
+
+
 def certificate_digests() -> dict[str, str]:
     out = {}
     for tid in NEF:
@@ -205,6 +216,34 @@ GOLDEN = {
     'table:pairing_p2_hilb:n=7': 'a188db068bbfda586064835acbccc921c4fb7b339cbcc538c6ed1184d2adb4eb',
     'table:pairing_p2_nested': '3343e328337b2f6fc8cefb9fc04c684a56ec4b1babd6039cba9477444c4e2d49',
     'table:pairing_p2_nested:n=7': 'b3db011ca6fe83f71e18952d770fcb085b57fc01dd9be7a57eb1187cf83368b5',
+    # Taken before the catalog entries carried their kind.
+    'table-text:eff_p2_2_1': '428154f0eb8773da96d67dcdd230a1955202ac1d55114bcc396e3ba4f7f2dc33',
+    'table-text:eff_p2_3_2': '8232fe7b349616f35a5400ed69e1e378f342f66e775c2229ba2d8f6a1440548e',
+    'table-text:eff_summary': '7174a97503f86795fb6b60af101d4e0597244ad14d724dd867cb1dd872423ab2',
+    'table-text:hilb_p2_nef': '8459a5d2fc4a4864547ebc754f8d4634595fdeb41ffa11ad24f9f5bca825ba0b',
+    'table-text:hilb_p2_nef:n=7': 'e8f22231747d4151de255a4c0ca4cfad223133d0ac7e252d231bc77af1877352',
+    'table-text:k3_g1n': '1a21e369f08c8c4f6c6d110e89d97564fc91235dbb95469cd2121e5ec1455043',
+    'table-text:k3_g1n:g=5:n=8': 'c97e6ebe4496d49986e124982ae44c4ecf0f30c74eaeac3ca4ca1fd5055d7b21',
+    'table-text:nef_f0_nested': '627beff3cbdc2a4d1f498f8bea59daae6804878e51b246e9c8edb7036a6ab8d9',
+    'table-text:nef_f0_nested:n=7': '6b02793ed916c80cff468cdc599337aec1d8e789087fdc1dbaff0b97fc57850f',
+    'table-text:nef_f0_univ': '50e34365d903ef6318532751cb8920eabc1d054f5e0ac14977c36e2c63bc7589',
+    'table-text:nef_f0_univ:n=7': '6b3d1573c5a13c886683a63739adb8fcd09f4aaa47e6712f8fb693b7a4f19375',
+    'table-text:nef_fi_nested': 'd9fcc3ffbd7c96b5cb778a9063049a402324455396aaadb9e9e689fb944f8965',
+    'table-text:nef_fi_nested:i=3:n=7': '7f70bba4ef57440991351f9bc8ef6299791e2616638552ccc6ba3d2ba47b3566',
+    'table-text:nef_fi_univ': '6ea66c816bffd1af66ffe67a1760e9c94a746a0931ec537ae548f2838b14e1c9',
+    'table-text:nef_fi_univ:i=3:n=7': '551d79449954fe3bb61431532110467c680080993c2d51bf56849f6f7f855045',
+    'table-text:nef_k3_nested': 'c1704f911c2666aeb1b3986c8f4942ab5afa19ef6e2fc056c41c52542fe37400',
+    'table-text:nef_k3_nested:g=5:n=8': 'c338924ac3cfb458431e8aceed4ad9aabb3fcfbefdacb12a2d9c720501742184',
+    'table-text:nef_k3_univ': '049ed82b7b32f077c549048f41f23f91e21095ac588c6f9804dcd5cfe639bc00',
+    'table-text:nef_k3_univ:g=5:n=8': 'b0041603576450852c6bb1d4b20ccefbd051e7e0b20a55b55ed9c0686266c1ef',
+    'table-text:nef_p2_nested': '0d8de86a03235d9e3cdda150c1370ed77519a2f5e4e31f46ff40dc87ccfd5809',
+    'table-text:nef_p2_nested:n=7': 'aff52f39a72eb08478e25d4680c4a6157e6e2bb6048d43e3281b593966b469fa',
+    'table-text:nef_p2_univ': 'a8c20695384f90c1c2aaecedb2f5a5da38bd67170e980c731adeffde28c0cd72',
+    'table-text:nef_p2_univ:n=7': '0bb8ad8d6b3febd8e2e4c315d0ec7c011ba6902636eb4bb61699ca364f7f7a53',
+    'table-text:pairing_p2_hilb': '5c6c66eddb0dcc6f2cf5684060cb12d45792f7c67851de5a7c711d87b7ebfa9e',
+    'table-text:pairing_p2_hilb:n=7': '749d66c8aa8d046bf0fe2e01bdd1a0de3ecd5d0fe4f74af794c16da3e4e03c9f',
+    'table-text:pairing_p2_nested': '87d77605ed27df45e9c88f4a33b4ccd671c0936b206c2ba0d46b319b1136ffc6',
+    'table-text:pairing_p2_nested:n=7': '3ef5bf8b112262236d9662e6f27508bd789d29af672252dc70a80ed7c12126f9',
     'nef:hilb_p2_nef:n=3': '4659e4ca625ba24047b5ca5fc7f914bd0edb68d15b1ac915be11f61c2c3a9a6c',
     'nef:hilb_p2_nef:n=7': '2bc55a1d779a952136cdb49e00d4076f05edc376d03e9b1b5fbac20dba8ed736',
     'nef:nef_f0_nested:n=3': 'd6bf8feacd87c1899398d2edd5d782e8efabfd65fe188bc53461ecca3cb6316c',
@@ -348,13 +387,14 @@ def plain_terminal(monkeypatch):
     "digests",
     [
         table_digests,
+        table_text_digests,
         certificate_digests,
         cross_section_digests,
         readme_digests,
         lattice_digests,
         help_digests,
     ],
-    ids=["tables", "certificates", "cross_sections", "readme", "lattice", "help"],
+    ids=["tables", "table_text", "certificates", "cross_sections", "readme", "lattice", "help"],
 )
 def test_golden_digests(digests):
     got = digests()
