@@ -3,9 +3,12 @@
 Exit codes: 0 success / everything certified, 1 verification failure or
 table diff, 2 usage or expression-parse errors or a stdout that cannot be
 written (silently when the reader closed the pipe), 130 when interrupted
-with Ctrl-C.  All output is deterministic for fixed inputs.  Certificate
-verdicts and `verify` statuses are coloured only when stdout is a terminal
-and NESTCONE_NO_COLOR is unset (or empty).
+with Ctrl-C.  Every command returns its verdict, False when a check
+failed, and `main` maps it to 0 or 1.  A diagnostic that cannot be written
+to stderr is dropped, so stderr never changes the exit code.  All output
+is deterministic for fixed inputs.  Certificate verdicts and `verify`
+statuses are coloured only when stdout is a terminal and NESTCONE_NO_COLOR
+is unset (or empty).
 
 Each command's options and arguments are one declarative table, from which
 the parser, `--help` and the usage errors are all derived; the command line
@@ -46,6 +49,7 @@ from .verify import (
     CATALOG,
     EFF_MOVING,
     NEF_DUAL,
+    SKIPPED,
     certified_tables,
     reproduce_table,
     standard_eff_certificate,
@@ -469,8 +473,9 @@ def _help_text(path: str, doc: str, params, commands=None) -> str:
     return "".join(parts)
 
 
-def _run(args: list[str]) -> None:
-    """Run the command line `args` (without the program name)."""
+def _run(args: list[str]) -> bool:
+    """Run the command line `args` (without the program name) and return
+    its verdict: False when a check failed."""
     asked, _, rest = _parse((_HELP,), args, interspersed=False)
     if not asked and rest and rest[0] not in COMMANDS and rest[0].startswith("-"):
         # A command name that looks like an option (it came after `--`) is
@@ -478,7 +483,7 @@ def _run(args: list[str]) -> None:
         asked = _parse((_HELP,), rest, interspersed=False)[0]
     if asked:
         _echo(_help_text(_prog_name(), _PROGRAM_HELP, (_HELP,), COMMANDS))
-        return
+        return True
     if not rest:
         raise UsageError("Missing command.")
     name = rest[0]
@@ -488,7 +493,7 @@ def _run(args: list[str]) -> None:
     values, order, positional = _parse(params, rest[1:])
     if values.get("help"):
         _echo(_help_text(f"{_prog_name()} {name}", fn.__doc__, params))
-        return
+        return True
     arguments = [p for p in params if not p.names]
     values.update(zip((p.dest for p in arguments), positional))
     kwargs = {}
@@ -503,7 +508,7 @@ def _run(args: list[str]) -> None:
     if extra:
         s = "s" if len(extra) > 1 else ""
         raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
-    fn(**kwargs)
+    return fn(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +530,18 @@ def _space_from_flags(kind: str, n: int | None) -> SpaceId:
 
 
 def _echo(text: str, err: bool = False) -> None:
-    """Write `text` to stdout, or to stderr if `err`, and flush."""
+    """Write `text` to stdout, or to stderr if `err`, and flush.  A stderr
+    that cannot be written is ignored, so a diagnostic never changes the
+    exit code."""
     stream = sys.stderr if err else sys.stdout
-    if stream is None:  # the descriptor was closed when the process started
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    stream.write(text)
-    stream.flush()
+    try:
+        if stream is None:  # the descriptor was closed when the process started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        if not err:
+            raise
 
 
 def _style(text: str, ok: bool) -> str:
@@ -541,10 +552,9 @@ def _style(text: str, ok: bool) -> str:
     return f"\x1b[{32 if ok else 31}m{text}\x1b[0m"
 
 
-def _emit(text: str, out: str | None = None, ok: bool = True) -> None:
-    """Write `text`, ended in a newline, to the file `out` or to stdout;
-    exit 1 unless `ok`.  A file that cannot be written is an error (exit
-    2)."""
+def _emit(text: str, out: str | None = None) -> None:
+    """Write `text`, ended in a newline, to the file `out` or to stdout.  A
+    file that cannot be written is an error (exit 2)."""
     if not text.endswith("\n"):
         text += "\n"
     if out:
@@ -555,8 +565,6 @@ def _emit(text: str, out: str | None = None, ok: bool = True) -> None:
             raise NestconeError(f"cannot write {out}: {e.strerror}") from e
     else:
         _echo(text)
-    if not ok:
-        sys.exit(1)
 
 
 def _certificate_text(title: str, cert, fmt: str) -> str:
@@ -613,6 +621,7 @@ def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
         except ParseError:
             raise first from None
     _emit(rat_str(pair(d, c)))
+    return True
 
 
 @_command(
@@ -626,7 +635,8 @@ def cmd_table(table_id, n, g, i, fmt, out):
     """Recompute a catalog table cell by cell and report matches/diffs."""
     report = reproduce_table(table_id, n=n, g=g, i=i)
     text = {"json": report.json_str, "csv": report.to_csv, "text": report.text}[fmt]()
-    _emit(text, out, report.ok)
+    _emit(text, out)
+    return report.ok
 
 
 @_command(
@@ -639,7 +649,8 @@ def cmd_nef(table_id, n, g, i, fmt):
     """Produce and check the duality certificate for a catalog nef cone."""
     params = table_params(table_id, n=n, g=g, i=i)
     cert = standard_nef_certificate(table_id, **params)
-    _emit(_certificate_text(f"{table_id} {params}", cert, fmt), ok=cert.ok)
+    _emit(_certificate_text(f"{table_id} {params}", cert, fmt))
+    return cert.ok
 
 
 @_command(
@@ -651,7 +662,8 @@ def cmd_eff(table_id, fmt):
     """Produce and check the moving-curve certificate for a catalog
     effective cone."""
     cert = standard_eff_certificate(table_id)
-    _emit(_certificate_text(table_id, cert, fmt), ok=cert.ok)
+    _emit(_certificate_text(table_id, cert, fmt))
+    return cert.ok
 
 
 @_command(
@@ -672,17 +684,14 @@ def cmd_verify(table_id, run_all, n, g, i):
     for tid in ids:
         report = reproduce_table(tid, n=n, g=g, i=i)
         n_cells = sum(len(s.cells) for s in report.sections)
-        n_skip = sum(
-            1 for s in report.sections for c in s.cells if c.status == "skipped"
-        )
+        n_skip = sum(1 for s in report.sections for c in s.cells if c.status == SKIPPED)
         status = "OK" if report.ok else "FAIL"
         extra = f" ({n_cells} cells, {n_skip} skipped)" if n_skip else f" ({n_cells} cells)"
         _echo(f"{tid}: {_style(status, report.ok)}{extra}\n")
         if not report.ok:
             failed += 1
             _echo(report.text() + "\n", err=True)
-    if failed:
-        sys.exit(1)
+    return not failed
 
 
 @_command(
@@ -698,6 +707,7 @@ def cmd_cross_section(table_id, n, g, i, fmt, out):
     by the generator rays)."""
     cs, labels = table_cross_section(table_id, n=n, g=g, i=i)
     _emit(_CROSS_SECTION_FORMATS[fmt](cs, labels), out)
+    return True
 
 
 @_command(
@@ -719,7 +729,8 @@ def cmd_butler(i, a, b, n, k_min, k_max, ordering, fmt):
     except NestconeError as e:
         raise UsageError(str(e)) from e
     report = butler_check(inp, ordering)
-    _emit(report.json_str() if fmt == "json" else report.text(), ok=report.all_interior)
+    _emit(report.json_str() if fmt == "json" else report.text())
+    return report.all_interior
 
 
 @_command(
@@ -734,17 +745,15 @@ def cmd_asymptotic(k_max, fmt):
         report = asymptotic_report(k_max)
     except NestconeError as e:
         raise UsageError(str(e)) from e
-    _emit(report.json_str() if fmt == "json" else report.text(), ok=report.ok)
+    _emit(report.json_str() if fmt == "json" else report.text())
+    return report.ok
 
 
 def main(argv=None) -> int:
     """Run the command line `argv` (default: sys.argv[1:]) and return its
     exit code: 0, 1 or 2 as the module docstring says."""
     try:
-        _run(sys.argv[1:] if argv is None else list(argv))
-        return 0
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 0
+        return 0 if _run(sys.argv[1:] if argv is None else list(argv)) else 1
     except ParseError as e:
         _echo(f"parse error at byte {e.offset}: {e.message}\n", err=True)
         return 2
@@ -760,11 +769,11 @@ def entry() -> NoReturn:
     """The process entry of `nestcone` and `python -m nestcone.cli`: run
     `main`, flush stdout and stderr, and end the process with os._exit, so
     that no interpreter teardown runs and no implicit flush is left that
-    could raise.  An OSError out of `main` comes from writing the standard
-    streams (`_emit` reports an unwritable --out itself, and `_echo` one
-    closed at start-up, which Python sets to None): it is exit 2, with one
-    line on stderr unless the reader closed the pipe.  Ctrl-C prints
-    `Aborted.` and exits 130."""
+    could raise.  An OSError out of `main` comes from writing stdout
+    (`_emit` reports an unwritable --out itself, `_echo` turns a stdout
+    closed at start-up, which Python sets to None, into one, and drops any
+    failed write to stderr): it is exit 2, with one line on stderr unless
+    the reader closed the pipe.  Ctrl-C prints `Aborted.` and exits 130."""
     message = ""
     try:
         code = main()
@@ -776,12 +785,7 @@ def entry() -> NoReturn:
         code = 2
     except OSError as e:
         code, message = 2, f"error: cannot write stdout: {e.strerror}\n"
-    try:
-        if sys.stderr is not None:
-            sys.stderr.write(message)
-            sys.stderr.flush()
-    except OSError:
-        pass
+    _echo(message, err=True)
     os._exit(code)
 
 

@@ -159,12 +159,11 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
             sp, sq, p, q = scores[i], scores[j], rays[i], rays[j]
             v2 = primitive([sp * x - sq * y for x, y in zip(q, p)])
             new_rays.append((v2, (masks[i] & masks[j]) | bit))
-        # Defensive dedup (exact adjacency should not produce duplicates).
-        dedup: dict[IVec, int] = {}
-        for v, m in new_rays:
-            dedup[v] = dedup.get(v, m) | m
-        rays = sorted(dedup)
-        masks = [dedup[v] for v in rays]
+        # Each new ray lies in the relative interior of its own 2-face, so
+        # it equals no other ray: the rays stay distinct and sort by value.
+        new_rays.sort()
+        rays = [v for v, _ in new_rays]
+        masks = [m for _, m in new_rays]
 
     return _canonical_lineality(lin), list(zip(rays, masks))
 

@@ -19,6 +19,7 @@ from .cone import (
     COORD_SUM,
     Cone,
     CrossSection,
+    Position,
     cone_contains,
     cone_equal,
     cone_from_rays,
@@ -140,7 +141,7 @@ class ButlerReport(NamedTuple):
 
     @property
     def all_interior(self) -> bool:
-        return all(s.position == "Interior" for s in self.steps)
+        return all(s.position == Position.INTERIOR for s in self.steps)
 
     def to_json(self) -> dict:
         return {

@@ -18,14 +18,21 @@ really moves) is geometric input, not something a lattice computation can
 decide; every ray therefore carries a provenance tag and the certified
 statement is exactly the convex-duality identity.
 
+The registry is ``CATALOG``: each table id maps to one ``TableSpec``, its
+default parameters, its kind (``NEF_DUAL``, ``EFF_MOVING``, or None for a
+table with no certificate) and its builder.  The kind is the one record of
+which tables are certified: ``certified_tables`` reads it, and one lookup
+raises ``UnknownTable`` for an id that is unknown, or of the wrong kind, in
+``table_params``, ``table_inputs`` and ``standard_{nef,eff}_certificate``.
+
 Every certified catalog table (nef and eff alike) flows one way: its
 ``TableInputs`` (rays, witnesses, expected pairings; read by
-``table_inputs``) feed one ``Certificate``, and the table's section takes
-its cells from ``Certificate.matrix``, so no cell is paired twice.  Each
-witness's functional is computed once; every cell is a dot product with it,
-and the dual-cone check reads the same functionals.  The same inputs give
-the table's cone (``TableInputs.cone``) for cross-sections and the Butler
-study.
+``table_inputs``) feed one ``Certificate``, and ``reproduce_table`` takes
+the table's one section from ``Certificate.matrix``, so no cell is paired
+twice.  Each witness's functional is computed once; every cell is a dot
+product with it, and the dual-cone check reads the same functionals.  The
+same inputs give the table's cone (``TableInputs.cone``) for cross-sections
+and the Butler study.
 
 The catalog reproduces reference intersection tables cell by cell.  Legacy
 labels (H_1, B_1, D_{1,1}, C_{2,1,1}, ...) are translated to canonical
@@ -677,59 +684,8 @@ class NefTable(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Certified tables
+# The summary chart
 # ---------------------------------------------------------------------------
-
-_CHECK_NAMES = {NEF_DUAL: "nef duality certificate", EFF_MOVING: "moving-curve duality certificate"}
-
-
-class CertifiedTable(NamedTuple):
-    """A catalog table certified by one duality identity: `inputs` builds
-    its rays, witnesses and expected pairings from the table parameters,
-    and its one section takes its cells from the certificate's matrix."""
-
-    kind: str  # NEF_DUAL or EFF_MOVING
-    inputs: Callable[..., TableInputs]
-    notes: tuple[str, ...]
-
-    def __call__(self, table_id: str, **params) -> tuple[TableSection, ...]:
-        inp = self.inputs(**params)
-        cert = _certify(self.kind, inp)
-        check = SectionCheck(_CHECK_NAMES[self.kind], "pass" if cert.ok else "fail", cert.verdict)
-        title = f"{table_id} ({inp.surface.key}, {inp.space})"
-        grid = cert.witness_labels, cert.ray_labels, cert.matrix
-        return (_section(title, *grid, inp.expected, [check], self.notes),)
-
-
-def certified_tables(*kinds: str) -> list[str]:
-    """Sorted ids of the catalog tables certified by one of `kinds`."""
-    return sorted(
-        tid
-        for tid, spec in CATALOG.items()
-        if isinstance(spec.build, CertifiedTable) and spec.build.kind in kinds
-    )
-
-
-def table_inputs(table_id: str, **params) -> TableInputs:
-    """(surface, space, rays, witnesses, expected) of a certified table."""
-    if table_id not in certified_tables(NEF_DUAL, EFF_MOVING):
-        raise UnknownTable(table_id)
-    return CATALOG[table_id].build.inputs(**table_params(table_id, **params))
-
-
-def _standard_certificate(kind: str, table_id: str, params: dict) -> Certificate:
-    if table_id not in certified_tables(kind):
-        raise UnknownTable(table_id)
-    return _certify(kind, table_inputs(table_id, **params))
-
-
-def standard_nef_certificate(table_id: str, **params) -> Certificate:
-    return _standard_certificate(NEF_DUAL, table_id, params)
-
-
-def standard_eff_certificate(table_id: str) -> Certificate:
-    return _standard_certificate(EFF_MOVING, table_id, {})
-
 
 def _chart_section(sp: SpaceId, ray_labels, curve_labels) -> TableSection:
     """A summary-chart entry.  When all its labels resolve it is certified
@@ -760,10 +716,16 @@ def _eff_summary_sections(table_id: str) -> tuple[TableSection, ...]:
 # ---------------------------------------------------------------------------
 
 class TableSpec(NamedTuple):
-    id: str
-    description: str
+    """A catalog table and its default parameters.  A table certified by
+    `kind` (NEF_DUAL or EFF_MOVING) is built by `build(**params)` into its
+    TableInputs; its one section takes its cells from the certificate and
+    prints `notes`.  A table of kind None is built by
+    `build(table_id, **params)` into its sections."""
+
     defaults: dict
-    build: Callable[..., tuple[TableSection, ...]]  # (table id, **params)
+    kind: str | None
+    build: Callable
+    notes: tuple[str, ...] = ()
 
 
 def _pairing_p2_hilb_sections(table_id: str, n: int) -> tuple[TableSection, ...]:
@@ -829,128 +791,100 @@ _RANK2_NESTED = ("diff", "b", "Da", "Db")
 _UNIV = ("diff", "b", "Da")
 
 CATALOG: dict[str, TableSpec] = {
-    spec.id: spec
-    for spec in [
-        TableSpec(
-            "hilb_p2_nef",
-            "nef cone of P2^[n]: spanning rays against dual curves",
-            {"n": 3},
-            CertifiedTable(
-                NEF_DUAL, NefTable(_hilb_template, _nef_p2, ("gen", "D"), cite=True), ()
-            ),
+    # nef cone of P2^[n]: spanning rays against dual curves
+    "hilb_p2_nef": TableSpec(
+        {"n": 3}, NEF_DUAL, NefTable(_hilb_template, _nef_p2, ("gen", "D"), cite=True)
+    ),
+    # nef cone of P2^[n+1,n]: spanning rays against dual curves
+    "nef_p2_nested": TableSpec(
+        {"n": 3}, NEF_DUAL, NefTable(_nested_template, _nef_p2, _RANK1_NESTED, cite=True)
+    ),
+    # nef cone of (P1xP1)^[n+1,n]
+    "nef_f0_nested": TableSpec(
+        {"n": 3}, NEF_DUAL, NefTable(_nested_template, _nef_f0, _RANK2_NESTED)
+    ),
+    # nef cone of F_i^[n+1,n]
+    "nef_fi_nested": TableSpec(
+        {"i": 1, "n": 3}, NEF_DUAL, NefTable(_nested_template, _nef_fi, _RANK2_NESTED)
+    ),
+    # nef cone of K3^[n+1,n] for a general genus-g K3 (n >= g+1)
+    "nef_k3_nested": TableSpec(
+        {"g": 3, "n": 4}, NEF_DUAL, NefTable(_nested_template, _nef_k3, _RANK1_NESTED)
+    ),
+    # nef cone of the universal family P2^[n,1]
+    "nef_p2_univ": TableSpec({"n": 3}, NEF_DUAL, NefTable(_univ_template, _nef_p2, _UNIV)),
+    # nef cone of (P1xP1)^[n,1]
+    "nef_f0_univ": TableSpec({"n": 3}, NEF_DUAL, NefTable(_univ_template, _nef_f0, _UNIV)),
+    # nef cone of F_i^[n,1]
+    "nef_fi_univ": TableSpec({"i": 1, "n": 3}, NEF_DUAL, NefTable(_univ_template, _nef_fi, _UNIV)),
+    # nef cone of K3^[n,1] (n >= g+1)
+    "nef_k3_univ": TableSpec({"g": 3, "n": 4}, NEF_DUAL, NefTable(_univ_template, _nef_k3, _UNIV)),
+    # intersection table of the P2 Hilbert-scheme bases
+    "pairing_p2_hilb": TableSpec({"n": 3}, None, _pairing_p2_hilb_sections),
+    # intersection table of the P2 nested bases
+    "pairing_p2_nested": TableSpec({"n": 3}, None, _pairing_p2_nested_sections),
+    # effective cone of P2^[2,1] against its moving curves
+    "eff_p2_2_1": TableSpec({}, EFF_MOVING, _eff_p2_2_1),
+    # effective cone of P2^[3,2] against its moving curves
+    "eff_p2_3_2": TableSpec(
+        {},
+        EFF_MOVING,
+        _eff_p2_3_2,
+        (
+            "row C_{1,0}: the legacy source prints (1,0,2,0,0); the B_1/B_2 "
+            "cells are transposed there and the catalog stores the corrected "
+            "row (1,2,0,0,0)",
         ),
-        TableSpec(
-            "nef_p2_nested",
-            "nef cone of P2^[n+1,n]: spanning rays against dual curves",
-            {"n": 3},
-            CertifiedTable(
-                NEF_DUAL, NefTable(_nested_template, _nef_p2, _RANK1_NESTED, cite=True), ()
-            ),
-        ),
-        TableSpec(
-            "nef_f0_nested",
-            "nef cone of (P1xP1)^[n+1,n]",
-            {"n": 3},
-            CertifiedTable(NEF_DUAL, NefTable(_nested_template, _nef_f0, _RANK2_NESTED), ()),
-        ),
-        TableSpec(
-            "nef_fi_nested",
-            "nef cone of F_i^[n+1,n]",
-            {"i": 1, "n": 3},
-            CertifiedTable(NEF_DUAL, NefTable(_nested_template, _nef_fi, _RANK2_NESTED), ()),
-        ),
-        TableSpec(
-            "nef_k3_nested",
-            "nef cone of K3^[n+1,n] for a general genus-g K3 (n >= g+1)",
-            {"g": 3, "n": 4},
-            CertifiedTable(NEF_DUAL, NefTable(_nested_template, _nef_k3, _RANK1_NESTED), ()),
-        ),
-        TableSpec(
-            "nef_p2_univ",
-            "nef cone of the universal family P2^[n,1]",
-            {"n": 3},
-            CertifiedTable(NEF_DUAL, NefTable(_univ_template, _nef_p2, _UNIV), ()),
-        ),
-        TableSpec(
-            "nef_f0_univ",
-            "nef cone of (P1xP1)^[n,1]",
-            {"n": 3},
-            CertifiedTable(NEF_DUAL, NefTable(_univ_template, _nef_f0, _UNIV), ()),
-        ),
-        TableSpec(
-            "nef_fi_univ",
-            "nef cone of F_i^[n,1]",
-            {"i": 1, "n": 3},
-            CertifiedTable(NEF_DUAL, NefTable(_univ_template, _nef_fi, _UNIV), ()),
-        ),
-        TableSpec(
-            "nef_k3_univ",
-            "nef cone of K3^[n,1] (n >= g+1)",
-            {"g": 3, "n": 4},
-            CertifiedTable(NEF_DUAL, NefTable(_univ_template, _nef_k3, _UNIV), ()),
-        ),
-        TableSpec(
-            "pairing_p2_hilb",
-            "intersection table of the P2 Hilbert-scheme bases",
-            {"n": 3},
-            _pairing_p2_hilb_sections,
-        ),
-        TableSpec(
-            "pairing_p2_nested",
-            "intersection table of the P2 nested bases",
-            {"n": 3},
-            _pairing_p2_nested_sections,
-        ),
-        TableSpec(
-            "eff_p2_2_1",
-            "effective cone of P2^[2,1] against its moving curves",
-            {},
-            CertifiedTable(EFF_MOVING, _eff_p2_2_1, ()),
-        ),
-        TableSpec(
-            "eff_p2_3_2",
-            "effective cone of P2^[3,2] against its moving curves",
-            {},
-            CertifiedTable(
-                EFF_MOVING,
-                _eff_p2_3_2,
-                (
-                    "row C_{1,0}: the legacy source prints (1,0,2,0,0); the B_1/B_2 "
-                    "cells are transposed there and the catalog stores the corrected "
-                    "row (1,2,0,0,0)",
-                ),
-            ),
-        ),
-        TableSpec(
-            "eff_summary",
-            "summary chart of effective cones; unresolved labels are skipped",
-            {},
-            _eff_summary_sections,
-        ),
-        TableSpec(
-            "k3_g1n",
-            "g^1_n fiber-class pairings on K3^[n]",
-            {"g": 3, "n": 4},
-            _k3_g1n_sections,
-        ),
-    ]
+    ),
+    # summary chart of effective cones; unresolved labels are skipped
+    "eff_summary": TableSpec({}, None, _eff_summary_sections),
+    # g^1_n fiber-class pairings on K3^[n]
+    "k3_g1n": TableSpec({"g": 3, "n": 4}, None, _k3_g1n_sections),
 }
+
+
+def certified_tables(*kinds: str) -> list[str]:
+    """Sorted ids of the catalog tables certified by one of `kinds`."""
+    return sorted(tid for tid, spec in CATALOG.items() if spec.kind in kinds)
+
+
+def _spec(table_id: str, *kinds: str) -> TableSpec:
+    """The catalog entry of `table_id`; given `kinds`, it must be certified
+    by one of them.  Any other id is an UnknownTable."""
+    spec = CATALOG.get(table_id)
+    if spec is None or (kinds and spec.kind not in kinds):
+        known = [tid for tid, s in CATALOG.items() if not kinds or s.kind in kinds]
+        what = "/".join(kinds) + " " if kinds else ""
+        raise UnknownTable(f"unknown {what}table {table_id!r}; known: {', '.join(sorted(known))}")
+    return spec
 
 
 def table_params(table_id: str, **given) -> dict:
     """The table's default parameters, overridden by the values given that
     are not None; a value for a parameter the table does not take is a
     RangeError."""
-    spec = CATALOG.get(table_id)
-    if spec is None:
-        raise UnknownTable(
-            f"unknown table {table_id!r}; known: {', '.join(sorted(CATALOG))}"
-        )
+    defaults = _spec(table_id).defaults
     given = {k: v for k, v in given.items() if v is not None}
-    stray = [k for k in given if k not in spec.defaults]
+    stray = [k for k in given if k not in defaults]
     if stray:
         raise RangeError(f"table {table_id} takes no parameter {stray[0]!r}")
-    return {**spec.defaults, **given}
+    return {**defaults, **given}
+
+
+def table_inputs(table_id: str, **params) -> TableInputs:
+    """(surface, space, rays, witnesses, expected) of a certified table."""
+    return _spec(table_id, NEF_DUAL, EFF_MOVING).build(**table_params(table_id, **params))
+
+
+def standard_nef_certificate(table_id: str, **params) -> Certificate:
+    return _certify(NEF_DUAL, _spec(table_id, NEF_DUAL).build(**table_params(table_id, **params)))
+
+
+def standard_eff_certificate(table_id: str) -> Certificate:
+    return _certify(EFF_MOVING, _spec(table_id, EFF_MOVING).build(**table_params(table_id)))
+
+
+_CHECK_NAMES = {NEF_DUAL: "nef duality certificate", EFF_MOVING: "moving-curve duality certificate"}
 
 
 def reproduce_table(table_id: str, **params) -> TableReport:
@@ -958,7 +892,16 @@ def reproduce_table(table_id: str, **params) -> TableReport:
     report exact equality (or, for generator charts, non-negativity), with
     unresolved labels reported as SKIPPED."""
     merged = table_params(table_id, **params)
-    return TableReport(table_id, merged, tuple(CATALOG[table_id].build(table_id, **merged)))
+    spec = CATALOG[table_id]
+    if spec.kind is None:
+        return TableReport(table_id, merged, tuple(spec.build(table_id, **merged)))
+    inp = spec.build(**merged)
+    cert = _certify(spec.kind, inp)
+    check = SectionCheck(_CHECK_NAMES[spec.kind], "pass" if cert.ok else "fail", cert.verdict)
+    title = f"{table_id} ({inp.surface.key}, {inp.space})"
+    grid = cert.witness_labels, cert.ray_labels, cert.matrix
+    section = _section(title, *grid, inp.expected, [check], spec.notes)
+    return TableReport(table_id, merged, (section,))
 
 
 def table_cross_section(table_id: str, **params) -> tuple[CrossSection, list[str]]:

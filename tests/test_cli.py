@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import errno
 import importlib
 import io
 import json
@@ -309,6 +310,9 @@ def _quoted(ids) -> str:
         (("table", "--format", "bogus"),
          "Invalid value for '--format': 'bogus' is not one of 'text', 'json', 'csv'."),
         (("butler", "--ordering", "x"), "Invalid value for '--ordering': 'x' is not one of 'b', 'res'."),
+        (("pair", "--space", "hilb", "H", "A"), "--space hilb requires --n"),
+        (("pair", "--space", "foo", "--n", "3", "H", "A"),
+         "unknown space 'foo' (use hilb, nested, univ, surface)"),
     ],
 )
 def test_usage_errors(capsys, argv, message):
@@ -328,6 +332,7 @@ def test_usage_errors(capsys, argv, message):
         (("asymptotic", "--k-max", "1_0", "--k-max", "3"), None),
         # A help request is answered before the values are checked.
         ((*PAIR, "--n", "x", "H", "A", "extra", "--help"), None),
+        (("pair", "--space", "Surface", "H", "2*H"), "2\n"),  # the surface takes no --n
     ],
 )
 def test_option_parsing(capsys, argv, stdout):
@@ -475,7 +480,7 @@ def test_record_annotations_are_objects():
         if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
         and obj.__module__ == mod.__name__
     ]
-    assert len(records) >= 21
+    assert len(records) >= 20
     for record in records:
         for field, t in record.__annotations__.items():
             bad = [p for p in parts(t) if isinstance(p, (str, ForwardRef))]
@@ -497,6 +502,38 @@ def test_verify_single_table(capsys):
     code, out, _ = run(capsys, "verify", "--table", "nef_p2_nested", "--n", "5")
     assert code == 0
     assert "nef_p2_nested: OK" in out
+
+
+def _failing_report(table_id):
+    """The report of `table_id` with the check of its one section failed."""
+    report = nc.reproduce_table(table_id)
+    (section,) = report.sections
+    check = section.checks[0]._replace(status="fail", detail="failed: injected")
+    return report._replace(sections=(section._replace(checks=(check,)),))
+
+
+def test_verify_failure_is_one_line_and_exit_1(capsys, monkeypatch):
+    failing = _failing_report("eff_p2_2_1")
+    monkeypatch.setattr(cli, "reproduce_table", lambda table_id, **params: failing)
+    code, out, err = run(capsys, "verify", "--table", "eff_p2_2_1")
+    assert (code, out) == (1, "eff_p2_2_1: FAIL (16 cells)\n")
+    assert err == failing.text() + "\n"
+    assert err.startswith("table eff_p2_2_1 {}: FAIL\n  [eff_p2_2_1 (p2, univ(2))] FAIL\n")
+
+
+class _Unwritable(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+@pytest.mark.parametrize("stderr", [_Unwritable(), None], ids=["raises", "closed"])
+def test_unwritable_stderr_keeps_the_exit_code(capsys, monkeypatch, stderr):
+    failing = _failing_report("eff_p2_2_1")
+    monkeypatch.setattr(cli, "reproduce_table", lambda table_id, **params: failing)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["verify", "--table", "eff_p2_2_1"]) == 1
+    assert main(["table", "--table", "foo"]) == 2
+    assert capsys.readouterr().out == "eff_p2_2_1: FAIL (16 cells)\n"
 
 
 def test_verify_all(capsys):
@@ -782,6 +819,20 @@ def test_main_never_ends_the_process(capsys, monkeypatch):
     assert run(capsys, "asymptotic", "--k-max", "3")[0] == 1
     assert run(capsys, "table", "--table", "foo")[0] == 2
     assert run(capsys, "--help")[0] == 0
+
+
+def test_no_module_ends_the_process_by_exception():
+    """Commands return their verdict and `main` its code: nothing in the
+    package calls sys.exit or names SystemExit."""
+    package = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("sys.exit", "exit", "quit")
+        or isinstance(node, ast.Name) and node.id == "SystemExit"
+    ]
+    assert found == []
 
 
 def test_installed_command_is_the_process_entry():

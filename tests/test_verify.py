@@ -44,6 +44,21 @@ def test_unknown_table():
         nc.reproduce_table("eff_p2_2_1", n=5)  # takes no parameters
 
 
+@pytest.mark.parametrize(
+    "lookup, table_id",
+    [
+        (table_inputs, "pairing_p2_hilb"),  # no certificate
+        (nc.standard_nef_certificate, "eff_p2_2_1"),
+        (nc.standard_eff_certificate, "nef_p2_nested"),
+        (nc.standard_eff_certificate, "no_such_table"),
+        (nc.table_params, "no_such_table"),
+    ],
+)
+def test_table_of_the_wrong_kind_is_unknown(lookup, table_id):
+    with pytest.raises(UnknownTable, match=f"table '{table_id}'; known: "):
+        lookup(table_id)
+
+
 def test_k3_param_validation():
     with pytest.raises(RangeError):
         nc.reproduce_table("nef_k3_nested", g=3, n=3)  # needs n >= g+1
