@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import errno
 import os
-import shutil
 import sys
 from typing import NoReturn
 
@@ -431,7 +430,8 @@ def _help_text(path: str, doc: str, params, commands=None) -> str:
     `commands` lists its commands.  It is wrapped to the terminal's width
     less 2, at most 78 and at least 50 columns; help texts are single
     paragraphs."""
-    import textwrap  # only --help wraps text
+    import shutil  # only --help reads the terminal's width and wraps text
+    import textwrap
 
     width = max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
 
@@ -521,11 +521,13 @@ _SPACES = {"hilb": hilb, "nested": nested, "univ": univ}
 def _space_from_flags(kind: str, n: int | None) -> SpaceId:
     kind = kind.lower()
     if kind == "surface":
+        if n is not None:
+            raise UsageError("--space surface takes no --n")
         return surface_space()
-    if n is None:
-        raise UsageError(f"--space {kind} requires --n")
     if kind not in _SPACES:
         raise UsageError(f"unknown space {kind!r} (use hilb, nested, univ, surface)")
+    if n is None:
+        raise UsageError(f"--space {kind} requires --n")
     return _SPACES[kind](n)
 
 

@@ -12,7 +12,6 @@ document the library prints goes through `canonical_json`.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -59,6 +58,8 @@ def ratio(n: int, d: int) -> Rat:
 def canonical_json(doc) -> str:
     """The canonical JSON text of `doc`: sorted keys and no whitespace, so
     equal documents print as equal bytes."""
+    import json  # only JSON output needs it
+
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 

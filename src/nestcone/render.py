@@ -7,8 +7,6 @@ bit-stable across runs and platforms.
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 from typing import Sequence
 
@@ -124,6 +122,9 @@ def cross_section_tikz(cs: CrossSection, labels: Sequence[str] | None = None) ->
 
 
 def cross_section_csv(cs: CrossSection, labels: Sequence[str] | None = None) -> str:
+    import csv  # only CSV output needs csv and io
+    import io
+
     header = ["vertex"] + [f"x{k}" for k in range(cs.dim)]
     if labels:
         header.append("label")

@@ -7,29 +7,23 @@
 * Asymptotic study: in a fixed 4-dimensional frame (H1, H2, B1, B2) the
   effective cones E_k form a decreasing nest whose limit is the coordinate
   orthant; the k-dependent facet data deviates from the limit by exactly
-  k/(2a_k) with a_k = binom(k+2,2)-1.
+  k/(2a_k) with a_k = binom(k+2,2)-1.  E_k is the dual of its four
+  moving-curve functionals W_k, and a step runs one DD, over W_k: it gives
+  E_k's extreme rays R_k, and the step's flags are sign tests on them
+  (nested: W_{k-1} . R_k >= 0; contains the limit: W_k >= 0 on the limit's
+  rays), its section distance integer arithmetic on R_k.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import NamedTuple
+from operator import mul
+from typing import NamedTuple, Sequence
 
-from .cone import (
-    COORD_SUM,
-    Cone,
-    CrossSection,
-    Position,
-    cone_contains,
-    cone_equal,
-    cone_from_rays,
-    cross_section,
-    dual,
-    position,
-)
-from .errors import InvalidInput, RangeError
+from .cone import Cone, IVec, Position, cone_equal, cone_from_rays, dual, position
+from .errors import FunctionalNotPositive, InvalidInput, NotPointed, RangeError
 from .linalg import solve_unique
-from .rationals import Rat, canonical_json, rat_str
+from .rationals import Rat, canonical_json, rat_str, ratio
 from .spaces import (
     DivClass,
     SurfaceModel,
@@ -259,9 +253,14 @@ def asymptotic_moving_curves(k: int) -> list[MovingCurve]:
     return _moving_curves(Fraction(k, 2 * a_k(k)))
 
 
+def _span(curves: list[MovingCurve]) -> Cone:
+    """The cone spanned by the curves' functionals, as primitive int rays."""
+    return cone_from_rays(FRAME_DIM, [m.functional for m in curves])
+
+
 def _cut_out(curves: list[MovingCurve]) -> Cone:
     """The cone cut out by the curves' functionals: the dual of their span."""
-    return dual(cone_from_rays(FRAME_DIM, [m.functional for m in curves]))
+    return dual(_span(curves))
 
 
 def asymptotic_cone(k: int) -> Cone:
@@ -343,36 +342,57 @@ class AsymptoticReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _section_distance(cone_k: Cone, limit_square: CrossSection) -> Rat:
-    """Max-coordinate distance between the coordsum cross-section vertices of
-    E_k and the nearest vertices of the limit square."""
-    return max(
-        min(max(abs(a - b) for a, b in zip(v, w)) for w in limit_square.vertices)
-        for v in cross_section(cone_k, COORD_SUM).vertices
-    )
+def _nonnegative(functionals: Sequence[IVec], rays: Sequence[IVec]) -> bool:
+    """Whether every functional is >= 0 on every ray: the rays lie in the
+    dual of the functionals, since y is in dual(W) exactly when W . y >= 0."""
+    return all(sum(map(mul, f, r)) >= 0 for f in functionals for r in rays)
+
+
+def _section_distance(rays: Sequence[IVec]) -> Rat:
+    """Max-coordinate distance between the coordsum cross-section vertices
+    r/s (s the coordinate sum of r) of the extreme rays and the nearest
+    vertex of the limit square, a unit vector e_i.  In integers,
+    |r_j/s - e_ij| = |r_j - s e_ij| / s, with one ratio at the end."""
+    num, den = 0, 1
+    for r in rays:
+        s = sum(r)
+        if s <= 0:
+            raise FunctionalNotPositive(f"functional is not strictly positive on ray {r}")
+        n = min(
+            max(abs(x - s) if j == i else abs(x) for j, x in enumerate(r))
+            for i in range(len(r))
+        )
+        if n * den > num * s:
+            num, den = n, s
+    return ratio(num, den)
 
 
 def asymptotic_report(k_max: int) -> AsymptoticReport:
+    """Steps k = 2..k_max, one DD each, over W_k.  A W_k that does not span
+    the frame leaves E_k not pointed (NotPointed); otherwise its DD returns
+    E_k's extreme rays R_k, and the step reads everything off them."""
     if k_max < 2:
         raise RangeError(f"k_max must be >= 2, got {k_max}")
     limit = limit_cone()
-    limit_square = cross_section(limit, COORD_SUM)
     steps = []
-    prev = asymptotic_cone(1)
+    prev = _span(asymptotic_moving_curves(1))
     for k in range(2, k_max + 1):
         curves = asymptotic_moving_curves(k)
-        cone_k = _cut_out(curves)
+        span = _span(curves)
+        if not span.is_full_dimensional:
+            raise NotPointed("cross-sections require a pointed cone")
+        rays = span.facet_normals
         steps.append(
             AsymptoticStep(
                 k=k,
                 deviation_1=curves[2].deviation,
                 deviation_2=curves[3].deviation,
-                nested_in_previous=cone_contains(prev, cone_k),
-                contains_limit=cone_contains(cone_k, limit),
-                section_distance=_section_distance(cone_k, limit_square),
+                nested_in_previous=_nonnegative(prev.rays, rays),
+                contains_limit=_nonnegative(span.rays, limit.rays),
+                section_distance=_section_distance(rays),
             )
         )
-        prev = cone_k
+        prev = span
     # All deviations shrink to 0, so the E_k decrease to the cone the same
     # functionals cut out at deviation 0; it must be the stated limit.
     limit_ok = cone_equal(limit, _cut_out(_moving_curves(0)))

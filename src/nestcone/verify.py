@@ -11,7 +11,11 @@ Two kinds of certificates are produced:
 * ``EffMoving`` - a claimed pseudoeffective cone is certified against moving
   curves: all pairings non-negative and cone(rays) equal to the dual of the
   moving-curve functionals, decided by the double-description engine (the
-  only certificate that runs it).
+  only certificate that runs it).  One DD, over the functionals, decides
+  when they span the lattice: the identity then holds exactly when every
+  extreme ray of their dual is one of the rays.  When their dual has a
+  lineality space, a second DD, over the rays, tests that the dual lies in
+  cone(rays).
 
 Whether an individual ray really is nef/effective (and whether a curve
 really moves) is geometric input, not something a lattice computation can
@@ -41,8 +45,6 @@ classes through data dictionaries; labels with no known definition
 reported as SKIPPED, never silently passed.
 """
 
-import csv
-import io
 import re
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -224,11 +226,23 @@ def _certify(kind: str, inp: TableInputs) -> Certificate:
                 raise EmptyInput("a cone needs at least one nonzero generator")
             holds = len(rays) == divisor_rank(surface, space)
         else:
-            # No pairing is negative, so cone(rays) already lies in the dual
-            # of the moving curves: the identity holds exactly when that dual
-            # lies in cone(rays).
+            # No pairing is negative, so cone(R) already lies in dual(W), W
+            # the moving-curve functionals: the identity holds exactly when
+            # dual(W) lies in cone(R).
             ray_cone = inp.cone
-            holds = cone_contains(ray_cone, dual(cone_from_rays(ray_cone.dim, functionals)))
+            moving = cone_from_rays(ray_cone.dim, functionals)
+            if moving.is_full_dimensional:
+                # dual(W) is pointed, and W's DD returns its extreme rays,
+                # primitive like cone(R)'s.  If each is a ray of cone(R),
+                # dual(W), the cone they span, lies in cone(R).  Conversely,
+                # if cone(R) = dual(W), an extreme ray e of dual(W) is a sum
+                # of rays r of cone(R) with positive weights; each r lies in
+                # dual(W) and e is extreme, so each r is a positive multiple
+                # of e, and equal to it, both being primitive.  One DD, over
+                # W, decides.
+                holds = set(moving.facet_normals) <= set(ray_cone.rays)
+            else:
+                holds = cone_contains(ray_cone, dual(moving))
         verdict = CERTIFIED if holds else "failed: dual cone strictly larger than the span of the rays"
     return Certificate(
         kind=kind,
@@ -369,6 +383,9 @@ class TableReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
+        import csv  # only CSV output needs csv and io
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["section", "row", "col", "expected", "computed", "status"])

@@ -313,6 +313,10 @@ def _quoted(ids) -> str:
         (("pair", "--space", "hilb", "H", "A"), "--space hilb requires --n"),
         (("pair", "--space", "foo", "--n", "3", "H", "A"),
          "unknown space 'foo' (use hilb, nested, univ, surface)"),
+        # The space kind is checked ahead of --n.
+        (("pair", "--space", "foo", "H", "A"),
+         "unknown space 'foo' (use hilb, nested, univ, surface)"),
+        (("pair", "--space", "surface", "--n", "3", "H", "A"), "--space surface takes no --n"),
     ],
 )
 def test_usage_errors(capsys, argv, message):

@@ -18,9 +18,11 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(nc.__path__))
 LIBRARY = ("errors", "rationals", "spaces", "pairing", "cone", "verify", "studies")
 
 
-def _python(code):
+def _python(code, *flags):
     env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -80,3 +82,13 @@ def test_import_loads_only_what_the_module_needs(module, loaded):
         "print(sorted(m for m in sys.modules if m.startswith('nestcone.')))"
     )
     assert _python(code) == f"{[f'nestcone.{m}' for m in loaded]}\n"
+
+
+def test_cli_import_defers_the_output_modules():
+    # Under -S no `site` preloads anything: `json` is imported by the first
+    # JSON document, `csv` by the first CSV table and `shutil` by --help.
+    code = (
+        "import sys, nestcone.cli\n"
+        "print([m for m in ('json', 'csv', 'shutil') if m in sys.modules])"
+    )
+    assert _python(code, "-S") == "[]\n"

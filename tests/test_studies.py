@@ -1,11 +1,14 @@
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 import nestcone as nc
-from nestcone.errors import InvalidInput, RangeError
-from nestcone.studies import ORDER_B, ORDER_RES, a_k, butler_table
+import nestcone.cone
+import nestcone.studies
+from nestcone.errors import FunctionalNotPositive, InvalidInput, NotPointed, RangeError
+from nestcone.studies import ORDER_B, ORDER_RES, _cut_out, _moving_curves, a_k, butler_table
 
 
 F = Fraction
@@ -179,8 +182,6 @@ def test_asymptotic_report():
 def test_limit_is_the_cone_cut_out_at_deviation_zero():
     # limit_is_orthant compares limit_cone() with the cone the E_k
     # functionals cut out at deviation 0; a nonzero deviation must differ.
-    from nestcone.studies import _cut_out, _moving_curves
-
     assert nc.cone_equal(nc.limit_cone(), _cut_out(_moving_curves(F(0))))
     assert not nc.cone_equal(nc.limit_cone(), _cut_out(_moving_curves(F(1, 5))))
 
@@ -198,3 +199,82 @@ def test_asymptotic_report_serialization():
     rep = nc.asymptotic_report(4)
     assert rep.json_str() == nc.asymptotic_report(4).json_str()
     assert "asymptotic study up to k=4: OK" in rep.text()
+
+
+def test_asymptotic_report_runs_one_dd_per_step(monkeypatch):
+    # One DD over W_k per step k = 2..k_max, and three for the limit check
+    # (W_0, E_0 and the limit cone).
+    calls = []
+    real = nestcone.cone._dd
+    monkeypatch.setattr(nestcone.cone, "_dd", lambda *args: calls.append(args) or real(*args))
+    for k_max in (2, 3, 10, 60):
+        calls.clear()
+        nc.asymptotic_report(k_max)
+        assert len(calls) == k_max + 2
+
+
+def _engine_steps(curves, k_max):
+    """Per step k = 2..k_max: (nested, contains limit, section distance),
+    read off E_k's own DD by cone_contains and cross_section, with the
+    moving curves curves(k)."""
+    limit = nc.limit_cone()
+    square = nc.cross_section(limit).vertices
+    out = []
+    for k in range(2, k_max + 1):
+        prev, cone_k = _cut_out(curves(k - 1)), _cut_out(curves(k))
+        distance = max(
+            min(max(abs(a - b) for a, b in zip(v, w)) for w in square)
+            for v in nc.cross_section(cone_k).vertices
+        )
+        out.append((nc.cone_contains(prev, cone_k), nc.cone_contains(cone_k, limit), distance))
+    return out
+
+
+def _deviations(d1, d2):
+    """Moving curves with deviation d1 on the H1 side and d2 on the H2 side."""
+    return [*_moving_curves(d1)[:3], _moving_curves(d2)[3]]
+
+
+@pytest.mark.parametrize(
+    "curves, k_max",
+    [
+        (nc.asymptotic_moving_curves, 60),  # the study's own curves
+        (lambda k: _moving_curves(F(1, 2) - F(1, k + 3)), 12),  # growing: not nested
+        (lambda k: _moving_curves(F(-1, k)), 12),  # negative: the limit is not inside
+        (lambda k: _moving_curves(F(1, 3) if k % 2 else F(-1, 5)), 12),  # alternating
+        # Distances 1/4 on the H1 side and 2/9 < 1/4 on the H2 side, whose
+        # ray (0, 11, 0, -2) has the larger numerator.
+        (lambda k: _deviations(F(1, 5), F(2, 11)), 3),
+        (lambda k: _deviations(F(k, 11), F(1, 5)), 4),
+    ],
+)
+def test_asymptotic_steps_match_the_cone_engine(monkeypatch, curves, k_max):
+    """The sign tests on W and the integer section distance give what
+    cone_contains and cross_section give on E_k itself."""
+    expected = _engine_steps(curves, k_max)
+    monkeypatch.setattr(nestcone.studies, "asymptotic_moving_curves", curves)
+    rep = nc.asymptotic_report(k_max)
+    got = [(s.nested_in_previous, s.contains_limit, s.section_distance) for s in rep.steps]
+    assert got == expected
+    assert all(type(d) is int or d.denominator > 1 for _, _, d in got)
+
+
+def test_asymptotic_report_errors_match_the_cone_engine(monkeypatch):
+    # A coordinate sum <= 0 on a ray of E_k: deviation 1 gives H2 - B2
+    # (and H1 - B1, later in the rays' order).
+    monkeypatch.setattr(nestcone.studies, "asymptotic_moving_curves", lambda k: _moving_curves(F(1)))
+    message = "functional is not strictly positive on ray (0, 1, 0, -1)"
+    with pytest.raises(FunctionalNotPositive, match=re.escape(message)):
+        nc.cross_section(_cut_out(_moving_curves(F(1))))
+    with pytest.raises(FunctionalNotPositive, match=re.escape(message)):
+        nc.asymptotic_report(2)
+    # Functionals that span three dimensions: E_k contains a line.
+    def flat(k):
+        curves = _moving_curves(F(1, 5))
+        return [*curves[:3], curves[2]]
+
+    monkeypatch.setattr(nestcone.studies, "asymptotic_moving_curves", flat)
+    with pytest.raises(NotPointed):
+        nc.cross_section(_cut_out(flat(2)))
+    with pytest.raises(NotPointed):
+        nc.asymptotic_report(2)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import nestcone as nc
 import nestcone.cone
-from brute_cone import dot, rank, rref
+from brute_cone import BruteCone, dot, rank, rref
 from nestcone.cone import cone_equal, cone_from_rays, dual
 from nestcone.errors import EmptyInput, RangeError, SpaceMismatch, UnknownTable
 from nestcone.pairing import curve_functional
@@ -353,6 +353,132 @@ def test_eff_summary_skip_handling():
     for title in ("Eff(P2[4,1])", "Eff(P2[3,2])", "Eff(P2[4,3])", "Eff(P2[5,4])"):
         checks = {c.name: c.status for c in by_title[title].checks}
         assert checks["dual-cone equality"] == "skipped"
+
+
+@pytest.mark.parametrize("table_id", ["eff_p2_2_1", "eff_p2_3_2"])
+def test_eff_certificate_runs_one_dd(dd_calls, table_id):
+    # The moving curves span the lattice, so the DD over them decides alone.
+    assert nc.standard_eff_certificate(table_id).ok
+    assert len(dd_calls) == 1
+
+
+def test_eff_summary_runs_one_dd_per_certified_entry(dd_calls):
+    assert nc.reproduce_table("eff_summary").ok
+    assert len(dd_calls) == 3
+
+
+def _curve_with_functional(s, sp, w):
+    """The curve whose functional is w, solved by the independent Fraction
+    elimination `brute_cone.rref`: sum_i c_i M[i][j] = w_j."""
+    m = nc.pairing_table(s, sp).matrix
+    dim = len(m)
+    reduced, pivots = rref([[*(row[j] for row in m), w[j]] for j in range(dim)], dim + 1)
+    assert pivots == list(range(dim))
+    return nc.CurClass(s, sp, tuple(row[-1] for row in reduced))
+
+
+def _brute_dual(d, functionals):
+    """Generators of dual(W) by `brute_cone`: the facet normals of cone(W)
+    and +/- a basis of its orthogonal complement, the dual's lineality."""
+    oracle = BruteCone(d, functionals)
+    return oracle.facets + oracle.perp + [tuple(-x for x in p) for p in oracle.perp]
+
+
+def _brute_is_dual(d, rays, functionals) -> bool:
+    """cone(R) = dual(W) by `brute_cone`: all pairings are >= 0, and every
+    generator of dual(W) satisfies cone(R)'s facet inequalities and lies in
+    span(R)."""
+    if any(dot(w, r) < 0 for w in functionals for r in rays):
+        return False
+    cone = BruteCone(d, rays)
+    gens = _brute_dual(d, functionals)
+    return all(dot(f, g) >= 0 for f in cone.facets for g in gens) and all(
+        dot(p, g) == 0 for p in cone.perp for g in gens
+    )
+
+
+_SMALL = st.integers(-3, 3)
+_EFF_SPACES = [(nc.p2(), nc.hilb(3)), (nc.p2(), nc.univ(2)), (nc.p2(), nc.nested(3))]
+
+
+@st.composite
+def _eff_cases(draw):
+    """A space of divisor rank d = 2..4, functionals W spanning a k-dim
+    subspace (k < d: their dual has a lineality space; half the cases have
+    k = d), and rays R drawn around dual(W): its generators at random
+    positive scales, those plus a sum of some of them, those with one
+    replaced by such a sum or dropped, nonnegative combinations of them, or
+    random vectors."""
+    s, sp = draw(st.sampled_from(_EFF_SPACES))
+    d = nc.divisor_rank(s, sp)
+    k = d if draw(st.booleans()) else draw(st.integers(1, d - 1))
+    ws = draw(st.lists(st.tuples(*[_SMALL] * k), min_size=k, max_size=k + 2))
+    if k < d:
+        embed = draw(st.lists(st.tuples(*[_SMALL] * k), min_size=d, max_size=d))
+        ws = [tuple(dot(row, w) for row in embed) for w in ws]
+    assume(any(any(w) for w in ws))
+    gens = _brute_dual(d, ws)
+    shape = draw(st.sampled_from(["exact", "extra", "swap", "drop", "combos", "random"]))
+    if shape == "random" or not gens:
+        rays = draw(st.lists(st.tuples(*[_SMALL] * d), min_size=1, max_size=6))
+    elif shape == "combos":
+        weights = st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens))
+        rays = [
+            tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(d))
+            for cs in draw(st.lists(weights, min_size=1, max_size=6))
+        ]
+    else:
+        scales = draw(st.lists(st.integers(1, 3), min_size=len(gens), max_size=len(gens)))
+        rays = [tuple(c * x for x in g) for c, g in zip(scales, gens)]
+        some = tuple(map(sum, zip(*draw(st.lists(st.sampled_from(gens), min_size=2, max_size=3)))))
+        if shape in ("swap", "drop"):
+            del rays[draw(st.integers(0, len(rays) - 1))]
+        if shape in ("extra", "swap"):
+            rays.append(some)
+    assume(any(any(r) for r in rays))
+    return s, sp, rays, ws
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eff_cases())
+def test_one_dd_eff_rule_matches_brute_force(case):
+    """The eff certificate's verdict, from one DD over W when W spans the
+    lattice, is the brute-force verdict on cone(R) = dual(W), and, once no
+    pairing is negative, the two-DD verdict cone_contains(cone(R), dual(W))."""
+    s, sp, rays, ws = case
+    why = nc.Provenance(nc.ASSERTED)
+    specs = [RaySpec(f"R{j}", nc.DivClass(s, sp, r), why) for j, r in enumerate(rays)]
+    moving = [WitnessSpec(f"W{i}", _curve_with_functional(s, sp, w)) for i, w in enumerate(ws)]
+    cert = nc.certify_eff(s, sp, specs, moving)
+    d = nc.divisor_rank(s, sp)
+    assert cert.ok == _brute_is_dual(d, rays, ws)
+    if not cert.verdict.startswith("failed: negative pairing"):
+        two_dd = nc.cone_contains(cone_from_rays(d, rays), dual(cone_from_rays(d, ws)))
+        assert cert.ok == two_dd
+
+
+@pytest.mark.parametrize(
+    "ws, rays, ok",
+    [
+        # dual(W) = {y : y_1 = 0}, a plane, and cone(R) is that plane.
+        ([(1, 0, 0), (-1, 0, 0)], [(0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], True),
+        # ... and cone(R) a half-plane of it.
+        ([(1, 0, 0), (-1, 0, 0)], [(0, 1, 0), (0, -1, 0), (0, 0, 1)], False),
+        # dual(W) = {y : y_1 >= 0}, a half-space.
+        ([(1, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], True),
+        ([(1, 0, 0)], [(1, 1, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], True),
+        ([(1, 0, 0)], [(1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)], False),
+    ],
+)
+def test_eff_rule_when_the_dual_has_lineality(dd_calls, ws, rays, ok):
+    """W does not span the lattice: the DD over W finds the dual's lineality
+    space and a second DD, over R, decides the containment."""
+    s, sp = nc.p2(), nc.univ(2)
+    why = nc.Provenance(nc.ASSERTED)
+    specs = [RaySpec(f"R{j}", nc.DivClass(s, sp, r), why) for j, r in enumerate(rays)]
+    moving = [WitnessSpec(f"W{i}", _curve_with_functional(s, sp, w)) for i, w in enumerate(ws)]
+    assert nc.certify_eff(s, sp, specs, moving).ok == ok == _brute_is_dual(3, rays, ws)
+    assert len(dd_calls) == 2
 
 
 # ---------------------------------------------------------------------------
