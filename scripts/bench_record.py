@@ -3,9 +3,13 @@
 
 Usage:
     bench_record.py --pr N --parent REV --change REV
+    bench_record.py --aa REV
 
 Both revisions are exported with `git archive` into a temporary directory,
-and each runs its own, unchanged `bench/run.py`.  For every workload and
+and each runs its own, unchanged `bench/run.py`.  With `--aa`, one revision
+is exported twice and runs on both sides, so the record shows how far the
+benchmark tells identical code apart: a claimed change should clear that
+spread.  For every workload and
 seed the two sides run back to back, alternating which goes first, so that
 a drift of the host's speed hits both sides alike.  The workloads, the run
 length and each metric's direction come from the change's
@@ -13,10 +17,12 @@ length and each metric's direction come from the change's
 
 The JSON holds every result line as `bench/run.py` printed it; per
 workload and end-to-end metric, each side's median and quartiles and the
-number of pairs the change won (ties count for neither side); each side's
-failed operations; the git sha of both revisions, the Python version, the
-core count and the interpreter's environment flags.  It is written to
-`BENCH_<pr>.json` at the repository root.
+number of pairs the change won (ties count for neither side), and the
+ratio of the change's median to the parent's; each side's failed
+operations; the git sha of both revisions, the Python version, the core
+count and the interpreter's environment flags.  It is written to
+`BENCH_<pr>.json`, or `BENCH_AA.json` for an A/A run, at the repository
+root.
 """
 
 from __future__ import annotations
@@ -95,6 +101,9 @@ def _summary(runs: list[dict], workload: str, better: dict[str, str]) -> dict:
         out[name]["change_wins"] = sum(
             sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
         )
+        out[name]["median_ratio"] = statistics.median(values["change"]) / statistics.median(
+            values["parent"]
+        )
         out[name]["pairs"] = len(pairs)
     out["failed"] = {
         side: sum(r["result"]["failed"] for r in runs if r["workload"] == workload and r["side"] == side)
@@ -105,10 +114,17 @@ def _summary(runs: list[dict], workload: str, better: dict[str, str]) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--pr", type=int, required=True)
-    ap.add_argument("--parent", required=True, help="git revision of the baseline")
-    ap.add_argument("--change", required=True, help="git revision of the change")
+    ap.add_argument("--pr", type=int)
+    ap.add_argument("--parent", help="git revision of the baseline")
+    ap.add_argument("--change", help="git revision of the change")
+    ap.add_argument("--aa", metavar="REV", help="run REV on both sides (an A/A record)")
     args = ap.parse_args()
+    if args.aa:
+        if args.pr is not None or args.parent or args.change:
+            ap.error("--aa takes no --pr, --parent or --change")
+        args.parent = args.change = args.aa
+    elif args.pr is None or not args.parent or not args.change:
+        ap.error("give --pr, --parent and --change, or --aa")
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
@@ -130,6 +146,7 @@ def main() -> int:
 
     record = {
         "pr": args.pr,
+        "aa": bool(args.aa),
         "command": f"bench/run.py --seconds {seconds} --trace 0",
         "parent": {"rev": args.parent, "sha": shas["parent"]},
         "change": {"rev": args.change, "sha": shas["change"]},
@@ -142,7 +159,7 @@ def main() -> int:
         "summary": {w: _summary(runs, w, better) for w in workloads},
         "runs": runs,
     }
-    out = ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / ("BENCH_AA.json" if args.aa else f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

@@ -7,11 +7,15 @@ reasonably fast for the dimensions used here (<= 8).
 * The dual is computed by the double description method (`_dd`, run once
   per cone and cached), which keeps for every intermediate ray the bitmask
   of the constraints it is tight on.  New rays come only from adjacent
-  pairs, found by the combinatorial test (`_adjacent`): a pair sharing
-  fewer tight constraints than dimension - lineality - 2 is rejected by a
-  popcount before the test for a third ray tight on all of them.  That
-  test ANDs per-constraint ray bitsets, built lazily by `_transpose`, the
-  one bit-matrix transpose.
+  pairs (`_pairs`).  With D = dimension - lineality, a ray tight on exactly
+  D - 1 constraints is nondegenerate: two nondegenerate rays are adjacent
+  exactly when they share a ridge (one ray's mask less one bit), found by
+  a dict lookup, and a pair with one nondegenerate ray exactly when it
+  shares at least D - 2 constraints, a popcount.  Only pairs of two
+  degenerate rays go through the combinatorial test (`_adjacent`): the
+  popcount, then the test for a third ray tight on all of their common
+  constraints.  That test ANDs per-constraint ray bitsets, built lazily by
+  `_transpose`, the one bit-matrix transpose.
 * Extremal rays and the lineality space are read off the same DD's
   incidence data, each generator's bitmask of tight facets (`_transpose`
   of the facets' masks; Fukuda & Prodon, 1996): a generator is extremal
@@ -34,6 +38,7 @@ its sign.  Lineality directions surface as pairs v, -v among the generators.
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -112,6 +117,61 @@ def _adjacent(
                 yield i, j
 
 
+def _pairs(
+    masks: Sequence[int], pos: Sequence[int], neg: Sequence[int], floor: int
+) -> Iterator[tuple[int, int]]:
+    """The adjacent pairs (i, j), i in `pos` and j in `neg`, of one DD step:
+    the pairs `_adjacent` gives over pos x neg, as a set.  A ray whose mask
+    has exactly `floor` + 1 bits is nondegenerate, and a pair with one is
+    decided by its masks alone; only pairs of two degenerate rays go
+    through `_adjacent`'s third-ray test."""
+    if not pos or not neg:
+        return
+    nondeg = floor + 1
+    pos_nd = [i for i in pos if masks[i].bit_count() == nondeg]
+    pos_dg = [i for i in pos if masks[i].bit_count() != nondeg]
+    neg_nd = [j for j in neg if masks[j].bit_count() == nondeg]
+    neg_dg = [j for j in neg if masks[j].bit_count() != nondeg]
+
+    # Why the masks decide.  Let D = dimension - lineality = floor + 2.  An
+    # extreme ray's tight constraints have rank D - 1, so the D - 1 of a
+    # nondegenerate ray i are independent, and any `floor` of them cut out
+    # a 2-face; a 2-face has exactly two extreme rays.  So a pair (i, j)
+    # sharing at least `floor` constraints is adjacent: they lie in i's
+    # independent mask and cut out a 2-face holding both rays.  With fewer
+    # it is not, for adjacent rays share constraints of rank `floor`.
+    #
+    # Two nondegenerate rays cannot share all D - 1 bits (those cut out the
+    # ray i alone), so they are adjacent exactly when they share a ridge,
+    # one ray's mask less one bit: a dict lookup, with no scan.  A ridge
+    # lies in exactly two extreme rays, so when two negative rays share one
+    # no positive ray has it, and keeping either j is harmless.
+    ridges = {}
+    for j in neg_nd:
+        m = rest = masks[j]
+        while rest:
+            low = rest & -rest
+            ridges[m ^ low] = j
+            rest ^= low
+    for i in pos_nd:
+        m = rest = masks[i]
+        while rest:
+            low = rest & -rest
+            j = ridges.get(m ^ low)
+            if j is not None:
+                yield i, j
+            rest ^= low
+
+    # One nondegenerate ray: the popcount alone decides.
+    for i, js in [(i, neg_dg) for i in pos_nd] + [(i, neg_nd) for i in pos_dg]:
+        mi = masks[i]
+        for j in js:
+            if (mi & masks[j]).bit_count() >= floor:
+                yield i, j
+
+    yield from _adjacent(masks, ((i, neg_dg) for i in pos_dg), floor)
+
+
 def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, int]]]:
     """Double description: generators of {y : y . c >= 0 for all c}.
 
@@ -128,8 +188,9 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
 
     for idx, a in enumerate(cons):
         bit = 1 << idx
-        scores = [_idot(a, v) for v in rays]
-        dl = [_idot(a, l) for l in lin]
+        # Constraints and rays are primitive int tuples of length dim.
+        scores = [sum(map(mul, a, v)) for v in rays]
+        dl = [sum(map(mul, a, l)) for l in lin]
         pivot = next((j for j, d in enumerate(dl) if d != 0), None)
         if pivot is not None:
             lstar, dstar = lin[pivot], dl[pivot]
@@ -151,16 +212,18 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
             masks.append(bit - 1)
             continue
 
-        floor = dim - len(lin) - 2
         pos = [i for i, s in enumerate(scores) if s > 0]
         neg = [j for j, s in enumerate(scores) if s < 0]
         new_rays = [
             (v, m | bit if s == 0 else m)
             for v, m, s in zip(rays, masks, scores) if s >= 0
         ]
-        for i, j in _adjacent(masks, ((i, neg) for i in pos), floor):
+        for i, j in _pairs(masks, pos, neg, dim - len(lin) - 2):
             sp, sq, p, q = scores[i], scores[j], rays[i], rays[j]
-            v2 = primitive([sp * x - sq * y for x, y in zip(q, p)])
+            # sp > 0 > sq: w is a positive combination of p and q, not zero.
+            w = [sp * x - sq * y for x, y in zip(q, p)]
+            g = gcd(*w)
+            v2 = tuple(w) if g == 1 else tuple([x // g for x in w])
             new_rays.append((v2, (masks[i] & masks[j]) | bit))
         # Each new ray lies in the relative interior of its own 2-face, so
         # it equals no other ray: the rays stay distinct and sort by value.

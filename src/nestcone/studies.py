@@ -11,7 +11,9 @@
   moving-curve functionals W_k, and a step runs one DD, over W_k: it gives
   E_k's extreme rays R_k, and the step's flags are sign tests on them
   (nested: W_{k-1} . R_k >= 0; contains the limit: W_k >= 0 on the limit's
-  rays), its section distance integer arithmetic on R_k.
+  rays), its section distance integer arithmetic on R_k.  The limit check
+  runs one more DD, over W_0: its facet normals must be the orthant's unit
+  rays.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from math import comb
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .cone import Cone, IVec, Position, cone_equal, cone_from_rays, dual, position
+from .cone import Cone, IVec, Position, cone_from_rays, dual, position
 from .errors import FunctionalNotPositive, InvalidInput, NotPointed, RangeError
 from .linalg import solve_unique
 from .rationals import Rat, canonical_json, rat_str, ratio
@@ -368,9 +370,10 @@ def _section_distance(rays: Sequence[IVec]) -> Rat:
 
 
 def asymptotic_report(k_max: int) -> AsymptoticReport:
-    """Steps k = 2..k_max, one DD each, over W_k.  A W_k that does not span
-    the frame leaves E_k not pointed (NotPointed); otherwise its DD returns
-    E_k's extreme rays R_k, and the step reads everything off them."""
+    """Steps k = 2..k_max, one DD each, over W_k, and one DD over W_0 for
+    the limit: k_max DDs in all.  A W_k that does not span the frame leaves
+    E_k not pointed (NotPointed); otherwise its DD returns E_k's extreme
+    rays R_k, and the step reads everything off them."""
     if k_max < 2:
         raise RangeError(f"k_max must be >= 2, got {k_max}")
     limit = limit_cone()
@@ -394,6 +397,11 @@ def asymptotic_report(k_max: int) -> AsymptoticReport:
         )
         prev = span
     # All deviations shrink to 0, so the E_k decrease to the cone the same
-    # functionals cut out at deviation 0; it must be the stated limit.
-    limit_ok = cone_equal(limit, _cut_out(_moving_curves(0)))
+    # functionals cut out at deviation 0; it must be the stated limit.  Read
+    # off W_0's one DD: when W_0 spans the frame, dual(W_0) is pointed and
+    # its extreme rays are W_0's facet normals, primitive like the limit's
+    # rays, and two pointed cones are equal exactly when their sets of
+    # primitive extreme rays are.
+    span0 = _span(_moving_curves(0))
+    limit_ok = span0.is_full_dimensional and set(span0.facet_normals) == set(limit.rays)
     return AsymptoticReport(k_max, tuple(steps), limit_ok)

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nestcone.cone as cone_module
 from brute_cone import canonical_basis, project_off
 from nestcone.cone import (
     COORD_SUM,
@@ -16,6 +18,7 @@ from nestcone.cone import (
     _adjacent,
     _extremal,
     _idot,
+    _pairs,
     _transpose,
     cone_contains,
     cone_equal,
@@ -117,8 +120,6 @@ def test_extremal_rays_idempotent():
 
 
 def test_extremal_rays_and_cross_section_reuse_the_cones_dd(monkeypatch):
-    import nestcone.cone as cone_module
-
     inputs = []
     dd = cone_module._dd
     monkeypatch.setattr(cone_module, "_dd", lambda cons, dim: inputs.append(cons) or dd(cons, dim))
@@ -514,3 +515,88 @@ def test_two_lone_rays_are_adjacent():
     assert list(_adjacent([0, 0], [(0, [1])], 0)) == [(0, 1)]
     assert list(_adjacent([0, 0, 0], [(0, [1, 2]), (1, [2])], 0)) == []
     assert list(_adjacent([0b01, 0b10], [(0, [1])], 1)) == []
+
+
+# ---------------------------------------------------------------------------
+# The DD pair step: `_pairs` against `_adjacent`
+# ---------------------------------------------------------------------------
+
+def dd_steps(c):
+    """The (masks, pos, neg, floor) that every pair step of c's DD and of
+    dual(c)'s DD is given, recorded by a wrapper around `_pairs`."""
+    steps = []
+    real = cone_module._pairs
+
+    def recorded(masks, pos, neg, floor):
+        steps.append((list(masks), list(pos), list(neg), floor))
+        return real(masks, pos, neg, floor)
+
+    with mock.patch.object(cone_module, "_pairs", recorded):
+        dual(dual(c))
+    return steps
+
+
+_SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def degenerate_cones(draw):
+    """A cone in dimension 2..6 from small entries, with degenerate inputs
+    drawn on purpose: several generators on the facet x_1 = 0 of the half
+    space x_1 >= 0, repeated directions (scaled copies), +/-v lineality
+    pairs; dimension 2 gives floor 0."""
+    d = draw(st.integers(2, 6))
+    vec = st.tuples(*[_SMALL] * d)
+    rays = draw(st.lists(vec, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rays += draw(st.lists(st.tuples(st.just(0), *[_SMALL] * (d - 1)), min_size=2, max_size=5))
+        rays = [(abs(r[0]),) + r[1:] for r in rays]
+    for r in draw(st.lists(st.sampled_from(rays), max_size=2)):
+        rays.append(tuple(2 * x for x in r))
+    for line in draw(st.lists(vec, max_size=2)):
+        rays += [line, tuple(-x for x in line)]
+    assume(any(any(r) for r in rays))
+    return d, rays
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_cones())
+def test_pairs_match_the_third_ray_test(case):
+    """At every DD step, the ridge lookup and popcount rule for
+    nondegenerate rays give the same pairs as `_adjacent` over pos x neg."""
+    d, rays = case
+    for masks, pos, neg, floor in dd_steps(Cone(d, rays)):
+        want = set(_adjacent(masks, ((i, neg) for i in pos), floor))
+        assert set(_pairs(masks, pos, neg, floor)) == want
+
+
+def test_pairs_of_a_nondegenerate_dd_run_no_third_ray_test(monkeypatch):
+    """Every ray of the DD over C(16, 8)'s rays is nondegenerate at every
+    step, so no bit-matrix transpose is built; a cone with a line makes
+    every ray degenerate, and the third-ray test still runs."""
+    transposes, third_ray = [], []
+    real_transpose, real_adjacent = cone_module._transpose, cone_module._adjacent
+    monkeypatch.setattr(
+        cone_module, "_transpose", lambda rows: transposes.append(rows) or real_transpose(rows)
+    )
+
+    def adjacent(masks, pairs, floor):
+        for pair in real_adjacent(masks, pairs, floor):
+            third_ray.append(pair)
+            yield pair
+
+    monkeypatch.setattr(cone_module, "_adjacent", adjacent)
+    assert len(dual(cone_from_rays(9, moment_rays(16, 8))).rays) == ubt_facets(16, 8)
+    assert transposes == [] and third_ray == []
+
+    line = (0,) * 7 + (1,)
+    gens = [r + (0,) for r in moment_rays(12, 6)] + [line, tuple(-x for x in line)]
+    assert len(dual(cone_from_rays(8, gens)).rays) == ubt_facets(12, 6)
+    assert transposes and third_ray
+
+
+def test_pairs_with_an_empty_side_yield_nothing():
+    masks = [0b011, 0b110, 0b101]
+    assert list(_pairs(masks, [], [0, 1, 2], 1)) == []
+    assert list(_pairs(masks, [0, 1, 2], [], 1)) == []
+    assert list(_pairs(masks, [0], [1], 1)) == [(0, 1)]

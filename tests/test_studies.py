@@ -202,15 +202,15 @@ def test_asymptotic_report_serialization():
 
 
 def test_asymptotic_report_runs_one_dd_per_step(monkeypatch):
-    # One DD over W_k per step k = 2..k_max, and three for the limit check
-    # (W_0, E_0 and the limit cone).
+    # One DD over W_k per step k = 2..k_max, and one over W_0 for the limit
+    # check.
     calls = []
     real = nestcone.cone._dd
     monkeypatch.setattr(nestcone.cone, "_dd", lambda *args: calls.append(args) or real(*args))
     for k_max in (2, 3, 10, 60):
         calls.clear()
         nc.asymptotic_report(k_max)
-        assert len(calls) == k_max + 2
+        assert len(calls) == k_max
 
 
 def _engine_steps(curves, k_max):
