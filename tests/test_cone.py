@@ -120,6 +120,8 @@ def test_extremal_rays_idempotent():
 
 
 def test_extremal_rays_and_cross_section_reuse_the_cones_dd(monkeypatch):
+    import nestcone.cone as cone_module
+
     inputs = []
     dd = cone_module._dd
     monkeypatch.setattr(cone_module, "_dd", lambda cons, dim: inputs.append(cons) or dd(cons, dim))
