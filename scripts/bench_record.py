@@ -9,11 +9,11 @@ Both revisions are exported with `git archive` into a temporary directory,
 and each runs its own, unchanged `bench/run.py`.  With `--aa`, one revision
 is exported twice and runs on both sides, so the record shows how far the
 benchmark tells identical code apart: a claimed change should clear that
-spread.  For every workload and
-seed the two sides run back to back, alternating which goes first, so that
-a drift of the host's speed hits both sides alike.  The workloads, the run
-length and each metric's direction come from the change's
-`BENCHMARK.json`; the seeds are 1..10, ten pairs per workload.
+spread.  For every workload and seed the two sides run back to back,
+alternating which goes first, so that a drift of the host's speed hits both
+sides alike.  The workloads, the run length and each metric's direction
+come from the change's `BENCHMARK.json`; the seeds are 1..10, ten pairs per
+workload.
 
 The JSON holds every result line as `bench/run.py` printed it; per
 workload and end-to-end metric, each side's median and quartiles and the
