@@ -20,7 +20,10 @@ workload and end-to-end metric, each side's median and quartiles and the
 number of pairs the change won (ties count for neither side), and the
 ratio of the change's median to the parent's; each side's failed
 operations; the git sha of both revisions, the Python version, the core
-count and the interpreter's environment flags.  It is written to
+count and the interpreter's environment flags.  When the change commits a
+`BENCH_AA.json` and the run is not `--aa`, every metric also carries that
+A/A record's median ratio as `aa_median_ratio`, so the record states the
+spread a claimed change has to clear.  It is written to
 `BENCH_<pr>.json`, or `BENCH_AA.json` for an A/A run, at the repository
 root.
 """
@@ -82,9 +85,11 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
-def _summary(runs: list[dict], workload: str, better: dict[str, str]) -> dict:
-    """Per metric: each side's quartiles and the pairs the change won; and
-    each side's failed operations over all its runs."""
+def _summary(runs: list[dict], workload: str, better: dict[str, str], aa: dict) -> dict:
+    """Per metric: each side's quartiles and the pairs the change won, and
+    the median ratio of `aa`, an A/A record's summary of this workload,
+    when it has the metric; and each side's failed operations over all its
+    runs."""
     by_seed: dict[int, dict] = {}
     for r in runs:
         if r["workload"] == workload:
@@ -105,6 +110,8 @@ def _summary(runs: list[dict], workload: str, better: dict[str, str]) -> dict:
             values["parent"]
         )
         out[name]["pairs"] = len(pairs)
+        if name in aa:
+            out[name]["aa_median_ratio"] = aa[name]["median_ratio"]
     out["failed"] = {
         side: sum(r["result"]["failed"] for r in runs if r["workload"] == workload and r["side"] == side)
         for side in ("parent", "change")
@@ -131,6 +138,8 @@ def main() -> int:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         shas = {side: _export(getattr(args, side), tree) for side, tree in trees.items()}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        aa_path = trees["change"] / "BENCH_AA.json"
+        aa = {} if args.aa or not aa_path.exists() else json.loads(aa_path.read_text())["summary"]
         workloads = [w["name"] for w in spec["workloads"]]
         seconds = spec["run_seconds"]
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -156,7 +165,7 @@ def main() -> int:
             "cores": os.cpu_count(),
             "env": {k: os.environ[k] for k in ENV_FLAGS if k in os.environ},
         },
-        "summary": {w: _summary(runs, w, better) for w in workloads},
+        "summary": {w: _summary(runs, w, better, aa.get(w, {})) for w in workloads},
         "runs": runs,
     }
     out = ROOT / ("BENCH_AA.json" if args.aa else f"BENCH_{args.pr}.json")

@@ -11,11 +11,13 @@ reasonably fast for the dimensions used here (<= 8).
   D - 1 constraints is nondegenerate: two nondegenerate rays are adjacent
   exactly when they share a ridge (one ray's mask less one bit), found by
   a dict lookup, and a pair with one nondegenerate ray exactly when it
-  shares at least D - 2 constraints, a popcount.  Only pairs of two
-  degenerate rays go through the combinatorial test (`_adjacent`): the
-  popcount, then the test for a third ray tight on all of their common
-  constraints.  That test ANDs per-constraint ray bitsets, built lazily by
-  `_transpose`, the one bit-matrix transpose.
+  shares at least D - 2 constraints, a popcount.  A +/-v pair of
+  constraints makes every later ray tight on both, one bit more than its
+  rank, so each pair already processed adds one to those counts.  Only
+  pairs of two degenerate rays go through the combinatorial test
+  (`_adjacent`): the popcount, then the test for a third ray tight on all
+  of their common constraints.  That test ANDs per-constraint ray bitsets,
+  built lazily by `_transpose`, the one bit-matrix transpose.
 * Extremal rays and the lineality space are read off the same DD's
   incidence data, each generator's bitmask of tight facets (`_transpose`
   of the facets' masks; Fukuda & Prodon, 1996): a generator is extremal
@@ -28,6 +30,9 @@ reasonably fast for the dimensions used here (<= 8).
 * A full-dimensional cone's DD finds no lineality space
   (`is_full_dimensional`), and then `facet_normals` are the extreme rays
   of the pointed dual: questions about dual(W) read them off W's one DD.
+* `dual` adopts `facet_normals` as its rays, and `extremal_rays` of a
+  pointed cone its extremal generators: both are already sorted, distinct
+  and primitive, so neither goes back through `Cone.__init__`.
 
 Ray normalization: every stored ray is scaled by a positive rational to a
 primitive integer vector (cleared denominators, gcd 1).  Scaling factors are
@@ -121,10 +126,12 @@ def _pairs(
     masks: Sequence[int], pos: Sequence[int], neg: Sequence[int], floor: int
 ) -> Iterator[tuple[int, int]]:
     """The adjacent pairs (i, j), i in `pos` and j in `neg`, of one DD step:
-    the pairs `_adjacent` gives over pos x neg, as a set.  A ray whose mask
-    has exactly `floor` + 1 bits is nondegenerate, and a pair with one is
-    decided by its masks alone; only pairs of two degenerate rays go
-    through `_adjacent`'s third-ray test."""
+    the pairs `_adjacent` gives over pos x neg, as a set.  `floor` is
+    dimension - lineality - 2, plus one for each +/-v pair of constraints
+    the DD has already processed.  A ray whose mask has exactly `floor` + 1
+    bits is nondegenerate, and a pair with one is decided by its masks
+    alone; only pairs of two degenerate rays go through `_adjacent`'s
+    third-ray test."""
     if not pos or not neg:
         return
     nondeg = floor + 1
@@ -133,19 +140,37 @@ def _pairs(
     neg_nd = [j for j in neg if masks[j].bit_count() == nondeg]
     neg_dg = [j for j in neg if masks[j].bit_count() != nondeg]
 
-    # Why the masks decide.  Let D = dimension - lineality = floor + 2.  An
-    # extreme ray's tight constraints have rank D - 1, so the D - 1 of a
-    # nondegenerate ray i are independent, and any `floor` of them cut out
-    # a 2-face; a 2-face has exactly two extreme rays.  So a pair (i, j)
-    # sharing at least `floor` constraints is adjacent: they lie in i's
-    # independent mask and cut out a 2-face holding both rays.  With fewer
-    # it is not, for adjacent rays share constraints of rank `floor`.
+    # Why the masks decide.  Let D = dimension - lineality and eq the number
+    # of +/-v pairs a, -a among the constraints processed so far, so that
+    # `floor` = D - 2 + eq.  Call a set of constraints' size less its rank
+    # its excess; a subset's excess is at most the set's.
     #
-    # Two nondegenerate rays cannot share all D - 1 bits (those cut out the
+    # Every ray is tight on both constraints of each pair: the step of the
+    # later one keeps only rays with a . y = 0, and pair masks
+    # (m_i & m_j | bit), pivot masks (bit - 1) and zero scores all keep
+    # those bits.  The 2 eq pair bits have rank at most eq, so every mask,
+    # and every two rays' common mask, has excess at least eq.
+    #
+    # An extreme ray's tight constraints have rank D - 1, so a nondegenerate
+    # ray i (D - 1 + eq bits) has excess exactly eq, and any `floor` of its
+    # bits have rank at least D - 2.  So a pair (i, j) sharing at least
+    # `floor` constraints is adjacent: they cut out a face of dimension at
+    # most 2 holding both rays, a 2-face, and a 2-face has exactly two
+    # extreme rays.  With fewer it is not, for adjacent rays share
+    # constraints of rank D - 2 and excess at least eq.  The same count keeps
+    # `_adjacent`'s popcount a necessary condition; its third-ray test does
+    # not read `floor`.
+    #
+    # Two nondegenerate rays cannot share all their bits (those cut out the
     # ray i alone), so they are adjacent exactly when they share a ridge,
-    # one ray's mask less one bit: a dict lookup, with no scan.  A ridge
+    # one ray's mask less one bit: a dict lookup, with no scan.  Removing a
+    # pair bit gives no false ridge, for every mask holds that bit.  A ridge
     # lies in exactly two extreme rays, so when two negative rays share one
     # no positive ray has it, and keeping either j is harmless.
+    #
+    # Pairs whose lines are linearly dependent, and a lineality space that
+    # no +/-v pair among the constraints spans, only raise the excess: fewer
+    # rays count as nondegenerate, and the popcount stays necessary.
     ridges = {}
     for j in neg_nd:
         m = rest = masks[j]
@@ -185,6 +210,8 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
     ]
     rays: list[IVec] = []
     masks: list[int] = []  # per ray, the bitmask of its tight constraints
+    present = set(cons)
+    eq = 0  # processed constraints whose negation came earlier: +/-v pairs, once each
 
     for idx, a in enumerate(cons):
         bit = 1 << idx
@@ -218,7 +245,7 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
             (v, m | bit if s == 0 else m)
             for v, m, s in zip(rays, masks, scores) if s >= 0
         ]
-        for i, j in _pairs(masks, pos, neg, dim - len(lin) - 2):
+        for i, j in _pairs(masks, pos, neg, dim - len(lin) - 2 + eq):
             sp, sq, p, q = scores[i], scores[j], rays[i], rays[j]
             # sp > 0 > sq: w is a positive combination of p and q, not zero.
             w = [sp * x - sq * y for x, y in zip(q, p)]
@@ -230,6 +257,10 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
         new_rays.sort()
         rays = [v for v, _ in new_rays]
         masks = [m for _, m in new_rays]
+        # The later constraint of a +/-v pair never pivots: the earlier one
+        # left every lineality vector orthogonal to it.
+        na = tuple([-x for x in a])
+        eq += na < a and na in present
 
     return _canonical_lineality(lin), list(zip(rays, masks))
 
@@ -335,9 +366,22 @@ def cone_from_rays(dim: int, rays: Sequence[Sequence]) -> Cone:
     return c
 
 
+def _adopt(dim: int, rays: tuple[IVec, ...]) -> Cone:
+    """The Cone over `rays` taken as they are, with no renormalization: they
+    must already be sorted, distinct, nonzero, primitive int tuples, the
+    form `Cone.__init__` stores."""
+    c = Cone.__new__(Cone)
+    c.dim, c.rays = dim, rays
+    return c
+
+
 def dual(c: Cone) -> Cone:
-    """The dual cone {y : y . x >= 0 for all x in c} by generator rays."""
-    return Cone(c.dim, c.facet_normals)
+    """The dual cone {y : y . x >= 0 for all x in c} by generator rays.
+
+    `facet_normals` are already in stored form: the DD's rays are distinct
+    primitive int tuples, and so are the canonical lineality basis and its
+    negations, which lie in no ray's direction; they are sorted together."""
+    return _adopt(c.dim, c.facet_normals)
 
 
 def _extremal(c: Cone) -> list[int]:
@@ -364,7 +408,8 @@ def extremal_rays(c: Cone) -> Cone:
     """
     keep = [c.rays[k] for k in _extremal(c)]
     if c.is_pointed:
-        return Cone(c.dim, keep)
+        # A sorted subsequence of c.rays, already in stored form.
+        return _adopt(c.dim, tuple(keep))
     basis = c._lineality_basis
     gram = [[_idot(a, b) for b in basis] for a in basis]
 

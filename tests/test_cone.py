@@ -574,8 +574,10 @@ def test_pairs_match_the_third_ray_test(case):
 
 def test_pairs_of_a_nondegenerate_dd_run_no_third_ray_test(monkeypatch):
     """Every ray of the DD over C(16, 8)'s rays is nondegenerate at every
-    step, so no bit-matrix transpose is built; a cone with a line makes
-    every ray degenerate, and the third-ray test still runs."""
+    step, so no bit-matrix transpose is built.  A line given as a +/-v pair
+    of generators counts once, so C(12, 6) x line runs no third-ray test
+    either; a plane spanned by three generators with no +/-v pair among
+    them makes every ray degenerate, and the third-ray test still runs."""
     transposes, third_ray = [], []
     real_transpose, real_adjacent = cone_module._transpose, cone_module._adjacent
     monkeypatch.setattr(
@@ -594,7 +596,21 @@ def test_pairs_of_a_nondegenerate_dd_run_no_third_ray_test(monkeypatch):
     line = (0,) * 7 + (1,)
     gens = [r + (0,) for r in moment_rays(12, 6)] + [line, tuple(-x for x in line)]
     assert len(dual(cone_from_rays(8, gens)).rays) == ubt_facets(12, 6)
+    assert transposes == [] and third_ray == []
+
+    zero = (0,) * 7
+    plane = [zero + (1, 0), zero + (0, 1), zero + (-1, -1)]
+    gens = [r + (0, 0) for r in moment_rays(12, 6)] + plane
+    assert len(dual(cone_from_rays(9, gens)).rays) == ubt_facets(12, 6)
     assert transposes and third_ray
+
+
+def test_a_pm_v_pair_counts_from_its_later_constraint():
+    """The constraints -e3 and e3 come after three that already exhaust the
+    DD's lineality space, so -e3 goes through a pair step: counting the
+    pair there, before e3 makes every ray tight on both, loses a facet."""
+    rays = [(-1, -1, 0), (-1, 0, -1), (-1, 0, 0), (0, 0, -1), (0, 0, 1), (0, 1, 0)]
+    assert dual(Cone(3, rays)).rays == ((-1, 0, 0), (-1, 1, 0))
 
 
 def test_pairs_with_an_empty_side_yield_nothing():
@@ -602,3 +618,23 @@ def test_pairs_with_an_empty_side_yield_nothing():
     assert list(_pairs(masks, [], [0, 1, 2], 1)) == []
     assert list(_pairs(masks, [0, 1, 2], [], 1)) == []
     assert list(_pairs(masks, [0], [1], 1)) == [(0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# `dual` and `extremal_rays` adopt rays already in stored form
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_cones())
+def test_adopted_rays_are_in_stored_form(case):
+    """`dual` takes over c's facet normals, and `extremal_rays` of a pointed
+    cone its extremal generators, without renormalizing them: they are what
+    `Cone.__init__` would store (sorted, distinct, nonzero, primitive), so
+    rays and hash agree with the cone built from them."""
+    d, rays = case
+    c = Cone(d, rays)
+    assert dual(c).rays is c.facet_normals
+    for adopted in [dual(c)] + ([extremal_rays(c)] if c.is_pointed else []):
+        built = Cone(adopted.dim, adopted.rays)
+        assert adopted == built
+        assert adopted.rays == built.rays and hash(adopted) == hash(built)
