@@ -18,7 +18,8 @@ workload.
 The JSON holds every result line as `bench/run.py` printed it; per
 workload and end-to-end metric, each side's median and quartiles and the
 number of pairs the change won (ties count for neither side), and the
-ratio of the change's median to the parent's; each side's failed
+ratio of the change's median to the parent's, and a verdict (`gain`,
+`worse`, `unresolved` or `flat`, see `_verdict`); each side's failed
 operations; the git sha of both revisions, the Python version, the core
 count and the interpreter's environment flags.  When the change commits a
 `BENCH_AA.json` and the run is not `--aa`, every metric also carries that
@@ -85,11 +86,31 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
-def _summary(runs: list[dict], workload: str, better: dict[str, str], aa: dict) -> dict:
-    """Per metric: each side's quartiles and the pairs the change won, and
-    the median ratio of `aa`, an A/A record's summary of this workload,
-    when it has the metric; and each side's failed operations over all its
-    runs."""
+def _verdict(parent: list[float], change: list[float], sign: int, wins: int, bound: float) -> str:
+    """`gain` when the change won at least 9 of 10 pairs and its median
+    beats the parent's by more than the parent's quartile spread; `worse`
+    when its median is worse than the parent's by more than `bound`, a
+    fraction of the parent's median; `unresolved` when the parent's
+    quartile spread is wider than that bound and not every change run beats
+    every parent run; `flat` otherwise."""
+    q1, median, q3 = statistics.quantiles(parent, n=4)
+    gap = sign * (statistics.median(change) - median)
+    if 10 * wins >= 9 * len(parent) and gap > q3 - q1:
+        return "gain"
+    if gap < -bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return "unresolved"
+    return "flat"
+
+
+def _summary(runs: list[dict], workload: str, better: dict[str, str], aa: dict,
+             bounds: dict[str, float] | None = None) -> dict:
+    """Per metric: each side's quartiles and the pairs the change won, the
+    median ratio of `aa`, an A/A record's summary of this workload, when it
+    has the metric, and with `bounds` (each metric's bound from
+    BENCHMARK.json) a `verdict`; and each side's failed operations over all
+    its runs."""
     by_seed: dict[int, dict] = {}
     for r in runs:
         if r["workload"] == workload:
@@ -112,6 +133,9 @@ def _summary(runs: list[dict], workload: str, better: dict[str, str], aa: dict) 
         out[name]["pairs"] = len(pairs)
         if name in aa:
             out[name]["aa_median_ratio"] = aa[name]["median_ratio"]
+        if bounds is not None:
+            out[name]["verdict"] = _verdict(values["parent"], values["change"], sign,
+                                            out[name]["change_wins"], bounds[name])
     out["failed"] = {
         side: sum(r["result"]["failed"] for r in runs if r["workload"] == workload and r["side"] == side)
         for side in ("parent", "change")
@@ -143,6 +167,7 @@ def main() -> int:
         workloads = [w["name"] for w in spec["workloads"]]
         seconds = spec["run_seconds"]
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
         for workload in workloads:
             for n, seed in enumerate(SEEDS):
                 order = ("parent", "change") if n % 2 == 0 else ("change", "parent")
@@ -165,7 +190,7 @@ def main() -> int:
             "cores": os.cpu_count(),
             "env": {k: os.environ[k] for k in ENV_FLAGS if k in os.environ},
         },
-        "summary": {w: _summary(runs, w, better, aa.get(w, {})) for w in workloads},
+        "summary": {w: _summary(runs, w, better, aa.get(w, {}), bounds) for w in workloads},
         "runs": runs,
     }
     out = ROOT / ("BENCH_AA.json" if args.aa else f"BENCH_{args.pr}.json")

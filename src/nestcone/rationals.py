@@ -13,7 +13,7 @@ document the library prints goes through `canonical_json`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Rat = int | Fraction
@@ -86,21 +86,16 @@ def primitive(u: Sequence) -> tuple[int, ...]:
     The scaling factor is always positive, so the ray direction is preserved;
     flipping signs would change the cone a generator spans.  The zero vector
     maps to itself.  An all-`int` vector (the cone engine's case) is divided
-    by its gcd directly, and not at all when the gcd is 0 or 1; anything
-    else (`bool` included) goes through `Fraction`.
-    """
+    by its gcd directly, and not at all when the gcd is 0 or 1.  Otherwise
+    the `numerator`/`denominator` of each entry give one lcm and one gcd;
+    entries that are neither `int` nor `Fraction` (`bool` included) are read
+    through `Fraction` first."""
     if {int}.issuperset(map(type, u)):
         g = gcd(*u)
         return tuple(u) if g < 2 else tuple([a // g for a in u])
-    fr = [Fraction(a) for a in u]
-    if all(a == 0 for a in fr):
-        return tuple(0 for _ in fr)
-    denom_lcm = 1
-    for a in fr:
-        d = a.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(a * denom_lcm) for a in fr]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(a // g for a in ints)
+    if not {int, Fraction}.issuperset(map(type, u)):
+        u = [Fraction(a) for a in u]
+    m = lcm(*[a.denominator for a in u])
+    ints = [a.numerator * (m // a.denominator) for a in u]
+    g = gcd(*ints)
+    return tuple(ints) if g < 2 else tuple([a // g for a in ints])

@@ -35,24 +35,21 @@ def _fixed(q: Fraction, places: int = 4) -> str:
 
 def _projection_axes(vertices: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Two fixed rational functionals projecting the vertices injectively to
-    the plane.  Coordinate pairs are tried in lexicographic order; if none is
-    injective, generic power functionals are used."""
+    the plane.  Coordinate pairs are tried in lexicographic order, each read
+    off the vertices directly; if none is injective, generic power
+    functionals are used."""
     dim = len(vertices[0]) if vertices else 2
-    candidates = []
+    unit = [tuple(Fraction(k == i) for k in range(dim)) for i in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            u = tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
-            v = tuple(Fraction(1) if k == j else Fraction(0) for k in range(dim))
-            candidates.append((u, v))
+            if len({(p[i], p[j]) for p in vertices}) == len(vertices):
+                return unit[i], unit[j]
     for t in (2, 3, 5):
         u = tuple(Fraction(t) ** k for k in range(dim))
         v = tuple(Fraction(t + 1) ** k for k in range(dim))
-        candidates.append((u, v))
-    for u, v in candidates:
-        pts = _project(u, v, vertices)
-        if len(set(pts)) == len(pts):
-            return u, v
-    return candidates[-1]
+        if len(set(_project(u, v, vertices))) == len(vertices):
+            break
+    return u, v
 
 
 def _project(u, v, vertices) -> list[tuple[Fraction, Fraction]]:

@@ -8,12 +8,11 @@
   effective cones E_k form a decreasing nest whose limit is the coordinate
   orthant; the k-dependent facet data deviates from the limit by exactly
   k/(2a_k) with a_k = binom(k+2,2)-1.  E_k is the dual of its four
-  moving-curve functionals W_k, and a step runs one DD, over W_k: it gives
-  E_k's extreme rays R_k, and the step's flags are sign tests on them
-  (nested: W_{k-1} . R_k >= 0; contains the limit: W_k >= 0 on the limit's
-  rays), its section distance integer arithmetic on R_k.  The limit check
-  runs one more DD, over W_0: its facet normals must be the orthant's unit
-  rays.
+  moving-curve functionals W_k, each annihilating one stated ray of R_k;
+  the diagonal rule on W_k . R_k^T certifies E_k = cone(R_k) with no DD.
+  A step's flags are sign tests on R_k (nested: W_{k-1} . R_k >= 0;
+  contains the limit: W_k >= 0 on its rays), its section distance integer
+  arithmetic on R_k; at deviation 0 the rays must be the orthant's.
 """
 
 from fractions import Fraction
@@ -22,21 +21,22 @@ from math import comb
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .cone import Cone, IVec, Position, cone_from_rays, dual, position
+from .cone import Cone, IVec, Position, cone_from_rays, dual
 from .errors import FunctionalNotPositive, InvalidInput, NotPointed, RangeError
-from .linalg import solve_unique
-from .rationals import Rat, canonical_json, rat_str, ratio
+from .linalg import rref
+from .rationals import Rat, canonical_json, primitive, rat, rat_str, ratio, vdot
 from .spaces import (
     DivClass,
     SurfaceModel,
     divisor,
+    divisor_rank,
     pull_b,
     pull_res,
     surface_divisor,
     tautological_a,
     univ,
 )
-from .verify import TableInputs, table_inputs
+from .verify import TableInputs, _pair_all, diagonal_failure, table_inputs
 
 # ---------------------------------------------------------------------------
 # Butler criterion on F_i^[2,1]
@@ -183,25 +183,23 @@ class ButlerReport(NamedTuple):
 
 def butler_check(inp: ButlerInput, ordering: str = ORDER_B) -> ButlerReport:
     """Per-k position of F_k - K in the nef cone of F_i^[2,1], with the
-    coefficient vector on the five spanning rays (the cone is simplicial,
-    so the coefficients are the unique solution of a linear system)."""
+    coefficient vector on the five spanning rays: the table's witness
+    functionals w_j obey the diagonal rule, so the coefficient on ray j is
+    (w_j . x) / D_jj, signed like x on the facet w_j."""
     table = butler_table(inp.i)
-    cone = table.cone
-    ray_matrix = [list(row) for row in zip(*(r.cls.coords for r in table.rays))]
-    lo, hi = inp.k_range
+    functionals, matrix = _pair_all([w.cls for w in table.witnesses], [r.cls for r in table.rays])
+    cell = diagonal_failure(matrix, divisor_rank(table.surface, table.space))
+    if cell:
+        raise InvalidInput(f"the nef table of F_{inp.i}^[2,1] fails the diagonal rule at {cell}")
+    labels = tuple(r.label for r in table.rays)
     steps = []
-    for k in range(lo, hi + 1):
+    for k in range(inp.k_range[0], inp.k_range[1] + 1):
         cls = butler_class(inp, k, ordering)
-        coeffs = solve_unique(ray_matrix, list(cls.coords))
-        steps.append(
-            ButlerStep(
-                k=k,
-                coords=cls.coords,
-                ray_labels=tuple(r.label for r in table.rays),
-                ray_coefficients=tuple(coeffs),
-                position=position(cone, cls.coords),
-            )
-        )
+        coeffs = tuple(rat(Fraction(vdot(f, cls.coords), row[j]))
+                       for j, (f, row) in enumerate(zip(functionals, matrix)))
+        low = min(coeffs)
+        where = Position.OUTSIDE if low < 0 else Position.BOUNDARY if low == 0 else Position.INTERIOR
+        steps.append(ButlerStep(k, cls.coords, labels, coeffs, where))
     return ButlerReport(inp, ordering, tuple(steps))
 
 
@@ -255,14 +253,27 @@ def asymptotic_moving_curves(k: int) -> list[MovingCurve]:
     return _moving_curves(Fraction(k, 2 * a_k(k)))
 
 
-def _span(curves: list[MovingCurve]) -> Cone:
-    """The cone spanned by the curves' functionals, as primitive int rays."""
-    return cone_from_rays(FRAME_DIM, [m.functional for m in curves])
-
-
 def _cut_out(curves: list[MovingCurve]) -> Cone:
-    """The cone cut out by the curves' functionals: the dual of their span."""
-    return dual(_span(curves))
+    """The cone cut out by the curves' functionals: the DD of their span."""
+    return dual(cone_from_rays(FRAME_DIM, [m.functional for m in curves]))
+
+
+def _certified(curves: list[MovingCurve]) -> tuple[list[IVec], list[IVec]]:
+    """The curves' functionals W and sorted rays R, primitive, once the
+    diagonal rule on W'.R^T certifies dual(W) = cone(R); row j of W' is the
+    first functional positive on ray j (W_j if none).  On failure, a W that
+    does not span the frame raises NotPointed, else InvalidInput names the cell."""
+    functionals = [primitive(m.functional) for m in curves]
+    rays = sorted(primitive(m.annihilated_ray) for m in curves)
+    pairs = [[sum(map(mul, w, r)) for r in rays] for w in functionals]
+    rows = [next((i for i, row in enumerate(pairs) if row[j] > 0), j) for j in range(len(rays))]
+    cell = diagonal_failure([pairs[i] for i in rows], FRAME_DIM)
+    if cell and len(rref(functionals)[1]) < FRAME_DIM:
+        raise NotPointed("cross-sections require a pointed cone")
+    if cell:
+        i, j = rows[cell[0]], cell[1]
+        raise InvalidInput(f"moving curve {curves[i].name} pairs to {pairs[i][j]} with ray {rays[j]}")
+    return functionals, rays
 
 
 def asymptotic_cone(k: int) -> Cone:
@@ -370,38 +381,28 @@ def _section_distance(rays: Sequence[IVec]) -> Rat:
 
 
 def asymptotic_report(k_max: int) -> AsymptoticReport:
-    """Steps k = 2..k_max, one DD each, over W_k, and one DD over W_0 for
-    the limit: k_max DDs in all.  A W_k that does not span the frame leaves
-    E_k not pointed (NotPointed); otherwise its DD returns E_k's extreme
-    rays R_k, and the step reads everything off them."""
+    """Steps k = 2..k_max, each reading E_k = cone(R_k) off the diagonal
+    rule on W_k . R_k^T, and the limit check at deviation 0; no DD runs."""
     if k_max < 2:
         raise RangeError(f"k_max must be >= 2, got {k_max}")
     limit = limit_cone()
     steps = []
-    prev = _span(asymptotic_moving_curves(1))
+    prev = [primitive(m.functional) for m in asymptotic_moving_curves(1)]
     for k in range(2, k_max + 1):
         curves = asymptotic_moving_curves(k)
-        span = _span(curves)
-        if not span.is_full_dimensional:
-            raise NotPointed("cross-sections require a pointed cone")
-        rays = span.facet_normals
+        functionals, rays = _certified(curves)
         steps.append(
             AsymptoticStep(
                 k=k,
                 deviation_1=curves[2].deviation,
                 deviation_2=curves[3].deviation,
-                nested_in_previous=_nonnegative(prev.rays, rays),
-                contains_limit=_nonnegative(span.rays, limit.rays),
+                nested_in_previous=_nonnegative(prev, rays),
+                contains_limit=_nonnegative(functionals, limit.rays),
                 section_distance=_section_distance(rays),
             )
         )
-        prev = span
-    # All deviations shrink to 0, so the E_k decrease to the cone the same
-    # functionals cut out at deviation 0; it must be the stated limit.  Read
-    # off W_0's one DD: when W_0 spans the frame, dual(W_0) is pointed and
-    # its extreme rays are W_0's facet normals, primitive like the limit's
-    # rays, and two pointed cones are equal exactly when their sets of
-    # primitive extreme rays are.
-    span0 = _span(_moving_curves(0))
-    limit_ok = span0.is_full_dimensional and set(span0.facet_normals) == set(limit.rays)
+        prev = functionals
+    # The deviations shrink to 0, so the E_k decrease to the cone cut out at
+    # deviation 0, whose primitive rays must be the limit's.
+    limit_ok = set(_certified(_moving_curves(0))[1]) == set(limit.rays)
     return AsymptoticReport(k_max, tuple(steps), limit_ok)

@@ -3,11 +3,9 @@
 Two kinds of certificates are produced:
 
 * ``NefDual``   - a claimed nef cone is certified by exhibiting, for each
-  spanning divisor ray, an effective curve dual to it: the pairing matrix
-  must be diagonal with positive diagonal and the cone of rays must equal
-  the dual of the cone of witness-curve functionals.  The identity is
-  decided by the matrix alone: it holds exactly when the matrix is as large
-  as the lattice rank (rays and witnesses are then dual bases).
+  spanning divisor ray, an effective curve dual to it; the pairing matrix
+  alone decides, by the diagonal rule (``diagonal_failure``), that the cone
+  of rays equals the dual of the cone of witness-curve functionals.
 * ``EffMoving`` - a claimed pseudoeffective cone is certified against moving
   curves: all pairings non-negative and cone(rays) equal to the dual of the
   moving-curve functionals, decided by the double-description engine (the
@@ -35,8 +33,8 @@ Every certified catalog table (nef and eff alike) flows one way: its
 the table's one section from ``Certificate.matrix``, so no cell is paired
 twice.  Each witness's functional is computed once; every cell is a dot
 product with it, and the dual-cone check reads the same functionals.  The
-same inputs give the table's cone (``TableInputs.cone``) for cross-sections
-and the Butler study.
+same inputs give cross-sections the table's cone (``TableInputs.cone``) and
+the Butler study its pairing matrix.
 
 The catalog reproduces reference intersection tables cell by cell.  Legacy
 labels (H_1, B_1, D_{1,1}, C_{2,1,1}, ...) are translated to canonical
@@ -194,37 +192,48 @@ def _pair_all(curves: Sequence[CurClass | None], divisors: Sequence[DivClass | N
     return fs, tuple(map(tuple, cells))
 
 
+def diagonal_failure(matrix: Sequence[Sequence[Rat]], rank: int) -> tuple[int, int] | None:
+    """The first cell (row, col) at which `matrix` breaks the diagonal rule,
+    or None: the rule asks for a square matrix of size `rank`, positive on
+    the diagonal and zero elsewhere.  Then W.R^T = D makes the rays R and
+    witness functionals W of a rank-`rank` lattice bases, and cone(R) =
+    dual(W): y = R^T c lies in dual(W) <=> D c >= 0 <=> c >= 0.  No DD runs.
+    Cells are read row by row; a matrix that is not square (tested first)
+    or of the wrong size (tested last) fails at (n, n), n its smaller side."""
+    n = min([len(matrix), *map(len, matrix)])
+    if any(len(row) != len(matrix) for row in matrix):
+        return n, n
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            if x <= 0 if i == j else x != 0:
+                return i, j
+    return None if n == rank else (n, n)
+
+
 def _certify(kind: str, inp: TableInputs) -> Certificate:
-    """The certificate of `kind` for `inp`; NefDual also needs a diagonal matrix."""
+    """The certificate of `kind` for `inp`; NefDual is decided by the
+    diagonal rule on its matrix alone."""
     surface, space, rays, witnesses, _ = inp
     for x in (*rays, *witnesses):
         if (x.cls.surface, x.cls.space) != (surface, space):
             raise SpaceMismatch(f"{x.label} is not a class on {surface.key}/{space}")
     functionals, matrix = _pair_all([w.cls for w in witnesses], [r.cls for r in rays])
-    cells = [(i == j, x, w, r) for i, (w, row) in enumerate(zip(witnesses, matrix))
-             for j, (r, x) in enumerate(zip(rays, row))]
-    negative = next((c for c in cells if c[1] < 0), None)
-    off_diagonal = next((c for c in cells if (c[1] <= 0 if c[0] else c[1] != 0)), None)
+    negative = next(((x, w, r) for w, row in zip(witnesses, matrix)
+                     for r, x in zip(rays, row) if x < 0), None)
+    cell = diagonal_failure(matrix, divisor_rank(surface, space)) if kind == NEF_DUAL else None
     if negative:
-        _, x, w, r = negative
+        x, w, r = negative
         verdict = f"failed: negative pairing {rat_str(x)} between witness {w.label} and ray {r.label}"
-    elif kind == NEF_DUAL and len(rays) != len(witnesses):
+    elif cell and len(rays) != len(witnesses):
         verdict = "failed: matrix not diagonal-compatible (not square)"
-    elif kind == NEF_DUAL and off_diagonal:
-        _, _, w, r = off_diagonal
+    elif cell and cell[0] < len(witnesses):
+        w, r = witnesses[cell[0]], rays[cell[1]]
         verdict = f"failed: matrix not diagonal-compatible at ({w.label}, {r.label})"
     else:
         if kind == NEF_DUAL:
-            # W.R^T = D, k x k diagonal with a positive diagonal, forces
-            # rank W = rank R = k <= dim.  When k = dim, R and W are bases:
-            # write y = R^T c, then y in dual(W) <=> W y = D c >= 0 <=> c >= 0
-            # <=> y in cone(R).  When k < dim, dual(W) contains the kernel of
-            # W, a nonzero subspace and so a line, while cone(R) is simplicial
-            # and pointed; all pairings are >= 0, so cone(R) lies strictly
-            # inside dual(W).  The matrix alone decides; no DD runs.
             if not rays:
                 raise EmptyInput("a cone needs at least one nonzero generator")
-            holds = len(rays) == divisor_rank(surface, space)
+            holds = cell is None
         else:
             # No pairing is negative, so cone(R) already lies in dual(W), W
             # the moving-curve functionals: the identity holds exactly when
@@ -264,11 +273,9 @@ def certify_nef(
     rays: Sequence[RaySpec],
     witnesses: Sequence[WitnessSpec],
 ) -> Certificate:
-    """Certify a nef cone: each witness curve must be dual to exactly one
-    spanning ray (diagonal positive pairing matrix) and the rays must span
-    the dual of the witness cone.  The matrix alone decides the second
-    condition, with no double-description run: it holds exactly when there
-    are as many rays as the divisor rank.  No rays raise EmptyInput."""
+    """Certify a nef cone: the rays span the dual of the witness cone, as
+    the diagonal rule on their pairing matrix decides with no
+    double-description run.  No rays raise EmptyInput."""
     return _certify(NEF_DUAL, TableInputs(surface, space, rays, witnesses, None))
 
 

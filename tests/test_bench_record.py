@@ -49,3 +49,44 @@ def test_summary_carries_the_aa_ratio_of_each_metric_it_has():
     out = _B._summary(RUNS, "w", BETTER, {"ops_per_s": {"median_ratio": 1.029}})
     assert out["ops_per_s"]["aa_median_ratio"] == 1.029
     assert "aa_median_ratio" not in out["op_ms_p90"]
+
+
+def _ten_pairs(parent, change):
+    """Ten pairs of one higher-is-better metric: parent[i] against change[i]."""
+    return _runs([(s, side, v, 10) for s, (p, c) in enumerate(zip(parent, change), 1)
+                  for side, v in (("parent", p), ("change", c))])
+
+
+TIGHT = [99, 100, 100, 101, 100, 99, 101, 100, 100, 100]  # quartile spread 1
+
+
+def test_verdict_gain_needs_nine_wins_and_a_gap_past_the_parent_spread():
+    ten_wins = [v + 5 for v in TIGHT]
+    assert _B._summary(_ten_pairs(TIGHT, ten_wins), "w", BETTER, {},
+                       {"ops_per_s": 0.2, "op_ms_p90": 0.2})["ops_per_s"]["verdict"] == "gain"
+    eight_wins = ten_wins[:8] + [90, 90]
+    out = _B._summary(_ten_pairs(TIGHT, eight_wins), "w", BETTER, {}, {"ops_per_s": 0.2, "op_ms_p90": 0.2})
+    assert out["ops_per_s"]["change_wins"] == 8
+    assert out["ops_per_s"]["verdict"] == "flat"
+    # ten wins by less than the parent's quartile spread
+    assert _B._verdict(TIGHT, [v + 0.5 for v in TIGHT], 1, 10, 0.2) == "flat"
+
+
+def test_verdict_worse_past_the_bound_in_the_metric_direction():
+    assert _B._verdict(TIGHT, [v * 0.7 for v in TIGHT], 1, 0, 0.2) == "worse"
+    assert _B._verdict(TIGHT, [v * 0.9 for v in TIGHT], 1, 0, 0.2) == "flat"
+    # lower is better: a 30% higher median is worse, a 30% lower one a gain
+    assert _B._verdict(TIGHT, [v * 1.3 for v in TIGHT], -1, 0, 0.2) == "worse"
+    assert _B._verdict(TIGHT, [v * 0.7 for v in TIGHT], -1, 10, 0.2) == "gain"
+
+
+def test_verdict_unresolved_when_the_parent_spread_is_wider_than_the_bound():
+    wide = [60, 140, 70, 130, 80, 120, 90, 110, 100, 100]  # quartile spread 47.5
+    assert _B._verdict(wide, wide, 1, 0, 0.2) == "unresolved"
+    # every change run above every parent run resolves it
+    assert _B._verdict(wide, [v + 100 for v in wide], 1, 10, 0.2) == "gain"
+    assert _B._verdict(wide, [141] * 10, 1, 10, 0.2) == "flat"  # gap 41 < spread 47.5
+
+
+def test_summary_without_bounds_has_no_verdict():
+    assert "verdict" not in _B._summary(RUNS, "w", BETTER, {})["ops_per_s"]

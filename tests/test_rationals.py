@@ -86,6 +86,31 @@ def test_primitive_of_an_int_vector(u):
     assert primitive([3 * a for a in u]) == primitive(u)
 
 
+def _primitive_by_fractions(u) -> tuple[int, ...]:
+    """The reference: every entry read as a `Fraction`, scaled by the lcm
+    of the denominators and divided by the gcd of the results."""
+    fr = [Fraction(a) for a in u]
+    m = 1
+    for a in fr:
+        m = m * a.denominator // gcd(m, a.denominator)
+    ints = [int(a * m) for a in fr]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints) if g else tuple(ints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_SCALAR, st.booleans()), max_size=8))
+def test_primitive_equals_the_fraction_computation(u):
+    """Mixed ints, Fractions and bools: the numerator/denominator path gives
+    what reading every entry through `Fraction` gives, as ints, and the
+    zero vector of the same entry types maps to itself."""
+    got = primitive(u)
+    assert got == _primitive_by_fractions(u)
+    assert all(type(a) is int for a in got)
+    zero = [type(a)(0) for a in u]
+    assert primitive(zero) == tuple(0 for _ in u)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_SCALAR, min_size=1, max_size=6), st.fractions(min_value=Fraction(1, 10**6)))
 def test_primitive_scales_by_a_positive_rational(u, c):

@@ -1,0 +1,53 @@
+"""`render._projection_axes` reads coordinate pairs off the vertices; the
+arithmetic search it replaced, kept here as the reference, projects with
+Fraction dot products against unit and power functionals."""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nestcone.render import _projection_axes
+
+
+def _axes_by_projection(vertices):
+    """Coordinate pairs in lexicographic order, then power functionals, each
+    tested by projecting every vertex with dot products; the last power
+    pair when none is injective."""
+    dim = len(vertices[0]) if vertices else 2
+    candidates = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            u = tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
+            v = tuple(Fraction(1) if k == j else Fraction(0) for k in range(dim))
+            candidates.append((u, v))
+    for t in (2, 3, 5):
+        candidates.append((tuple(Fraction(t) ** k for k in range(dim)),
+                           tuple(Fraction(t + 1) ** k for k in range(dim))))
+    for u, v in candidates:
+        pts = [(sum(a * x for a, x in zip(u, p)), sum(a * x for a, x in zip(v, p)))
+               for p in vertices]
+        if len(set(pts)) == len(pts):
+            return u, v
+    return candidates[-1]
+
+
+# Few distinct coordinate values, so that coordinate pairs often collide.
+_COORD = st.one_of(st.sampled_from([0, 1, Fraction(1, 2)]), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _vertex_sets(draw):
+    dim = draw(st.integers(1, 5))
+    return draw(st.lists(st.tuples(*[_COORD] * dim), max_size=7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vertex_sets())
+@example([])
+@example([(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)])  # no coordinate pair is injective
+@example([(0, 0), (0, 0)])  # nothing is injective: the last power pair
+def test_projection_axes_match_the_arithmetic_search(vertices):
+    got = _projection_axes(vertices)
+    assert got == _axes_by_projection(vertices)
+    assert all(type(x) is Fraction for axis in got for x in axis)

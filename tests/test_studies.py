@@ -6,7 +6,9 @@ import pytest
 
 import nestcone as nc
 import nestcone.cone
+import nestcone.linalg
 import nestcone.studies
+import nestcone.verify
 from nestcone.errors import FunctionalNotPositive, InvalidInput, NotPointed, RangeError
 from nestcone.studies import ORDER_B, ORDER_RES, _cut_out, _moving_curves, a_k, butler_table
 
@@ -97,6 +99,27 @@ def test_butler_synthetic_boundary():
     assert nc.position(table.cone, boundary.coords) == "Boundary"
     interior = boundary + rays[0]
     assert nc.position(table.cone, interior.coords) == "Interior"
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 5])
+def test_butler_check_matches_the_cone_engine(monkeypatch, i):
+    """Coefficients and positions read off the witness functionals equal
+    what `solve_unique` and `position` on the table's cone give, for
+    classes inside, on the boundary of and outside the nef cone."""
+    table = butler_table(i)
+    rays = [r.cls for r in table.rays]
+    zero = 0 * rays[0]
+    weights = [(2, 2, 2, 2, 2), (0, 1, F(1, 2), 3, 1), (1, -1, 0, 2, 5), (F(-1, 3), 0, 0, 0, 0)]
+    classes = [sum((w * r for w, r in zip(ws, rays)), zero) for ws in weights]
+    monkeypatch.setattr(nestcone.studies, "butler_class", lambda inp, k, ordering: classes[k - 1])
+    rep = nc.butler_check(nc.ButlerInput(i=i, a=1, b=1, n=4, k_range=(1, len(classes))))
+    ray_matrix = [list(row) for row in zip(*(r.coords for r in rays))]
+    for step, cls in zip(rep.steps, classes):
+        coeffs = nestcone.linalg.solve_unique(ray_matrix, list(cls.coords))
+        assert step.ray_coefficients == tuple(coeffs)
+        assert all(type(c) is int or c.denominator > 1 for c in step.ray_coefficients)
+        assert step.position == nc.position(table.cone, cls.coords)
+    assert [s.position for s in rep.steps] == ["Interior", "Boundary", "Outside", "Outside"]
 
 
 def test_half_b_a_identity_all_indices():
@@ -201,16 +224,36 @@ def test_asymptotic_report_serialization():
     assert "asymptotic study up to k=4: OK" in rep.text()
 
 
-def test_asymptotic_report_runs_one_dd_per_step(monkeypatch):
-    # One DD over W_k per step k = 2..k_max, and one over W_0 for the limit
-    # check.
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Names of the `cone._dd` and `linalg.solve_unique` runs so far,
+    counted by a wrapper at every binding of them in the package."""
     calls = []
-    real = nestcone.cone._dd
-    monkeypatch.setattr(nestcone.cone, "_dd", lambda *args: calls.append(args) or real(*args))
+    for real in (nestcone.cone._dd, nestcone.linalg.solve_unique):
+        def counted(*args, real=real):
+            calls.append(real.__name__)
+            return real(*args)
+
+        for module in (nestcone.cone, nestcone.linalg, nestcone.studies, nestcone.verify):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_asymptotic_report_runs_no_dd(engine_calls):
+    # The diagonal rule on W_k . R_k^T decides every step and the limit
+    # check.
     for k_max in (2, 3, 10, 60):
-        calls.clear()
         nc.asymptotic_report(k_max)
-        assert len(calls) == k_max
+    assert engine_calls == []
+
+
+def test_butler_check_runs_no_dd_and_no_elimination(engine_calls):
+    for i in (0, 1, 2, 3):
+        for ordering in (ORDER_B, ORDER_RES):
+            nc.butler_check(nc.ButlerInput(i=i, a=1, b=1, n=4, k_range=(1, 20)), ordering)
+    assert engine_calls == []
 
 
 def _engine_steps(curves, k_max):
@@ -277,4 +320,19 @@ def test_asymptotic_report_errors_match_the_cone_engine(monkeypatch):
     with pytest.raises(NotPointed):
         nc.cross_section(_cut_out(flat(2)))
     with pytest.raises(NotPointed):
+        nc.asymptotic_report(2)
+
+
+def test_asymptotic_report_names_the_cell_of_a_misstated_ray(monkeypatch):
+    # H1 - (1/4) B1 stated for the functional of H1 - (1/5) B1: the
+    # functionals span the frame, but the stated ray is not one of E_k's.
+    def perturbed(k):
+        curves = _moving_curves(F(1, 5))
+        curves[2] = curves[2]._replace(annihilated_ray=(1, 0, -F(1, 4), 0))
+        return curves
+
+    assert (4, 0, -1, 0) not in _cut_out(perturbed(2)).rays
+    monkeypatch.setattr(nestcone.studies, "asymptotic_moving_curves", perturbed)
+    message = "moving curve normal of H1-1/5B1 pairs to -1 with ray (4, 0, -1, 0)"
+    with pytest.raises(InvalidInput, match=re.escape(message)):
         nc.asymptotic_report(2)

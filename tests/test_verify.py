@@ -19,6 +19,7 @@ from nestcone.verify import (
     RaySpec,
     WitnessSpec,
     certified_tables,
+    diagonal_failure,
     table_inputs,
 )
 
@@ -205,6 +206,25 @@ def test_certify_nef_without_rays_is_empty_input():
     s, sp = nc.p2(), nc.nested(3)
     with pytest.raises(EmptyInput, match="^a cone needs at least one nonzero generator$"):
         nc.certify_nef(s, sp, [], [])
+
+
+@pytest.mark.parametrize(
+    "matrix, rank, cell",
+    [
+        ([[2, 0], [0, Fraction(1, 3)]], 2, None),
+        ([[1, 0, 0], [0, 1, 0]], 3, (2, 2)),  # not square: past the shorter side
+        ([[1, 5], [0]], 2, (1, 1)),  # a short row is not square either
+        ([[1, 0], [0, 1], [0, 0]], 2, (2, 2)),
+        ([[1, 0, 0], [0, 1, -1], [0, 0, 1]], 3, (1, 2)),  # nonzero off the diagonal
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], 3, (1, 1)),  # zero on the diagonal
+        ([[1, 0], [0, -2]], 2, (1, 1)),  # negative on the diagonal
+        ([[0, 1], [1, 0]], 2, (0, 0)),  # a permuted diagonal fails at its first cell
+        ([[1, 0], [0, 1]], 3, (2, 2)),  # diagonal but smaller than the rank
+        ([], 1, (0, 0)),
+    ],
+)
+def test_diagonal_failure_names_the_first_failing_cell(matrix, rank, cell):
+    assert diagonal_failure(matrix, rank) == cell
 
 
 _ENTRY = st.integers(-6, 6)
