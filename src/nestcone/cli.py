@@ -290,6 +290,8 @@ class _Param:
                 problem = f"File {shown!r} is a directory."
             elif os.path.exists(value) and not os.access(value, os.R_OK):
                 problem = f"File {shown!r} is not readable."
+            elif "\0" in value:
+                problem = f"File {shown!r} contains a null byte."
             else:
                 return value
         else:

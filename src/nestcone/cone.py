@@ -56,6 +56,12 @@ from .errors import (
 from .linalg import rref, solve_unique
 from .rationals import Rat, primitive, rat, rat_str, vdot
 
+__all__ = (
+    "IVec", "Position", "Cone", "cone_from_rays", "dual", "extremal_rays", "position",
+    "cone_contains", "cone_equal", "positive_functional", "COORD_SUM", "CrossSection",
+    "cross_section",
+)
+
 IVec = tuple[int, ...]
 
 

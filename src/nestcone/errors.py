@@ -1,5 +1,12 @@
 """Exception types shared across the library."""
 
+__all__ = (
+    "NestconeError", "SpaceMismatch", "InvalidGenus", "InvalidIndex", "UnknownSurface",
+    "RangeError", "NotK3", "DimensionMismatch", "EmptyInput", "NotPointed",
+    "FunctionalNotPositive", "UnderDetermined", "Inconsistent", "UnknownTable",
+    "InvalidInput", "ParseError", "UsageError",
+)
+
 
 class NestconeError(Exception):
     """Base class for all library errors."""

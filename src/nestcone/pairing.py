@@ -3,7 +3,7 @@ families, nodal curves on K3 surfaces, and pushforwards.
 
 Pairing rules (g = surface Gram matrix): each curve block of the basis
 layout pairs through g with the divisor block of its side, and the boundary
-classes pair by `BOUNDARY_PAIRINGS`; every other pairing is zero.
+classes pair by `_BOUNDARY_PAIRINGS`; every other pairing is zero.
 
 * Hilb(n):   C_i . H_j[n] = g_ij, C_i . B/2 = 0, A . H_j = 0, A . B/2 = -1.
 * Nested(n): Ca_i . Hdiff_j = g_ij (zero elsewhere);
@@ -53,6 +53,12 @@ from .spaces import (
     surface_coords,
 )
 
+__all__ = (
+    "PairingTable", "pairing_table", "pair", "curve_functional", "curve_family_a",
+    "curve_family_b", "curve_family_b_alt", "curve_family_a_alt", "nodal_curves_k3",
+    "g1n_curve", "k3_extremal_slope", "pushforward_a", "pushforward_b",
+)
+
 
 # ---------------------------------------------------------------------------
 # The pairing table
@@ -76,7 +82,7 @@ class PairingTable(NamedTuple):
 
 # (boundary curve, boundary divisor) -> intersection number, for every space
 # kind whose layout holds both classes.
-BOUNDARY_PAIRINGS = {
+_BOUNDARY_PAIRINGS = {
     ("A", "B/2"): -1,
     ("Aa", "B/2"): -1,
     ("Aa", "Bdiff/2"): -1,
@@ -95,7 +101,7 @@ def pairing_table(surface: SurfaceModel, space: SpaceId) -> PairingTable:
         for r, gram_row in zip(row_at[curve_block], surface.gram):
             for c, g in zip(col_at[divisor_block], gram_row):
                 m[r][c] = g
-    for (cur, div), value in BOUNDARY_PAIRINGS.items():
+    for (cur, div), value in _BOUNDARY_PAIRINGS.items():
         if cur in row_at and div in col_at:
             m[row_at[cur][0]][col_at[div][0]] = value
     return PairingTable(

@@ -16,12 +16,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+__all__ = (
+    "Rat", "rat", "rat_str", "ratio", "canonical_json", "vdot", "primitive",
+)
+
 Rat = int | Fraction
 
 
 def rat(x) -> Rat:
-    """Coerce an int, string, or Fraction to an exact rational in normal
-    form: an `int` when integral, else a `Fraction`."""
+    """Coerce an int, a Fraction or a 'p' or 'p/q' string to an exact
+    rational in normal form: an `int` when integral, else a `Fraction`."""
     if type(x) is int:
         return x
     if isinstance(x, Fraction):
@@ -31,7 +35,7 @@ def rat(x) -> Rat:
     if isinstance(x, int):
         return int(x)
     if isinstance(x, str):
-        return parse_rat(x)
+        return rat(Fraction(x.strip()))
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
@@ -43,11 +47,6 @@ def rat_str(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rat(s: str) -> Rat:
-    """Parse a canonical 'p' or 'p/q' string to a normal-form rational."""
-    return rat(Fraction(s.strip()))
 
 
 def ratio(n: int, d: int) -> Rat:

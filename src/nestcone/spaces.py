@@ -28,6 +28,17 @@ from typing import NamedTuple, Sequence, Union
 from .errors import InvalidGenus, InvalidIndex, RangeError, SpaceMismatch, UnknownSurface
 from .rationals import Rat, canonical_json, rat, rat_str
 
+__all__ = (
+    "SurfaceModel", "p2", "p1xp1", "hirzebruch", "k3", "surface_model", "SpaceKind",
+    "SpaceId", "surface_space", "hilb", "nested", "univ", "DIVISOR_LAYOUT",
+    "CURVE_LAYOUT", "is_block", "layout", "divisor_labels", "curve_labels",
+    "divisor_rank", "curve_rank", "normalize_label", "DivClass", "CurClass",
+    "zero_divisor", "zero_curve", "divisor", "curve", "pr_a_space", "pr_b_space",
+    "basis_map", "pull_a", "pull_b", "pull_res", "MVec", "surface_coords",
+    "tautological", "surface_divisor", "tautological_a", "tautological_b",
+    "exceptional_class", "canonical_class",
+)
+
 
 # ---------------------------------------------------------------------------
 # Surfaces
@@ -172,16 +183,16 @@ def univ(n: int) -> SpaceId:
 # curve block are one side of the space and pair through the surface's Gram
 # matrix.
 
-LayoutTable = dict[SpaceKind, tuple[str, ...]]
-Basis = tuple[tuple[str, ...], dict[str, range]]  # labels, positions of each entry
+_LayoutTable = dict[SpaceKind, tuple[str, ...]]
+_Basis = tuple[tuple[str, ...], dict[str, range]]  # labels, positions of each entry
 
-DIVISOR_LAYOUT: LayoutTable = {
+DIVISOR_LAYOUT: _LayoutTable = {
     SpaceKind.SURFACE: ("H_i",),
     SpaceKind.HILB: ("H_i", "B/2"),
     SpaceKind.NESTED: ("Hdiff_i", "Hb_i", "Bdiff/2", "Bb/2"),
     SpaceKind.UNIV: ("Hdiff_i", "Hb_i", "B/2"),
 }
-CURVE_LAYOUT: LayoutTable = {
+CURVE_LAYOUT: _LayoutTable = {
     SpaceKind.SURFACE: ("H_i",),
     SpaceKind.HILB: ("C_i", "A"),
     SpaceKind.NESTED: ("Ca_i", "Cb_i", "Aa", "Ab"),
@@ -195,7 +206,7 @@ def is_block(entry: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _expand(entries: tuple[str, ...], gens: tuple[str, ...]) -> Basis:
+def _expand(entries: tuple[str, ...], gens: tuple[str, ...]) -> _Basis:
     labels: list[str] = []
     positions = {}
     for entry in entries:
@@ -210,7 +221,7 @@ def _expand(entries: tuple[str, ...], gens: tuple[str, ...]) -> Basis:
     return tuple(labels), positions
 
 
-def layout(surface: SurfaceModel, space: SpaceId, table: LayoutTable) -> Basis:
+def layout(surface: SurfaceModel, space: SpaceId, table: _LayoutTable) -> _Basis:
     """The basis labels of `space` under `table` (`DIVISOR_LAYOUT` or
     `CURVE_LAYOUT`) and the coordinate positions of each layout entry.  The
     result is shared: do not mutate it."""
@@ -253,7 +264,7 @@ class _BaseClass:
     surface: SurfaceModel
     space: SpaceId
     coords: tuple[Rat, ...]
-    layout_table: LayoutTable  # set by DivClass and CurClass
+    layout_table: _LayoutTable  # set by DivClass and CurClass
 
     def __init__(self, surface: SurfaceModel, space: SpaceId, coords: Sequence) -> None:
         coords = tuple(rat(c) for c in coords)

@@ -38,6 +38,13 @@ from .spaces import (
 )
 from .verify import TableInputs, _pair_all, diagonal_failure, table_inputs
 
+__all__ = (
+    "ORDER_B", "ORDER_RES", "butler_table", "ButlerInput", "half_b_a", "butler_class",
+    "ButlerStep", "ButlerReport", "butler_check", "FRAME_DIM", "a_k", "MovingCurve",
+    "asymptotic_moving_curves", "limit_cone", "AsymptoticStep", "AsymptoticReport",
+    "asymptotic_report",
+)
+
 # ---------------------------------------------------------------------------
 # Butler criterion on F_i^[2,1]
 # ---------------------------------------------------------------------------
@@ -55,20 +62,22 @@ def butler_table(i: int) -> TableInputs:
     return table_inputs("nef_fi_univ", i=i, n=2)
 
 
-class ButlerInput:
-    """Ample class A = aH + bF on F_i and the line bundle L = nA.
-
-    Ampleness on a Hirzebruch surface is the positivity test against the
-    fiber F (A.F = a) and the section of self-intersection -i (A.E = b).
-    """
-
+class _ButlerFields(NamedTuple):
     i: int
     a: int
     b: int
     n: int
     k_range: tuple[int, int]
 
-    def __init__(self, i: int, a: int, b: int, n: int, k_range: tuple[int, int] = (1, 5)):
+
+class ButlerInput(_ButlerFields):
+    """Ample class A = aH + bF on F_i and the line bundle L = nA.
+
+    Ampleness on a Hirzebruch surface is the positivity test against the
+    fiber F (A.F = a) and the section of self-intersection -i (A.E = b).
+    """
+
+    def __new__(cls, i: int, a: int, b: int, n: int, k_range: tuple[int, int] = (1, 5)):
         if i < 0:
             raise InvalidInput(f"Hirzebruch index must be >= 0, got {i}")
         if a < 1:
@@ -80,7 +89,7 @@ class ButlerInput:
         lo, hi = k_range
         if lo < 1 or hi < lo:
             raise InvalidInput(f"k_range must be an inclusive range >= 1, got {k_range}")
-        self.i, self.a, self.b, self.n, self.k_range = i, a, b, n, k_range
+        return super().__new__(cls, i, a, b, n, (lo, hi))
 
     @cached_property
     def surface(self) -> SurfaceModel:
@@ -274,11 +283,6 @@ def _certified(curves: list[MovingCurve]) -> tuple[list[IVec], list[IVec]]:
         i, j = rows[cell[0]], cell[1]
         raise InvalidInput(f"moving curve {curves[i].name} pairs to {pairs[i][j]} with ray {rays[j]}")
     return functionals, rays
-
-
-def asymptotic_cone(k: int) -> Cone:
-    """E_k as the dual of the four moving-curve functionals."""
-    return _cut_out(asymptotic_moving_curves(k))
 
 
 def limit_cone() -> Cone:

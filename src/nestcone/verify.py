@@ -90,6 +90,16 @@ from .spaces import (
     univ,
 )
 
+__all__ = (
+    "PULLBACK_OF_NEF", "RESIDUE_OF_NEF", "ASSERTED", "Provenance", "RaySpec",
+    "WitnessSpec", "TableInputs", "NEF_DUAL", "EFF_MOVING", "CERTIFIED", "Certificate",
+    "diagonal_failure", "certify_nef", "certify_eff", "MATCH", "DIFF", "SKIPPED",
+    "CellCheck", "SectionCheck", "TableSection", "TableReport",
+    "EFF_P2_3_2_PRINTED_VARIANT", "TableSpec", "CATALOG", "certified_tables",
+    "table_params", "table_inputs", "standard_nef_certificate",
+    "standard_eff_certificate", "reproduce_table", "table_cross_section",
+)
+
 # ---------------------------------------------------------------------------
 # Provenance and certificates
 # ---------------------------------------------------------------------------
@@ -683,7 +693,7 @@ _NEF_PROVENANCE = {
 }
 
 
-class NefTable(NamedTuple):
+class _NefTable(NamedTuple):
     """Inputs of a catalog nef table: `template` fed by the surface
     `record`, its blocks of rows taken in `order`; the expected matrix is
     diagonal."""
@@ -817,32 +827,32 @@ _UNIV = ("diff", "b", "Da")
 CATALOG: dict[str, TableSpec] = {
     # nef cone of P2^[n]: spanning rays against dual curves
     "hilb_p2_nef": TableSpec(
-        {"n": 3}, NEF_DUAL, NefTable(_hilb_template, _nef_p2, ("gen", "D"), cite=True)
+        {"n": 3}, NEF_DUAL, _NefTable(_hilb_template, _nef_p2, ("gen", "D"), cite=True)
     ),
     # nef cone of P2^[n+1,n]: spanning rays against dual curves
     "nef_p2_nested": TableSpec(
-        {"n": 3}, NEF_DUAL, NefTable(_nested_template, _nef_p2, _RANK1_NESTED, cite=True)
+        {"n": 3}, NEF_DUAL, _NefTable(_nested_template, _nef_p2, _RANK1_NESTED, cite=True)
     ),
     # nef cone of (P1xP1)^[n+1,n]
     "nef_f0_nested": TableSpec(
-        {"n": 3}, NEF_DUAL, NefTable(_nested_template, _nef_f0, _RANK2_NESTED)
+        {"n": 3}, NEF_DUAL, _NefTable(_nested_template, _nef_f0, _RANK2_NESTED)
     ),
     # nef cone of F_i^[n+1,n]
     "nef_fi_nested": TableSpec(
-        {"i": 1, "n": 3}, NEF_DUAL, NefTable(_nested_template, _nef_fi, _RANK2_NESTED)
+        {"i": 1, "n": 3}, NEF_DUAL, _NefTable(_nested_template, _nef_fi, _RANK2_NESTED)
     ),
     # nef cone of K3^[n+1,n] for a general genus-g K3 (n >= g+1)
     "nef_k3_nested": TableSpec(
-        {"g": 3, "n": 4}, NEF_DUAL, NefTable(_nested_template, _nef_k3, _RANK1_NESTED)
+        {"g": 3, "n": 4}, NEF_DUAL, _NefTable(_nested_template, _nef_k3, _RANK1_NESTED)
     ),
     # nef cone of the universal family P2^[n,1]
-    "nef_p2_univ": TableSpec({"n": 3}, NEF_DUAL, NefTable(_univ_template, _nef_p2, _UNIV)),
+    "nef_p2_univ": TableSpec({"n": 3}, NEF_DUAL, _NefTable(_univ_template, _nef_p2, _UNIV)),
     # nef cone of (P1xP1)^[n,1]
-    "nef_f0_univ": TableSpec({"n": 3}, NEF_DUAL, NefTable(_univ_template, _nef_f0, _UNIV)),
+    "nef_f0_univ": TableSpec({"n": 3}, NEF_DUAL, _NefTable(_univ_template, _nef_f0, _UNIV)),
     # nef cone of F_i^[n,1]
-    "nef_fi_univ": TableSpec({"i": 1, "n": 3}, NEF_DUAL, NefTable(_univ_template, _nef_fi, _UNIV)),
+    "nef_fi_univ": TableSpec({"i": 1, "n": 3}, NEF_DUAL, _NefTable(_univ_template, _nef_fi, _UNIV)),
     # nef cone of K3^[n,1] (n >= g+1)
-    "nef_k3_univ": TableSpec({"g": 3, "n": 4}, NEF_DUAL, NefTable(_univ_template, _nef_k3, _UNIV)),
+    "nef_k3_univ": TableSpec({"g": 3, "n": 4}, NEF_DUAL, _NefTable(_univ_template, _nef_k3, _UNIV)),
     # intersection table of the P2 Hilbert-scheme bases
     "pairing_p2_hilb": TableSpec({"n": 3}, None, _pairing_p2_hilb_sections),
     # intersection table of the P2 nested bases

@@ -410,6 +410,12 @@ def test_command_line_fuzz_keeps_the_exit_contract(argv, tmp_path, monkeypatch):
         assert err.getvalue().startswith(("usage error: ", "parse error at byte ", "error: "))
 
 
+def test_out_with_a_null_byte_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "cross-section", "--table=eff_p2_2_1", "--out=\0")
+    assert (code, out) == (2, "")
+    assert err == "usage error: Invalid value for '--out': File '\\x00' contains a null byte.\n"
+
+
 def test_out_must_be_readable_if_it_exists(tmp_path, capsys, monkeypatch):
     path = tmp_path / "x.csv"
     path.write_text("old")

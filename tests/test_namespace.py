@@ -1,21 +1,32 @@
-"""The package namespace: `nestcone.<name>` is resolved lazily from the
-library modules, and importing one module loads only what it imports."""
+"""The package namespace: `nestcone.<name>` resolves exactly the names the
+library modules declare in `__all__`, lazily, and importing one module
+loads only what it imports."""
 
-import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import nestcone as nc
+import nestcone.cli  # noqa: F401  - loads every module of the package
 
 SRC = str(Path(nc.__file__).resolve().parents[1])
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(nc.__path__))
 LIBRARY = ("errors", "rationals", "spaces", "pairing", "cone", "verify", "studies")
+# Names the library modules import, which `nestcone.<name>` used to resolve.
+BORROWED = (
+    "Callable", "Enum", "Fraction", "Iterable", "Iterator", "NamedTuple", "Sequence",
+    "Union", "annotations", "cached_property", "comb", "gcd", "lcm", "lru_cache", "mul",
+    "partial", "re", "rref", "solve_unique",
+)
 
 
 def _python(code, *flags):
@@ -27,18 +38,37 @@ def _python(code, *flags):
     return proc.stdout
 
 
-def _defined_names(module):
-    """The public names a module binds itself at top level: its functions,
-    classes and assignments, not what it imports."""
-    tree = ast.parse(Path(module.__file__).read_text())
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return sorted(n for n in names if not n.startswith("_"))
+def _module(name):
+    return importlib.import_module(f"nestcone.{name}")
+
+
+def _bound_elsewhere(module, name):
+    """Whether another module binds `name` to the same object: the module
+    `module` imported it from, or a module of the package that imports it."""
+    obj = vars(module)[name]
+    if isinstance(obj, ModuleType):
+        return True
+    others = [m for k, m in sys.modules.items() if k.startswith("nestcone.")]
+    others.append(sys.modules.get(getattr(obj, "__module__", None)))
+    return any(vars(other).get(name) is obj for other in others if other not in (None, module))
+
+
+def _bench_reads(path):
+    """The (module, attribute) pairs a benchmark workload reads through
+    `import nestcone.<module> as <alias>`."""
+    text = path.read_text()
+    return {
+        (module, attr)
+        for module, alias in re.findall(r"^import nestcone\.(\w+) as (\w+)$", text, re.M)
+        for attr in re.findall(rf"\b{alias}\.(\w+)", text)
+    }
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_the_library_modules_are_searched_in_order():
@@ -48,11 +78,46 @@ def test_the_library_modules_are_searched_in_order():
 
 @pytest.mark.parametrize("module", LIBRARY)
 def test_every_public_name_resolves_to_its_defining_module(module):
-    mod = importlib.import_module(f"nestcone.{module}")
-    names = _defined_names(mod)
-    assert names
-    for name in names:
+    mod = _module(module)
+    assert mod.__all__
+    for name in mod.__all__:
         assert getattr(nc, name) is getattr(mod, name), name
+
+
+def test_dir_lists_each_declared_name_once():
+    declared = [name for module in LIBRARY for name in _module(module).__all__]
+    assert len(declared) == len(set(declared))
+    assert dir(nc) == sorted(declared)
+
+
+def test_borrowed_names_are_not_the_package_api():
+    for name in BORROWED:
+        assert any(name in vars(_module(m)) for m in LIBRARY), name
+        with pytest.raises(AttributeError):
+            getattr(nc, name)
+    assert nc.linalg.rref is vars(_module("cone"))["rref"]
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_every_public_binding_is_declared_or_imported(module):
+    # A public helper that no other module of the package imports must be
+    # declared in `__all__`, renamed with a leading underscore, or deleted.
+    mod = _module(module)
+    stray = [
+        name for name in vars(mod)
+        if not name.startswith("_") and name not in mod.__all__ and not _bound_elsewhere(mod, name)
+    ]
+    assert stray == []
+
+
+def test_every_name_the_benchmark_reads_is_declared():
+    t = _tracer()
+    wrapped = {(m.removeprefix("nestcone."), a) for m, a, _ in t.FUNCTIONS + t.CONSTRUCTORS}
+    read = _bench_reads(BENCH / "catalog_wl.py") | _bench_reads(BENCH / "dd_wl.py")
+    assert ("pairing", "pushforward_a") in read and ("cone", "extremal_rays") in read
+    for module, attr in wrapped | read:
+        if module in LIBRARY and not attr.startswith("_"):
+            assert attr in _module(module).__all__, f"{module}.{attr}"
 
 
 def test_private_and_unknown_names_raise_attribute_error():

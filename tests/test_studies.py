@@ -37,6 +37,21 @@ def test_butler_input_validation():
         nc.butler_class(nc.ButlerInput(i=1, a=1, b=1, n=4), 1, ordering="x")
 
 
+def test_butler_inputs_compare_by_value(monkeypatch):
+    # Equal inputs give equal, equally hashed reports, and each check builds
+    # the nef table twice: once for its functionals, once for the input's
+    # surface, which is cached on the input for every k.
+    built = []
+    table = butler_table
+    monkeypatch.setattr(nestcone.studies, "butler_table", lambda i: built.append(i) or table(i))
+    inp, same = nc.ButlerInput(1, 1, 1, 4), nc.ButlerInput(i=1, a=1, b=1, n=4, k_range=[1, 5])
+    assert inp == same and hash(inp) == hash(same) and inp != nc.ButlerInput(1, 1, 1, 5)
+    assert repr(inp) == "ButlerInput(i=1, a=1, b=1, n=4, k_range=(1, 5))"
+    rep = nc.butler_check(inp)
+    assert built == [1, 1]
+    assert rep == nc.butler_check(same) and hash(rep) == hash(nc.butler_check(same))
+
+
 def test_butler_class_k1_coords():
     inp = nc.ButlerInput(i=1, a=1, b=1, n=4)
     cls = nc.butler_class(inp, 1)
@@ -168,6 +183,12 @@ def test_moving_curves_exact():
         assert sum(f * r for f, r in zip(m.functional, m.annihilated_ray)) == 0
 
 
+def _asymptotic_cone(k):
+    """E_k as the DD of its four moving-curve functionals: the reference the
+    study's diagonal rule is checked against."""
+    return _cut_out(nc.asymptotic_moving_curves(k))
+
+
 def test_moving_curves_validation():
     with pytest.raises(RangeError):
         nc.asymptotic_moving_curves(0)
@@ -176,7 +197,7 @@ def test_moving_curves_validation():
 
 
 def test_asymptotic_cone_extremal_rays():
-    c = nc.asymptotic_cone(2)
+    c = _asymptotic_cone(2)
     ext = nc.extremal_rays(c)
     assert set(ext.rays) == {
         (0, 0, 1, 0),
@@ -210,9 +231,9 @@ def test_limit_is_the_cone_cut_out_at_deviation_zero():
 
 
 def test_asymptotic_nesting_chain():
-    prev = nc.asymptotic_cone(2)
+    prev = _asymptotic_cone(2)
     for k in range(3, 12):
-        cur = nc.asymptotic_cone(k)
+        cur = _asymptotic_cone(k)
         assert nc.cone_contains(prev, cur)
         assert nc.cone_contains(cur, nc.limit_cone())
         prev = cur
