@@ -24,7 +24,12 @@ operations; the git sha of both revisions, the Python version, the core
 count and the interpreter's environment flags.  When the change commits a
 `BENCH_AA.json` and the run is not `--aa`, every metric also carries that
 A/A record's median ratio as `aa_median_ratio`, so the record states the
-spread a claimed change has to clear.  It is written to
+spread a claimed change has to clear.  After the timed pairs, each side runs
+every workload once more traced (`--trace 1`, seed 1, the same run length),
+and `layers` holds, per workload, each side's exact counts (`*.calls`,
+`cone.dd.constraints`, `cone.dd.rays_out`) and `counts_differ`, the names of
+the counts that differ: a count does not drift with the host, so one that
+moves is a finding.  It is written to
 `BENCH_<pr>.json`, or `BENCH_AA.json` for an A/A run, at the repository
 root.
 """
@@ -74,16 +79,32 @@ def _export(rev: str, dest: Path) -> str:
     return sha
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+COUNTS = ("cone.dd.constraints", "cone.dd.rays_out")  # besides every `*.calls`
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{tree.name} {workload} seed {seed} failed:\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def _layers(parent: dict, change: dict) -> dict:
+    """Each side's exact counts from the per-layer metrics of one traced
+    run, and `counts_differ`, the sorted names of the counts that differ
+    (a count only one side reports differs too)."""
+    counts = {
+        side: {k: v["value"] for k, v in metrics.items() if k.endswith(".calls") or k in COUNTS}
+        for side, metrics in (("parent", parent), ("change", change))
+    }
+    p, c = counts["parent"], counts["change"]
+    counts["counts_differ"] = sorted(k for k in p.keys() | c.keys() if p.get(k) != c.get(k))
+    return counts
 
 
 def _verdict(parent: list[float], change: list[float], sign: int, wins: int, bound: float) -> str:
@@ -177,11 +198,17 @@ def main() -> int:
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps({k: round(v['value'], 4) for k, v in res['metrics'].items()})}",
                           file=sys.stderr)
+        traced = {
+            workload: {side: _run(trees[side], workload, 1, seconds, trace=1)["metrics"]
+                       for side in ("parent", "change")}
+            for workload in workloads
+        }
 
     record = {
         "pr": args.pr,
         "aa": bool(args.aa),
         "command": f"bench/run.py --seconds {seconds} --trace 0",
+        "layers_command": f"bench/run.py --seconds {seconds} --trace 1 --seed 1",
         "parent": {"rev": args.parent, "sha": shas["parent"]},
         "change": {"rev": args.change, "sha": shas["change"]},
         "host": {
@@ -191,6 +218,7 @@ def main() -> int:
             "env": {k: os.environ[k] for k in ENV_FLAGS if k in os.environ},
         },
         "summary": {w: _summary(runs, w, better, aa.get(w, {}), bounds) for w in workloads},
+        "layers": {w: _layers(traced[w]["parent"], traced[w]["change"]) for w in workloads},
         "runs": runs,
     }
     out = ROOT / ("BENCH_AA.json" if args.aa else f"BENCH_{args.pr}.json")

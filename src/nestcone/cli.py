@@ -70,10 +70,12 @@ from .verify import (
 # one (surface, space).  At most one class label per product.  Parse errors
 # cite byte offsets: the tokenizer and the parser count characters, and
 # _parse_class converts the offset of an error once.  Digits are ASCII.  At
-# most _MAX_DIGITS digits per expression, and in `pair --genus`, keep every
-# coefficient, and the pairing of two expressions, under the interpreter's
-# limit on printing an integer; parentheses and unary minus nested at most
-# _MAX_DEPTH deep keep the recursive descent under its recursion limit.
+# most _MAX_DIGITS digits per expression, in `pair --genus` and in the index
+# of `pair --surface f<i>` keep every coefficient, and the pairing of two
+# expressions, under the interpreter's limit on printing an integer, and the
+# index under its limit on reading one; parentheses and unary minus nested
+# at most _MAX_DEPTH deep keep the recursive descent under its recursion
+# limit.
 
 _DIGITS = frozenset("0123456789")
 _MAX_DIGITS = 1000
@@ -611,6 +613,10 @@ def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
 
     if genus is not None and abs(genus) >= 10**_MAX_DIGITS:
         raise UsageError(f"--genus holds more than {_MAX_DIGITS} digits")
+    index = surface_name[1:]
+    if (surface_name[:1] in ("f", "F") and len(index) > _MAX_DIGITS
+            and index.isascii() and index.isdigit()):
+        raise UsageError(f"--surface f<i> holds more than {_MAX_DIGITS} digits")
     s = surface_model(surface_name, genus=genus)
     sp = _space_from_flags(space_kind, n)
     # Accept (divisor, curve) in either order for convenience; when neither

@@ -7,17 +7,15 @@ reasonably fast for the dimensions used here (<= 8).
 * The dual is computed by the double description method (`_dd`, run once
   per cone and cached), which keeps for every intermediate ray the bitmask
   of the constraints it is tight on.  New rays come only from adjacent
-  pairs (`_pairs`).  With D = dimension - lineality, a ray tight on exactly
-  D - 1 constraints is nondegenerate: two nondegenerate rays are adjacent
-  exactly when they share a ridge (one ray's mask less one bit), found by
-  a dict lookup, and a pair with one nondegenerate ray exactly when it
-  shares at least D - 2 constraints, a popcount.  A +/-v pair of
-  constraints makes every later ray tight on both, one bit more than its
-  rank, so each pair already processed adds one to those counts.  Only
-  pairs of two degenerate rays go through the combinatorial test
-  (`_adjacent`): the popcount, then the test for a third ray tight on all
-  of their common constraints.  That test ANDs per-constraint ray bitsets,
-  built lazily by `_transpose`, the one bit-matrix transpose.
+  pairs (`_pairs`).  At each step, with D = dimension - lineality and e
+  the excess (size less rank) of the constraints every ray is tight on, a
+  ray tight on exactly D - 1 + e constraints is nondegenerate: two
+  nondegenerate rays are adjacent exactly when they share a ridge (one
+  ray's mask less one bit), found by a dict lookup.  Every other pair goes
+  through the combinatorial test (`_adjacent`): a popcount, then the test
+  for a third ray tight on all of their common constraints.  That test
+  ANDs per-constraint ray bitsets, built lazily by `_transpose`, the one
+  bit-matrix transpose.
 * Extremal rays and the lineality space are read off the same DD's
   incidence data, each generator's bitmask of tight facets (`_transpose`
   of the facets' masks; Fukuda & Prodon, 1996): a generator is extremal
@@ -42,9 +40,9 @@ its sign.  Lineality directions surface as pairs v, -v among the generators.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -133,50 +131,38 @@ def _pairs(
 ) -> Iterator[tuple[int, int]]:
     """The adjacent pairs (i, j), i in `pos` and j in `neg`, of one DD step:
     the pairs `_adjacent` gives over pos x neg, as a set.  `floor` is
-    dimension - lineality - 2, plus one for each +/-v pair of constraints
-    the DD has already processed.  A ray whose mask has exactly `floor` + 1
-    bits is nondegenerate, and a pair with one is decided by its masks
-    alone; only pairs of two degenerate rays go through `_adjacent`'s
-    third-ray test."""
-    if not pos or not neg:
-        return
+    dimension - lineality - 2 plus the excess of the constraints every ray
+    is tight on.  A ray whose mask has exactly `floor` + 1 bits is
+    nondegenerate; a pair of two is decided by its masks alone, and every
+    other pair goes through `_adjacent`'s third-ray test."""
     nondeg = floor + 1
     pos_nd = [i for i in pos if masks[i].bit_count() == nondeg]
     pos_dg = [i for i in pos if masks[i].bit_count() != nondeg]
     neg_nd = [j for j in neg if masks[j].bit_count() == nondeg]
     neg_dg = [j for j in neg if masks[j].bit_count() != nondeg]
 
-    # Why the masks decide.  Let D = dimension - lineality and eq the number
-    # of +/-v pairs a, -a among the constraints processed so far, so that
-    # `floor` = D - 2 + eq.  Call a set of constraints' size less its rank
-    # its excess; a subset's excess is at most the set's.
+    # Why the masks decide.  Let D = dimension - lineality.  Call a set of
+    # constraints' size less its rank its excess; a subset's excess is at
+    # most the set's.  Let T be the constraints every ray is tight on, and
+    # e its excess, so that `floor` = D - 2 + e.  Every mask, and every two
+    # rays' common mask, holds T, so its excess is at least e.
     #
-    # Every ray is tight on both constraints of each pair: the step of the
-    # later one keeps only rays with a . y = 0, and pair masks
-    # (m_i & m_j | bit), pivot masks (bit - 1) and zero scores all keep
-    # those bits.  The 2 eq pair bits have rank at most eq, so every mask,
-    # and every two rays' common mask, has excess at least eq.
+    # Adjacent rays span a 2-face, whose tight constraints have rank D - 2
+    # and excess at least e, so they share at least `floor` constraints:
+    # `_adjacent`'s popcount stays a necessary condition, and its third-ray
+    # test does not read `floor`.
     #
     # An extreme ray's tight constraints have rank D - 1, so a nondegenerate
-    # ray i (D - 1 + eq bits) has excess exactly eq, and any `floor` of its
-    # bits have rank at least D - 2.  So a pair (i, j) sharing at least
-    # `floor` constraints is adjacent: they cut out a face of dimension at
-    # most 2 holding both rays, a 2-face, and a 2-face has exactly two
-    # extreme rays.  With fewer it is not, for adjacent rays share
-    # constraints of rank D - 2 and excess at least eq.  The same count keeps
-    # `_adjacent`'s popcount a necessary condition; its third-ray test does
-    # not read `floor`.
-    #
-    # Two nondegenerate rays cannot share all their bits (those cut out the
-    # ray i alone), so they are adjacent exactly when they share a ridge,
-    # one ray's mask less one bit: a dict lookup, with no scan.  Removing a
-    # pair bit gives no false ridge, for every mask holds that bit.  A ridge
-    # lies in exactly two extreme rays, so when two negative rays share one
-    # no positive ray has it, and keeping either j is harmless.
-    #
-    # Pairs whose lines are linearly dependent, and a lineality space that
-    # no +/-v pair among the constraints spans, only raise the excess: fewer
-    # rays count as nondegenerate, and the popcount stays necessary.
+    # ray i (D - 1 + e bits) has excess exactly e, and any `floor` of its
+    # bits have rank at least D - 2.  Two nondegenerate rays cannot share all
+    # their bits (those cut out the ray i alone).  Sharing `floor` of them,
+    # they cut out a face of dimension at most 2 holding both rays, a 2-face,
+    # which has exactly two extreme rays.  So they are adjacent exactly when
+    # they share a ridge, one ray's mask less one bit: a dict lookup, with no
+    # scan.  Removing a bit of T gives no false ridge, for every mask holds
+    # that bit.  A ridge lies in exactly two extreme rays, so when two
+    # negative rays share one no positive ray has it, and keeping either j
+    # is harmless.
     ridges = {}
     for j in neg_nd:
         m = rest = masks[j]
@@ -193,14 +179,8 @@ def _pairs(
                 yield i, j
             rest ^= low
 
-    # One nondegenerate ray: the popcount alone decides.
-    for i, js in [(i, neg_dg) for i in pos_nd] + [(i, neg_nd) for i in pos_dg]:
-        mi = masks[i]
-        for j in js:
-            if (mi & masks[j]).bit_count() >= floor:
-                yield i, j
-
-    yield from _adjacent(masks, ((i, neg_dg) for i in pos_dg), floor)
+    pairs = [(i, neg_dg) for i in pos_nd] + [(i, neg) for i in pos_dg]
+    yield from _adjacent(masks, pairs, floor)
 
 
 def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, int]]]:
@@ -216,8 +196,7 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
     ]
     rays: list[IVec] = []
     masks: list[int] = []  # per ray, the bitmask of its tight constraints
-    present = set(cons)
-    eq = 0  # processed constraints whose negation came earlier: +/-v pairs, once each
+    excess = {0: 0}  # per mask of constraints, its size less its rank
 
     for idx, a in enumerate(cons):
         bit = 1 << idx
@@ -251,22 +230,25 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
             (v, m | bit if s == 0 else m)
             for v, m, s in zip(rays, masks, scores) if s >= 0
         ]
-        for i, j in _pairs(masks, pos, neg, dim - len(lin) - 2 + eq):
-            sp, sq, p, q = scores[i], scores[j], rays[i], rays[j]
-            # sp > 0 > sq: w is a positive combination of p and q, not zero.
-            w = [sp * x - sq * y for x, y in zip(q, p)]
-            g = gcd(*w)
-            v2 = tuple(w) if g == 1 else tuple([x // g for x in w])
-            new_rays.append((v2, (masks[i] & masks[j]) | bit))
+        if pos and neg:
+            # The constraints every ray is tight on: only an elimination
+            # gives their rank.
+            t = reduce(and_, masks)
+            if t not in excess:
+                tight = [c for k, c in enumerate(cons) if t >> k & 1]
+                excess[t] = len(tight) - len(rref(tight)[1])
+            for i, j in _pairs(masks, pos, neg, dim - len(lin) - 2 + excess[t]):
+                sp, sq, p, q = scores[i], scores[j], rays[i], rays[j]
+                # sp > 0 > sq: w is a positive combination of p and q, not zero.
+                w = [sp * x - sq * y for x, y in zip(q, p)]
+                g = gcd(*w)
+                v2 = tuple(w) if g == 1 else tuple([x // g for x in w])
+                new_rays.append((v2, (masks[i] & masks[j]) | bit))
         # Each new ray lies in the relative interior of its own 2-face, so
         # it equals no other ray: the rays stay distinct and sort by value.
         new_rays.sort()
         rays = [v for v, _ in new_rays]
         masks = [m for _, m in new_rays]
-        # The later constraint of a +/-v pair never pivots: the earlier one
-        # left every lineality vector orthogonal to it.
-        na = tuple([-x for x in a])
-        eq += na < a and na in present
 
     return _canonical_lineality(lin), list(zip(rays, masks))
 

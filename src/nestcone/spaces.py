@@ -112,8 +112,9 @@ def k3(g: int) -> SurfaceModel:
 
 def surface_model(kind: str, *, genus: int | None = None) -> SurfaceModel:
     """Build a surface lattice from a textual kind: 'p2', 'p1xp1' (basis H1,
-    H2), 'f<i>' (the Hirzebruch surface F_i, basis H, F; so 'f0' is F_0, the
-    lattice of 'p1xp1' under other names), or 'k3' with genus=...."""
+    H2), 'f<i>' (the Hirzebruch surface F_i, basis H, F, i in ASCII digits;
+    so 'f0' is F_0, the lattice of 'p1xp1' under other names), or 'k3' with
+    genus=...."""
     kind = kind.lower()
     if kind == "p2":
         return p2()
@@ -123,8 +124,9 @@ def surface_model(kind: str, *, genus: int | None = None) -> SurfaceModel:
         if genus is None:
             raise InvalidGenus("k3 requires a genus")
         return k3(genus)
-    if kind.startswith("f") and kind[1:].isdigit():
-        return hirzebruch(int(kind[1:]))
+    index = kind[1:]
+    if kind.startswith("f") and index.isascii() and index.isdigit():
+        return hirzebruch(int(index))
     raise UnknownSurface(f"unknown surface kind {kind!r} (use p2, p1xp1, f<i>, k3)")
 
 

@@ -16,7 +16,6 @@
 """
 
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -30,6 +29,8 @@ from .spaces import (
     SurfaceModel,
     divisor,
     divisor_rank,
+    hirzebruch,
+    p1xp1,
     pull_b,
     pull_res,
     surface_divisor,
@@ -77,6 +78,8 @@ class ButlerInput(_ButlerFields):
     fiber F (A.F = a) and the section of self-intersection -i (A.E = b).
     """
 
+    __slots__ = ()
+
     def __new__(cls, i: int, a: int, b: int, n: int, k_range: tuple[int, int] = (1, 5)):
         if i < 0:
             raise InvalidInput(f"Hirzebruch index must be >= 0, got {i}")
@@ -91,15 +94,26 @@ class ButlerInput(_ButlerFields):
             raise InvalidInput(f"k_range must be an inclusive range >= 1, got {k_range}")
         return super().__new__(cls, i, a, b, n, (lo, hi))
 
-    @cached_property
+    @classmethod
+    def _make(cls, iterable) -> "ButlerInput":
+        """The input from its five fields, checked like the constructor;
+        `_replace` builds through here too."""
+        return cls(*iterable)
+
+    @property
     def surface(self) -> SurfaceModel:
-        return butler_table(self.i).surface
+        return _surface(self.i)
+
+
+def _surface(i: int) -> SurfaceModel:
+    """The surface of `butler_table(i)`, read without building the table."""
+    return p1xp1() if i == 0 else hirzebruch(i)
 
 
 def half_b_a(i: int) -> tuple[DivClass, DivClass]:
     """Both sides of the exact identity (H+F)^b + (H+F)^diff - D^a_{1,1}
     = (1/2)B^a on F_i^[2,1] (B^a = pull_a of the full nonreduced locus)."""
-    s = butler_table(i).surface
+    s = _surface(i)
     sp = univ(2)
     hf = surface_divisor(s, (1, 1))
     lhs = pull_b(hf, sp) + pull_res(hf, sp) - tautological_a(s, sp, (1, 1))

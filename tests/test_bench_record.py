@@ -1,5 +1,6 @@
 """`scripts/bench_record.py` summaries: quartiles, pairs won and the A/A
-spread carried into every metric of a parent/change record."""
+spread carried into every metric of a parent/change record, and the exact
+per-layer counts of its traced runs."""
 
 import importlib.util
 from pathlib import Path
@@ -90,3 +91,25 @@ def test_verdict_unresolved_when_the_parent_spread_is_wider_than_the_bound():
 
 def test_summary_without_bounds_has_no_verdict():
     assert "verdict" not in _B._summary(RUNS, "w", BETTER, {})["ops_per_s"]
+
+
+def _traced(**values):
+    return {name: {"value": v, "unit": "ms" if name.endswith("_ms") else "count"}
+            for name, v in values.items()}
+
+
+def test_layers_compare_the_exact_counts_of_both_sides():
+    parent = _traced(**{"cone.dd.calls": 25, "cone.dd.constraints": 385, "cone.dd.rays_out": 3917,
+                        "linalg.rref.calls": 5, "cone.dd.self_ms": 140.0, "cone.dd.repeat_ratio": 0.1})
+    same = dict(parent, **_traced(**{"cone.dd.self_ms": 160.0, "cone.dd.repeat_ratio": 0.2}))
+    out = _B._layers(parent, same)
+    assert out["parent"] == out["change"] == {
+        "cone.dd.calls": 25, "cone.dd.constraints": 385, "cone.dd.rays_out": 3917,
+        "linalg.rref.calls": 5,
+    }
+    assert out["counts_differ"] == []  # times and ratios are not counts
+    moved = dict(parent, **_traced(**{"linalg.rref.calls": 9, "cone.dd.rays_out": 3916}))
+    assert _B._layers(parent, moved)["counts_differ"] == ["cone.dd.rays_out", "linalg.rref.calls"]
+    # a count that only one side reports differs
+    extra = dict(parent, **_traced(**{"check.calls": 3}))
+    assert _B._layers(parent, extra)["counts_differ"] == ["check.calls"]

@@ -238,6 +238,27 @@ def test_pair_f0_is_hirzebruch(capsys):
     assert (code, err) == (2, "error: unknown surface kind 'f' (use p2, p1xp1, f<i>, k3)\n")
 
 
+@pytest.mark.parametrize("name", ["f\u00b3", "f\u0663", "F\u0663", "f3\u00b3"])
+def test_surface_index_takes_ascii_digits_only(capsys, name):
+    # A superscript three and an Arabic-Indic three are digits to str.isdigit.
+    code, out, err = run(capsys, "pair", "--surface", name, "--space", "hilb", "--n", "3", "H", "A")
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown surface kind {name.lower()!r} (use p2, p1xp1, f<i>, k3)\n"
+
+
+def test_pair_oversized_surface_index_is_usage_error(capsys):
+    # An index of 1000 digits keeps the pairing printable; a longer one is
+    # refused before it is read, also past the interpreter's limit on reading
+    # an integer.
+    argv = ["--space", "hilb", "--n", "3", "9" * 999 + "*H", "9" * 999 + "*C1"]
+    for digits in (1001, 4000, 5000):
+        code, out, err = run(capsys, "pair", "--surface", "f" + "9" * digits, *argv)
+        assert (code, out, err) == (2, "", "usage error: --surface f<i> holds more than 1000 digits\n")
+    code, out, err = run(capsys, "pair", "--surface", "f" + "9" * 1000, *argv)
+    assert (code, err) == (0, "")
+    assert len(out) < 4300
+
+
 def test_usage_error_exit_2(capsys):
     code, _, err = run(capsys, "pair", "--surface", "k3", "--space", "hilb",
                        "--n", "3", "H", "A")

@@ -348,7 +348,9 @@ def test_lineality_eliminates_only_the_full_mask_generators(eliminated_rows):
     gens = [r + (0,) for r in moment_rays(6, 3)] + [line, tuple(-x for x in line)]
     c = cone_from_rays(5, gens)
     assert c.lineality_dim == 1
-    assert sorted(eliminated_rows) == sorted([line, tuple(-x for x in line)])
+    # The DD ranks the constraints tight on every ray, {line, -line}, once,
+    # and the lineality basis eliminates the full-mask generators.
+    assert set(eliminated_rows) == {line, tuple(-x for x in line)}
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +548,9 @@ def degenerate_cones(draw):
     """A cone in dimension 2..6 from small entries, with degenerate inputs
     drawn on purpose: several generators on the facet x_1 = 0 of the half
     space x_1 >= 0, repeated directions (scaled copies), +/-v lineality
-    pairs; dimension 2 gives floor 0."""
+    pairs, and a lineality space spanned by u_1, ..., u_k and their
+    negated sum, k = 2 or 3, with no +/-v pair (a plane spanned by u, v and
+    -u-v for k = 2); dimension 2 gives floor 0."""
     d = draw(st.integers(2, 6))
     vec = st.tuples(*[_SMALL] * d)
     rays = draw(st.lists(vec, min_size=1, max_size=8))
@@ -557,6 +561,9 @@ def degenerate_cones(draw):
         rays.append(tuple(2 * x for x in r))
     for line in draw(st.lists(vec, max_size=2)):
         rays += [line, tuple(-x for x in line)]
+    if draw(st.booleans()):
+        span = draw(st.lists(vec, min_size=2, max_size=3))
+        rays += span + [tuple(-sum(col) for col in zip(*span))]
     assume(any(any(r) for r in rays))
     return d, rays
 
@@ -574,10 +581,11 @@ def test_pairs_match_the_third_ray_test(case):
 
 def test_pairs_of_a_nondegenerate_dd_run_no_third_ray_test(monkeypatch):
     """Every ray of the DD over C(16, 8)'s rays is nondegenerate at every
-    step, so no bit-matrix transpose is built.  A line given as a +/-v pair
-    of generators counts once, so C(12, 6) x line runs no third-ray test
-    either; a plane spanned by three generators with no +/-v pair among
-    them makes every ray degenerate, and the third-ray test still runs."""
+    step, so no bit-matrix transpose is built.  Constraints tight on every
+    ray count by their excess, so neither C(12, 6) x a line given as a +/-v
+    pair of generators, nor C(12, 6) x a plane or a 3-space spanned by three
+    or four generators with no +/-v pair among them, runs a third-ray
+    test."""
     transposes, third_ray = [], []
     real_transpose, real_adjacent = cone_module._transpose, cone_module._adjacent
     monkeypatch.setattr(
@@ -602,7 +610,13 @@ def test_pairs_of_a_nondegenerate_dd_run_no_third_ray_test(monkeypatch):
     plane = [zero + (1, 0), zero + (0, 1), zero + (-1, -1)]
     gens = [r + (0, 0) for r in moment_rays(12, 6)] + plane
     assert len(dual(cone_from_rays(9, gens)).rays) == ubt_facets(12, 6)
-    assert transposes and third_ray
+    assert transposes == [] and third_ray == []
+
+    # Three dimensions spanned by four generators: excess 1, not 2.
+    space = [zero + (1, 0, 0), zero + (0, 1, 0), zero + (0, 0, 1), zero + (-1, -1, -1)]
+    gens = [r + (0, 0, 0) for r in moment_rays(12, 6)] + space
+    assert len(dual(cone_from_rays(10, gens)).rays) == ubt_facets(12, 6)
+    assert transposes == [] and third_ray == []
 
 
 def test_a_pm_v_pair_counts_from_its_later_constraint():

@@ -1,6 +1,8 @@
 """The cone engine against the brute-force oracle of `brute_cone`, which
 shares no code with it: duals, lineality, extremal rays and cross-section
-edges of pointed, lower-dimensional and non-pointed cones in dimension <= 5."""
+edges of pointed, lower-dimensional and non-pointed cones in dimension <= 5,
+the non-pointed ones with lines given as +/-v pairs or a lineality space
+given by k + 1 generators with no +/-v pair."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +15,14 @@ _ENTRY = st.integers(-4, 4)
 
 @st.composite
 def cones(draw):
-    """A cone in dimension 2..5 of one of three shapes: generators in an
+    """A cone in dimension 2..5 of one of four shapes: generators in an
     open half-space (pointed), generators mapped in from a lower dimension
-    (not full-dimensional), or either of those plus one or two lines
-    (lineality)."""
+    (not full-dimensional), or pointed generators plus one or two lines
+    (lineality) or plus the span of u_1, ..., u_k and their negated sum,
+    k = 2 or 3, with no +/-v pair (span; a plane spanned by u, v and -u-v
+    for k = 2)."""
     d = draw(st.integers(2, 5))
-    shape = draw(st.sampled_from(["pointed", "low", "lineality"]))
+    shape = draw(st.sampled_from(["pointed", "low", "lineality", "span"]))
     k = draw(st.integers(1, d - 1)) if shape == "low" else d
     rays = draw(st.lists(
         st.tuples(st.integers(1, 4), *[_ENTRY] * (k - 1)), min_size=1, max_size=7
@@ -29,6 +33,9 @@ def cones(draw):
     if shape == "lineality":
         for line in draw(st.lists(st.tuples(*[_ENTRY] * d), min_size=1, max_size=2)):
             rays += [line, tuple(-x for x in line)]
+    if shape == "span":
+        span = draw(st.lists(st.tuples(*[_ENTRY] * d), min_size=2, max_size=3))
+        rays += span + [tuple(-sum(col) for col in zip(*span))]
     return d, rays
 
 

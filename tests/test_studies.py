@@ -31,6 +31,15 @@ def test_butler_input_validation():
         nc.ButlerInput(i=1, a=1, b=1, n=3)  # criterion needs n >= 4
     with pytest.raises(InvalidInput):
         nc.ButlerInput(i=1, a=1, b=1, n=4, k_range=(3, 2))
+    # `_make`, and `_replace` through it, check like the constructor.
+    inp = nc.ButlerInput(1, 1, 1, 4)
+    assert inp._replace(n=5) == nc.ButlerInput(1, 1, 1, 5)
+    assert nc.ButlerInput._make([1, 1, 1, 4, [2, 3]]).k_range == (2, 3)
+    with pytest.raises(InvalidInput, match="n >= 4, got 0"):
+        inp._replace(n=0)
+    with pytest.raises(InvalidInput, match="k_range"):
+        nc.ButlerInput._make((1, 1, 1, 4, (5, 2)))
+    assert not hasattr(inp, "__dict__")
     with pytest.raises(InvalidInput):
         nc.butler_class(nc.ButlerInput(i=1, a=1, b=1, n=4), 0)
     with pytest.raises(InvalidInput):
@@ -39,8 +48,8 @@ def test_butler_input_validation():
 
 def test_butler_inputs_compare_by_value(monkeypatch):
     # Equal inputs give equal, equally hashed reports, and each check builds
-    # the nef table twice: once for its functionals, once for the input's
-    # surface, which is cached on the input for every k.
+    # the nef table once, for its functionals; the input's surface is read
+    # without it.
     built = []
     table = butler_table
     monkeypatch.setattr(nestcone.studies, "butler_table", lambda i: built.append(i) or table(i))
@@ -48,8 +57,15 @@ def test_butler_inputs_compare_by_value(monkeypatch):
     assert inp == same and hash(inp) == hash(same) and inp != nc.ButlerInput(1, 1, 1, 5)
     assert repr(inp) == "ButlerInput(i=1, a=1, b=1, n=4, k_range=(1, 5))"
     rep = nc.butler_check(inp)
-    assert built == [1, 1]
+    assert built == [1]
     assert rep == nc.butler_check(same) and hash(rep) == hash(nc.butler_check(same))
+
+
+@pytest.mark.parametrize("i", range(7))
+def test_butler_surface_is_the_tables_surface(i):
+    s = butler_table(i).surface
+    assert nc.ButlerInput(i, 1, 1, 4).surface == s
+    assert all(side.surface == s for side in nc.half_b_a(i))
 
 
 def test_butler_class_k1_coords():
