@@ -69,13 +69,6 @@ class Position:
     INTERIOR = "Interior"
 
 
-def _idot(u: Sequence, v: Sequence):
-    """The dot product of two integer vectors of equal length."""
-    if len(u) != len(v):
-        raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
-    return sum(map(mul, u, v))
-
-
 def _transpose(rows: Sequence[int]) -> list[int]:
     """The bit matrix `rows` read by columns: bit r of column k is bit k of
     row r.  There are as many columns as the widest row has bits."""
@@ -399,11 +392,11 @@ def extremal_rays(c: Cone) -> Cone:
         # A sorted subsequence of c.rays, already in stored form.
         return _adopt(c.dim, tuple(keep))
     basis = c._lineality_basis
-    gram = [[_idot(a, b) for b in basis] for a in basis]
+    gram = [[vdot(a, b) for b in basis] for a in basis]
 
     def project(r: IVec) -> tuple[Rat, ...]:
-        x = solve_unique(gram, [_idot(a, r) for a in basis])
-        return tuple(rj - _idot(x, col) for rj, col in zip(r, zip(*basis)))
+        x = solve_unique(gram, [vdot(a, r) for a in basis])
+        return tuple(rj - vdot(x, col) for rj, col in zip(r, zip(*basis)))
 
     gens = [project(r) for r in keep] + basis + [tuple(-x for x in b) for b in basis]
     return Cone(c.dim, gens)
@@ -431,7 +424,7 @@ def cone_contains(c1: Cone, c2: Cone) -> bool:
     if c1.dim != c2.dim:
         raise DimensionMismatch("cones of different dimensions")
     return all(
-        _idot(f, r) >= 0 for f in c1.facet_normals for r in c2.rays
+        vdot(f, r) >= 0 for f in c1.facet_normals for r in c2.rays
     )
 
 

@@ -109,6 +109,12 @@ def pairing_table(surface: SurfaceModel, space: SpaceId) -> PairingTable:
     )
 
 
+@lru_cache(maxsize=None)
+def _columns(surface: SurfaceModel, space: SpaceId) -> tuple[tuple[Rat, ...], ...]:
+    """The columns of the pairing table, one per divisor basis class."""
+    return tuple(zip(*pairing_table(surface, space).matrix))
+
+
 def pair(d: DivClass, c: CurClass) -> Rat:
     """Intersection number of a divisor class with a curve class."""
     if d.surface != c.surface or d.space != c.space:
@@ -121,8 +127,8 @@ def pair(d: DivClass, c: CurClass) -> Rat:
 def curve_functional(c: CurClass) -> tuple[Rat, ...]:
     """The functional f on divisor coordinates with f . d = pair(d, c): the
     rows of the pairing table weighted by the coordinates of c."""
-    m = pairing_table(c.surface, c.space).matrix
-    return tuple(vdot(c.coords, col) for col in zip(*m))
+    coords = c.coords
+    return tuple([vdot(coords, col) for col in _columns(c.surface, c.space)])
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,18 @@ An exact value in the library is an `int` when it is integral and a
 `fractions.Fraction` only when its denominator is above 1 (`Rat`); nothing
 in the core ever produces a `float`.  `rat`, `ratio` and `vdot` return this
 normal form.  `int` and `Fraction` compare and hash alike, so equal values
-stay equal whichever type holds them.  Rationals serialize to canonical
-"p/q" strings (plain "p" when the denominator is 1), and every JSON
-document the library prints goes through `canonical_json`.
+stay equal whichever type holds them.  Almost every pairing multiplies two
+all-`int` vectors, so `vdot` sums the products in C and only normalizes a
+`Fraction` result.  Rationals serialize to canonical "p/q" strings (plain
+"p" when the denominator is 1), and every JSON document the library prints
+goes through `canonical_json`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 __all__ = (
@@ -64,18 +67,15 @@ def canonical_json(doc) -> str:
 
 def vdot(u: Sequence, v: Sequence) -> Rat:
     """Dot product of ints or Fractions in normal form (an `int` when
-    integral, else a `Fraction`), skipping zero terms.
+    integral, else a `Fraction`).
 
-    The sum is kept as one integer numerator over one integer denominator,
-    built from each factor's `numerator`/`denominator`, and divided once at
-    the end; no intermediate Fraction is made.  Vectors of unequal length
-    raise ValueError."""
-    n, d = 0, 1
-    for a, b in zip(u, v, strict=True):
-        if a and b:
-            q = a.denominator * b.denominator
-            n, d = n * q + a.numerator * b.numerator * d, d * q
-    return ratio(n, d)
+    The products are summed by `sum(map(mul, u, v))`, in C: all-`int`
+    vectors never leave `int`, and a `Fraction` sum with denominator 1 is
+    returned as its numerator.  Vectors of unequal length raise ValueError."""
+    if len(u) != len(v):
+        raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
+    s = sum(map(mul, u, v))
+    return s.numerator if type(s) is not int and s.denominator == 1 else s
 
 
 def primitive(u: Sequence) -> tuple[int, ...]:

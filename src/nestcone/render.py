@@ -14,11 +14,16 @@ from .cone import CrossSection
 from .rationals import rat_str
 
 
-def _fixed(q: Fraction, places: int = 4) -> str:
-    """Exact fixed-point decimal string of a rational (round half away from
-    zero), without floating point."""
+_SIZE = 360  # the SVG's width and height
+_MARGIN = 40
+_PLACES = 4  # decimal places of every coordinate written
+
+
+def _fixed(q: Fraction) -> str:
+    """Exact fixed-point decimal string of a rational with `_PLACES`
+    decimals (round half away from zero), without floating point."""
     q = Fraction(q)
-    scale = 10 ** places
+    scale = 10 ** _PLACES
     num = q.numerator * scale * 2
     den = q.denominator * 2
     half = den // 2
@@ -29,7 +34,7 @@ def _fixed(q: Fraction, places: int = 4) -> str:
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     whole, frac = divmod(scaled, scale)
-    text = f"{sign}{whole}.{frac:0{places}d}".rstrip("0").rstrip(".")
+    text = f"{sign}{whole}.{frac:0{_PLACES}d}".rstrip("0").rstrip(".")
     return text if text not in ("", "-") else "0"
 
 
@@ -57,10 +62,6 @@ def _project(u, v, vertices) -> list[tuple[Fraction, Fraction]]:
         (sum(a * x for a, x in zip(u, vert)), sum(a * x for a, x in zip(v, vert)))
         for vert in vertices
     ]
-
-
-_SIZE = 360  # the SVG's width and height
-_MARGIN = 40
 
 
 def _layout(cs: CrossSection):

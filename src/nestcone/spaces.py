@@ -21,9 +21,10 @@ pairing table and every pull and push map are read from them.  All
 serialization uses these labels.
 """
 
+from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 from .errors import InvalidGenus, InvalidIndex, RangeError, SpaceMismatch, UnknownSurface
 from .rationals import Rat, canonical_json, rat, rat_str
@@ -269,12 +270,13 @@ class _BaseClass:
     layout_table: _LayoutTable  # set by DivClass and CurClass
 
     def __init__(self, surface: SurfaceModel, space: SpaceId, coords: Sequence) -> None:
-        coords = tuple(rat(c) for c in coords)
+        coords = tuple(map(rat, coords))
         expected = len(layout(surface, space, self.layout_table)[0])
         if len(coords) != expected:
             raise SpaceMismatch(f"expected {expected} coordinates, got {len(coords)}")
-        for name, value in zip(_BaseClass.__slots__, (surface, space, coords)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -371,7 +373,7 @@ def zero_curve(surface: SurfaceModel, space: SpaceId) -> CurClass:
 
 
 def _unit(dim: int, i: int) -> tuple[Rat, ...]:
-    return tuple(1 if j == i else 0 for j in range(dim))
+    return (0,) * i + (1,) + (0,) * (dim - i - 1)
 
 
 def _basis_unit(cls, what: str, surface, space, label: str):

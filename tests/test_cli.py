@@ -699,8 +699,8 @@ def test_fixed_point_formatter():
     assert _fixed(Fraction(-1, 3)) == "-0.3333"
     assert _fixed(Fraction(1, 2)) == "0.5"
     assert _fixed(Fraction(0)) == "0"
-    assert _fixed(Fraction(25, 2), places=0) == "13"  # round half away from zero
-    assert _fixed(Fraction(-25, 2), places=0) == "-13"
+    assert _fixed(Fraction(1, 800)) == "0.0013"  # 0.00125: round half away from zero
+    assert _fixed(Fraction(-1, 800)) == "-0.0013"
     assert _fixed(Fraction(7)) == "7"
 
 

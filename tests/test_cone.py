@@ -17,7 +17,6 @@ from nestcone.cone import (
     Position,
     _adjacent,
     _extremal,
-    _idot,
     _pairs,
     _transpose,
     cone_contains,
@@ -35,6 +34,7 @@ from nestcone.errors import (
     FunctionalNotPositive,
     NotPointed,
 )
+from nestcone.linalg import rref
 
 
 def F(x):
@@ -69,12 +69,6 @@ def test_dimension_mismatch():
     c = cone_from_rays(2, [(1, 0)])
     with pytest.raises(DimensionMismatch):
         position(c, (1, 0, 0))
-
-
-def test_idot_rejects_unequal_lengths():
-    assert _idot((1, 2, 3), (4, 5, 6)) == 32
-    with pytest.raises(ValueError):
-        _idot((1, 2), (1, 2, 3))
 
 
 def test_dual_of_halfplane():
@@ -577,6 +571,65 @@ def test_pairs_match_the_third_ray_test(case):
     for masks, pos, neg, floor in dd_steps(Cone(d, rays)):
         want = set(_adjacent(masks, ((i, neg) for i in pos), floor))
         assert set(_pairs(masks, pos, neg, floor)) == want
+
+
+def pair_steps(cons, dim):
+    """The pair steps of `_dd(cons, dim)`: per step, the constraints processed
+    before it and the masks, pos, neg and pairs of its `_pairs` call.  The
+    DD of cons[:k + 1] repeats the first k steps of the DD of cons, so
+    constraint k makes a pair step exactly when that DD calls `_pairs` once
+    more than the DD of cons[:k]."""
+    calls = []
+    real = cone_module._pairs
+
+    def recorded(masks, pos, neg, floor):
+        pairs = list(real(masks, pos, neg, floor))
+        calls.append((list(masks), list(pos), list(neg), pairs))
+        return iter(pairs)
+
+    steps, before = [], 0
+    with mock.patch.object(cone_module, "_pairs", recorded):
+        for k in range(len(cons)):
+            calls.clear()
+            cone_module._dd(cons[:k + 1], dim)
+            if len(calls) > before:
+                steps.append((cons[:k], *calls[-1]))
+            before = len(calls)
+    return steps
+
+
+@st.composite
+def circuits_first(draw):
+    """A cone in dimension 4..6 over u_1, ..., u_k and their negated sum,
+    k = 3 .. d - 1, all with x_1 = 0, and over rays with x_1 > 0.  Its DD
+    takes the u's and their sum first, and from then on every ray is tight
+    on those k + 1 constraints, whose excess is 1 (not (k + 1) // 2)."""
+    d = draw(st.integers(4, 6))
+    span = draw(st.lists(st.tuples(st.just(0), *[_SMALL] * (d - 1)), min_size=3, max_size=d - 1))
+    rays = draw(st.lists(st.tuples(st.integers(1, 2), *[_SMALL] * (d - 1)), min_size=2, max_size=6))
+    return d, span + [tuple(-sum(col) for col in zip(*span))] + rays
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(degenerate_cones(), circuits_first()))
+def test_pairs_are_the_adjacent_pairs_of_the_intermediate_cone(case):
+    """At every pair step of the DD over c's rays and over dual(c)'s rays,
+    `_pairs` returns exactly the adjacent pairs of the cone cut out by the
+    constraints processed so far: the pairs (i, j) in pos x neg whose common
+    tight constraints have rank D - 2, D the rank of the processed
+    constraints (the dimension less the lineality).  The ranks come from
+    `linalg.rref`, so the floor `_dd` derives is tested, not assumed."""
+    d, rays = case
+    c = Cone(d, rays)
+    for cons in (c.rays, dual(c).rays):
+        for done, masks, pos, neg, got in pair_steps(cons, d):
+
+            def rank(bits):
+                return len(rref([a for k, a in enumerate(done) if bits >> k & 1])[1])
+
+            top = rank((1 << len(done)) - 1)
+            want = [(i, j) for i in pos for j in neg if rank(masks[i] & masks[j]) == top - 2]
+            assert sorted(got) == want
 
 
 def test_pairs_of_a_nondegenerate_dd_run_no_third_ray_test(monkeypatch):
