@@ -32,7 +32,6 @@ from .spaces import (
     DivClass,
     SurfaceModel,
     SpaceId,
-    _BaseClass,
     curve,
     divisor,
     hilb,
@@ -168,7 +167,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.next()
             w = self.term()
-            if isinstance(v, _BaseClass) != isinstance(w, _BaseClass):
+            if isinstance(v, (DivClass, CurClass)) != isinstance(w, (DivClass, CurClass)):
                 raise ParseError("cannot add a bare number to a class", op.offset)
             v = v + w if op.kind == "+" else v - w
         return v
@@ -178,7 +177,7 @@ class _Parser:
         while self.peek().kind == "*":
             op = self.next()
             w = self.factor()
-            if isinstance(v, _BaseClass) and isinstance(w, _BaseClass):
+            if isinstance(v, (DivClass, CurClass)) and isinstance(w, (DivClass, CurClass)):
                 raise ParseError("at most one class per product", op.offset)
             v = v * w
         return v
@@ -216,7 +215,7 @@ def _parse_class(src: str, surface: SurfaceModel, space: SpaceId, unit, zero, wh
         v = _Parser(src, resolve).parse()
     except ParseError as e:
         raise ParseError(e.message, len(src[:e.offset].encode("utf-8"))) from e.__cause__
-    if not isinstance(v, _BaseClass):
+    if not isinstance(v, (DivClass, CurClass)):
         if v == 0:
             return zero(surface, space)
         raise ParseError(f"expression is a bare number, not a {what} class", 0)

@@ -25,9 +25,6 @@ reasonably fast for the dimensions used here (<= 8).
   no elimination over facet normals.
 * Cross-section edges are the adjacent pairs among the extremal rays, by
   the same combinatorial test on their tight-facet bitmasks.
-* A full-dimensional cone's DD finds no lineality space
-  (`is_full_dimensional`), and then `facet_normals` are the extreme rays
-  of the pointed dual: questions about dual(W) read them off W's one DD.
 * `dual` adopts `facet_normals` as its rays, and `extremal_rays` of a
   pointed cone its extremal generators: both are already sorted, distinct
   and primitive, so neither goes back through `Cone.__init__`.
@@ -312,13 +309,6 @@ class Cone:
         lin, rays = self._dual_parts
         gens = [v for v, _ in rays] + lin + [tuple(-x for x in l) for l in lin]
         return tuple(sorted(gens))
-
-    @property
-    def is_full_dimensional(self) -> bool:
-        """Whether the cone spans the space: the DD of its dual finds no
-        lineality space, so the dual is pointed and `facet_normals` are
-        exactly the dual's extreme rays."""
-        return not self._dual_parts[0]
 
     @cached_property
     def _full_mask(self) -> int:

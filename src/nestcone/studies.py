@@ -23,12 +23,12 @@ from typing import NamedTuple, Sequence
 from .cone import Cone, IVec, Position, cone_from_rays, dual
 from .errors import FunctionalNotPositive, InvalidInput, NotPointed, RangeError
 from .linalg import rref
+from .pairing import curve_functional
 from .rationals import Rat, canonical_json, primitive, rat, rat_str, ratio, vdot
 from .spaces import (
     DivClass,
     SurfaceModel,
     divisor,
-    divisor_rank,
     hirzebruch,
     p1xp1,
     pull_b,
@@ -37,7 +37,7 @@ from .spaces import (
     tautological_a,
     univ,
 )
-from .verify import TableInputs, _pair_all, diagonal_failure, table_inputs
+from .verify import TableInputs, certify_nef, diagonal_failure, table_inputs
 
 __all__ = (
     "ORDER_B", "ORDER_RES", "butler_table", "ButlerInput", "half_b_a", "butler_class",
@@ -206,23 +206,23 @@ class ButlerReport(NamedTuple):
 
 def butler_check(inp: ButlerInput, ordering: str = ORDER_B) -> ButlerReport:
     """Per-k position of F_k - K in the nef cone of F_i^[2,1], with the
-    coefficient vector on the five spanning rays: the table's witness
-    functionals w_j obey the diagonal rule, so the coefficient on ray j is
-    (w_j . x) / D_jj, signed like x on the facet w_j."""
+    coefficient vector on the five spanning rays: the table's nef
+    certificate holds, so its witness functionals w_j and rays obey the
+    diagonal rule, and the coefficient on ray j is (w_j . x) / D_jj, signed
+    like x on the facet w_j."""
     table = butler_table(inp.i)
-    functionals, matrix = _pair_all([w.cls for w in table.witnesses], [r.cls for r in table.rays])
-    cell = diagonal_failure(matrix, divisor_rank(table.surface, table.space))
-    if cell:
-        raise InvalidInput(f"the nef table of F_{inp.i}^[2,1] fails the diagonal rule at {cell}")
-    labels = tuple(r.label for r in table.rays)
+    cert = certify_nef(table.surface, table.space, table.rays, table.witnesses)
+    if not cert.ok:
+        raise InvalidInput(f"the nef table of F_{inp.i}^[2,1] is not certified: {cert.verdict}")
+    functionals = [curve_functional(w) for w in cert.witnesses]
     steps = []
     for k in range(inp.k_range[0], inp.k_range[1] + 1):
         cls = butler_class(inp, k, ordering)
         coeffs = tuple(rat(Fraction(vdot(f, cls.coords), row[j]))
-                       for j, (f, row) in enumerate(zip(functionals, matrix)))
+                       for j, (f, row) in enumerate(zip(functionals, cert.matrix)))
         low = min(coeffs)
         where = Position.OUTSIDE if low < 0 else Position.BOUNDARY if low == 0 else Position.INTERIOR
-        steps.append(ButlerStep(k, cls.coords, labels, coeffs, where))
+        steps.append(ButlerStep(k, cls.coords, cert.ray_labels, coeffs, where))
     return ButlerReport(inp, ordering, tuple(steps))
 
 

@@ -9,11 +9,10 @@ Two kinds of certificates are produced:
 * ``EffMoving`` - a claimed pseudoeffective cone is certified against moving
   curves: all pairings non-negative and cone(rays) equal to the dual of the
   moving-curve functionals, decided by the double-description engine (the
-  only certificate that runs it).  One DD, over the functionals, decides
-  when they span the lattice: the identity then holds exactly when every
-  extreme ray of their dual is one of the rays.  When their dual has a
-  lineality space, a second DD, over the rays, tests that the dual lies in
-  cone(rays).
+  only certificate that runs it).  The identity holds exactly when every
+  generator of their dual, read off one DD over the functionals, lies in
+  cone(rays); a generator that is one of the rays needs no more, and only
+  when one is not does a second DD, over the rays, test it.
 
 Whether an individual ray really is nef/effective (and whether a curve
 really moves) is geometric input, not something a lattice computation can
@@ -34,7 +33,7 @@ the table's one section from ``Certificate.matrix``, so no cell is paired
 twice.  Each witness's functional is computed once; every cell is a dot
 product with it, and the dual-cone check reads the same functionals.  The
 same inputs give cross-sections the table's cone (``TableInputs.cone``) and
-the Butler study its pairing matrix.
+the Butler study its nef certificate.
 
 The catalog reproduces reference intersection tables cell by cell.  Legacy
 labels (H_1, B_1, D_{1,1}, C_{2,1,1}, ...) are translated to canonical
@@ -221,8 +220,9 @@ def diagonal_failure(matrix: Sequence[Sequence[Rat]], rank: int) -> tuple[int, i
 
 
 def _certify(kind: str, inp: TableInputs) -> Certificate:
-    """The certificate of `kind` for `inp`; NefDual is decided by the
-    diagonal rule on its matrix alone."""
+    """The certificate of `kind` for `inp`: NefDual is decided by the
+    diagonal rule on its matrix alone, EffMoving by whether cone(rays)
+    holds every generator of the dual of the witness functionals."""
     surface, space, rays, witnesses, _ = inp
     for x in (*rays, *witnesses):
         if (x.cls.surface, x.cls.space) != (surface, space):
@@ -230,39 +230,34 @@ def _certify(kind: str, inp: TableInputs) -> Certificate:
     functionals, matrix = _pair_all([w.cls for w in witnesses], [r.cls for r in rays])
     negative = next(((x, w, r) for w, row in zip(witnesses, matrix)
                      for r, x in zip(rays, row) if x < 0), None)
-    cell = diagonal_failure(matrix, divisor_rank(surface, space)) if kind == NEF_DUAL else None
+    larger = "failed: dual cone strictly larger than the span of the rays"
     if negative:
         x, w, r = negative
         verdict = f"failed: negative pairing {rat_str(x)} between witness {w.label} and ray {r.label}"
-    elif cell and len(rays) != len(witnesses):
+    elif kind == EFF_MOVING:
+        # No pairing is negative, so cone(R) lies in dual(W), W the
+        # moving-curve functionals: the identity holds exactly when every
+        # generator of dual(W), read off W's one DD, lies in cone(R).  The
+        # quick test, that each is a ray of cone(R), is complete when
+        # dual(W) is pointed: if it equals cone(R), each of its extreme rays
+        # is a positive multiple of a ray of cone(R), and equal to it, both
+        # being primitive.  Only a dual with a lineality space, or a failing
+        # certificate, runs a second DD, over R.
+        ray_cone = inp.cone
+        dual_w = dual(cone_from_rays(ray_cone.dim, functionals))
+        holds = set(dual_w.rays) <= set(ray_cone.rays) or cone_contains(ray_cone, dual_w)
+        verdict = CERTIFIED if holds else larger
+    elif (cell := diagonal_failure(matrix, divisor_rank(surface, space))) is None:
+        verdict = CERTIFIED
+    elif len(rays) != len(witnesses):
         verdict = "failed: matrix not diagonal-compatible (not square)"
-    elif cell and cell[0] < len(witnesses):
+    elif cell[0] < len(witnesses):
         w, r = witnesses[cell[0]], rays[cell[1]]
         verdict = f"failed: matrix not diagonal-compatible at ({w.label}, {r.label})"
+    elif not rays:
+        raise EmptyInput("a cone needs at least one nonzero generator")
     else:
-        if kind == NEF_DUAL:
-            if not rays:
-                raise EmptyInput("a cone needs at least one nonzero generator")
-            holds = cell is None
-        else:
-            # No pairing is negative, so cone(R) already lies in dual(W), W
-            # the moving-curve functionals: the identity holds exactly when
-            # dual(W) lies in cone(R).
-            ray_cone = inp.cone
-            moving = cone_from_rays(ray_cone.dim, functionals)
-            if moving.is_full_dimensional:
-                # dual(W) is pointed, and W's DD returns its extreme rays,
-                # primitive like cone(R)'s.  If each is a ray of cone(R),
-                # dual(W), the cone they span, lies in cone(R).  Conversely,
-                # if cone(R) = dual(W), an extreme ray e of dual(W) is a sum
-                # of rays r of cone(R) with positive weights; each r lies in
-                # dual(W) and e is extreme, so each r is a positive multiple
-                # of e, and equal to it, both being primitive.  One DD, over
-                # W, decides.
-                holds = set(moving.facet_normals) <= set(ray_cone.rays)
-            else:
-                holds = cone_contains(ray_cone, dual(moving))
-        verdict = CERTIFIED if holds else "failed: dual cone strictly larger than the span of the rays"
+        verdict = larger
     return Certificate(
         kind=kind,
         surface=surface.key,

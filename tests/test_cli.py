@@ -338,6 +338,7 @@ def _quoted(ids) -> str:
         (("pair", "--space", "foo", "H", "A"),
          "unknown space 'foo' (use hilb, nested, univ, surface)"),
         (("pair", "--space", "surface", "--n", "3", "H", "A"), "--space surface takes no --n"),
+        (("asymptotic", "--k-max", "1"), "k_max must be >= 2, got 1"),
     ],
 )
 def test_usage_errors(capsys, argv, message):
@@ -776,7 +777,14 @@ def test_closed_stdout_is_no_error_when_nothing_is_written(tmp_path):
 
 
 def test_ctrl_c_exits_130():
-    proc = _spawn(["asymptotic", "--k-max", "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # The child restores SIGINT's default, so the test holds also when the
+    # suite runs with SIGINT ignored (as a background job does).
+    proc = _spawn(
+        ["asymptotic", "--k-max", "100000"],
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
     try:
         time.sleep(1.5)  # well past the import: the study runs for hours
         proc.send_signal(signal.SIGINT)

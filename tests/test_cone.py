@@ -69,6 +69,12 @@ def test_dimension_mismatch():
     c = cone_from_rays(2, [(1, 0)])
     with pytest.raises(DimensionMismatch):
         position(c, (1, 0, 0))
+    with pytest.raises(DimensionMismatch, match="^cone dimension must be positive$"):
+        Cone(0, [])
+    with pytest.raises(DimensionMismatch, match="^cones of different dimensions$"):
+        cone_contains(c, cone_from_rays(3, [(1, 0, 0)]))
+    with pytest.raises(DimensionMismatch, match="^normalizing functional has wrong length$"):
+        cross_section(c, (1, 1, 1))
 
 
 def test_dual_of_halfplane():

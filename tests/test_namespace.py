@@ -2,6 +2,7 @@
 library modules declare in `__all__`, lazily, and importing one module
 loads only what it imports."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -157,3 +158,17 @@ def test_cli_import_defers_the_output_modules():
         "print([m for m in ('json', 'csv', 'shutil') if m in sys.modules])"
     )
     assert _python(code, "-S") == "[]\n"
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # A name with a leading underscore belongs to its module: a sibling that
+    # needs it should use a public name instead.
+    borrowed = [
+        f"{path.name}:{node.lineno} imports {alias.name} from .{node.module}"
+        for path in sorted(Path(nc.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert borrowed == []

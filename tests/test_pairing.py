@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestcone as nc
-from nestcone.errors import Inconsistent, NotK3, RangeError, UnderDetermined
+from nestcone.errors import Inconsistent, NotK3, RangeError, SpaceMismatch, UnderDetermined
 from nestcone.linalg import solve_unique
 
 
@@ -77,6 +77,12 @@ def test_pairing_rules_univ():
     assert nc.pair(hd, ca) == 1 and nc.pair(hb, ca) == 0 and nc.pair(b2, ca) == 0
     assert nc.pair(hd, cb) == 0 and nc.pair(hb, cb) == 1 and nc.pair(b2, cb) == 0
     assert nc.pair(hd, aa) == 0 and nc.pair(hb, aa) == 0 and nc.pair(b2, aa) == -1
+
+
+def test_pair_requires_classes_on_one_space():
+    s = nc.p2()
+    with pytest.raises(SpaceMismatch, match="same space: hilb\\(3\\) vs hilb\\(2\\)"):
+        nc.pair(nc.divisor(s, nc.hilb(3), "H"), nc.curve(s, nc.hilb(2), "A"))
 
 
 def test_pairing_gram_coupling_p1xp1():
@@ -243,6 +249,10 @@ def test_k3_nodal_validation():
         nc.nodal_curves_k3(nc.p2(), nc.nested(4))
     with pytest.raises(RangeError):
         nc.nodal_curves_k3(nc.k3(3), nc.nested(3))  # needs n > g
+    with pytest.raises(SpaceMismatch, match="not surface"):
+        nc.nodal_curves_k3(nc.k3(3), nc.surface_space())
+    with pytest.raises(SpaceMismatch, match="lives on Hilbert schemes"):
+        nc.g1n_curve(nc.k3(3), nc.nested(4))
 
 
 def test_k3_extremal_slope():

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nestcone.cone import Cone, cone_from_rays
+from nestcone.linalg import rref, solve_unique
 from nestcone.rationals import primitive, rat, rat_str, vdot
 
 # Ints and Fractions mixed: zeros, negatives and values far beyond 64 bits.
@@ -60,6 +63,25 @@ def test_rat_returns_the_normal_form(q, n, d):
 def test_rat_rejects_bool_and_float(x):
     with pytest.raises(TypeError):
         rat(x)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Cone(2, [(0.1, 1)]),
+        lambda: cone_from_rays(2, [(1, Fraction(1, 2)), (0.5, 1)]),
+        lambda: rref([[0.5, 1]]),
+        lambda: solve_unique([[1, 0], [0, 1]], [Fraction(1, 3), 0.25]),
+        lambda: primitive((Decimal("0.5"), 1)),
+    ],
+    ids=["Cone", "cone_from_rays", "rref", "solve_unique", "primitive-Decimal"],
+)
+def test_vectors_with_a_float_get_rats_error(build):
+    # `primitive` reads an entry that is neither int nor Fraction with
+    # `rat`, so the cone engine and the eliminations refuse a float (and a
+    # Decimal) as `rat` does.
+    with pytest.raises(TypeError, match="^cannot build an exact rational from (float|Decimal)$"):
+        build()
 
 
 def test_primitive_reads_bool_as_a_rational_and_returns_ints():

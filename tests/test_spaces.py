@@ -180,6 +180,8 @@ def test_expression_roundtrip():
     )
     again = parse_divisor_expr(d.expression(), s, sp)
     assert again.coords == d.coords
+    zero = nc.zero_divisor(s, sp)
+    assert zero.expression() == "0" and parse_divisor_expr("0", s, sp) == zero
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +236,14 @@ def test_tautological_classes():
     assert tq.coords == (F(1), F(2), F(-1))
     with pytest.raises(SpaceMismatch):
         nc.tautological_b(s, nc.nested(1), 1)
+
+
+def test_surface_coords_match_the_surface_rank():
+    q = nc.p1xp1()
+    with pytest.raises(SpaceMismatch, match="has rank 2; pass a length-2 vector"):
+        nc.surface_divisor(q, 1)
+    with pytest.raises(SpaceMismatch, match="^expected 2 surface coefficients, got 3$"):
+        nc.surface_divisor(q, (1, 0, 0))
 
 
 def test_bare_float_coefficient_gets_rats_error():

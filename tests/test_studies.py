@@ -61,6 +61,20 @@ def test_butler_inputs_compare_by_value(monkeypatch):
     assert rep == nc.butler_check(same) and hash(rep) == hash(nc.butler_check(same))
 
 
+def test_butler_check_refuses_an_uncertified_table(monkeypatch):
+    # Without one of its rays the nef table's certificate fails, and the
+    # error quotes its verdict.
+    table = butler_table
+    monkeypatch.setattr(
+        nestcone.studies, "butler_table", lambda i: table(i)._replace(rays=table(i).rays[1:])
+    )
+    with pytest.raises(InvalidInput, match=re.escape(
+        "the nef table of F_1^[2,1] is not certified: "
+        "failed: matrix not diagonal-compatible (not square)"
+    )):
+        nc.butler_check(nc.ButlerInput(1, 1, 1, 4))
+
+
 @pytest.mark.parametrize("i", range(7))
 def test_butler_surface_is_the_tables_surface(i):
     s = butler_table(i).surface

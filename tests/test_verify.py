@@ -129,6 +129,12 @@ def test_certificate_rejects_classes_off_its_space(surface, space):
         nc.certify_eff(surface, space, [], wits)
 
 
+def test_nef_certificate_not_square_fails():
+    s, sp, rays, wits, _ = table_inputs("nef_p2_nested", n=3)
+    cert = nc.certify_nef(s, sp, rays[:3], wits)
+    assert cert.verdict == "failed: matrix not diagonal-compatible (not square)"
+
+
 def test_nef_certificate_missing_ray_fails_cone_equality():
     s, sp, rays, wits, _ = table_inputs("nef_p2_nested", n=3)
     cert = nc.certify_nef(s, sp, rays[:3], wits[:3])
@@ -462,9 +468,11 @@ def _eff_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(_eff_cases())
 def test_one_dd_eff_rule_matches_brute_force(case):
-    """The eff certificate's verdict, from one DD over W when W spans the
-    lattice, is the brute-force verdict on cone(R) = dual(W), and, once no
-    pairing is negative, the two-DD verdict cone_contains(cone(R), dual(W))."""
+    """The eff certificate's verdict, from the generators of dual(W) read
+    off one DD over W (a second DD, over R, only for a generator that is
+    not a ray of cone(R)), is the brute-force verdict on cone(R) = dual(W),
+    and, once no pairing is negative, the two-DD verdict
+    cone_contains(cone(R), dual(W))."""
     s, sp, rays, ws = case
     why = nc.Provenance(nc.ASSERTED)
     specs = [RaySpec(f"R{j}", nc.DivClass(s, sp, r), why) for j, r in enumerate(rays)]
@@ -478,27 +486,29 @@ def test_one_dd_eff_rule_matches_brute_force(case):
 
 
 @pytest.mark.parametrize(
-    "ws, rays, ok",
+    "ws, rays, ok, dds",
     [
         # dual(W) = {y : y_1 = 0}, a plane, and cone(R) is that plane.
-        ([(1, 0, 0), (-1, 0, 0)], [(0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], True),
+        ([(1, 0, 0), (-1, 0, 0)], [(0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], True, 1),
         # ... and cone(R) a half-plane of it.
-        ([(1, 0, 0), (-1, 0, 0)], [(0, 1, 0), (0, -1, 0), (0, 0, 1)], False),
+        ([(1, 0, 0), (-1, 0, 0)], [(0, 1, 0), (0, -1, 0), (0, 0, 1)], False, 2),
         # dual(W) = {y : y_1 >= 0}, a half-space.
-        ([(1, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], True),
-        ([(1, 0, 0)], [(1, 1, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], True),
-        ([(1, 0, 0)], [(1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)], False),
+        ([(1, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], True, 1),
+        ([(1, 0, 0)], [(1, 1, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], True, 2),
+        ([(1, 0, 0)], [(1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)], False, 2),
     ],
+    ids=["ws0-rays0-True", "ws1-rays1-False", "ws2-rays2-True", "ws3-rays3-True", "ws4-rays4-False"],
 )
-def test_eff_rule_when_the_dual_has_lineality(dd_calls, ws, rays, ok):
+def test_eff_rule_when_the_dual_has_lineality(dd_calls, ws, rays, ok, dds):
     """W does not span the lattice: the DD over W finds the dual's lineality
-    space and a second DD, over R, decides the containment."""
+    space.  When R holds every generator of dual(W) that DD decides alone;
+    otherwise a second DD, over R, decides the containment."""
     s, sp = nc.p2(), nc.univ(2)
     why = nc.Provenance(nc.ASSERTED)
     specs = [RaySpec(f"R{j}", nc.DivClass(s, sp, r), why) for j, r in enumerate(rays)]
     moving = [WitnessSpec(f"W{i}", _curve_with_functional(s, sp, w)) for i, w in enumerate(ws)]
     assert nc.certify_eff(s, sp, specs, moving).ok == ok == _brute_is_dual(3, rays, ws)
-    assert len(dd_calls) == 2
+    assert len(dd_calls) == dds
 
 
 # ---------------------------------------------------------------------------
