@@ -19,6 +19,13 @@ integral Picard generator.  The divisor and curve bases of every kind are
 written once, in `DIVISOR_LAYOUT` and `CURVE_LAYOUT`; ranks, labels, the
 pairing table and every pull and push map are read from them.  All
 serialization uses these labels.
+
+Surfaces, space descriptors and unit basis classes are shared immutable
+records: each constructor returns one record per argument, and refuses an
+argument that is not an `int` (a `bool` or `float` included) whatever its
+cache holds.  `SpaceId` checks its fields itself, so a descriptor built by
+hand cannot stand in for a shared one.  Each pull or push map is compiled
+once per basis and rule set into (source, target) coordinate moves.
 """
 
 from collections.abc import Sequence
@@ -60,6 +67,16 @@ class SurfaceModel(NamedTuple):
         return self.key
 
 
+def _int_arg(x, error: type[Exception], what: str) -> None:
+    """Refuse an argument that is not an `int`.  The constructors' caches
+    are `typed`, so 1, 1.0 and True are keyed apart and each reaches this
+    check: a `bool` or `float` is never served an equal int's record, nor
+    built into a key like "fTrue" or "k3-g3.5"."""
+    if type(x) is not int:
+        raise error(f"{what} must be an int, got {x!r}")
+
+
+@lru_cache(maxsize=None)
 def p2() -> SurfaceModel:
     """The projective plane: rank 1, H^2 = 1, K = -3H."""
     return SurfaceModel(
@@ -71,6 +88,7 @@ def p2() -> SurfaceModel:
     )
 
 
+@lru_cache(maxsize=None)
 def p1xp1() -> SurfaceModel:
     """P1 x P1 with the two rulings H1, H2: H1.H2 = 1, Hi^2 = 0, K = -2H1-2H2."""
     return SurfaceModel(
@@ -82,9 +100,11 @@ def p1xp1() -> SurfaceModel:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
 def hirzebruch(i: int) -> SurfaceModel:
     """The Hirzebruch surface F_i in the (H, F) basis: H^2 = i, H.F = 1,
     F^2 = 0; the negative section is E = H - iF; K = -2H + (i-2)F."""
+    _int_arg(i, InvalidIndex, "Hirzebruch index")
     if i < 0:
         raise InvalidIndex(f"Hirzebruch index must be non-negative, got {i}")
     return SurfaceModel(
@@ -97,8 +117,10 @@ def hirzebruch(i: int) -> SurfaceModel:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
 def k3(g: int) -> SurfaceModel:
     """A general polarized K3 surface of genus g > 2: rank 1, H^2 = 2g-2, K = 0."""
+    _int_arg(g, InvalidGenus, "K3 genus")
     if g <= 2:
         raise InvalidGenus(f"K3 genus must exceed 2, got {g}")
     return SurfaceModel(
@@ -142,11 +164,41 @@ class SpaceKind(str, Enum):
     UNIV = "univ"
 
 
-class SpaceId(NamedTuple):
-    """Descriptor of the moduli space a class lives on."""
-
+class _SpaceFields(NamedTuple):
     kind: SpaceKind
     n: int | None = None
+
+
+# The least n of each space kind with an n, and its name in messages.
+_LEAST_N = {SpaceKind.HILB: (2, "Hilb(n)"), SpaceKind.NESTED: (1, "Nested(n)"),
+            SpaceKind.UNIV: (2, "Univ(n)")}
+
+
+class SpaceId(_SpaceFields):
+    """Descriptor of the moduli space a class lives on.  The kind is read
+    through `SpaceKind` and n is checked here, so a descriptor built by
+    hand is valid too, and none equals another yet prints otherwise (as
+    nested(True) would equal nested(1))."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: SpaceKind, n: int | None = None):
+        kind = SpaceKind(kind)
+        if kind is SpaceKind.SURFACE:
+            if n is not None:
+                raise RangeError(f"the surface space takes no n, got {n!r}")
+        else:
+            least, name = _LEAST_N[kind]
+            _int_arg(n, RangeError, f"n of {name}")
+            if n < least:
+                raise RangeError(f"{name} requires n >= {least}, got {n}")
+        return super().__new__(cls, kind, n)
+
+    @classmethod
+    def _make(cls, iterable) -> "SpaceId":
+        """The descriptor from its two fields, checked like the constructor;
+        `_replace` builds through here too."""
+        return cls(*iterable)
 
     def __str__(self) -> str:
         if self.kind is SpaceKind.SURFACE:
@@ -154,25 +206,23 @@ class SpaceId(NamedTuple):
         return f"{self.kind.value}({self.n})"
 
 
+@lru_cache(maxsize=None)
 def surface_space() -> SpaceId:
     return SpaceId(SpaceKind.SURFACE)
 
 
+@lru_cache(maxsize=None, typed=True)
 def hilb(n: int) -> SpaceId:
-    if n < 2:
-        raise RangeError(f"Hilb(n) requires n >= 2, got {n}")
     return SpaceId(SpaceKind.HILB, n)
 
 
+@lru_cache(maxsize=None, typed=True)
 def nested(n: int) -> SpaceId:
-    if n < 1:
-        raise RangeError(f"Nested(n) requires n >= 1, got {n}")
     return SpaceId(SpaceKind.NESTED, n)
 
 
+@lru_cache(maxsize=None, typed=True)
 def univ(n: int) -> SpaceId:
-    if n < 2:
-        raise RangeError(f"Univ(n) requires n >= 2, got {n}")
     return SpaceId(SpaceKind.UNIV, n)
 
 
@@ -270,8 +320,10 @@ class _BaseClass:
     layout_table: _LayoutTable  # set by DivClass and CurClass
 
     def __init__(self, surface: SurfaceModel, space: SpaceId, coords: Sequence) -> None:
-        coords = tuple(map(rat, coords))
-        expected = len(layout(surface, space, self.layout_table)[0])
+        coords = tuple(coords)
+        if not {int}.issuperset(map(type, coords)):
+            coords = tuple(map(rat, coords))
+        expected = len(_expand(self.layout_table[space.kind], surface.generator_names)[0])
         if len(coords) != expected:
             raise SpaceMismatch(f"expected {expected} coordinates, got {len(coords)}")
         object.__setattr__(self, "surface", surface)
@@ -376,7 +428,10 @@ def _unit(dim: int, i: int) -> tuple[Rat, ...]:
     return (0,) * i + (1,) + (0,) * (dim - i - 1)
 
 
+@lru_cache(maxsize=None)
 def _basis_unit(cls, what: str, surface, space, label: str):
+    """The one shared unit class of `label`; an unknown label raises, and
+    an error is never cached."""
     labels = layout(surface, space, cls.layout_table)[0]
     try:
         i = labels.index(normalize_label(label))
@@ -389,12 +444,14 @@ def _basis_unit(cls, what: str, surface, space, label: str):
 
 
 def divisor(surface: SurfaceModel, space: SpaceId, label: str) -> DivClass:
-    """Unit basis divisor by label (caret spellings accepted)."""
+    """The unit basis divisor of a label (caret spellings accepted), one shared
+    value per (surface, space, label)."""
     return _basis_unit(DivClass, "divisor", surface, space, label)
 
 
 def curve(surface: SurfaceModel, space: SpaceId, label: str) -> CurClass:
-    """Unit basis curve by label (caret spellings accepted)."""
+    """The unit basis curve of a label (caret spellings accepted), one shared
+    value per (surface, space, label)."""
     return _basis_unit(CurClass, "curve", surface, space, label)
 
 
@@ -429,16 +486,30 @@ def basis_map(x, target: SpaceId, rules: dict[str, str]):
     basis classes `rules` gives for it, both in layout notation (for example
     ``{"H_i": "Hdiff_i + Hb_i", "B/2": "B/2"}``).  Basis classes the rules
     leave out map to zero."""
-    _, source = layout(x.surface, x.space, x.layout_table)
-    labels, dest = layout(x.surface, target, x.layout_table)
-    out = [0] * len(labels)
-    for entry, image in rules.items():
+    cls = type(x)
+    rank, moves = _compiled_map(cls, x.surface.generator_names, x.space, target,
+                                tuple(rules.items()))
+    out = [0] * rank
+    coords = x.coords
+    for k, j in moves:
+        out[j] += coords[k]
+    return cls(x.surface, target, tuple(out))
+
+
+@lru_cache(maxsize=None)
+def _compiled_map(cls, gens: tuple[str, ...], source: SpaceId, target: SpaceId,
+                  rules: tuple[tuple[str, str], ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """`basis_map`'s rules read once: the target rank and the (source
+    coordinate, target coordinate) moves, one per basis class sent."""
+    _, at = _expand(cls.layout_table[source.kind], gens)
+    labels, dest = _expand(cls.layout_table[target.kind], gens)
+    moves: list[tuple[int, int]] = []
+    for entry, image in rules:
         for part in image.split(" + "):
             if part not in dest:
                 raise SpaceMismatch(f"{target} has no basis class {part}")
-            for k, j in zip(source[entry], dest[part], strict=True):
-                out[j] += x.coords[k]
-    return type(x)(x.surface, target, tuple(out))
+            moves += zip(at[entry], dest[part], strict=True)
+    return len(labels), tuple(moves)
 
 
 def _pull(d: DivClass, target: SpaceId, source: SpaceId, rules: dict[str, str],

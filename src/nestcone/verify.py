@@ -227,6 +227,8 @@ def _certify(kind: str, inp: TableInputs) -> Certificate:
     for x in (*rays, *witnesses):
         if (x.cls.surface, x.cls.space) != (surface, space):
             raise SpaceMismatch(f"{x.label} is not a class on {surface.key}/{space}")
+    if not rays or not witnesses:
+        raise EmptyInput("a cone needs at least one nonzero generator")
     functionals, matrix = _pair_all([w.cls for w in witnesses], [r.cls for r in rays])
     negative = next(((x, w, r) for w, row in zip(witnesses, matrix)
                      for r, x in zip(rays, row) if x < 0), None)
@@ -254,8 +256,6 @@ def _certify(kind: str, inp: TableInputs) -> Certificate:
     elif cell[0] < len(witnesses):
         w, r = witnesses[cell[0]], rays[cell[1]]
         verdict = f"failed: matrix not diagonal-compatible at ({w.label}, {r.label})"
-    elif not rays:
-        raise EmptyInput("a cone needs at least one nonzero generator")
     else:
         verdict = larger
     return Certificate(
@@ -280,7 +280,7 @@ def certify_nef(
 ) -> Certificate:
     """Certify a nef cone: the rays span the dual of the witness cone, as
     the diagonal rule on their pairing matrix decides with no
-    double-description run.  No rays raise EmptyInput."""
+    double-description run.  No rays or no witnesses raise EmptyInput."""
     return _certify(NEF_DUAL, TableInputs(surface, space, rays, witnesses, None))
 
 
@@ -292,7 +292,7 @@ def certify_eff(
 ) -> Certificate:
     """Certify a pseudoeffective cone against moving curves: all pairings
     non-negative and cone(rays) equal to the dual of the moving-curve
-    functionals."""
+    functionals.  No rays or no moving curves raise EmptyInput."""
     return _certify(EFF_MOVING, TableInputs(surface, space, rays, moving, None))
 
 
@@ -344,34 +344,35 @@ class TableReport(NamedTuple):
         return all(s.ok for s in self.sections)
 
     def to_json(self) -> dict:
+        sections = [
+            {
+                "title": s.title,
+                "rows": list(s.row_labels),
+                "cols": list(s.col_labels),
+                "cells": [
+                    {
+                        "row": c.row,
+                        "col": c.col,
+                        "expected": None if c.expected is None else rat_str(c.expected),
+                        "computed": None if c.computed is None else rat_str(c.computed),
+                        "status": c.status,
+                    }
+                    for c in s.cells
+                ],
+                "checks": [
+                    {"name": c.name, "status": c.status, "detail": c.detail}
+                    for c in s.checks
+                ],
+                "notes": list(s.notes),
+                "ok": s.ok,
+            }
+            for s in self.sections
+        ]
         return {
             "table": self.table_id,
             "params": self.params,
-            "ok": self.ok,
-            "sections": [
-                {
-                    "title": s.title,
-                    "rows": list(s.row_labels),
-                    "cols": list(s.col_labels),
-                    "cells": [
-                        {
-                            "row": c.row,
-                            "col": c.col,
-                            "expected": None if c.expected is None else rat_str(c.expected),
-                            "computed": None if c.computed is None else rat_str(c.computed),
-                            "status": c.status,
-                        }
-                        for c in s.cells
-                    ],
-                    "checks": [
-                        {"name": c.name, "status": c.status, "detail": c.detail}
-                        for c in s.checks
-                    ],
-                    "notes": list(s.notes),
-                    "ok": s.ok,
-                }
-                for s in self.sections
-            ],
+            "ok": all(s["ok"] for s in sections),
+            "sections": sections,
         }
 
     def json_str(self) -> str:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -308,3 +309,174 @@ def test_pull_b_then_pair_matches_surface_degree(a, b):
 def test_g1n_requires_k3():
     with pytest.raises(NotK3):
         nc.g1n_curve(nc.p2(), nc.hilb(4))
+
+
+# ---------------------------------------------------------------------------
+# Shared records: interned surfaces, spaces and unit classes
+# ---------------------------------------------------------------------------
+
+def test_surfaces_spaces_and_unit_classes_are_shared():
+    s, sp = nc.p2(), nc.nested(3)
+    assert nc.p2() is s and nc.p1xp1() is nc.p1xp1()
+    assert nc.hirzebruch(2) is nc.hirzebruch(2) and nc.k3(3) is nc.k3(3)
+    assert nc.surface_model("p2") is s
+    assert nc.hilb(3) is nc.hilb(3) and nc.univ(3) is nc.univ(3) and nc.nested(3) is sp
+    assert nc.surface_space() is nc.surface_space()
+    assert nc.divisor(s, sp, "Hb") is nc.divisor(s, sp, "Hb")
+    assert nc.curve(s, sp, "Ab") is nc.curve(s, sp, "Ab")
+    # an equal record built by hand keys the same shared class
+    assert nc.divisor(nc.SurfaceModel(*s), nc.SpaceId(*sp), "Hb") is nc.divisor(s, sp, "Hb")
+
+
+def test_shared_unit_classes_refuse_assignment():
+    s, sp = nc.p2(), nc.hilb(2)
+    h = nc.divisor(s, sp, "H")
+    with pytest.raises(AttributeError):
+        h.coords = (0, 0)
+    with pytest.raises(AttributeError):
+        del h.space
+    assert nc.divisor(s, sp, "H").coords == (1, 0)
+
+
+def test_unknown_label_raises_on_every_call():
+    s, sp = nc.p2(), nc.hilb(2)
+    for _ in range(3):
+        with pytest.raises(SpaceMismatch, match="no divisor basis label 'Hb'"):
+            nc.divisor(s, sp, "Hb")
+        with pytest.raises(SpaceMismatch, match="no curve basis label 'Ab'"):
+            nc.curve(s, sp, "Ab")
+
+
+def test_class_from_a_generator_of_coordinates():
+    s, sp = nc.p2(), nc.nested(2)
+    coords = (1, Fraction(1, 2), -3, 0)
+    d = nc.DivClass(s, sp, (x for x in coords))
+    assert d.coords == coords and d == nc.DivClass(s, sp, coords)
+    assert nc.CurClass(s, sp, (x for x in (1, 2, 3, 4))).coords == (1, 2, 3, 4)
+    with pytest.raises(TypeError, match="bool is not a rational scalar"):
+        nc.DivClass(s, sp, (True, 0, 0, 0))
+
+
+# (constructor, its parameter, error, the smallest valid int): each bad
+# value is refused before and after the equal valid int fills the cache.
+_INT_ARG_CONSTRUCTORS = [
+    (nc.hirzebruch, "i", InvalidIndex, 0),
+    (nc.k3, "g", InvalidGenus, 3),
+    (nc.hilb, "n", RangeError, 2),
+    (nc.nested, "n", RangeError, 1),
+    (nc.univ, "n", RangeError, 2),
+]
+
+
+@pytest.mark.parametrize("make, param, error, low", _INT_ARG_CONSTRUCTORS)
+def test_constructors_refuse_non_int_arguments(make, param, error, low):
+    make.cache_clear()
+    bad = [True, False, 2.0, 2.5, float(low), float(low + 1)]
+    for x in bad:
+        with pytest.raises(error, match="must be an int"):
+            make(x)
+    for x in bad:
+        if x == int(x) >= low:
+            assert make(int(x)) is make(int(x))
+            assert make(**{param: int(x)}) == make(int(x))
+        with pytest.raises(error, match="must be an int"):
+            make(x)
+        with pytest.raises(error, match="must be an int"):
+            make(**{param: x})
+
+
+def test_hand_built_space_ids_are_checked():
+    assert nc.SpaceId("nested", 3) == nc.nested(3)
+    assert nc.SpaceId("nested", 3).kind is nc.SpaceKind.NESTED
+    for make in (
+        lambda: nc.SpaceId(nc.SpaceKind.NESTED, True),
+        lambda: nc.SpaceId(nc.SpaceKind.HILB, 2.0),
+        lambda: nc.SpaceId(nc.SpaceKind.UNIV),
+        lambda: nc.SpaceId(nc.SpaceKind.SURFACE, 0),
+        lambda: nc.hilb(3)._replace(n=1),
+        lambda: nc.SpaceId._make((nc.SpaceKind.NESTED, 0)),
+    ):
+        with pytest.raises(RangeError):
+            make()
+    with pytest.raises(ValueError):
+        nc.SpaceId("grassmannian", 2)
+
+
+def test_surface_model_passes_a_bad_genus_to_k3():
+    with pytest.raises(InvalidGenus, match="must be an int"):
+        nc.surface_model("k3", genus=3.0)
+
+
+def _old_basis_map(x, target, rules):
+    """`basis_map` as it read before it compiled its rules: every call
+    walks the rule strings."""
+    _, source = nc.layout(x.surface, x.space, x.layout_table)
+    labels, dest = nc.layout(x.surface, target, x.layout_table)
+    out = [0] * len(labels)
+    for entry, image in rules.items():
+        for part in image.split(" + "):
+            if part not in dest:
+                raise SpaceMismatch(f"{target} has no basis class {part}")
+            for k, j in zip(source[entry], dest[part], strict=True):
+                out[j] += x.coords[k]
+    return type(x)(x.surface, target, tuple(out))
+
+
+_SURFACES = st.sampled_from(
+    [nc.p2(), nc.p1xp1(), nc.hirzebruch(0), nc.hirzebruch(3), nc.k3(3), nc.k3(7)]
+)
+_RATS = st.fractions(min_value=-9, max_value=9, max_denominator=4).map(nc.rat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(surface=_SURFACES, kind=st.sampled_from(["nested", "univ"]),
+       n=st.integers(1, 6), data=st.data())
+def test_compiled_maps_agree_with_walking_the_rules(surface, kind, n, data):
+    if kind == "univ":
+        n = max(n, 2)
+    sp = nc.nested(n) if kind == "nested" else nc.univ(n)
+
+    def rand(cls, space):
+        rank = len(nc.layout(surface, space, cls.layout_table)[0])
+        return cls(surface, space, data.draw(st.lists(_RATS, min_size=rank, max_size=rank)))
+
+    src_a, src_b = nc.pr_a_space(sp), nc.pr_b_space(sp)
+    b_rules = {"H_i": "Hb_i", "B/2": "Bb/2"} if src_b.kind is nc.SpaceKind.HILB else {"H_i": "Hb_i"}
+    boundary = "Bdiff/2 + Bb/2" if kind == "nested" else "B/2"
+    for pull, src, rules in (
+        (nc.pull_a, src_a, {"H_i": "Hdiff_i + Hb_i", "B/2": boundary}),
+        (nc.pull_b, src_b, b_rules),
+        (nc.pull_res, nc.surface_space(), {"H_i": "Hdiff_i"}),
+    ):
+        d = rand(nc.DivClass, src)
+        assert pull(d, sp) == _old_basis_map(d, sp, rules)
+        assert nc.basis_map(d, sp, rules) == _old_basis_map(d, sp, rules)
+    c = rand(nc.CurClass, sp)
+    push_b = {"Cb_i": "C_i", "Ab": "A"} if src_b.kind is nc.SpaceKind.HILB else {"Cb_i": "H_i"}
+    for target, rules in (
+        (src_a, {"Ca_i": "C_i", "Cb_i": "C_i", "Aa": "A"}),
+        (src_b, push_b),
+    ):
+        assert nc.basis_map(c, target, rules) == _old_basis_map(c, target, rules)
+    with pytest.raises(SpaceMismatch, match=f"^{re.escape(str(src_a))} has no basis class Hb_i$"):
+        nc.basis_map(d, src_a, {"H_i": "Hb_i"})
+
+
+def test_repeated_table_reuses_the_shared_classes(monkeypatch):
+    """Pinned: a second `reproduce_table` call builds only the classes its
+    rays and witnesses compute, none of the unit classes it names."""
+    from nestcone.verify import reproduce_table
+
+    built = []
+    for cls in (nc.DivClass, nc.CurClass):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init):
+            built.append(type(self))
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    reproduce_table("nef_fi_nested", i=1, n=3)
+    built.clear()
+    reproduce_table("nef_fi_nested", i=1, n=3)
+    assert len(built) == 8

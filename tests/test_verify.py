@@ -68,6 +68,17 @@ def test_k3_param_validation():
     assert nc.reproduce_table("nef_k3_nested", g=4, n=5).ok
 
 
+def test_report_json_ok_follows_its_sections():
+    good = nc.TableSection("a", ("r",), ("c",), (nc.CellCheck("r", "c", 1, 1, "match"),))
+    bad_cell = good._replace(title="b", cells=(nc.CellCheck("r", "c", 1, 2, "diff"),))
+    bad_check = good._replace(title="c", checks=(nc.SectionCheck("x", "fail"),))
+    for sections, oks in [((good,), [True]), ((good, bad_cell, bad_check), [True, False, False])]:
+        report = nc.TableReport("t", {}, sections)
+        doc = report.to_json()
+        assert [s["ok"] for s in doc["sections"]] == oks
+        assert doc["ok"] is report.ok is all(oks)
+
+
 def test_report_serialization_deterministic():
     a = nc.reproduce_table("nef_p2_nested", n=4)
     b = nc.reproduce_table("nef_p2_nested", n=4)
@@ -212,6 +223,17 @@ def test_certify_nef_without_rays_is_empty_input():
     s, sp = nc.p2(), nc.nested(3)
     with pytest.raises(EmptyInput, match="^a cone needs at least one nonzero generator$"):
         nc.certify_nef(s, sp, [], [])
+
+
+@pytest.mark.parametrize("certify, table_id", [
+    (nc.certify_nef, "nef_p2_nested"), (nc.certify_eff, "eff_p2_3_2"),
+])
+@pytest.mark.parametrize("empty_side", ["rays", "witnesses"])
+def test_an_empty_side_is_empty_input_for_both_kinds(certify, table_id, empty_side):
+    s, sp, rays, wits, _ = table_inputs(table_id)
+    args = ([], wits) if empty_side == "rays" else (rays, [])
+    with pytest.raises(EmptyInput, match="^a cone needs at least one nonzero generator$"):
+        certify(s, sp, *args)
 
 
 @pytest.mark.parametrize(
