@@ -25,7 +25,8 @@ records: each constructor returns one record per argument, and refuses an
 argument that is not an `int` (a `bool` or `float` included) whatever its
 cache holds.  `SpaceId` checks its fields itself, so a descriptor built by
 hand cannot stand in for a shared one.  Each pull or push map is compiled
-once per basis and rule set into (source, target) coordinate moves.
+once per pair of layouts and rule set, whatever n, into (source, target)
+coordinate moves.
 """
 
 from collections.abc import Sequence
@@ -320,9 +321,7 @@ class _BaseClass:
     layout_table: _LayoutTable  # set by DivClass and CurClass
 
     def __init__(self, surface: SurfaceModel, space: SpaceId, coords: Sequence) -> None:
-        coords = tuple(coords)
-        if not {int}.issuperset(map(type, coords)):
-            coords = tuple(map(rat, coords))
+        coords = tuple(map(rat, coords))
         expected = len(_expand(self.layout_table[space.kind], surface.generator_names)[0])
         if len(coords) != expected:
             raise SpaceMismatch(f"expected {expected} coordinates, got {len(coords)}")
@@ -487,8 +486,10 @@ def basis_map(x, target: SpaceId, rules: dict[str, str]):
     ``{"H_i": "Hdiff_i + Hb_i", "B/2": "B/2"}``).  Basis classes the rules
     leave out map to zero."""
     cls = type(x)
-    rank, moves = _compiled_map(cls, x.surface.generator_names, x.space, target,
-                                tuple(rules.items()))
+    rank, moves, missing = _compiled_map(cls, x.surface.generator_names, x.space.kind,
+                                         target.kind, tuple(rules.items()))
+    if missing is not None:
+        raise SpaceMismatch(f"{target} has no basis class {missing}")
     out = [0] * rank
     coords = x.coords
     for k, j in moves:
@@ -497,19 +498,21 @@ def basis_map(x, target: SpaceId, rules: dict[str, str]):
 
 
 @lru_cache(maxsize=None)
-def _compiled_map(cls, gens: tuple[str, ...], source: SpaceId, target: SpaceId,
-                  rules: tuple[tuple[str, str], ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """`basis_map`'s rules read once: the target rank and the (source
-    coordinate, target coordinate) moves, one per basis class sent."""
-    _, at = _expand(cls.layout_table[source.kind], gens)
-    labels, dest = _expand(cls.layout_table[target.kind], gens)
+def _compiled_map(cls, gens: tuple[str, ...], source: SpaceKind, target: SpaceKind,
+                  rules: tuple[tuple[str, str], ...]):
+    """`basis_map`'s rules read once per pair of layouts, whatever n: the
+    target rank, the (source coordinate, target coordinate) moves, one per
+    basis class sent, and the first rule image the target lacks (None when
+    there is none)."""
+    _, at = _expand(cls.layout_table[source], gens)
+    labels, dest = _expand(cls.layout_table[target], gens)
     moves: list[tuple[int, int]] = []
     for entry, image in rules:
         for part in image.split(" + "):
             if part not in dest:
-                raise SpaceMismatch(f"{target} has no basis class {part}")
+                return len(labels), (), part
             moves += zip(at[entry], dest[part], strict=True)
-    return len(labels), tuple(moves)
+    return len(labels), tuple(moves), None
 
 
 def _pull(d: DivClass, target: SpaceId, source: SpaceId, rules: dict[str, str],

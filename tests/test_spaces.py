@@ -462,6 +462,23 @@ def test_compiled_maps_agree_with_walking_the_rules(surface, kind, n, data):
         nc.basis_map(d, src_a, {"H_i": "Hb_i"})
 
 
+def test_a_map_compiled_once_serves_every_n():
+    """The compiled moves depend on the layouts only, so one compilation
+    serves every n, and a missing class is still named on its own target."""
+    from nestcone.spaces import _compiled_map
+
+    s, rules = nc.p1xp1(), {"H_i": "Hdiff_i + Hb_i", "B/2": "B/2"}
+    nc.pull_a(nc.DivClass(s, nc.hilb(2), (1, 2, 3)), nc.univ(2))
+    hits = _compiled_map.cache_info().hits
+    for n in (3, 7):
+        d = nc.DivClass(s, nc.hilb(n), (1, 2, 3))
+        assert nc.pull_a(d, nc.univ(n)) == _old_basis_map(d, nc.univ(n), rules)
+    assert _compiled_map.cache_info().hits == hits + 2
+    for n in (2, 5):
+        with pytest.raises(SpaceMismatch, match=rf"^univ\({n}\) has no basis class Bb/2$"):
+            nc.basis_map(nc.DivClass(s, nc.hilb(n), (1, 2, 3)), nc.univ(n), {"B/2": "Bb/2"})
+
+
 def test_repeated_table_reuses_the_shared_classes(monkeypatch):
     """Pinned: a second `reproduce_table` call builds only the classes its
     rays and witnesses compute, none of the unit classes it names."""
