@@ -479,6 +479,15 @@ def test_a_map_compiled_once_serves_every_n():
             nc.basis_map(nc.DivClass(s, nc.hilb(n), (1, 2, 3)), nc.univ(n), {"B/2": "Bb/2"})
 
 
+def test_a_rule_sends_a_block_only_to_a_block_of_its_length():
+    """A block of one class per generator cannot go to a single class: on
+    P1xP1 "H_i" has two classes and "B/2" one, so the map is refused rather
+    than truncated to the first."""
+    d = nc.DivClass(nc.p1xp1(), nc.hilb(2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        nc.basis_map(d, nc.univ(2), {"H_i": "B/2"})
+
+
 def test_repeated_table_reuses_the_shared_classes(monkeypatch):
     """Pinned: a second `reproduce_table` call builds only the classes its
     rays and witnesses compute, none of the unit classes it names."""
