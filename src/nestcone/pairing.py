@@ -11,8 +11,10 @@ classes pair by `_BOUNDARY_PAIRINGS`; every other pairing is zero.
              Aa . Bdiff/2 = -1; Ab . Bdiff/2 = +1, Ab . Bb/2 = -1.
 * Univ(n):   Ca_i . Hdiff_j = g_ij; Cb_i . Hb_j = g_ij; Aa . B/2 = -1.
 
-`curve_functional` is the one place the table meets a curve; every pairing
-is the dot product of a curve's functional with a divisor's coordinates.
+`curve_functional` is the one place the table meets a curve: it adds up the
+table's rows, each weighted by the curve's matching nonzero coordinate.
+Every pairing is a dot product with that functional, and a certificate
+keeps its witnesses' functionals (`verify.Certificate.functionals`).
 
 Curve families (gamma = sum m_i H_i a curve class on X, r = number of points
 of the configuration constrained to lie on the moving curve):
@@ -35,7 +37,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NotK3, RangeError, SpaceMismatch
-from .rationals import Rat, ratio, rat_str, vdot
+from .rationals import Rat, rat, ratio, rat_str, vdot
 from .spaces import (
     CURVE_LAYOUT,
     DIVISOR_LAYOUT,
@@ -104,31 +106,28 @@ def pairing_table(surface: SurfaceModel, space: SpaceId) -> PairingTable:
     for (cur, div), value in _BOUNDARY_PAIRINGS.items():
         if cur in row_at and div in col_at:
             m[row_at[cur][0]][col_at[div][0]] = value
-    return PairingTable(
-        surface, space, rows, cols, tuple(tuple(row) for row in m)
-    )
-
-
-@lru_cache(maxsize=None)
-def _columns(surface: SurfaceModel, space: SpaceId) -> tuple[tuple[Rat, ...], ...]:
-    """The columns of the pairing table, one per divisor basis class."""
-    return tuple(zip(*pairing_table(surface, space).matrix))
+    return PairingTable(surface, space, rows, cols, tuple(map(tuple, m)))
 
 
 def pair(d: DivClass, c: CurClass) -> Rat:
     """Intersection number of a divisor class with a curve class."""
     if d.surface != c.surface or d.space != c.space:
-        raise SpaceMismatch(
-            f"pairing requires classes on the same space: {d.space} vs {c.space}"
-        )
+        raise SpaceMismatch(f"pairing requires classes on the same space: {d.space} vs {c.space}")
     return vdot(curve_functional(c), d.coords)
 
 
 def curve_functional(c: CurClass) -> tuple[Rat, ...]:
     """The functional f on divisor coordinates with f . d = pair(d, c): the
-    rows of the pairing table weighted by the coordinates of c."""
-    coords = c.coords
-    return tuple([vdot(coords, col) for col in _columns(c.surface, c.space)])
+    rows of the pairing table weighted by the nonzero coordinates of c and
+    added up, in the normal form `vdot` returns."""
+    table = pairing_table(c.surface, c.space)
+    f = [0] * len(table.col_labels)
+    for x, row in zip(c.coords, table.matrix):
+        if x:
+            for j, g in enumerate(row):
+                if g:
+                    f[j] += x * g
+    return tuple(f) if {int}.issuperset(map(type, f)) else tuple(map(rat, f))
 
 
 # ---------------------------------------------------------------------------

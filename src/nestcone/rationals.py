@@ -59,10 +59,11 @@ def ratio(n: int, d: int) -> Rat:
 
 def canonical_json(doc) -> str:
     """The canonical JSON text of `doc`: sorted keys and no whitespace, so
-    equal documents print as equal bytes."""
+    equal documents print as equal bytes.  A document is a fresh tree the
+    library builds, never cyclic, so the encoder skips its cycle scan."""
     import json  # only JSON output needs it
 
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def vdot(u: Sequence, v: Sequence) -> Rat:

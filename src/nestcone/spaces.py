@@ -21,12 +21,12 @@ pairing table and every pull and push map are read from them.  All
 serialization uses these labels.
 
 Surfaces, space descriptors and unit basis classes are shared immutable
-records: each constructor returns one record per argument, and refuses an
-argument that is not an `int` (a `bool` or `float` included) whatever its
-cache holds.  `SpaceId` checks its fields itself, so a descriptor built by
-hand cannot stand in for a shared one.  Each pull or push map is compiled
-once per pair of layouts and rule set, whatever n, into (source, target)
-coordinate moves.
+records: each constructor takes its argument by position only, returns one
+record per argument, and refuses an argument that is not an `int` (a `bool`
+or `float` included) whatever its cache holds.  `SpaceId` checks its fields
+itself, so a descriptor built by hand cannot stand in for a shared one.
+Each pull or push map is compiled once per pair of layouts and rule set,
+whatever n, into (source, target) coordinate moves.
 """
 
 from collections.abc import Sequence
@@ -102,7 +102,7 @@ def p1xp1() -> SurfaceModel:
 
 
 @lru_cache(maxsize=None, typed=True)
-def hirzebruch(i: int) -> SurfaceModel:
+def hirzebruch(i: int, /) -> SurfaceModel:
     """The Hirzebruch surface F_i in the (H, F) basis: H^2 = i, H.F = 1,
     F^2 = 0; the negative section is E = H - iF; K = -2H + (i-2)F."""
     _int_arg(i, InvalidIndex, "Hirzebruch index")
@@ -119,7 +119,7 @@ def hirzebruch(i: int) -> SurfaceModel:
 
 
 @lru_cache(maxsize=None, typed=True)
-def k3(g: int) -> SurfaceModel:
+def k3(g: int, /) -> SurfaceModel:
     """A general polarized K3 surface of genus g > 2: rank 1, H^2 = 2g-2, K = 0."""
     _int_arg(g, InvalidGenus, "K3 genus")
     if g <= 2:
@@ -213,17 +213,17 @@ def surface_space() -> SpaceId:
 
 
 @lru_cache(maxsize=None, typed=True)
-def hilb(n: int) -> SpaceId:
+def hilb(n: int, /) -> SpaceId:
     return SpaceId(SpaceKind.HILB, n)
 
 
 @lru_cache(maxsize=None, typed=True)
-def nested(n: int) -> SpaceId:
+def nested(n: int, /) -> SpaceId:
     return SpaceId(SpaceKind.NESTED, n)
 
 
 @lru_cache(maxsize=None, typed=True)
-def univ(n: int) -> SpaceId:
+def univ(n: int, /) -> SpaceId:
     return SpaceId(SpaceKind.UNIV, n)
 
 

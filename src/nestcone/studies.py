@@ -20,10 +20,9 @@ from math import comb
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .cone import Cone, IVec, Position, cone_from_rays, dual
+from .cone import Cone, IVec, Position, cone_from_rays
 from .errors import FunctionalNotPositive, InvalidInput, NotPointed, RangeError
 from .linalg import rref
-from .pairing import curve_functional
 from .rationals import Rat, canonical_json, primitive, rat, rat_str, ratio, vdot
 from .spaces import (
     DivClass,
@@ -207,19 +206,18 @@ class ButlerReport(NamedTuple):
 def butler_check(inp: ButlerInput, ordering: str = ORDER_B) -> ButlerReport:
     """Per-k position of F_k - K in the nef cone of F_i^[2,1], with the
     coefficient vector on the five spanning rays: the table's nef
-    certificate holds, so its witness functionals w_j and rays obey the
-    diagonal rule, and the coefficient on ray j is (w_j . x) / D_jj, signed
-    like x on the facet w_j."""
+    certificate holds, so the witness functionals w_j it keeps and its rays
+    obey the diagonal rule, and the coefficient on ray j is (w_j . x) / D_jj,
+    signed like x on the facet w_j."""
     table = butler_table(inp.i)
     cert = certify_nef(table.surface, table.space, table.rays, table.witnesses)
     if not cert.ok:
         raise InvalidInput(f"the nef table of F_{inp.i}^[2,1] is not certified: {cert.verdict}")
-    functionals = [curve_functional(w) for w in cert.witnesses]
     steps = []
     for k in range(inp.k_range[0], inp.k_range[1] + 1):
         cls = butler_class(inp, k, ordering)
         coeffs = tuple(rat(Fraction(vdot(f, cls.coords), row[j]))
-                       for j, (f, row) in enumerate(zip(functionals, cert.matrix)))
+                       for j, (f, row) in enumerate(zip(cert.functionals, cert.matrix)))
         low = min(coeffs)
         where = Position.OUTSIDE if low < 0 else Position.BOUNDARY if low == 0 else Position.INTERIOR
         steps.append(ButlerStep(k, cls.coords, cert.ray_labels, coeffs, where))
@@ -274,11 +272,6 @@ def asymptotic_moving_curves(k: int) -> list[MovingCurve]:
     if k < 1:
         raise RangeError(f"k must be >= 1, got {k}")
     return _moving_curves(Fraction(k, 2 * a_k(k)))
-
-
-def _cut_out(curves: list[MovingCurve]) -> Cone:
-    """The cone cut out by the curves' functionals: the DD of their span."""
-    return dual(cone_from_rays(FRAME_DIM, [m.functional for m in curves]))
 
 
 def _certified(curves: list[MovingCurve]) -> tuple[list[IVec], list[IVec]]:

@@ -30,10 +30,11 @@ Every certified catalog table (nef and eff alike) flows one way: its
 ``TableInputs`` (rays, witnesses, expected pairings; read by
 ``table_inputs``) feed one ``Certificate``, and ``reproduce_table`` takes
 the table's one section from ``Certificate.matrix``, so no cell is paired
-twice.  Each witness's functional is computed once; every cell is a dot
-product with it, and the dual-cone check reads the same functionals.  The
+twice.  Each witness's functional is computed once, from the pairing
+table's rows; every cell is a dot product with it, the dual-cone check
+reads it, and ``Certificate.functionals`` keeps it (not in the JSON).  The
 same inputs give cross-sections the table's cone (``TableInputs.cone``) and
-the Butler study its nef certificate.
+the Butler study its nef certificate and functionals.
 
 The catalog reproduces reference intersection tables cell by cell.  Legacy
 labels (H_1, B_1, D_{1,1}, C_{2,1,1}, ...) are translated to canonical
@@ -162,6 +163,7 @@ class Certificate(NamedTuple):
     witnesses: tuple[CurClass, ...]
     matrix: tuple[tuple[Rat, ...], ...]  # rows = witnesses, cols = rays
     verdict: str
+    functionals: tuple[tuple[Rat, ...], ...]  # one per witness; not in the JSON
 
     @property
     def ok(self) -> bool:
@@ -269,6 +271,7 @@ def _certify(kind: str, inp: TableInputs) -> Certificate:
         witnesses=tuple(w.cls for w in witnesses),
         matrix=matrix,
         verdict=verdict,
+        functionals=tuple(functionals),
     )
 
 

@@ -55,6 +55,7 @@ def test_parse_divisor_expressions():
     hilb = nc.hilb(3)
     for zero in ("2 - 2", "0*H"):
         assert parse_divisor_expr(zero, s, hilb) == nc.zero_divisor(s, hilb)
+    assert parse_curve_expr("2 - 2", s, hilb) == nc.zero_curve(s, hilb)
     assert parse_divisor_expr("-(H - 2*B/2)", s, hilb).coords == (-1, 2)
     assert parse_divisor_expr("H*2*3", s, hilb).coords == (6, 0)
 
@@ -759,6 +760,12 @@ def test_closed_stdout_exits_2_with_one_line(argv):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 2
     assert err.decode() == "error: cannot write stdout: Bad file descriptor\n"
+
+
+def test_pair_with_the_zero_curve_prints_0():
+    proc = _spawn([*PAIR, "H", "0"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.communicate(timeout=120) == (b"0\n", b"")
+    assert proc.returncode == 0
 
 
 def test_closed_stderr_keeps_the_exit_code():

@@ -358,7 +358,8 @@ def test_class_from_a_generator_of_coordinates():
 
 
 # (constructor, its parameter, error, the smallest valid int): each bad
-# value is refused before and after the equal valid int fills the cache.
+# value is refused before and after the equal valid int fills the cache,
+# and a keyword call, which the cache would key apart, is refused.
 _INT_ARG_CONSTRUCTORS = [
     (nc.hirzebruch, "i", InvalidIndex, 0),
     (nc.k3, "g", InvalidGenus, 3),
@@ -378,10 +379,11 @@ def test_constructors_refuse_non_int_arguments(make, param, error, low):
     for x in bad:
         if x == int(x) >= low:
             assert make(int(x)) is make(int(x))
-            assert make(**{param: int(x)}) == make(int(x))
+            with pytest.raises(TypeError, match="positional-only"):
+                make(**{param: int(x)})
         with pytest.raises(error, match="must be an int"):
             make(x)
-        with pytest.raises(error, match="must be an int"):
+        with pytest.raises(TypeError, match="positional-only"):
             make(**{param: x})
 
 

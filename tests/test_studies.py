@@ -7,10 +7,11 @@ import pytest
 import nestcone as nc
 import nestcone.cone
 import nestcone.linalg
+import nestcone.pairing
 import nestcone.studies
 import nestcone.verify
 from nestcone.errors import FunctionalNotPositive, InvalidInput, NotPointed, RangeError
-from nestcone.studies import ORDER_B, ORDER_RES, _cut_out, _moving_curves, a_k, butler_table
+from nestcone.studies import FRAME_DIM, ORDER_B, ORDER_RES, _moving_curves, a_k, butler_table
 
 
 F = Fraction
@@ -59,6 +60,18 @@ def test_butler_inputs_compare_by_value(monkeypatch):
     rep = nc.butler_check(inp)
     assert built == [1]
     assert rep == nc.butler_check(same) and hash(rep) == hash(nc.butler_check(same))
+
+
+def test_butler_check_pairs_each_witness_once(monkeypatch):
+    """The scan reads the functionals its nef certificate keeps: each
+    witness's functional is computed once, so the pairing table is read
+    once per witness, whatever module computes it."""
+    witnesses = butler_table(2).witnesses
+    reads = []
+    real = nestcone.pairing.pairing_table
+    monkeypatch.setattr(nestcone.pairing, "pairing_table", lambda *a: reads.append(a) or real(*a))
+    nc.butler_check(nc.ButlerInput(2, 1, 1, 4, (1, 9)))
+    assert len(reads) == len(witnesses) == 5
 
 
 def test_butler_check_refuses_an_uncertified_table(monkeypatch):
@@ -211,6 +224,11 @@ def test_moving_curves_exact():
     # each functional annihilates its stated extremal ray
     for m in curves:
         assert sum(f * r for f, r in zip(m.functional, m.annihilated_ray)) == 0
+
+
+def _cut_out(curves):
+    """The cone cut out by the curves' functionals: the DD of their span."""
+    return nc.dual(nc.cone_from_rays(FRAME_DIM, [m.functional for m in curves]))
 
 
 def _asymptotic_cone(k):

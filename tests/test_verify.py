@@ -14,6 +14,7 @@ from nestcone.cone import cone_equal, cone_from_rays, dual
 from nestcone.errors import EmptyInput, RangeError, SpaceMismatch, UnknownTable
 from nestcone.pairing import curve_functional
 from nestcone.verify import (
+    EFF_MOVING,
     EFF_P2_3_2_PRINTED_VARIANT,
     NEF_DUAL,
     RaySpec,
@@ -308,6 +309,18 @@ def test_certificate_provenance_and_json():
     b = nc.standard_nef_certificate("nef_fi_univ", i=2, n=4).json_str()
     assert a == b
     assert '"verdict":"certified"' in a
+
+
+@pytest.mark.parametrize("table_id", certified_tables(NEF_DUAL, EFF_MOVING))
+def test_certificate_keeps_its_witness_functionals(table_id):
+    """One functional per witness, in witness order: the one each cell of
+    the matrix is paired with.  The JSON does not print them."""
+    s, sp, rays, wits, _ = table_inputs(table_id)
+    certify = nc.certify_nef if nc.CATALOG[table_id].kind == NEF_DUAL else nc.certify_eff
+    cert = certify(s, sp, rays, wits)
+    assert cert.functionals == tuple(curve_functional(w.cls) for w in wits)
+    assert cert.matrix == tuple(tuple(nc.pair(r.cls, w.cls) for r in rays) for w in wits)
+    assert "functionals" not in cert.to_json()
 
 
 def test_provenance_tags_are_reconstructible():
