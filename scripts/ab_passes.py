@@ -5,10 +5,10 @@ Usage:
     ab_passes.py --parent REV --change REV --workload catalog|dd_stress --pairs N
                  [--seed S] [--cold]
 
-Both revisions are exported with `git archive`, as `bench_record.py` does.
+Both revisions are exported with `git archive` by `bench_record.export`.
 Three worker processes then load a tree's own, unchanged
 `bench/<workload>_wl.py` (seed S, default 1) and warm it up: one on the
-change and two on the parent.  The driver asks them for passes over a pipe,
+change and two on the parent.  The script asks them for passes over a pipe,
 one at a time: each round is a parent/change pair and then a parent/parent
 pair (the A/A), and every round swaps the order within both pairs, so that
 a drift of the host's speed hits both sides alike.  A worker times each pass
@@ -110,12 +110,12 @@ def main() -> int:
         ap.error("give --parent, --change and --workload")
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
-    from bench_record import _export  # the sibling script
+    from bench_record import export  # the sibling script
 
     mode = "cold" if args.cold else "warm"
     with tempfile.TemporaryDirectory(prefix="ab_passes_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
-        shas = {side: _export(getattr(args, side), tree) for side, tree in trees.items()}
+        shas = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
         procs = {
             side: subprocess.Popen(
                 [sys.executable, __file__, "--worker", str(trees[side.removesuffix("_aa")]),

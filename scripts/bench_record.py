@@ -66,7 +66,7 @@ def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
-def _export(rev: str, dest: Path) -> str:
+def export(rev: str, dest: Path) -> str:
     """Write the committed tree of `rev` under `dest`; return its full sha."""
     sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
     with tarfile.open(fileobj=BytesIO(_git("archive", sha))) as tar:
@@ -181,7 +181,7 @@ def main() -> int:
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
-        shas = {side: _export(getattr(args, side), tree) for side, tree in trees.items()}
+        shas = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         aa_path = trees["change"] / "BENCH_AA.json"
         aa = {} if args.aa or not aa_path.exists() else json.loads(aa_path.read_text())["summary"]
