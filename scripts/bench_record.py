@@ -8,30 +8,46 @@ Usage:
 Both revisions are exported with `git archive` into a temporary directory,
 and each runs its own, unchanged `bench/run.py`.  With `--aa`, one revision
 is exported twice and runs on both sides, so the record shows how far the
-benchmark tells identical code apart: a claimed change should clear that
-spread.  For every workload and seed the two sides run back to back,
-alternating which goes first, so that a drift of the host's speed hits both
-sides alike.  The workloads, the run length and each metric's direction
-come from the change's `BENCHMARK.json`; the seeds are 1..10, ten pairs per
-workload.
+benchmark tells identical code apart.  For every workload and seed the two
+sides run back to back, alternating which goes first, so that a drift of
+the host's speed hits both sides alike.  The workloads, the run length and
+each metric's direction come from the change's `BENCHMARK.json`; the seeds
+are 1..10, ten pairs per workload.  The benchmark's own check reads these
+process runs.
 
 The JSON holds every result line as `bench/run.py` printed it; per
-workload and end-to-end metric, each side's median and quartiles and the
-number of pairs the change won (ties count for neither side), and the
-ratio of the change's median to the parent's, and a verdict (`gain`,
-`worse`, `unresolved` or `flat`, see `_verdict`); each side's failed
-operations; the git sha of both revisions, the Python version, the core
-count and the interpreter's environment flags.  When the change commits a
-`BENCH_AA.json` and the run is not `--aa`, every metric also carries that
-A/A record's median ratio as `aa_median_ratio`, so the record states the
-spread a claimed change has to clear.  After the timed pairs, each side runs
-every workload once more traced (`--trace 1`, seed 1, the same run length),
-and `layers` holds, per workload, each side's exact counts (`*.calls`,
-`cone.dd.constraints`, `cone.dd.rays_out`) and `counts_differ`, the names of
-the counts that differ: a count does not drift with the host, so one that
-moves is a finding.  It is written to
-`BENCH_<pr>.json`, or `BENCH_AA.json` for an A/A run, at the repository
-root.
+workload and end-to-end metric, each side's median and quartiles, the
+pairs the change won (ties count for neither side), the ratio of the
+change's median to the parent's and a verdict (`gain`, `worse`,
+`unresolved` or `flat`, see `_verdict`); each side's failed operations; the
+git sha of both revisions, the Python version, the core count and the
+interpreter's environment flags.  When the change commits a `BENCH_AA.json`
+and the run is not `--aa`, every metric also carries that record's median
+ratio as `aa_median_ratio`.
+
+`paired` is the in-repo evidence of whether a change costs or gains
+anything in process.  For `catalog` and `dd_stress`, each of 4 batches
+starts three fresh workers (`PYTHONHASHSEED=0`), one on the change and two
+on the parent, that load their tree's `bench/<workload>_wl.py` (seed 1) and
+warm it up.  Each of a batch's 10 rounds is a parent/change and a
+parent/parent (A/A) pair of passes, the order swapped every round; a worker
+times a pass with `time.process_time` and checks its outputs untimed.
+Every workload runs warm, and also cold (each pass after clearing
+`nestcone`'s `functools` caches) when its warmed-up worker holds any.
+`paired.<workload>.<mode>` holds each batch's median speed ratio (the
+parent's pass time over the other side's) for the change and the A/A, each
+side's median pass time, failed checks and Python opcodes of one pass
+(`sys.settrace`, counted once: exact, but blind to work in C), and a
+`verdict` (see `_paired_verdict`).  Within one set of workers a process's
+own speed offset reads as an effect; over fresh batches it is spread.
+
+Last, each side runs every workload once more traced (`--trace 1`, seed 1,
+the same run length); `layers` holds, per workload, each side's exact
+counts (`*.calls`, `cone.dd.constraints`, `cone.dd.rays_out`) and
+`counts_differ`, the names of the counts that differ: a count does not
+drift with the host, so one that moves is a finding.  The record is
+written to `BENCH_<pr>.json`, or `BENCH_AA.json` for an A/A run, at the
+repository root.
 """
 
 from __future__ import annotations
@@ -45,6 +61,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from io import BytesIO
 from pathlib import Path
 
@@ -164,6 +181,151 @@ def _summary(runs: list[dict], workload: str, better: dict[str, str], aa: dict,
     return out
 
 
+PAIRED = ("catalog", "dd_stress")  # the workloads whose operations run in process
+BATCHES, ROUNDS = 4, 10
+SIDES = ("parent", "change", "parent_aa")
+PAIRS = (("change", ("parent", "change")), ("aa", ("parent", "parent_aa")))
+
+
+def _median_ratio(base: list[float], other: list[float]) -> float:
+    """The median of the per-round speed ratios base/other, above 1 when
+    `other` took less time."""
+    return statistics.median(b / o for b, o in zip(base, other, strict=True))
+
+
+def _paired_verdict(change: list[float], aa: list[float], failed: dict[str, int]) -> str:
+    """`gain` when every change batch median beats every A/A batch median
+    (for 4 and 4 exchangeable medians, a chance of 1 in 70) and no side
+    failed a check; `worse` when every change batch median falls below
+    every A/A batch median; `flat` otherwise."""
+    if min(change) > max(aa) and not any(failed.values()):
+        return "gain"
+    if max(change) < min(aa):
+        return "worse"
+    return "flat"
+
+
+def _section(batches: list[list[dict]], opcodes: dict[str, int]) -> dict:
+    """One mode's paired section from its batches of rounds, each round
+    {pair: {side: {"s": seconds, "failed": checks}}}, and its opcodes."""
+    def ratios(pair: str, other: str) -> list[float]:
+        return [_median_ratio([r[pair]["parent"]["s"] for r in rounds],
+                              [r[pair][other]["s"] for r in rounds]) for rounds in batches]
+
+    passes = [(side, p) for rounds in batches for r in rounds for pair in r.values()
+              for side, p in pair.items()]
+    failed = {side: sum(p["failed"] for s, p in passes if s == side) for side in SIDES}
+    change, aa = ratios("change", "change"), ratios("aa", "parent_aa")
+    return {"change_ratios": change, "aa_ratios": aa, "failed": failed, "opcodes": opcodes,
+            "pass_s": {side: statistics.median(p["s"] for s, p in passes if s == side) for side in SIDES},
+            "verdict": _paired_verdict(change, aa, failed)}
+
+
+def _pass(ops: list) -> list:
+    """Each operation's output, or the exception it raised."""
+    outs = []
+    for op in ops:
+        try:
+            outs.append(op.run())
+        except Exception as e:  # a failing operation must not end the run
+            outs.append(e)
+    return outs
+
+
+def _opcodes(ops: list) -> int:
+    """The Python opcodes that one pass of `ops` executes."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        _pass(ops)
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+def worker(tree: str, workload: str) -> None:
+    """Load the tree's workload (seed 1), warm it up, print how many
+    `functools` caches `nestcone` holds, and answer each line of stdin, a
+    mode (`cold` first clears every cache): with one timed pass, its
+    process time and the outputs that fail their check; or, with the mode
+    followed by `opcodes`, with the opcodes of one pass."""
+    sys.path[:0] = [f"{tree}/bench", f"{tree}/src"]
+    import harness
+
+    wl = harness.load(workload, 1, None)
+    wl.warm_up()
+    caches = [
+        f for name, mod in list(sys.modules.items()) if name.split(".")[0] == "nestcone"
+        for f in vars(mod).values() if callable(getattr(f, "cache_clear", None))
+    ]
+    print(json.dumps({"caches": len(caches)}), flush=True)
+    for line in sys.stdin:
+        mode, *count = line.split()
+        if mode == "cold":
+            for f in caches:
+                f.cache_clear()
+        if count:
+            print(json.dumps({"opcodes": _opcodes(wl.ops)}), flush=True)
+            continue
+        t0 = time.process_time()
+        outs = _pass(wl.ops)
+        seconds = time.process_time() - t0
+        failed = 0
+        for op, out in zip(wl.ops, outs):
+            try:
+                failed += isinstance(out, Exception) or op.check(out) is not None
+            except Exception:
+                failed += 1
+        print(json.dumps({"s": seconds, "failed": failed}), flush=True)
+
+
+def _batch(trees: dict[str, Path], workload: str, count: bool) -> tuple[dict, dict]:
+    """One batch of paired passes of `workload` on fresh workers: per mode,
+    its rounds (see `_section`), and with `count`, per mode, each side's
+    opcodes of one pass."""
+    procs = {
+        side: subprocess.Popen(
+            [sys.executable, "-B", "-c", "import bench_record; bench_record.worker"
+             f"({str(trees[side.removesuffix('_aa')])!r}, {workload!r})"],
+            env=dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(Path(__file__).parent)),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        for side in SIDES
+    }
+
+    def reply(side: str, request: str | None = None) -> dict:
+        if request:
+            procs[side].stdin.write(request + "\n")
+            procs[side].stdin.flush()
+        line = procs[side].stdout.readline()
+        if not line:
+            raise SystemExit(f"the {side} {workload} worker stopped")
+        return json.loads(line)
+
+    try:
+        modes = ("warm", "cold") if sum(reply(side)["caches"] for side in SIDES) else ("warm",)
+        opcodes = {mode: {side: reply(side, f"{mode} opcodes")["opcodes"] for side in SIDES}
+                   for mode in modes if count}
+        rounds = {
+            mode: [{name: {side: reply(side, mode) for side in (pair if i % 2 == 0 else pair[::-1])}
+                    for name, pair in PAIRS} for i in range(ROUNDS)]
+            for mode in modes
+        }
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+    return rounds, opcodes
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int)
@@ -198,6 +360,11 @@ def main() -> int:
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps({k: round(v['value'], 4) for k, v in res['metrics'].items()})}",
                           file=sys.stderr)
+        paired = {}
+        for w in PAIRED:  # the first batch counts the opcodes
+            batches = [_batch(trees, w, count=b == 0) for b in range(BATCHES)]
+            paired[w] = {mode: _section([rounds[mode] for rounds, _ in batches], opcodes)
+                         for mode, opcodes in batches[0][1].items()}
         traced = {
             workload: {side: _run(trees[side], workload, 1, seconds, trace=1)["metrics"]
                        for side in ("parent", "change")}
@@ -209,6 +376,7 @@ def main() -> int:
         "aa": bool(args.aa),
         "command": f"bench/run.py --seconds {seconds} --trace 0",
         "layers_command": f"bench/run.py --seconds {seconds} --trace 1 --seed 1",
+        "paired_command": f"{BATCHES} batches of {ROUNDS} rounds of bench/<workload>_wl.py seed 1 passes",
         "parent": {"rev": args.parent, "sha": shas["parent"]},
         "change": {"rev": args.change, "sha": shas["change"]},
         "host": {
@@ -219,6 +387,7 @@ def main() -> int:
         },
         "summary": {w: _summary(runs, w, better, aa.get(w, {}), bounds) for w in workloads},
         "layers": {w: _layers(traced[w]["parent"], traced[w]["change"]) for w in workloads},
+        "paired": paired,
         "runs": runs,
     }
     out = ROOT / ("BENCH_AA.json" if args.aa else f"BENCH_{args.pr}.json")

@@ -52,8 +52,9 @@ def rat_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def ratio(n: int, d: int) -> Rat:
-    """The quotient of two ints (d nonzero) in normal form."""
+def ratio(n: Rat, d: int) -> Rat:
+    """The quotient n/d of an exact rational n and a nonzero int d in
+    normal form."""
     return n // d if n % d == 0 else Fraction(n, d)
 
 

@@ -45,6 +45,7 @@ reported as SKIPPED, never silently passed.
 
 import re
 from functools import partial
+from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .cone import (
@@ -68,7 +69,7 @@ from .pairing import (
     k3_extremal_slope,
     nodal_curves_k3,
 )
-from .rationals import Rat, canonical_json, primitive, rat, rat_str, vdot
+from .rationals import Rat, canonical_json, primitive, rat, rat_str, ratio, vdot
 from .spaces import (
     CurClass,
     DivClass,
@@ -197,10 +198,22 @@ class Certificate(NamedTuple):
 def _pair_all(curves: Sequence[CurClass | None], divisors: Sequence[DivClass | None]):
     """(functionals, matrix) of curves against divisors: each curve's
     functional is computed once and each cell (rows = curves, cols =
-    divisors) is one dot product with it; None where a class is unresolved."""
+    divisors) is one dot product with it; None where a class is unresolved.
+    A divisor with a `Fraction` coordinate is read once as D/m, m the lcm
+    of its denominators: its cells are `ratio(f . D, m)`, integer dot
+    products for an integral f, where `vdot` would add up `Fraction`s."""
     fs = [None if c is None else curve_functional(c) for c in curves]
-    cells = [[None if f is None or d is None else vdot(f, d.coords) for d in divisors] for f in fs]
+    cols = [(None, 1) if d is None else _over_lcm(d.coords) for d in divisors]
+    cells = [[None if f is None or dc is None else vdot(f, dc) if m == 1 else ratio(vdot(f, dc), m)
+              for dc, m in cols] for f in fs]
     return fs, tuple(map(tuple, cells))
+
+
+def _over_lcm(coords: Sequence[Rat]) -> tuple[Sequence[Rat], int]:
+    """(D, m) with coords = D/m: m the lcm of the denominators and D
+    integral; (coords, 1) when every coordinate is an `int`."""
+    m = lcm(*[a.denominator for a in coords])
+    return (coords, 1) if m == 1 else ([a.numerator * (m // a.denominator) for a in coords], m)
 
 
 def diagonal_failure(matrix: Sequence[Sequence[Rat]], rank: int) -> tuple[int, int] | None:

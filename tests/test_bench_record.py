@@ -1,9 +1,14 @@
 """`scripts/bench_record.py` summaries: quartiles, pairs won and the A/A
-spread carried into every metric of a parent/change record, and the exact
-per-layer counts of its traced runs."""
+spread carried into every metric of a parent/change record, the exact
+per-layer counts of its traced runs, and the paired section's batch
+medians, verdict rule and opcode counts."""
 
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
 
@@ -113,3 +118,75 @@ def test_layers_compare_the_exact_counts_of_both_sides():
     # a count that only one side reports differs
     extra = dict(parent, **_traced(**{"check.calls": 3}))
     assert _B._layers(parent, extra)["counts_differ"] == ["check.calls"]
+
+
+def test_median_ratio_reads_speed_ratios_round_by_round():
+    # The other side takes 0.8 of the base's time in 3 of 4 rounds and
+    # 1.25 times it in one: speed ratios 1.25, 1.25, 1.25, 0.8.
+    assert _B._median_ratio([10.0, 20.0, 40.0, 8.0], [8.0, 16.0, 32.0, 10.0]) == pytest.approx(1.25)
+    assert _B._median_ratio([10.0, 20.0], [8.0, 25.0]) == pytest.approx((1.25 + 0.8) / 2)
+
+
+def test_median_ratio_of_identical_passes_is_one():
+    assert _B._median_ratio([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
+
+
+def test_median_ratio_refuses_unequal_lists():
+    with pytest.raises(ValueError):
+        _B._median_ratio([1.0, 2.0], [1.0])
+
+
+NO_FAILS = {"parent": 0, "change": 0, "parent_aa": 0}
+AA = [0.985, 0.992, 0.989, 0.994]  # measured A/A batch medians
+
+
+def test_paired_verdict_of_measured_identical_code_is_flat():
+    assert _B._paired_verdict([1.063, 0.986, 1.004, 1.000], AA, NO_FAILS) == "flat"
+
+
+def test_paired_verdict_needs_every_change_batch_beyond_every_aa_batch():
+    assert _B._paired_verdict([1.01, 1.03, 0.999, 1.08], AA, NO_FAILS) == "gain"
+    assert _B._paired_verdict([0.98, 0.95, 0.97, 0.984], AA, NO_FAILS) == "worse"
+    # one change batch inside the A/A range leaves it flat either way
+    assert _B._paired_verdict([1.01, 1.03, 0.990, 1.08], AA, NO_FAILS) == "flat"
+    assert _B._paired_verdict([0.98, 0.95, 0.97, 0.986], AA, NO_FAILS) == "flat"
+
+
+@pytest.mark.parametrize("side", ["parent", "change", "parent_aa"])
+def test_failed_checks_block_a_gain(side):
+    assert _B._paired_verdict([1.1] * 4, AA, dict(NO_FAILS, **{side: 1})) == "flat"
+    assert _B._paired_verdict([0.9] * 4, AA, dict(NO_FAILS, **{side: 1})) == "worse"
+
+
+def _round(parent, change, parent_aa, failed=0):
+    """One round: the parent's pass time in each pair, the others' times,
+    and `failed` checks on the change's pass."""
+    return {"change": {"parent": {"s": parent, "failed": 0}, "change": {"s": change, "failed": failed}},
+            "aa": {"parent": {"s": parent, "failed": 0}, "parent_aa": {"s": parent_aa, "failed": 0}}}
+
+
+def test_section_holds_each_batch_median_and_each_side_total():
+    batches = [[_round(10, 8, 10), _round(10, 8, 10), _round(10, 12.5, 10, failed=2)],
+               [_round(4, 5, 5), _round(4, 5, 4), _round(4, 5, 4)]]
+    out = _B._section(batches, {"parent": 7, "change": 7, "parent_aa": 7})
+    assert out["change_ratios"] == [1.25, 0.8] and out["aa_ratios"] == [1.0, 1.0]
+    assert out["failed"] == {"parent": 0, "change": 2, "parent_aa": 0}
+    assert out["pass_s"] == {"parent": 7.0, "change": 6.5, "parent_aa": 7.5}
+    assert out["opcodes"] == {"parent": 7, "change": 7, "parent_aa": 7}
+    assert out["verdict"] == "flat"
+
+
+def _loop(n):
+    total = 0
+    for i in range(n):
+        total += i
+    return total
+
+
+def test_opcodes_count_one_pass_exactly():
+    ops = [SimpleNamespace(run=lambda: _loop(10)), SimpleNamespace(run=lambda: 1 / 0)]
+    outer = sys.gettrace()
+    count = _B._opcodes(ops)
+    assert count > 0 and _B._opcodes(ops) == count  # a failing operation ends nothing
+    assert _B._opcodes([SimpleNamespace(run=lambda: _loop(11)), ops[1]]) > count
+    assert sys.gettrace() is outer

@@ -13,12 +13,14 @@ from brute_cone import BruteCone, dot, rank, rref
 from nestcone.cone import cone_equal, cone_from_rays, dual
 from nestcone.errors import EmptyInput, RangeError, SpaceMismatch, UnknownTable
 from nestcone.pairing import curve_functional
+from nestcone.rationals import vdot
 from nestcone.verify import (
     EFF_MOVING,
     EFF_P2_3_2_PRINTED_VARIANT,
     NEF_DUAL,
     RaySpec,
     WitnessSpec,
+    _pair_all,
     certified_tables,
     diagonal_failure,
     table_inputs,
@@ -321,6 +323,33 @@ def test_certificate_keeps_its_witness_functionals(table_id):
     assert cert.functionals == tuple(curve_functional(w.cls) for w in wits)
     assert cert.matrix == tuple(tuple(nc.pair(r.cls, w.cls) for r in rays) for w in wits)
     assert "functionals" not in cert.to_json()
+
+
+_PAIR_SPACES = [(nc.p2(), nc.hilb(3)), (nc.p2(), nc.nested(2)), (nc.k3(3), nc.univ(2)), (nc.k3(4), nc.nested(3))]
+_FRACTION = st.fractions(-3, 3, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pair_all_is_vdot_cell_by_cell(data):
+    """Every cell of `_pair_all` equals `vdot` of the curve's functional
+    with the divisor's coordinates, in value and in type (an `int` when
+    integral), for divisors with `Fraction` coordinates (read over the lcm
+    of their denominators) and all-`int` ones, against curves with `int` or
+    `Fraction` coordinates; an unresolved class gives None."""
+    s, sp = data.draw(st.sampled_from(_PAIR_SPACES))
+    d, c = nc.divisor_rank(s, sp), nc.curve_rank(s, sp)
+    divisors = [nc.DivClass(s, sp, coords) for coords in data.draw(st.lists(
+        st.tuples(*[st.one_of(_FRACTION, _SMALL)] * d), min_size=1, max_size=4))]
+    curves = [nc.CurClass(s, sp, coords) for coords in data.draw(st.lists(
+        st.one_of(st.tuples(*[_SMALL] * c), st.tuples(*[_FRACTION] * c)), min_size=1, max_size=3))]
+    functionals, matrix = _pair_all([*curves, None], [None, *divisors])
+    assert functionals == [*map(curve_functional, curves), None]
+    assert matrix[-1] == (None,) * (len(divisors) + 1)
+    for cur, row in zip(curves, matrix):
+        expected = [vdot(curve_functional(cur), div.coords) for div in divisors]
+        assert row[0] is None and list(row[1:]) == expected
+        assert [type(x) for x in row[1:]] == [type(x) for x in expected]
 
 
 def test_provenance_tags_are_reconstructible():
