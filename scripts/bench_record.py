@@ -268,11 +268,11 @@ def worker(tree: str, workload: str) -> None:
     ]
     print(json.dumps({"caches": len(caches)}), flush=True)
     for line in sys.stdin:
-        mode, *count = line.split()
+        mode, *opcodes = line.split()
         if mode == "cold":
             for f in caches:
                 f.cache_clear()
-        if count:
+        if opcodes:
             print(json.dumps({"opcodes": _opcodes(wl.ops)}), flush=True)
             continue
         t0 = time.process_time()

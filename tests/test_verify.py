@@ -327,6 +327,7 @@ def test_certificate_keeps_its_witness_functionals(table_id):
 
 _PAIR_SPACES = [(nc.p2(), nc.hilb(3)), (nc.p2(), nc.nested(2)), (nc.k3(3), nc.univ(2)), (nc.k3(4), nc.nested(3))]
 _FRACTION = st.fractions(-3, 3, max_denominator=6)
+_SMALL = st.integers(-3, 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -487,7 +488,6 @@ def _brute_is_dual(d, rays, functionals) -> bool:
     )
 
 
-_SMALL = st.integers(-3, 3)
 _EFF_SPACES = [(nc.p2(), nc.hilb(3)), (nc.p2(), nc.univ(2)), (nc.p2(), nc.nested(3))]
 
 
