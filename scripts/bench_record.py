@@ -29,11 +29,13 @@ ratio as `aa_median_ratio`.
 anything in process.  For `catalog` and `dd_stress`, each of 4 batches
 starts three fresh workers (`PYTHONHASHSEED=0`), one on the change and two
 on the parent, that load their tree's `bench/<workload>_wl.py` (seed 1) and
-warm it up.  Each of a batch's 10 rounds is a parent/change and a
-parent/parent (A/A) pair of passes, the order swapped every round; a worker
-times a pass with `time.process_time` and checks its outputs untimed.
-Every workload runs warm, and also cold (each pass after clearing
-`nestcone`'s `functools` caches) when its warmed-up worker holds any.
+warm it up.  Each of a batch's 10 rounds is, per mode, a parent/change and
+a parent/parent (A/A) pair of passes; every workload runs warm, and also
+cold (each pass after clearing `nestcone`'s `functools` caches) when its
+warmed-up worker holds any.  Both the order of the modes within a round
+and the order of each pair's sides swap every round, so each mode's pass
+times come from the same stretch of host time.  A worker times a pass
+with `time.process_time` and checks its outputs untimed.
 `paired.<workload>.<mode>` holds each batch's median speed ratio (the
 parent's pass time over the other side's) for the change and the A/A, each
 side's median pass time, failed checks and Python opcodes of one pass
@@ -290,7 +292,9 @@ def worker(tree: str, workload: str) -> None:
 def _batch(trees: dict[str, Path], workload: str, count: bool) -> tuple[dict, dict]:
     """One batch of paired passes of `workload` on fresh workers: per mode,
     its rounds (see `_section`), and with `count`, per mode, each side's
-    opcodes of one pass."""
+    opcodes of one pass.  Every round runs each mode once, and every other
+    round swaps both the order of the modes and the order of each pair's
+    sides, so that a drift of the host's speed hits both modes alike."""
     procs = {
         side: subprocess.Popen(
             [sys.executable, "-B", "-c", "import bench_record; bench_record.worker"
@@ -314,11 +318,12 @@ def _batch(trees: dict[str, Path], workload: str, count: bool) -> tuple[dict, di
         modes = ("warm", "cold") if sum(reply(side)["caches"] for side in SIDES) else ("warm",)
         opcodes = {mode: {side: reply(side, f"{mode} opcodes")["opcodes"] for side in SIDES}
                    for mode in modes if count}
-        rounds = {
-            mode: [{name: {side: reply(side, mode) for side in (pair if i % 2 == 0 else pair[::-1])}
-                    for name, pair in PAIRS} for i in range(ROUNDS)]
-            for mode in modes
-        }
+        rounds = {mode: [] for mode in modes}
+        for i in range(ROUNDS):
+            turn = 1 if i % 2 == 0 else -1
+            for mode in modes[::turn]:
+                rounds[mode].append({name: {side: reply(side, mode) for side in pair[::turn]}
+                                     for name, pair in PAIRS})
     finally:
         for proc in procs.values():
             proc.stdin.close()

@@ -6,15 +6,19 @@ reasonably fast for the dimensions used here (<= 8).
 
 * The dual is computed by the double description method (`_dd`, run once
   per cone and cached), which keeps for every intermediate ray the bitmask
-  of the constraints it is tight on.  New rays come only from adjacent
-  pairs (`_pairs`).  At each step, with D = dimension - lineality and e
-  the excess (size less rank) of the constraints every ray is tight on, a
-  ray tight on exactly D - 1 + e constraints is nondegenerate: two
-  nondegenerate rays are adjacent exactly when they share a ridge (one
-  ray's mask less one bit), found by a dict lookup.  Every other pair goes
-  through the combinatorial test (`_adjacent`): a popcount, then the test
-  for a third ray tight on all of their common constraints.  That test
-  ANDs per-constraint ray bitsets, built lazily by `_transpose`, the one
+  of the constraints it is tight on.  It returns three lists, the
+  lineality basis, the rays and their masks, in the order its steps make
+  them: nothing reads that order, and `facet_normals` sorts once.  Each
+  new ray is `_combine` of two vectors, the primitive form of an integer
+  combination.  New rays come only from adjacent pairs (`_pairs`).  At
+  each step, with D = dimension - lineality and e the excess (size less
+  rank) of the constraints every ray is tight on, a ray tight on exactly
+  D - 1 + e constraints is nondegenerate: two nondegenerate rays are
+  adjacent exactly when they share a ridge (one ray's mask less one bit),
+  found by a dict lookup.  Every other pair goes through the
+  combinatorial test (`_adjacent`): a popcount, then the test for a third
+  ray tight on all of their common constraints.  That test ANDs
+  per-constraint ray bitsets, built lazily by `_transpose`, the one
   bit-matrix transpose.
 * Extremal rays and the lineality space are read off the same DD's
   incidence data, each generator's bitmask of tight facets (`_transpose`
@@ -173,13 +177,23 @@ def _pairs(
     yield from _adjacent(masks, pairs, floor)
 
 
-def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, int]]]:
+def _combine(a: int, x: IVec, b: int, y: IVec) -> IVec:
+    """The primitive form of a * x - b * y, for int vectors x and y whose
+    combination is not zero."""
+    w = [a * p - b * q for p, q in zip(x, y)]
+    g = gcd(*w)
+    return tuple(w) if g == 1 else tuple([p // g for p in w])
+
+
+def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec], list[int]]:
     """Double description: generators of {y : y . c >= 0 for all c}.
 
     The constraints are sorted, distinct, nonzero primitive vectors, as a
-    Cone stores its rays.  Returns (lineality basis, extremal rays of the
-    pointed part), each ray with the bitmask of the constraints it is tight
-    on (bit i for cons[i]).
+    Cone stores its rays.  Returns three lists: the canonical lineality
+    basis, the extremal rays of the pointed part (distinct primitive int
+    vectors) and, per ray, the bitmask of the constraints it is tight on
+    (bit i for cons[i]).  The rays come in the order the steps make them;
+    `Cone.facet_normals` sorts them.
     """
     lin: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -199,14 +213,9 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
             if dstar < 0:
                 lstar = tuple(-x for x in lstar)
                 dstar = -dstar
-            lin = [
-                primitive([dstar * x - d * y for x, y in zip(l, lstar)])
-                for j, (l, d) in enumerate(zip(lin, dl)) if j != pivot
-            ]
-            rays = [
-                primitive([dstar * x - s * y for x, y in zip(v, lstar)])
-                for v, s in zip(rays, scores)
-            ]
+            lin = [_combine(dstar, l, d, lstar)
+                   for j, (l, d) in enumerate(zip(lin, dl)) if j != pivot]
+            rays = [_combine(dstar, v, s, lstar) for v, s in zip(rays, scores)]
             # lstar was in the lineality space, hence tight on every earlier
             # constraint, and a . lstar > 0.
             rays.append(lstar)
@@ -216,10 +225,8 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
 
         pos = [i for i, s in enumerate(scores) if s > 0]
         neg = [j for j, s in enumerate(scores) if s < 0]
-        new_rays = [
-            (v, m | bit if s == 0 else m)
-            for v, m, s in zip(rays, masks, scores) if s >= 0
-        ]
+        new_rays = [v for v, s in zip(rays, scores) if s >= 0]
+        new_masks = [m | bit if s == 0 else m for m, s in zip(masks, scores) if s >= 0]
         if pos and neg:
             # The constraints every ray is tight on: only an elimination
             # gives their rank.
@@ -228,19 +235,14 @@ def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[tuple[IVec, in
                 tight = [c for k, c in enumerate(cons) if t >> k & 1]
                 excess[t] = len(tight) - len(rref(tight)[1])
             for i, j in _pairs(masks, pos, neg, dim - len(lin) - 2 + excess[t]):
-                sp, sq, p, q = scores[i], scores[j], rays[i], rays[j]
-                # sp > 0 > sq: w is a positive combination of p and q, not zero.
-                w = [sp * x - sq * y for x, y in zip(q, p)]
-                g = gcd(*w)
-                v2 = tuple(w) if g == 1 else tuple([x // g for x in w])
-                new_rays.append((v2, (masks[i] & masks[j]) | bit))
-        # Each new ray lies in the relative interior of its own 2-face, so
-        # it equals no other ray: the rays stay distinct and sort by value.
-        new_rays.sort()
-        rays = [v for v, _ in new_rays]
-        masks = [m for _, m in new_rays]
+                # scores[i] > 0 > scores[j]: a positive combination of the
+                # two rays, in the relative interior of their 2-face, so it
+                # equals no other ray.
+                new_rays.append(_combine(scores[i], rays[j], scores[j], rays[i]))
+                new_masks.append((masks[i] & masks[j]) | bit)
+        rays, masks = new_rays, new_masks
 
-    return _canonical_lineality(lin), list(zip(rays, masks))
+    return _canonical_lineality(lin), rays, masks
 
 
 def _canonical_lineality(lin: Sequence[IVec]) -> list[IVec]:
@@ -289,26 +291,25 @@ class Cone:
         return f"Cone(dim={self.dim}, rays={list(self.rays)})"
 
     @cached_property
-    def _dual_parts(self) -> tuple[list[IVec], list[tuple[IVec, int]]]:
+    def _dual_parts(self) -> tuple[list[IVec], list[IVec], list[int]]:
         return _dd(self.rays, self.dim)
 
     @cached_property
     def _incidence(self) -> list[int]:
         """Per generator, the bitmask of the facets tight on it (bit i for
         the i-th pointed-part ray of `_dual_parts`): the `_transpose` of the
-        DD's incidence data, padded with empty masks to one per generator.
-        The dual's lineality basis is tight on every generator and has no
-        bit."""
-        cols = _transpose([m for _, m in self._dual_parts[1]])
+        DD's masks, padded with empty masks to one per generator.  The
+        dual's lineality basis is tight on every generator and has no bit."""
+        cols = _transpose(self._dual_parts[2])
         return cols + [0] * (len(self.rays) - len(cols))
 
     @cached_property
     def facet_normals(self) -> tuple[IVec, ...]:
         """Generators of the dual cone: facet normals plus, when this cone is
-        not full-dimensional, +/- pairs spanning the orthogonal complement."""
-        lin, rays = self._dual_parts
-        gens = [v for v, _ in rays] + lin + [tuple(-x for x in l) for l in lin]
-        return tuple(sorted(gens))
+        not full-dimensional, +/- pairs spanning the orthogonal complement,
+        sorted: the one sort of the DD's output."""
+        lin, rays, _ = self._dual_parts
+        return tuple(sorted(rays + lin + [tuple(-x for x in l) for l in lin]))
 
     @cached_property
     def _full_mask(self) -> int:

@@ -1,9 +1,10 @@
 """`scripts/bench_record.py` summaries: quartiles, pairs won and the A/A
 spread carried into every metric of a parent/change record, the exact
 per-layer counts of its traced runs, and the paired section's batch
-medians, verdict rule and opcode counts."""
+medians, verdict rule, opcode counts and order of passes."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -190,3 +191,41 @@ def test_opcodes_count_one_pass_exactly():
     assert count > 0 and _B._opcodes(ops) == count  # a failing operation ends nothing
     assert _B._opcodes([SimpleNamespace(run=lambda: _loop(11)), ops[1]]) > count
     assert sys.gettrace() is outer
+
+
+class _Worker:
+    """A stand-in for one worker process of `_batch`: it logs each pass
+    request in the shared `log` and answers it with the number of passes
+    requested so far as its time, as on a host that slows down steadily."""
+
+    log: list[str] = []
+
+    def __init__(self, *args, **kwargs):
+        self.replies = [{"caches": 1}]
+        self.stdin = SimpleNamespace(write=self.write, flush=lambda: None, close=lambda: None)
+        self.stdout = SimpleNamespace(readline=lambda: json.dumps(self.replies.pop(0)) + "\n")
+
+    def write(self, line):
+        mode, *opcodes = line.split()
+        if opcodes:
+            self.replies.append({"opcodes": 1})
+        else:
+            self.log.append(mode)
+            self.replies.append({"s": len(self.log), "failed": 0})
+
+    def wait(self):
+        return 0
+
+
+def test_batch_runs_both_modes_in_every_round_in_turn(monkeypatch):
+    monkeypatch.setattr(_Worker, "log", [])
+    monkeypatch.setattr(_B.subprocess, "Popen", _Worker)
+    rounds, opcodes = _B._batch({"parent": Path("p"), "change": Path("c")}, "w", count=True)
+    assert opcodes == {mode: dict.fromkeys(_B.SIDES, 1) for mode in ("warm", "cold")}
+    log, block = _Worker.log, 2 * len(_B.PAIRS)  # one mode's passes in one round
+    assert all(log[k:k + block] == [log[k]] * block for k in range(0, len(log), block))
+    assert log[::block] == ["warm", "cold", "cold", "warm"] * (_B.ROUNDS // 2)
+    # The modes' median pass times share the host's drift: they lie within
+    # one round of each other, not half a batch apart.
+    warm, cold = (_B._section([rounds[mode]], {})["pass_s"]["parent"] for mode in ("warm", "cold"))
+    assert abs(warm - cold) < 2 * block

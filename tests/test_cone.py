@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, islice
-from math import comb
+from math import comb, gcd
 from unittest import mock
 
 import pytest
@@ -35,6 +35,7 @@ from nestcone.errors import (
     NotPointed,
 )
 from nestcone.linalg import rref
+from test_cone_oracle import cones
 
 
 def F(x):
@@ -691,6 +692,26 @@ def test_pairs_with_an_empty_side_yield_nothing():
     assert list(_pairs(masks, [], [0, 1, 2], 1)) == []
     assert list(_pairs(masks, [0, 1, 2], [], 1)) == []
     assert list(_pairs(masks, [0], [1], 1)) == [(0, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(degenerate_cones(), cones()))
+def test_dd_returns_distinct_primitive_rays_with_their_tight_masks(case):
+    """Over c's rays and over dual(c)'s rays, in whatever order `_dd` makes
+    them: every ray is a distinct primitive int vector, nonnegative on every
+    constraint, and its mask holds exactly the constraints it is tight on;
+    every lineality vector is tight on all constraints."""
+    d, rays = case
+    c = Cone(d, rays)
+    for cons in (c.rays, dual(c).rays):
+        lin, out, masks = cone_module._dd(cons, d)
+        assert len(out) == len(masks) and len(set(out)) == len(out)
+        for v, m in zip(out, masks):
+            assert len(v) == d and all(type(x) is int for x in v) and gcd(*v) == 1
+            scores = [sum(a * x for a, x in zip(con, v)) for con in cons]
+            assert min(scores, default=0) >= 0
+            assert m == sum(1 << k for k, s in enumerate(scores) if s == 0)
+        assert all(sum(a * x for a, x in zip(con, l)) == 0 for l in lin for con in cons)
 
 
 # ---------------------------------------------------------------------------
