@@ -20,21 +20,23 @@ decide; every ray therefore carries a provenance tag and the certified
 statement is exactly the convex-duality identity.
 
 The registry is ``CATALOG``: each table id maps to one ``TableSpec``, its
-default parameters, its kind (``NEF_DUAL``, ``EFF_MOVING``, or None for a
-table with no certificate) and its builder.  The kind is the one record of
-which tables are certified: ``certified_tables`` reads it, and one lookup
-raises ``UnknownTable`` for an id that is unknown, or of the wrong kind, in
-``table_params``, ``table_inputs`` and ``standard_{nef,eff}_certificate``.
+default parameters, its kind (``NEF_DUAL`` or ``EFF_MOVING`` for the 11
+certified tables, else None) and its builder.  ``certified_tables`` reads
+the kind, and one lookup raises ``UnknownTable`` for an id that is unknown,
+or of the wrong kind, in ``table_params``, ``table_inputs`` and
+``standard_{nef,eff}_certificate``.
 
-Every certified catalog table (nef and eff alike) flows one way: its
-``TableInputs`` (rays, witnesses, expected pairings; read by
-``table_inputs``) feed one ``Certificate``, and ``reproduce_table`` takes
-the table's one section from ``Certificate.matrix``, so no cell is paired
-twice.  Each witness's functional is computed once, from the pairing
-table's rows; every cell is a dot product with it, the dual-cone check
-reads it, and ``Certificate.functionals`` keeps it (not in the JSON).  The
-same inputs give cross-sections the table's cone (``TableInputs.cone``) and
-the Butler study its nef certificate and functionals.
+Every table flows one way: its builder returns one ``SectionInputs`` per
+section (``table_sections``), a ``TableInputs`` (rays, witnesses, expected
+pairings) with what the section prints, and ``reproduce_table`` makes each
+section alike.  One ``Certificate`` decides a section whose kind is set and
+whose labels all resolve, and its matrix gives the cells; any other section
+is paired cell by cell, with a kind's check skipped.  So the chart is
+certified entry by entry, and a certified table's one section gives
+``table_inputs``: its cone for cross-sections (``TableInputs.cone``) and
+the Butler study's nef certificate.  Each witness's functional is computed
+once, from the pairing table's rows: every cell is a dot product with it,
+the dual-cone check reads it, and ``Certificate.functionals`` keeps it.
 
 The catalog reproduces reference intersection tables cell by cell.  Legacy
 labels (H_1, B_1, D_{1,1}, C_{2,1,1}, ...) are translated to canonical
@@ -95,9 +97,9 @@ __all__ = (
     "PULLBACK_OF_NEF", "RESIDUE_OF_NEF", "ASSERTED", "Provenance", "RaySpec",
     "WitnessSpec", "TableInputs", "NEF_DUAL", "EFF_MOVING", "CERTIFIED", "Certificate",
     "diagonal_failure", "certify_nef", "certify_eff", "MATCH", "DIFF", "SKIPPED",
-    "CellCheck", "SectionCheck", "TableSection", "TableReport",
+    "CellCheck", "SectionCheck", "TableSection", "TableReport", "SectionInputs",
     "EFF_P2_3_2_PRINTED_VARIANT", "TableSpec", "CATALOG", "certified_tables",
-    "table_params", "table_inputs", "standard_nef_certificate",
+    "table_params", "table_sections", "table_inputs", "standard_nef_certificate",
     "standard_eff_certificate", "reproduce_table", "table_cross_section",
 )
 
@@ -129,9 +131,10 @@ class WitnessSpec(NamedTuple):
 
 
 class TableInputs(NamedTuple):
-    """What a certified table is built from: its rays and witnesses on
-    `space` over `surface`, and the exact pairings the reference prints
-    (rows = witnesses, cols = rays; None where nothing is printed)."""
+    """What a table section is built from: its rays and witnesses on
+    `space` over `surface` (a class is None where a label is unresolved),
+    and the exact pairings the reference prints (rows = witnesses, cols =
+    rays; None where nothing is printed)."""
 
     surface: SurfaceModel
     space: SpaceId
@@ -426,43 +429,56 @@ class TableReport(NamedTuple):
         return buf.getvalue()
 
 
-def _section(
-    title: str,
-    rows: Sequence[str],
-    cols: Sequence[str],
-    matrix: Sequence[Sequence[Rat | None]],
-    expected: Sequence[Sequence] | None,
-    checks: Sequence[SectionCheck],
-    notes: Sequence[str],
-) -> TableSection:
-    """A section from a computed matrix (rows x cols, None where a label is
-    unresolved: that cell is SKIPPED).  `expected` holds the exact values,
-    or is None for generator charts without printed numbers, whose cells
-    must be non-negative."""
-    if expected is None:
-        expected = [[None] * len(cols)] * len(rows)
+class SectionInputs(NamedTuple):
+    """One section of a catalog table: its inputs and title, the kind of
+    certificate that decides it (None: its cells are only paired), the name
+    of its check and the check's fixed detail (None: the verdict)."""
+
+    inputs: TableInputs
+    title: str
+    kind: str | None = None
+    check: str = ""
+    detail: str | None = None
+    notes: tuple[str, ...] = ()
+
+
+def _section(sec: SectionInputs) -> TableSection:
+    """The section `sec` prints: certified when its kind is set and every
+    label resolves, else paired cell by cell with a kind's check skipped.
+    A cell matches its expected value or, where none is printed, is >= 0."""
+    _, _, rays, witnesses, expected = inp = sec.inputs
+    unresolved = [x.label for x in (*witnesses, *rays) if x.cls is None]
+    if sec.kind is None or unresolved:
+        rows, cols = [w.label for w in witnesses], [r.label for r in rays]
+        matrix = _pair_all([w.cls for w in witnesses], [r.cls for r in rays])[1]
+        status, detail = SKIPPED, "unresolved labels: " + ", ".join(unresolved)
+    else:
+        cert = _certify(sec.kind, inp)
+        rows, cols, matrix = cert.witness_labels, cert.ray_labels, cert.matrix
+        status, detail = "pass" if cert.ok else "fail", sec.detail or cert.verdict
     cells = []
+    expected = expected or [[None] * len(cols)] * len(rows)
     for rl, got_row, exp_row in zip(rows, matrix, expected, strict=True):
         for cl, got, exp in zip(cols, got_row, exp_row, strict=True):
             want = None if exp is None else rat(exp)
             if got is None:
-                status = SKIPPED
+                cell = SKIPPED
             elif want is None:
-                status = MATCH if got >= 0 else DIFF
+                cell = MATCH if got >= 0 else DIFF
             else:
-                status = MATCH if got == want else DIFF
-            cells.append(CellCheck(rl, cl, want, got, status))
-    return TableSection(title, tuple(rows), tuple(cols), tuple(cells), tuple(checks), tuple(notes))
+                cell = MATCH if got == want else DIFF
+            cells.append(CellCheck(rl, cl, want, got, cell))
+    checks = (SectionCheck(sec.check, status, detail),) if sec.kind else ()
+    return TableSection(sec.title, tuple(rows), tuple(cols), tuple(cells), checks, sec.notes)
 
 
-def _pairings(
-    rows: Sequence[tuple[str, CurClass | None]], cols: Sequence[tuple[str, DivClass | None]]
-):
-    """(row labels, col labels, matrix) of (label, curve) rows paired with
-    (label, divisor) cols, for tables without a certificate; None where
-    either class is unresolved."""
-    matrix = _pair_all([r for _, r in rows], [c for _, c in cols])[1]
-    return [lab for lab, _ in rows], [lab for lab, _ in cols], matrix
+_CHECK_NAMES = {NEF_DUAL: "nef duality certificate", EFF_MOVING: "moving-curve duality certificate"}
+
+
+def _certified(table_id: str, kind: str, inp: TableInputs, *notes: str) -> tuple[SectionInputs]:
+    """The one section of a table certified by `kind`."""
+    title = f"{table_id} ({inp.surface.key}, {inp.space})"
+    return (SectionInputs(inp, title, kind, _CHECK_NAMES[kind], None, notes),)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +489,12 @@ def _full_b(surface: SurfaceModel, space: SpaceId, half_label: str) -> DivClass:
     return 2 * divisor(surface, space, half_label)
 
 
-def _eff_inputs(s: SurfaceModel, sp: SpaceId, rows, cols, expected) -> TableInputs:
-    """Inputs of an effective-cone table: (label, class) rows of moving
-    curves against (label, class) cols of effective rays."""
+def _labelled_inputs(s: SurfaceModel, sp: SpaceId, rows, cols, expected) -> TableInputs:
+    """Inputs of (label, curve) rows against (label, divisor) cols: of an
+    eff table or chart entry (moving curves against effective rays) and of
+    a pairing table.  Every ray is tagged an asserted effective generator;
+    only a certificate reads a ray's provenance, and a section without a
+    kind prints none."""
     effective = Provenance(ASSERTED, "effective generator of the claimed cone")
     rays = [RaySpec(lab, cls, effective) for lab, cls in cols]
     # Asserted geometric input: each moving curve's irreducible
@@ -484,7 +503,7 @@ def _eff_inputs(s: SurfaceModel, sp: SpaceId, rows, cols, expected) -> TableInpu
     return TableInputs(s, sp, rays, moving, expected)
 
 
-def _eff_p2_2_1() -> TableInputs:
+def _eff_p2_2_1(table_id: str) -> tuple[SectionInputs, ...]:
     """Eff(P^2[2,1]) modeled on the universal family Univ(2): the formal
     nested(1) lattice is rank-degenerate (the subscheme is a single reduced
     point, so Bb and Ab vanish), and Univ(2) carries exactly the three
@@ -511,7 +530,7 @@ def _eff_p2_2_1() -> TableInputs:
         [1, 0, 0, 1],
         [0, 1, 0, 1],
     ]
-    return _eff_inputs(s, sp, rows, cols, expected)
+    return _certified(table_id, EFF_MOVING, _labelled_inputs(s, sp, rows, cols, expected))
 
 
 # The legacy source prints the row C_{1,0} of the Eff(P^2[3,2]) table as
@@ -521,7 +540,7 @@ def _eff_p2_2_1() -> TableInputs:
 EFF_P2_3_2_PRINTED_VARIANT = {"C_{1,0}": (1, 0, 2, 0, 0)}
 
 
-def _eff_p2_3_2() -> TableInputs:
+def _eff_p2_3_2(table_id: str) -> tuple[SectionInputs, ...]:
     """Eff(P^2[3,2]) on Nested(2) in the legacy frame H_1 = Hdiff,
     B_1 = Bdiff, B_2 = Bb, D_{1,k} = k(H_1+H_2) - (B_1+B_2)/2,
     D_{2,k} = kH_2 - B_2/2."""
@@ -552,7 +571,12 @@ def _eff_p2_3_2() -> TableInputs:
         [0, 0, 2, 0, 0],
         [0, 2, 0, 0, 1],
     ]
-    return _eff_inputs(s, sp, rows, cols, expected)
+    inp = _labelled_inputs(s, sp, rows, cols, expected)
+    return _certified(
+        table_id, EFF_MOVING, inp,
+        "row C_{1,0}: the legacy source prints (1,0,2,0,0); the B_1/B_2 cells are "
+        "transposed there and the catalog stores the corrected row (1,2,0,0,0)",
+    )
 
 
 # The summary chart, entry by entry: (space, ray labels, moving-curve labels).
@@ -607,6 +631,21 @@ def _chart_curve(sp: SpaceId, label: str) -> CurClass | None:
     else:
         family = curve_family_a if side == "a" else curve_family_b_alt
     return family(p2(), sp, {"l": 1, "q": 2}[gamma], int(r))
+
+
+def _eff_summary(table_id: str) -> tuple[SectionInputs, ...]:
+    """One section per chart entry, certified against its moving curves;
+    an entry with an unresolved label has its resolvable cells paired and
+    its dual-cone check skipped."""
+    return tuple(
+        SectionInputs(
+            _labelled_inputs(p2(), sp, [(lab, _chart_curve(sp, lab)) for lab in curve_labels],
+                             [(lab, _chart_divisor(sp, lab)) for lab in ray_labels], None),
+            f"Eff(P2[{sp.n},1])" if sp.kind is SpaceKind.UNIV else f"Eff(P2[{sp.n + 1},{sp.n}])",
+            EFF_MOVING, "dual-cone equality", "cone(rays) == dual(moving-curve functionals)",
+        )
+        for sp, ray_labels, curve_labels in _CHART
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +745,7 @@ _NEF_PROVENANCE = {
 
 
 class _NefTable(NamedTuple):
-    """Inputs of a catalog nef table: `template` fed by the surface
+    """Builder of a catalog nef table: `template` fed by the surface
     `record`, its blocks of rows taken in `order`; the expected matrix is
     diagonal."""
 
@@ -715,7 +754,7 @@ class _NefTable(NamedTuple):
     order: tuple[str, ...]
     cite: bool = False
 
-    def __call__(self, n: int, **surface_params) -> TableInputs:
+    def __call__(self, table_id: str, n: int, **surface_params) -> tuple[SectionInputs, ...]:
         record = self.record(**surface_params)
         sp, blocks = self.template(record, n)
         rays, wits, diag = [], [], []
@@ -726,35 +765,7 @@ class _NefTable(NamedTuple):
                 wits.append(WitnessSpec(wit_label, wit))
                 diag.append(d)
         expected = [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
-        return TableInputs(record[0], sp, rays, wits, expected)
-
-
-# ---------------------------------------------------------------------------
-# The summary chart
-# ---------------------------------------------------------------------------
-
-def _chart_section(sp: SpaceId, ray_labels, curve_labels) -> TableSection:
-    """A summary-chart entry.  When all its labels resolve it is certified
-    against its moving curves; otherwise its resolvable cells are paired and
-    the dual-cone check is skipped."""
-    rows = [(lab, _chart_curve(sp, lab)) for lab in curve_labels]
-    cols = [(lab, _chart_divisor(sp, lab)) for lab in ray_labels]
-    unresolved = [lab for lab, cls in rows + cols if cls is None]
-    if unresolved:
-        grid = _pairings(rows, cols)
-        status, detail = SKIPPED, "unresolved labels: " + ", ".join(unresolved)
-    else:
-        cert = _certify(EFF_MOVING, _eff_inputs(p2(), sp, rows, cols, None))
-        grid = cert.witness_labels, cert.ray_labels, cert.matrix
-        status = "pass" if cert.ok else "fail"
-        detail = "cone(rays) == dual(moving-curve functionals)"
-    check = SectionCheck("dual-cone equality", status, detail)
-    title = f"Eff(P2[{sp.n},1])" if sp.kind is SpaceKind.UNIV else f"Eff(P2[{sp.n + 1},{sp.n}])"
-    return _section(title, *grid, None, [check], ())
-
-
-def _eff_summary_sections(table_id: str) -> tuple[TableSection, ...]:
-    return tuple(_chart_section(*entry) for entry in _CHART)
+        return _certified(table_id, NEF_DUAL, TableInputs(record[0], sp, rays, wits, expected))
 
 
 # ---------------------------------------------------------------------------
@@ -762,19 +773,17 @@ def _eff_summary_sections(table_id: str) -> tuple[TableSection, ...]:
 # ---------------------------------------------------------------------------
 
 class TableSpec(NamedTuple):
-    """A catalog table and its default parameters.  A table certified by
-    `kind` (NEF_DUAL or EFF_MOVING) is built by `build(**params)` into its
-    TableInputs; its one section takes its cells from the certificate and
-    prints `notes`.  A table of kind None is built by
-    `build(table_id, **params)` into its sections."""
+    """A catalog table: its default parameters, its kind (NEF_DUAL or
+    EFF_MOVING for a certified table, which has one section, else None) and
+    its builder, `build(table_id, **params)`, which returns one
+    SectionInputs per section."""
 
     defaults: dict
     kind: str | None
     build: Callable
-    notes: tuple[str, ...] = ()
 
 
-def _pairing_p2_hilb_sections(table_id: str, n: int) -> tuple[TableSection, ...]:
+def _pairing_p2_hilb(table_id: str, n: int) -> tuple[SectionInputs, ...]:
     s = p2()
     sp = hilb(n)
     c1 = curve(s, sp, "C1")
@@ -782,10 +791,10 @@ def _pairing_p2_hilb_sections(table_id: str, n: int) -> tuple[TableSection, ...]
     rows = [("C_0", c1 - a), ("C_1", c1), ("A", a)]
     cols = [("H", divisor(s, sp, "H")), ("B", _full_b(s, sp, "B/2"))]
     expected = [[1, 2], [1, 0], [0, -2]]
-    return (_section(f"{table_id} (n={n})", *_pairings(rows, cols), expected, (), ()),)
+    return (SectionInputs(_labelled_inputs(s, sp, rows, cols, expected), f"{table_id} (n={n})"),)
 
 
-def _pairing_p2_nested_sections(table_id: str, n: int) -> tuple[TableSection, ...]:
+def _pairing_p2_nested(table_id: str, n: int) -> tuple[SectionInputs, ...]:
     s = p2()
     sp = nested(n)
     ca1 = curve(s, sp, "Ca1")
@@ -814,10 +823,10 @@ def _pairing_p2_nested_sections(table_id: str, n: int) -> tuple[TableSection, ..
         [0, 0, 1, 0],
         [0, 2, 0, -2],
     ]
-    return (_section(f"{table_id} (n={n})", *_pairings(rows, cols), expected, (), ()),)
+    return (SectionInputs(_labelled_inputs(s, sp, rows, cols, expected), f"{table_id} (n={n})"),)
 
 
-def _k3_g1n_sections(table_id: str, g: int, n: int) -> tuple[TableSection, ...]:
+def _k3_g1n(table_id: str, g: int, n: int) -> tuple[SectionInputs, ...]:
     if n <= g:
         raise RangeError(f"{table_id} requires n > g, got n={n}, g={g}")
     s = k3(g)
@@ -828,7 +837,7 @@ def _k3_g1n_sections(table_id: str, g: int, n: int) -> tuple[TableSection, ...]:
         (f"D_{{f({n})}}", tautological(s, n, k3_extremal_slope(g, n))),
     ]
     expected = [[2 * g - 2, 0], [0, 1]]
-    return (_section(f"{table_id} (g={g}, n={n})", *_pairings(rows, cols), expected, (), ()),)
+    return (SectionInputs(_labelled_inputs(s, sp, rows, cols, expected), f"{table_id} (g={g}, n={n})"),)
 
 
 # Block orders; each fixes the order of a table's rays, and so its output.
@@ -866,26 +875,17 @@ CATALOG: dict[str, TableSpec] = {
     # nef cone of K3^[n,1] (n >= g+1)
     "nef_k3_univ": TableSpec({"g": 3, "n": 4}, NEF_DUAL, _NefTable(_univ_template, _nef_k3, _UNIV)),
     # intersection table of the P2 Hilbert-scheme bases
-    "pairing_p2_hilb": TableSpec({"n": 3}, None, _pairing_p2_hilb_sections),
+    "pairing_p2_hilb": TableSpec({"n": 3}, None, _pairing_p2_hilb),
     # intersection table of the P2 nested bases
-    "pairing_p2_nested": TableSpec({"n": 3}, None, _pairing_p2_nested_sections),
+    "pairing_p2_nested": TableSpec({"n": 3}, None, _pairing_p2_nested),
     # effective cone of P2^[2,1] against its moving curves
     "eff_p2_2_1": TableSpec({}, EFF_MOVING, _eff_p2_2_1),
     # effective cone of P2^[3,2] against its moving curves
-    "eff_p2_3_2": TableSpec(
-        {},
-        EFF_MOVING,
-        _eff_p2_3_2,
-        (
-            "row C_{1,0}: the legacy source prints (1,0,2,0,0); the B_1/B_2 "
-            "cells are transposed there and the catalog stores the corrected "
-            "row (1,2,0,0,0)",
-        ),
-    ),
+    "eff_p2_3_2": TableSpec({}, EFF_MOVING, _eff_p2_3_2),
     # summary chart of effective cones; unresolved labels are skipped
-    "eff_summary": TableSpec({}, None, _eff_summary_sections),
+    "eff_summary": TableSpec({}, None, _eff_summary),
     # g^1_n fiber-class pairings on K3^[n]
-    "k3_g1n": TableSpec({"g": 3, "n": 4}, None, _k3_g1n_sections),
+    "k3_g1n": TableSpec({"g": 3, "n": 4}, None, _k3_g1n),
 }
 
 
@@ -917,20 +917,25 @@ def table_params(table_id: str, **given) -> dict:
     return {**defaults, **given}
 
 
+def table_sections(table_id: str, **params) -> tuple[SectionInputs, ...]:
+    """The inputs of each section of a catalog table, in order."""
+    return CATALOG[table_id].build(table_id, **table_params(table_id, **params))
+
+
 def table_inputs(table_id: str, **params) -> TableInputs:
     """(surface, space, rays, witnesses, expected) of a certified table."""
-    return _spec(table_id, NEF_DUAL, EFF_MOVING).build(**table_params(table_id, **params))
+    _spec(table_id, NEF_DUAL, EFF_MOVING)
+    return table_sections(table_id, **params)[0].inputs
 
 
 def standard_nef_certificate(table_id: str, **params) -> Certificate:
-    return _certify(NEF_DUAL, _spec(table_id, NEF_DUAL).build(**table_params(table_id, **params)))
+    _spec(table_id, NEF_DUAL)
+    return _certify(NEF_DUAL, table_inputs(table_id, **params))
 
 
 def standard_eff_certificate(table_id: str) -> Certificate:
-    return _certify(EFF_MOVING, _spec(table_id, EFF_MOVING).build(**table_params(table_id)))
-
-
-_CHECK_NAMES = {NEF_DUAL: "nef duality certificate", EFF_MOVING: "moving-curve duality certificate"}
+    _spec(table_id, EFF_MOVING)
+    return _certify(EFF_MOVING, table_inputs(table_id))
 
 
 def reproduce_table(table_id: str, **params) -> TableReport:
@@ -938,16 +943,7 @@ def reproduce_table(table_id: str, **params) -> TableReport:
     report exact equality (or, for generator charts, non-negativity), with
     unresolved labels reported as SKIPPED."""
     merged = table_params(table_id, **params)
-    spec = CATALOG[table_id]
-    if spec.kind is None:
-        return TableReport(table_id, merged, tuple(spec.build(table_id, **merged)))
-    inp = spec.build(**merged)
-    cert = _certify(spec.kind, inp)
-    check = SectionCheck(_CHECK_NAMES[spec.kind], "pass" if cert.ok else "fail", cert.verdict)
-    title = f"{table_id} ({inp.surface.key}, {inp.space})"
-    grid = cert.witness_labels, cert.ray_labels, cert.matrix
-    section = _section(title, *grid, inp.expected, [check], spec.notes)
-    return TableReport(table_id, merged, (section,))
+    return TableReport(table_id, merged, tuple(map(_section, table_sections(table_id, **merged))))
 
 
 def table_cross_section(table_id: str, **params) -> tuple[CrossSection, list[str]]:

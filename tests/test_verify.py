@@ -92,6 +92,63 @@ def test_report_serialization_deterministic():
     assert payload["params"] == {"n": 4}
 
 
+# The chart entries left uncertified, each with its unresolved labels
+# (moving curves first, then rays).
+_UNRESOLVED = {
+    "Eff(P2[4,1])": ["2D^a_{3/2}"],
+    "Eff(P2[3,2])": ["C^c_{l,2}"],
+    "Eff(P2[4,3])": ["C^c_{l,2}", "E_1"],
+    "Eff(P2[5,4])": ["C^c_{l,2}", "C^c_{q,4}", "2D^b_{3/2}", "E_1"],
+}
+
+
+def test_table_sections_walk_every_section_of_the_catalog(monkeypatch):
+    """`table_sections` reads all 21 sections of the 15 tables; a section is
+    certified exactly when its kind is set and every label resolves: the 11
+    certified tables and 3 chart entries."""
+    certified = []
+    certify = nestcone.verify._certify
+    monkeypatch.setattr(nestcone.verify, "_certify",
+                        lambda kind, inp: certified.append(inp) or certify(kind, inp))
+    walked = {tid: nc.table_sections(tid) for tid in sorted(nc.CATALOG)}
+    assert sum(map(len, walked.values())) == 21
+    assert certified == []  # reading the inputs certifies nothing
+    reports = {tid: nc.reproduce_table(tid) for tid in walked}
+    unresolved = {
+        s.title: [x.label for x in (*s.inputs.witnesses, *s.inputs.rays) if x.cls is None]
+        for sections in walked.values() for s in sections
+    }
+    assert {title: labels for title, labels in unresolved.items() if labels} == _UNRESOLVED
+    decided = [s.inputs for sections in walked.values() for s in sections
+               if s.kind and not unresolved[s.title]]
+    assert len(certified) == 14 and certified == decided
+    chart = {s.title: s.checks for s in reports["eff_summary"].sections}
+    for title, labels in _UNRESOLVED.items():
+        detail = "unresolved labels: " + ", ".join(labels)
+        assert chart[title] == (nc.SectionCheck("dual-cone equality", "skipped", detail),)
+    for tid in certified_tables(NEF_DUAL, EFF_MOVING):
+        assert len(walked[tid]) == 1 and walked[tid][0].inputs == table_inputs(tid)
+
+
+def test_a_section_with_an_unresolved_label_is_paired_not_certified(monkeypatch):
+    inp = table_inputs("eff_p2_2_1")
+    *rays, last = inp.rays
+    stub = nc.SectionInputs(inp._replace(rays=[*rays, last._replace(cls=None)]), "stub",
+                            EFF_MOVING, "stub check")
+    monkeypatch.setitem(nc.CATALOG, "stub", nc.TableSpec({}, None, lambda table_id: [stub]))
+
+    def no_certificate(kind, inp):
+        raise AssertionError("a section with an unresolved label was certified")
+
+    monkeypatch.setattr(nestcone.verify, "_certify", no_certificate)
+    (section,) = nc.reproduce_table("stub").sections
+    assert section.checks == (nc.SectionCheck("stub check", "skipped", "unresolved labels: D_{1,1}"),)
+    assert {(c.col, c.status) for c in section.cells} == {
+        *((r.label, "match") for r in rays), (last.label, "skipped")
+    }
+    assert section.ok
+
+
 # ---------------------------------------------------------------------------
 # Nef certificates: positive and negative controls
 # ---------------------------------------------------------------------------
