@@ -32,10 +32,11 @@ on the parent, that load their tree's `bench/<workload>_wl.py` (seed 1) and
 warm it up.  Each of a batch's 10 rounds is, per mode, a parent/change and
 a parent/parent (A/A) pair of passes; every workload runs warm, and also
 cold (each pass after clearing `nestcone`'s `functools` caches) when its
-warmed-up worker holds any.  Both the order of the modes within a round
-and the order of each pair's sides swap every round, so each mode's pass
-times come from the same stretch of host time.  A worker times a pass
-with `time.process_time` and checks its outputs untimed.
+warmed-up worker holds any.  The order of the modes within a round, the
+order of the change and A/A pairs and the order of each pair's sides all
+swap every round, so each mode's and each pair's pass times come from the
+same stretch of host time.  A worker times a pass with
+`time.process_time` and checks its outputs untimed.
 `paired.<workload>.<mode>` holds each batch's median speed ratio (the
 parent's pass time over the other side's) for the change and the A/A, each
 side's median pass time, failed checks and Python opcodes of one pass
@@ -45,9 +46,10 @@ own speed offset reads as an effect; over fresh batches it is spread.
 
 Last, each side runs every workload once more traced (`--trace 1`, seed 1,
 the same run length); `layers` holds, per workload, each side's exact
-counts (`*.calls`, `cone.dd.constraints`, `cone.dd.rays_out`) and
-`counts_differ`, the names of the counts that differ: a count does not
-drift with the host, so one that moves is a finding.  The record is
+counts (`*.calls`, `cone.dd.constraints`, `cone.dd.rays_out`),
+`counts_differ`, the names of the counts that differ (a count does not
+drift with the host, so one that moves is a finding), and `failed`, each
+side's failed operations in its traced run.  The record is
 written to `BENCH_<pr>.json`, or `BENCH_AA.json` for an A/A run, at the
 repository root.
 """
@@ -114,15 +116,18 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> 
 
 
 def _layers(parent: dict, change: dict) -> dict:
-    """Each side's exact counts from the per-layer metrics of one traced
-    run, and `counts_differ`, the sorted names of the counts that differ
-    (a count only one side reports differs too)."""
+    """Each side's exact counts from the per-layer metrics of its traced
+    run's result, `counts_differ`, the sorted names of the counts that
+    differ (a count only one side reports differs too), and `failed`, each
+    side's failed operations in that run."""
+    sides = (("parent", parent), ("change", change))
     counts = {
-        side: {k: v["value"] for k, v in metrics.items() if k.endswith(".calls") or k in COUNTS}
-        for side, metrics in (("parent", parent), ("change", change))
+        side: {k: v["value"] for k, v in res["metrics"].items() if k.endswith(".calls") or k in COUNTS}
+        for side, res in sides
     }
     p, c = counts["parent"], counts["change"]
     counts["counts_differ"] = sorted(k for k in p.keys() | c.keys() if p.get(k) != c.get(k))
+    counts["failed"] = {side: res["failed"] for side, res in sides}
     return counts
 
 
@@ -293,8 +298,9 @@ def _batch(trees: dict[str, Path], workload: str, count: bool) -> tuple[dict, di
     """One batch of paired passes of `workload` on fresh workers: per mode,
     its rounds (see `_section`), and with `count`, per mode, each side's
     opcodes of one pass.  Every round runs each mode once, and every other
-    round swaps both the order of the modes and the order of each pair's
-    sides, so that a drift of the host's speed hits both modes alike."""
+    round swaps the order of the modes, the order of the two pairs and the
+    order of each pair's sides, so that a drift of the host's speed hits
+    both modes, both pairs and both sides of a pair alike."""
     procs = {
         side: subprocess.Popen(
             [sys.executable, "-B", "-c", "import bench_record; bench_record.worker"
@@ -323,7 +329,7 @@ def _batch(trees: dict[str, Path], workload: str, count: bool) -> tuple[dict, di
             turn = 1 if i % 2 == 0 else -1
             for mode in modes[::turn]:
                 rounds[mode].append({name: {side: reply(side, mode) for side in pair[::turn]}
-                                     for name, pair in PAIRS})
+                                     for name, pair in PAIRS[::turn]})
     finally:
         for proc in procs.values():
             proc.stdin.close()
@@ -371,7 +377,7 @@ def main() -> int:
             paired[w] = {mode: _section([rounds[mode] for rounds, _ in batches], opcodes)
                          for mode, opcodes in batches[0][1].items()}
         traced = {
-            workload: {side: _run(trees[side], workload, 1, seconds, trace=1)["metrics"]
+            workload: {side: _run(trees[side], workload, 1, seconds, trace=1)
                        for side in ("parent", "change")}
             for workload in workloads
         }

@@ -99,26 +99,37 @@ def test_summary_without_bounds_has_no_verdict():
     assert "verdict" not in _B._summary(RUNS, "w", BETTER, {})["ops_per_s"]
 
 
-def _traced(**values):
-    return {name: {"value": v, "unit": "ms" if name.endswith("_ms") else "count"}
-            for name, v in values.items()}
+def _traced(failed=0, **values):
+    """A traced run's result: its failed operations and per-layer metrics."""
+    return {"failed": failed,
+            "metrics": {name: {"value": v, "unit": "ms" if name.endswith("_ms") else "count"}
+                        for name, v in values.items()}}
+
+
+def _moved(result, failed=0, **values):
+    return {"failed": failed, "metrics": dict(result["metrics"], **_traced(**values)["metrics"])}
 
 
 def test_layers_compare_the_exact_counts_of_both_sides():
     parent = _traced(**{"cone.dd.calls": 25, "cone.dd.constraints": 385, "cone.dd.rays_out": 3917,
                         "linalg.rref.calls": 5, "cone.dd.self_ms": 140.0, "cone.dd.repeat_ratio": 0.1})
-    same = dict(parent, **_traced(**{"cone.dd.self_ms": 160.0, "cone.dd.repeat_ratio": 0.2}))
+    same = _moved(parent, **{"cone.dd.self_ms": 160.0, "cone.dd.repeat_ratio": 0.2})
     out = _B._layers(parent, same)
     assert out["parent"] == out["change"] == {
         "cone.dd.calls": 25, "cone.dd.constraints": 385, "cone.dd.rays_out": 3917,
         "linalg.rref.calls": 5,
     }
     assert out["counts_differ"] == []  # times and ratios are not counts
-    moved = dict(parent, **_traced(**{"linalg.rref.calls": 9, "cone.dd.rays_out": 3916}))
+    assert out["failed"] == {"parent": 0, "change": 0}
+    moved = _moved(parent, **{"linalg.rref.calls": 9, "cone.dd.rays_out": 3916})
     assert _B._layers(parent, moved)["counts_differ"] == ["cone.dd.rays_out", "linalg.rref.calls"]
     # a count that only one side reports differs
-    extra = dict(parent, **_traced(**{"check.calls": 3}))
+    extra = _moved(parent, **{"check.calls": 3})
     assert _B._layers(parent, extra)["counts_differ"] == ["check.calls"]
+    # each traced run's failed operations are kept, and are not a count
+    failing = _moved(parent, failed=2)
+    out = _B._layers(parent, failing)
+    assert out["failed"] == {"parent": 0, "change": 2} and out["counts_differ"] == []
 
 
 def test_median_ratio_reads_speed_ratios_round_by_round():
@@ -195,12 +206,17 @@ def test_opcodes_count_one_pass_exactly():
 
 class _Worker:
     """A stand-in for one worker process of `_batch`: it logs each pass
-    request in the shared `log` and answers it with the number of passes
-    requested so far as its time, as on a host that slows down steadily."""
+    request as (its side, the mode) in the shared `log` and answers it with
+    the number of passes requested so far as its time, as on a host that
+    slows down steadily.  `_batch` starts one worker per side, in the
+    order of `SIDES`."""
 
-    log: list[str] = []
+    log: list[tuple[str, str]] = []
+    started = 0
 
     def __init__(self, *args, **kwargs):
+        self.side = _B.SIDES[_Worker.started]
+        _Worker.started += 1
         self.replies = [{"caches": 1}]
         self.stdin = SimpleNamespace(write=self.write, flush=lambda: None, close=lambda: None)
         self.stdout = SimpleNamespace(readline=lambda: json.dumps(self.replies.pop(0)) + "\n")
@@ -210,7 +226,7 @@ class _Worker:
         if opcodes:
             self.replies.append({"opcodes": 1})
         else:
-            self.log.append(mode)
+            self.log.append((self.side, mode))
             self.replies.append({"s": len(self.log), "failed": 0})
 
     def wait(self):
@@ -219,12 +235,20 @@ class _Worker:
 
 def test_batch_runs_both_modes_in_every_round_in_turn(monkeypatch):
     monkeypatch.setattr(_Worker, "log", [])
+    monkeypatch.setattr(_Worker, "started", 0)
     monkeypatch.setattr(_B.subprocess, "Popen", _Worker)
     rounds, opcodes = _B._batch({"parent": Path("p"), "change": Path("c")}, "w", count=True)
     assert opcodes == {mode: dict.fromkeys(_B.SIDES, 1) for mode in ("warm", "cold")}
     log, block = _Worker.log, 2 * len(_B.PAIRS)  # one mode's passes in one round
-    assert all(log[k:k + block] == [log[k]] * block for k in range(0, len(log), block))
-    assert log[::block] == ["warm", "cold", "cold", "warm"] * (_B.ROUNDS // 2)
+    modes = [mode for _, mode in log]
+    assert all(modes[k:k + block] == [modes[k]] * block for k in range(0, len(log), block))
+    assert modes[::block] == ["warm", "cold", "cold", "warm"] * (_B.ROUNDS // 2)
+    # Every other round swaps the order of the pairs and of each pair's
+    # sides: the change pair runs first, then last, and each side of a pair
+    # answers first as often as the other.
+    sides = [[side for side, _ in log[k:k + block]] for k in range(0, len(log), block)]
+    even, odd = ["parent", "change", "parent", "parent_aa"], ["parent_aa", "parent", "change", "parent"]
+    assert sides == [even, even, odd, odd] * (_B.ROUNDS // 2)
     # The modes' median pass times share the host's drift: they lie within
     # one round of each other, not half a batch apart.
     warm, cold = (_B._section([rounds[mode]], {})["pass_s"]["parent"] for mode in ("warm", "cold"))
