@@ -430,9 +430,9 @@ class TableReport(NamedTuple):
 
 
 class SectionInputs(NamedTuple):
-    """One section of a catalog table: its inputs and title, the kind of
-    certificate that decides it (None: its cells are only paired), the name
-    of its check and the check's fixed detail (None: the verdict)."""
+    """One section of a catalog table: its inputs, title and notes, the kind
+    of certificate that decides it (None: its cells are only paired), the
+    name of its check and the check's fixed detail (None: the verdict)."""
 
     inputs: TableInputs
     title: str

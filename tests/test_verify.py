@@ -135,7 +135,7 @@ def test_a_section_with_an_unresolved_label_is_paired_not_certified(monkeypatch)
     *rays, last = inp.rays
     stub = nc.SectionInputs(inp._replace(rays=[*rays, last._replace(cls=None)]), "stub",
                             EFF_MOVING, "stub check")
-    monkeypatch.setitem(nc.CATALOG, "stub", nc.TableSpec({}, None, lambda table_id: [stub]))
+    monkeypatch.setitem(nc.CATALOG, "stub", nc.TableSpec({}, None, lambda table_id: (stub,)))
 
     def no_certificate(kind, inp):
         raise AssertionError("a section with an unresolved label was certified")
