@@ -17,7 +17,8 @@ class SpaceMismatch(NestconeError):
 
 
 class InvalidGenus(NestconeError):
-    """K3 surface requested with genus g <= 2."""
+    """K3 surface requested with genus g <= 2 (or with no genus), or a genus
+    given for a surface other than K3."""
 
 
 class InvalidIndex(NestconeError):

@@ -138,8 +138,10 @@ def surface_model(kind: str, *, genus: int | None = None) -> SurfaceModel:
     """Build a surface lattice from a textual kind: 'p2', 'p1xp1' (basis H1,
     H2), 'f<i>' (the Hirzebruch surface F_i, basis H, F, i in ASCII digits;
     so 'f0' is F_0, the lattice of 'p1xp1' under other names), or 'k3' with
-    genus=...."""
+    genus=....  A genus given with any other kind is an InvalidGenus."""
     kind = kind.lower()
+    if genus is not None and kind != "k3":
+        raise InvalidGenus(f"only k3 takes a genus, not {kind!r}")
     if kind == "p2":
         return p2()
     if kind == "p1xp1":

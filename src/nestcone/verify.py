@@ -22,9 +22,11 @@ statement is exactly the convex-duality identity.
 The registry is ``CATALOG``: each table id maps to one ``TableSpec``, its
 default parameters, its kind (``NEF_DUAL`` or ``EFF_MOVING`` for the 11
 certified tables, else None) and its builder.  ``certified_tables`` reads
-the kind, and one lookup raises ``UnknownTable`` for an id that is unknown,
-or of the wrong kind, in ``table_params``, ``table_inputs`` and
-``standard_{nef,eff}_certificate``.
+the kind.  One helper, ``_lookup``, reads the registry once per call of
+``table_params``, ``table_sections``, ``table_inputs``,
+``standard_{nef,eff}_certificate`` and ``reproduce_table``: it raises
+``UnknownTable`` for an id that is unknown or of the wrong kind, then
+``RangeError`` for a parameter the table does not take.
 
 Every table flows one way: its builder returns one ``SectionInputs`` per
 section (``table_sections``), a ``TableInputs`` (rays, witnesses, expected
@@ -71,7 +73,7 @@ from .pairing import (
     k3_extremal_slope,
     nodal_curves_k3,
 )
-from .rationals import Rat, canonical_json, primitive, rat, rat_str, ratio, vdot
+from .rationals import Rat, canonical_json, primitive, rat_str, ratio, vdot
 from .spaces import (
     CurClass,
     DivClass,
@@ -447,29 +449,28 @@ def _section(sec: SectionInputs) -> TableSection:
     label resolves, else paired cell by cell with a kind's check skipped.
     A cell matches its expected value or, where none is printed, is >= 0."""
     _, _, rays, witnesses, expected = inp = sec.inputs
+    rows, cols = tuple(w.label for w in witnesses), tuple(r.label for r in rays)
     unresolved = [x.label for x in (*witnesses, *rays) if x.cls is None]
     if sec.kind is None or unresolved:
-        rows, cols = [w.label for w in witnesses], [r.label for r in rays]
         matrix = _pair_all([w.cls for w in witnesses], [r.cls for r in rays])[1]
         status, detail = SKIPPED, "unresolved labels: " + ", ".join(unresolved)
     else:
         cert = _certify(sec.kind, inp)
-        rows, cols, matrix = cert.witness_labels, cert.ray_labels, cert.matrix
+        matrix = cert.matrix
         status, detail = "pass" if cert.ok else "fail", sec.detail or cert.verdict
     cells = []
     expected = expected or [[None] * len(cols)] * len(rows)
     for rl, got_row, exp_row in zip(rows, matrix, expected, strict=True):
         for cl, got, exp in zip(cols, got_row, exp_row, strict=True):
-            want = None if exp is None else rat(exp)
             if got is None:
                 cell = SKIPPED
-            elif want is None:
+            elif exp is None:
                 cell = MATCH if got >= 0 else DIFF
             else:
-                cell = MATCH if got == want else DIFF
-            cells.append(CellCheck(rl, cl, want, got, cell))
+                cell = MATCH if got == exp else DIFF
+            cells.append(CellCheck(rl, cl, exp, got, cell))
     checks = (SectionCheck(sec.check, status, detail),) if sec.kind else ()
-    return TableSection(sec.title, tuple(rows), tuple(cols), tuple(cells), checks, sec.notes)
+    return TableSection(sec.title, rows, cols, tuple(cells), checks, sec.notes)
 
 
 _CHECK_NAMES = {NEF_DUAL: "nef duality certificate", EFF_MOVING: "moving-curve duality certificate"}
@@ -894,56 +895,56 @@ def certified_tables(*kinds: str) -> list[str]:
     return sorted(tid for tid, spec in CATALOG.items() if spec.kind in kinds)
 
 
-def _spec(table_id: str, *kinds: str) -> TableSpec:
-    """The catalog entry of `table_id`; given `kinds`, it must be certified
-    by one of them.  Any other id is an UnknownTable."""
+def _lookup(table_id: str, given: dict, *kinds: str) -> tuple[TableSpec, dict]:
+    """The entry of `table_id`, certified by one of `kinds` if any are given
+    (else an UnknownTable), and its parameters as `table_params` merges them."""
     spec = CATALOG.get(table_id)
     if spec is None or (kinds and spec.kind not in kinds):
         known = [tid for tid, s in CATALOG.items() if not kinds or s.kind in kinds]
         what = "/".join(kinds) + " " if kinds else ""
         raise UnknownTable(f"unknown {what}table {table_id!r}; known: {', '.join(sorted(known))}")
-    return spec
+    given = {k: v for k, v in given.items() if v is not None}
+    stray = [k for k in given if k not in spec.defaults]
+    if stray:
+        raise RangeError(f"table {table_id} takes no parameter {stray[0]!r}")
+    return spec, {**spec.defaults, **given}
 
 
 def table_params(table_id: str, **given) -> dict:
     """The table's default parameters, overridden by the values given that
     are not None; a value for a parameter the table does not take is a
     RangeError."""
-    defaults = _spec(table_id).defaults
-    given = {k: v for k, v in given.items() if v is not None}
-    stray = [k for k in given if k not in defaults]
-    if stray:
-        raise RangeError(f"table {table_id} takes no parameter {stray[0]!r}")
-    return {**defaults, **given}
+    return _lookup(table_id, given)[1]
 
 
 def table_sections(table_id: str, **params) -> tuple[SectionInputs, ...]:
     """The inputs of each section of a catalog table, in order."""
-    return CATALOG[table_id].build(table_id, **table_params(table_id, **params))
+    spec, merged = _lookup(table_id, params)
+    return spec.build(table_id, **merged)
 
 
 def table_inputs(table_id: str, **params) -> TableInputs:
     """(surface, space, rays, witnesses, expected) of a certified table."""
-    _spec(table_id, NEF_DUAL, EFF_MOVING)
-    return table_sections(table_id, **params)[0].inputs
+    spec, merged = _lookup(table_id, params, NEF_DUAL, EFF_MOVING)
+    return spec.build(table_id, **merged)[0].inputs
 
 
 def standard_nef_certificate(table_id: str, **params) -> Certificate:
-    _spec(table_id, NEF_DUAL)
-    return _certify(NEF_DUAL, table_inputs(table_id, **params))
+    spec, merged = _lookup(table_id, params, NEF_DUAL)
+    return _certify(NEF_DUAL, spec.build(table_id, **merged)[0].inputs)
 
 
 def standard_eff_certificate(table_id: str) -> Certificate:
-    _spec(table_id, EFF_MOVING)
-    return _certify(EFF_MOVING, table_inputs(table_id))
+    spec, merged = _lookup(table_id, {}, EFF_MOVING)
+    return _certify(EFF_MOVING, spec.build(table_id, **merged)[0].inputs)
 
 
 def reproduce_table(table_id: str, **params) -> TableReport:
     """Recompute every cell of a catalog table from the pairing engine and
     report exact equality (or, for generator charts, non-negativity), with
     unresolved labels reported as SKIPPED."""
-    merged = table_params(table_id, **params)
-    return TableReport(table_id, merged, tuple(map(_section, table_sections(table_id, **merged))))
+    spec, merged = _lookup(table_id, params)
+    return TableReport(table_id, merged, tuple(map(_section, spec.build(table_id, **merged))))
 
 
 def table_cross_section(table_id: str, **params) -> tuple[CrossSection, list[str]]:

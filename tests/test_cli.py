@@ -260,6 +260,13 @@ def test_pair_oversized_surface_index_is_usage_error(capsys):
     assert len(out) < 4300
 
 
+@pytest.mark.parametrize("surface, genus", [("p2", "5"), ("f1", "-7")])
+def test_pair_refuses_a_genus_for_a_surface_other_than_k3(capsys, surface, genus):
+    code, out, err = run(capsys, "pair", "--surface", surface, "--genus", genus,
+                         "--space", "hilb", "--n", "3", "H", "C1")
+    assert (code, out, err) == (2, "", f"error: only k3 takes a genus, not {surface!r}\n")
+
+
 def test_usage_error_exit_2(capsys):
     code, _, err = run(capsys, "pair", "--surface", "k3", "--space", "hilb",
                        "--n", "3", "H", "A")

@@ -62,6 +62,9 @@ def test_surface_model_factory():
         nc.surface_model("f")  # F_i is spelt f<i>
     assert nc.surface_model("f2") == nc.hirzebruch(2)
     assert nc.surface_model("k3", genus=4) == nc.k3(4)
+    for kind, genus in [("p2", 5), ("p1xp1", 3), ("F1", -7)]:  # only k3 takes a genus
+        with pytest.raises(InvalidGenus, match=f"only k3 takes a genus, not {kind.lower()!r}"):
+            nc.surface_model(kind, genus=genus)
 
 
 def test_surface_model_f0_and_unknown_kind():

@@ -63,6 +63,53 @@ def test_table_of_the_wrong_kind_is_unknown(lookup, table_id):
         lookup(table_id)
 
 
+class _CountingCatalog(dict):
+    """The registry, counting its reads by id."""
+
+    reads = 0
+
+    def get(self, *args):
+        self.reads += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize(
+    "call, table_id",
+    [
+        (nc.reproduce_table, "nef_p2_nested"),
+        (nc.reproduce_table, "eff_summary"),
+        (nc.table_sections, "pairing_p2_hilb"),
+        (table_inputs, "nef_k3_univ"),
+        (nc.standard_nef_certificate, "nef_fi_univ"),
+        (nc.standard_eff_certificate, "eff_p2_3_2"),
+    ],
+)
+def test_a_catalog_call_reads_the_registry_once(monkeypatch, call, table_id):
+    catalog = _CountingCatalog(nc.CATALOG)
+    monkeypatch.setattr(nestcone.verify, "CATALOG", catalog)
+    call(table_id)
+    assert catalog.reads == 1
+
+
+def test_expected_cells_arrive_in_normal_form():
+    """Every expected cell a builder writes is None, an int or a Fraction
+    that is not integral, so a report takes it as it is."""
+    from test_golden import NON_DEFAULT
+
+    for tid in sorted(nc.CATALOG):
+        for params in ({}, NON_DEFAULT.get(tid)):
+            if params is None:
+                continue
+            for sec in nc.table_sections(tid, **params):
+                for x in (x for row in sec.inputs.expected or () for x in row):
+                    assert x is None or type(x) is int or (
+                        type(x) is Fraction and x.denominator > 1), (tid, params, x)
+
+
 def test_k3_param_validation():
     with pytest.raises(RangeError):
         nc.reproduce_table("nef_k3_nested", g=3, n=3)  # needs n >= g+1
