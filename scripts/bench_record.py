@@ -150,12 +150,11 @@ def _verdict(parent: list[float], change: list[float], sign: int, wins: int, bou
 
 
 def _summary(runs: list[dict], workload: str, better: dict[str, str], aa: dict,
-             bounds: dict[str, float] | None = None) -> dict:
+             bounds: dict[str, float]) -> dict:
     """Per metric: each side's quartiles and the pairs the change won, the
     median ratio of `aa`, an A/A record's summary of this workload, when it
-    has the metric, and with `bounds` (each metric's bound from
-    BENCHMARK.json) a `verdict`; and each side's failed operations over all
-    its runs."""
+    has the metric, and a `verdict` under its bound from BENCHMARK.json
+    (`bounds`); and each side's failed operations over all its runs."""
     by_seed: dict[int, dict] = {}
     for r in runs:
         if r["workload"] == workload:
@@ -178,9 +177,8 @@ def _summary(runs: list[dict], workload: str, better: dict[str, str], aa: dict,
         out[name]["pairs"] = len(pairs)
         if name in aa:
             out[name]["aa_median_ratio"] = aa[name]["median_ratio"]
-        if bounds is not None:
-            out[name]["verdict"] = _verdict(values["parent"], values["change"], sign,
-                                            out[name]["change_wins"], bounds[name])
+        out[name]["verdict"] = _verdict(values["parent"], values["change"], sign,
+                                        out[name]["change_wins"], bounds[name])
     out["failed"] = {
         side: sum(r["result"]["failed"] for r in runs if r["workload"] == workload and r["side"] == side)
         for side in ("parent", "change")

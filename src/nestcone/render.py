@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cone import CrossSection
-from .rationals import rat_str
+from .rationals import Rat, rat_str, vdot
 
 
 _SIZE = 360  # the SVG's width and height
@@ -57,11 +57,8 @@ def _projection_axes(vertices: Sequence[Sequence[Fraction]]) -> tuple[tuple[Frac
     return u, v
 
 
-def _project(u, v, vertices) -> list[tuple[Fraction, Fraction]]:
-    return [
-        (sum(a * x for a, x in zip(u, vert)), sum(a * x for a, x in zip(v, vert)))
-        for vert in vertices
-    ]
+def _project(u, v, vertices) -> list[tuple[Rat, Rat]]:
+    return [(vdot(u, vert), vdot(v, vert)) for vert in vertices]
 
 
 def _layout(cs: CrossSection):

@@ -17,7 +17,6 @@
 
 from fractions import Fraction
 from math import comb
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .cone import Cone, IVec, Position, cone_from_rays
@@ -281,7 +280,7 @@ def _certified(curves: list[MovingCurve]) -> tuple[list[IVec], list[IVec]]:
     does not span the frame raises NotPointed, else InvalidInput names the cell."""
     functionals = [primitive(m.functional) for m in curves]
     rays = sorted(primitive(m.annihilated_ray) for m in curves)
-    pairs = [[sum(map(mul, w, r)) for r in rays] for w in functionals]
+    pairs = [[vdot(w, r) for r in rays] for w in functionals]
     rows = [next((i for i, row in enumerate(pairs) if row[j] > 0), j) for j in range(len(rays))]
     cell = diagonal_failure([pairs[i] for i in rows], FRAME_DIM)
     if cell and len(rref(functionals)[1]) < FRAME_DIM:
@@ -369,7 +368,7 @@ class AsymptoticReport(NamedTuple):
 def _nonnegative(functionals: Sequence[IVec], rays: Sequence[IVec]) -> bool:
     """Whether every functional is >= 0 on every ray: the rays lie in the
     dual of the functionals, since y is in dual(W) exactly when W . y >= 0."""
-    return all(sum(map(mul, f, r)) >= 0 for f in functionals for r in rays)
+    return all(vdot(f, r) >= 0 for f in functionals for r in rays)
 
 
 def _section_distance(rays: Sequence[IVec]) -> Rat:

@@ -36,19 +36,21 @@ whose labels all resolve, and its matrix gives the cells; any other section
 is paired cell by cell, with a kind's check skipped.  So the chart is
 certified entry by entry, and a certified table's one section gives
 ``table_inputs``: its cone for cross-sections (``TableInputs.cone``) and
-the Butler study's nef certificate.  Each witness's functional is computed
+the Butler study's nef certificate; ``standard_{nef,eff}_certificate``
+certify it under its own kind.  Each witness's functional is computed
 once, from the pairing table's rows: every cell is a dot product with it,
 the dual-cone check reads it, and ``Certificate.functionals`` keeps it.
 
-The catalog reproduces reference intersection tables cell by cell.  Legacy
-labels (H_1, B_1, D_{1,1}, C_{2,1,1}, ...) are translated to canonical
-classes through data dictionaries; labels with no known definition
-(C^c_*, E_1, 2D^a_{3/2}, 2D^b_{3/2}) stay unresolved and their cells are
-reported as SKIPPED, never silently passed.
+The catalog reproduces reference intersection tables cell by cell.  Each
+eff-table builder writes its legacy labels (H_1, B_1, D_{1,1}, C_{2,1,1},
+...) beside their canonical classes, and the summary chart decodes its
+labels through ``_chart_divisor`` and ``_chart_curve``; a label with no
+known definition (C^c_*, E_1, 2D^a_{3/2}, 2D^b_{3/2}) decodes to None,
+stays unresolved, and its cells are reported as SKIPPED, never silently
+passed.
 """
 
 import re
-from functools import partial
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
@@ -483,7 +485,7 @@ def _certified(table_id: str, kind: str, inp: TableInputs, *notes: str) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# Legacy-label dictionaries for the effective-cone tables
+# Effective-cone tables and the summary chart, in legacy labels
 # ---------------------------------------------------------------------------
 
 def _full_b(surface: SurfaceModel, space: SpaceId, half_label: str) -> DivClass:
@@ -656,6 +658,12 @@ def _eff_summary(table_id: str) -> tuple[SectionInputs, ...]:
 # extremal curves gamma_j dual to them as (label, class)).  A K3 record has
 # no such curves: its witnesses are the nodal curves, with gamma . H = 2g-2,
 # and its extremal tautological slope is f(m) = k3_extremal_slope(g, m).
+# A template returns its space and its rows in printed order, a row being
+# (ray label, ray, provenance, witness label, witness, diagonal).  Each row
+# is named by a side and a point count alone: the side ('' on X^[n], 'a'
+# or 'b' on a nested space or universal family) fixes the basis suffix, the
+# D/A heads, the tautological map and the provenance, and the count (n + 1,
+# n or n - 1) every label written in n.
 
 def _nef_p2():
     return p2(), ("H",), (("l", 1),)
@@ -673,99 +681,87 @@ def _nef_k3(g: int):
     return k3(g), ("H",), None
 
 
-def _pulled(record, sp: SpaceId, suffix: str, side: str, r: int, r_label: str):
-    """Rows (ray label, ray, witness label, witness, diagonal) pairing each
-    nef generator of X, pulled back to sp (basis name + suffix), with its
-    dual curve swept along `side` ('a', 'b', or '' on X^[n]) through r
-    points."""
+def _in_n(sp: SpaceId, m: int) -> str:
+    """The count m written in the n of sp: n, n+1 or n-1."""
+    return "n" if m == sp.n else f"n{m - sp.n:+d}"
+
+
+def _pulled(record, sp: SpaceId, side: str, r: int) -> list[tuple]:
+    """The rows pairing each nef generator of X, pulled back to sp (by the
+    residue map on side 'a', basis suffix diff), with its dual curve swept
+    along `side` through r points."""
     s, gens, curves = record
-    head = f"C^{side}" if side else "C"
+    suffix, head = ("diff" if side == "a" else side), (f"C^{side}" if side else "C")
     if curves is None:
         ca, cb = nodal_curves_k3(s, sp)
         wits = [(f"{head}_nodal", cb if side == "b" else ca, 2 * s.genus - 2)]
     else:
         family = curve_family_b if side == "b" else curve_family_a
-        wits = [
-            (f"{head}_{{{lab},{r_label}}}", family(s, sp, gamma, r), 1)
-            for lab, gamma in curves
-        ]
+        wits = [(f"{head}_{{{lab},{_in_n(sp, r)}}}", family(s, sp, gamma, r), 1)
+                for lab, gamma in curves]
+    prov = (Provenance(RESIDUE_OF_NEF, "pull_res of a nef class") if side == "a"
+            else Provenance(PULLBACK_OF_NEF, "pull_b of a nef class") if side
+            else Provenance(ASSERTED, "induced nef class on the Hilbert scheme"))
     return [
-        (f"{lab}^{suffix}" if suffix else lab, divisor(s, sp, name + suffix), *wit)
+        (f"{lab}^{suffix}" if suffix else lab, divisor(s, sp, name + suffix), prov, *wit)
         for lab, name, wit in zip(gens, s.generator_names, wits)
     ]
 
 
-def _extremal(record, sp: SpaceId, head: str, taut, k: str, m: int, a: str):
-    """The row of the extremal tautological class of X^[m], built by `taut`
-    from its slope, against the curve `a`; k is m-1 written in n."""
-    s = record[0]
+def _extremal(record, sp: SpaceId, side: str, m: int) -> tuple:
+    """The row of the extremal tautological class of X^[m], pulled back to
+    sp along `side`, against the curve A on that side."""
+    s, sup = record[0], f"^{side}" if side else ""
     if s.genus is not None:
         sub, slope = f"f({m})", k3_extremal_slope(s.genus, m)
     else:
+        k = _in_n(sp, m - 1)
         sub, slope = (k if s.rank == 1 else f"({k},{k})"), (m - 1,) * s.rank
-    label = f"{head}_{sub}" if len(sub) == 1 else f"{head}_{{{sub}}}"
-    return [(label, taut(slope), a, curve(s, sp, a), 1)]
+    ray = (tautological_a(s, sp, slope) if side == "a" else tautological_b(s, sp, slope) if side
+           else tautological(s, sp.n, slope))
+    prov = (Provenance(PULLBACK_OF_NEF, f"pull_{side} of a nef tautological class") if side
+            else Provenance(ASSERTED, "tautological class of a spanning line bundle"))
+    label = f"D{sup}_{sub}" if len(sub) == 1 else f"D{sup}_{{{sub}}}"
+    return label, ray, prov, f"A{sup}", curve(s, sp, f"A{sup}"), 1
 
 
 def _hilb_template(record, n: int):
-    s, sp = record[0], hilb(n)
-    return sp, {
-        "gen": _pulled(record, sp, "", "", n, "n"),
-        "D": _extremal(record, sp, "D", partial(tautological, s, n), "n-1", n, "A"),
-    }
+    sp = hilb(n)
+    return sp, [*_pulled(record, sp, "", n), _extremal(record, sp, "", n)]
 
 
 def _nested_template(record, n: int):
-    s, sp = record[0], nested(n)
-    return sp, {
-        "diff": _pulled(record, sp, "diff", "a", n + 1, "n+1"),
-        "b": _pulled(record, sp, "b", "b", n, "n"),
-        "Da": _extremal(record, sp, "D^a", partial(tautological_a, s, sp), "n", n + 1, "A^a"),
-        "Db": _extremal(record, sp, "D^b", partial(tautological_b, s, sp), "n-1", n, "A^b"),
-    }
+    """Rank 1 prints the b side first, each side's generators before its
+    extremal class; rank 2 prints the generators of both sides first."""
+    sp = nested(n)
+    diff, b = _pulled(record, sp, "a", n + 1), _pulled(record, sp, "b", n)
+    da, db = _extremal(record, sp, "a", n + 1), _extremal(record, sp, "b", n)
+    return sp, [*b, db, *diff, da] if record[0].rank == 1 else [*diff, *b, da, db]
 
 
 def _univ_template(record, n: int):
-    s, sp = record[0], univ(n)
-    return sp, {
-        "diff": _pulled(record, sp, "diff", "a", n - 1, "n-1"),
-        "b": _pulled(record, sp, "b", "b", n, "n"),
-        "Da": _extremal(record, sp, "D^a", partial(tautological_a, s, sp), "n-1", n, "A^a"),
-    }
-
-
-# template block -> (provenance tag, note given where the table cites notes)
-_NEF_PROVENANCE = {
-    "gen": (ASSERTED, "induced nef class on the Hilbert scheme"),
-    "D": (ASSERTED, "tautological class of a spanning line bundle"),
-    "b": (PULLBACK_OF_NEF, "pull_b of a nef class"),
-    "Db": (PULLBACK_OF_NEF, "pull_b of a nef tautological class"),
-    "diff": (RESIDUE_OF_NEF, "pull_res of a nef class"),
-    "Da": (PULLBACK_OF_NEF, "pull_a of a nef tautological class"),
-}
+    sp = univ(n)
+    return sp, [*_pulled(record, sp, "a", n - 1), *_pulled(record, sp, "b", n),
+                _extremal(record, sp, "a", n)]
 
 
 class _NefTable(NamedTuple):
     """Builder of a catalog nef table: `template` fed by the surface
-    `record`, its blocks of rows taken in `order`; the expected matrix is
-    diagonal."""
+    `record` gives its rows; the expected matrix is diagonal, and the rays
+    keep their provenance notes where the table `cite`s them."""
 
     template: Callable
     record: Callable
-    order: tuple[str, ...]
     cite: bool = False
 
     def __call__(self, table_id: str, n: int, **surface_params) -> tuple[SectionInputs, ...]:
         record = self.record(**surface_params)
-        sp, blocks = self.template(record, n)
-        rays, wits, diag = [], [], []
-        for block in self.order:
-            tag, note = _NEF_PROVENANCE[block]
-            for ray_label, ray, wit_label, wit, d in blocks[block]:
-                rays.append(RaySpec(ray_label, ray, Provenance(tag, note if self.cite else "")))
-                wits.append(WitnessSpec(wit_label, wit))
-                diag.append(d)
-        expected = [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
+        sp, rows = self.template(record, n)
+        k = len(rows)
+        rays = [RaySpec(lab, ray, p if self.cite else Provenance(p.tag))
+                for lab, ray, p, _, _, _ in rows]
+        wits = [WitnessSpec(lab, cls) for _, _, _, lab, cls, _ in rows]
+        expected = [[0] * i + [d] + [0] * (k - i - 1) for i, (*_, d) in enumerate(rows)]
         return _certified(table_id, NEF_DUAL, TableInputs(record[0], sp, rays, wits, expected))
 
 
@@ -841,40 +837,25 @@ def _k3_g1n(table_id: str, g: int, n: int) -> tuple[SectionInputs, ...]:
     return (SectionInputs(_labelled_inputs(s, sp, rows, cols, expected), f"{table_id} (g={g}, n={n})"),)
 
 
-# Block orders; each fixes the order of a table's rays, and so its output.
-_RANK1_NESTED = ("b", "Db", "diff", "Da")
-_RANK2_NESTED = ("diff", "b", "Da", "Db")
-_UNIV = ("diff", "b", "Da")
-
 CATALOG: dict[str, TableSpec] = {
     # nef cone of P2^[n]: spanning rays against dual curves
-    "hilb_p2_nef": TableSpec(
-        {"n": 3}, NEF_DUAL, _NefTable(_hilb_template, _nef_p2, ("gen", "D"), cite=True)
-    ),
+    "hilb_p2_nef": TableSpec({"n": 3}, NEF_DUAL, _NefTable(_hilb_template, _nef_p2, cite=True)),
     # nef cone of P2^[n+1,n]: spanning rays against dual curves
-    "nef_p2_nested": TableSpec(
-        {"n": 3}, NEF_DUAL, _NefTable(_nested_template, _nef_p2, _RANK1_NESTED, cite=True)
-    ),
+    "nef_p2_nested": TableSpec({"n": 3}, NEF_DUAL, _NefTable(_nested_template, _nef_p2, cite=True)),
     # nef cone of (P1xP1)^[n+1,n]
-    "nef_f0_nested": TableSpec(
-        {"n": 3}, NEF_DUAL, _NefTable(_nested_template, _nef_f0, _RANK2_NESTED)
-    ),
+    "nef_f0_nested": TableSpec({"n": 3}, NEF_DUAL, _NefTable(_nested_template, _nef_f0)),
     # nef cone of F_i^[n+1,n]
-    "nef_fi_nested": TableSpec(
-        {"i": 1, "n": 3}, NEF_DUAL, _NefTable(_nested_template, _nef_fi, _RANK2_NESTED)
-    ),
+    "nef_fi_nested": TableSpec({"i": 1, "n": 3}, NEF_DUAL, _NefTable(_nested_template, _nef_fi)),
     # nef cone of K3^[n+1,n] for a general genus-g K3 (n >= g+1)
-    "nef_k3_nested": TableSpec(
-        {"g": 3, "n": 4}, NEF_DUAL, _NefTable(_nested_template, _nef_k3, _RANK1_NESTED)
-    ),
+    "nef_k3_nested": TableSpec({"g": 3, "n": 4}, NEF_DUAL, _NefTable(_nested_template, _nef_k3)),
     # nef cone of the universal family P2^[n,1]
-    "nef_p2_univ": TableSpec({"n": 3}, NEF_DUAL, _NefTable(_univ_template, _nef_p2, _UNIV)),
+    "nef_p2_univ": TableSpec({"n": 3}, NEF_DUAL, _NefTable(_univ_template, _nef_p2)),
     # nef cone of (P1xP1)^[n,1]
-    "nef_f0_univ": TableSpec({"n": 3}, NEF_DUAL, _NefTable(_univ_template, _nef_f0, _UNIV)),
+    "nef_f0_univ": TableSpec({"n": 3}, NEF_DUAL, _NefTable(_univ_template, _nef_f0)),
     # nef cone of F_i^[n,1]
-    "nef_fi_univ": TableSpec({"i": 1, "n": 3}, NEF_DUAL, _NefTable(_univ_template, _nef_fi, _UNIV)),
+    "nef_fi_univ": TableSpec({"i": 1, "n": 3}, NEF_DUAL, _NefTable(_univ_template, _nef_fi)),
     # nef cone of K3^[n,1] (n >= g+1)
-    "nef_k3_univ": TableSpec({"g": 3, "n": 4}, NEF_DUAL, _NefTable(_univ_template, _nef_k3, _UNIV)),
+    "nef_k3_univ": TableSpec({"g": 3, "n": 4}, NEF_DUAL, _NefTable(_univ_template, _nef_k3)),
     # intersection table of the P2 Hilbert-scheme bases
     "pairing_p2_hilb": TableSpec({"n": 3}, None, _pairing_p2_hilb),
     # intersection table of the P2 nested bases
@@ -931,12 +912,14 @@ def table_inputs(table_id: str, **params) -> TableInputs:
 
 def standard_nef_certificate(table_id: str, **params) -> Certificate:
     spec, merged = _lookup(table_id, params, NEF_DUAL)
-    return _certify(NEF_DUAL, spec.build(table_id, **merged)[0].inputs)
+    sec = spec.build(table_id, **merged)[0]
+    return _certify(sec.kind, sec.inputs)
 
 
 def standard_eff_certificate(table_id: str) -> Certificate:
     spec, merged = _lookup(table_id, {}, EFF_MOVING)
-    return _certify(EFF_MOVING, spec.build(table_id, **merged)[0].inputs)
+    sec = spec.build(table_id, **merged)[0]
+    return _certify(sec.kind, sec.inputs)
 
 
 def reproduce_table(table_id: str, **params) -> TableReport:

@@ -23,6 +23,7 @@ def _script():
 
 _B = _script()
 BETTER = {"ops_per_s": "higher", "op_ms_p90": "lower"}
+BOUNDS = {"ops_per_s": 0.2, "op_ms_p90": 0.2}
 
 
 def _runs(values):
@@ -43,7 +44,7 @@ RUNS = _runs([
 
 
 def test_summary_counts_wins_and_ratio():
-    out = _B._summary(RUNS, "w", BETTER, {})
+    out = _B._summary(RUNS, "w", BETTER, {}, BOUNDS)
     assert out["ops_per_s"]["change_wins"] == 2
     assert out["op_ms_p90"]["change_wins"] == 2
     assert out["ops_per_s"]["median_ratio"] == 1.1
@@ -53,7 +54,7 @@ def test_summary_counts_wins_and_ratio():
 
 
 def test_summary_carries_the_aa_ratio_of_each_metric_it_has():
-    out = _B._summary(RUNS, "w", BETTER, {"ops_per_s": {"median_ratio": 1.029}})
+    out = _B._summary(RUNS, "w", BETTER, {"ops_per_s": {"median_ratio": 1.029}}, BOUNDS)
     assert out["ops_per_s"]["aa_median_ratio"] == 1.029
     assert "aa_median_ratio" not in out["op_ms_p90"]
 
@@ -69,10 +70,10 @@ TIGHT = [99, 100, 100, 101, 100, 99, 101, 100, 100, 100]  # quartile spread 1
 
 def test_verdict_gain_needs_nine_wins_and_a_gap_past_the_parent_spread():
     ten_wins = [v + 5 for v in TIGHT]
-    assert _B._summary(_ten_pairs(TIGHT, ten_wins), "w", BETTER, {},
-                       {"ops_per_s": 0.2, "op_ms_p90": 0.2})["ops_per_s"]["verdict"] == "gain"
+    out = _B._summary(_ten_pairs(TIGHT, ten_wins), "w", BETTER, {}, BOUNDS)
+    assert out["ops_per_s"]["verdict"] == "gain"
     eight_wins = ten_wins[:8] + [90, 90]
-    out = _B._summary(_ten_pairs(TIGHT, eight_wins), "w", BETTER, {}, {"ops_per_s": 0.2, "op_ms_p90": 0.2})
+    out = _B._summary(_ten_pairs(TIGHT, eight_wins), "w", BETTER, {}, BOUNDS)
     assert out["ops_per_s"]["change_wins"] == 8
     assert out["ops_per_s"]["verdict"] == "flat"
     # ten wins by less than the parent's quartile spread
@@ -93,10 +94,6 @@ def test_verdict_unresolved_when_the_parent_spread_is_wider_than_the_bound():
     # every change run above every parent run resolves it
     assert _B._verdict(wide, [v + 100 for v in wide], 1, 10, 0.2) == "gain"
     assert _B._verdict(wide, [141] * 10, 1, 10, 0.2) == "flat"  # gap 41 < spread 47.5
-
-
-def test_summary_without_bounds_has_no_verdict():
-    assert "verdict" not in _B._summary(RUNS, "w", BETTER, {})["ops_per_s"]
 
 
 def _traced(failed=0, **values):

@@ -491,6 +491,29 @@ def test_module_help_names_the_module():
     )
 
 
+def test_narrow_terminal_help_puts_the_usage_arguments_on_the_next_line():
+    """At 60 columns the help is wrapped to 58, too narrow for the usage
+    prefix and 20 columns of arguments: as click 8's `write_usage` does,
+    the arguments go on the next line, indented len("Usage: ") + 4."""
+    src = str(Path(nc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "60"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestcone.cli", "cross-section", "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[:5] == [
+        "Usage: python -m nestcone.cli cross-section ",
+        "           [OPTIONS]",
+        "",
+        "  Emit the cross-section polytope of a catalog cone",
+        "  (vertices labeled by the generator rays).",
+    ]
+    assert proc.stdout.endswith(
+        "  --help                          Show this message and\n" + " " * 34 + "exit.\n"
+    )
+
+
 def test_cli_import_loads_no_dataclasses():
     # Records are NamedTuples or slotted classes, which cost next to nothing
     # to declare; declaring dataclasses took over half of `import nestcone`.

@@ -26,7 +26,7 @@ LIBRARY = ("errors", "rationals", "spaces", "pairing", "cone", "verify", "studie
 BORROWED = (
     "Callable", "Enum", "Fraction", "Iterable", "Iterator", "NamedTuple", "Sequence",
     "Union", "annotations", "cached_property", "comb", "gcd", "lcm", "lru_cache", "mul",
-    "partial", "re", "rref", "solve_unique",
+    "re", "rref", "solve_unique",
 )
 
 

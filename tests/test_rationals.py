@@ -59,6 +59,15 @@ def test_rat_returns_the_normal_form(q, n, d):
     assert got == Fraction(n, d) and type(got) is _normal_type(got)
 
 
+class _Count(int):
+    """An `int` subclass other than `bool`."""
+
+
+def test_rat_of_an_int_subclass_is_a_plain_int():
+    got = rat(_Count(-7))
+    assert got == -7 and type(got) is int
+
+
 @pytest.mark.parametrize("x", [True, False, 0.5, 1.0, None])
 def test_rat_rejects_bool_and_float(x):
     with pytest.raises(TypeError):

@@ -177,6 +177,17 @@ def test_table_sections_walk_every_section_of_the_catalog(monkeypatch):
         assert len(walked[tid]) == 1 and walked[tid][0].inputs == table_inputs(tid)
 
 
+@pytest.mark.parametrize("table_id", certified_tables(NEF_DUAL, EFF_MOVING))
+def test_a_certified_tables_one_section_carries_its_catalog_kind(table_id):
+    """The standard certificate is decided under the kind of the table's
+    one section, which is the table's kind in `CATALOG`."""
+    kind = nc.CATALOG[table_id].kind
+    (section,) = nc.table_sections(table_id)
+    assert section.kind == kind
+    standard = nc.standard_nef_certificate if kind == NEF_DUAL else nc.standard_eff_certificate
+    assert standard(table_id).kind == kind
+
+
 def test_a_section_with_an_unresolved_label_is_paired_not_certified(monkeypatch):
     inp = table_inputs("eff_p2_2_1")
     *rays, last = inp.rays
