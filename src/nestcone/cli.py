@@ -69,10 +69,11 @@ from .verify import (
 # one (surface, space).  At most one class label per product.  Parse errors
 # cite byte offsets: the tokenizer and the parser count characters, and
 # _parse_class converts the offset of an error once.  Digits are ASCII.  At
-# most _MAX_DIGITS digits per expression, in `pair --genus` and in the index
-# of `pair --surface f<i>` keep every coefficient, and the pairing of two
-# expressions, under the interpreter's limit on printing an integer, and the
-# index under its limit on reading one; parentheses and unary minus nested
+# most _MAX_DIGITS digits per expression, in every integer option (checked in
+# _Param.convert) and in the index of `pair --surface f<i>` keep every
+# coefficient, the pairing of two expressions and every Butler coordinate
+# under the interpreter's limit on printing an integer, and the index under
+# its limit on reading one; parentheses and unary minus nested
 # at most _MAX_DEPTH deep keep the recursive descent under its recursion
 # limit.
 
@@ -278,9 +279,13 @@ class _Param:
         kind = self.kind
         if kind is int:
             try:
-                return int(value)
+                number = int(value)
             except ValueError:
                 problem = f"{value!r} is not a valid integer."
+            else:
+                if abs(number) < 10**_MAX_DIGITS:
+                    return number
+                raise UsageError(f"{self.names[-1]} holds more than {_MAX_DIGITS} digits")
         elif isinstance(kind, tuple):
             if value in kind:
                 return value
@@ -610,8 +615,6 @@ def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
     (the two arguments may be given in either order)."""
     from .pairing import pair
 
-    if genus is not None and abs(genus) >= 10**_MAX_DIGITS:
-        raise UsageError(f"--genus holds more than {_MAX_DIGITS} digits")
     index = surface_name[1:]
     if (surface_name[:1] in ("f", "F") and len(index) > _MAX_DIGITS
             and index.isascii() and index.isdigit()):

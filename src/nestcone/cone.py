@@ -2,7 +2,9 @@
 
 Cones are stored by generator rays (primitive integer vectors), and all the
 work is integer arithmetic; everything is exact, deterministic, and
-reasonably fast for the dimensions used here (<= 8).
+reasonably fast for the dimensions used here: at most 8 in the catalog, and
+9 and 10 in the benchmark's cones over cyclic polytopes C(m, 8), the second
+times a line.
 
 * The dual is computed by the double description method (`_dd`, run once
   per cone and cached), which keeps for every intermediate ray the bitmask
@@ -40,7 +42,6 @@ direction whose canonical primitive form starts with a negative entry keeps
 its sign.  Lineality directions surface as pairs v, -v among the generators.
 """
 
-from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
 from operator import and_, mul
@@ -53,7 +54,7 @@ from .errors import (
     NotPointed,
 )
 from .linalg import rref, solve_unique
-from .rationals import Rat, primitive, rat, rat_str, vdot
+from .rationals import Rat, primitive, rat, rat_str, ratio, vdot
 
 __all__ = (
     "IVec", "Position", "Cone", "cone_from_rays", "dual", "extremal_rays", "position",
@@ -474,7 +475,7 @@ def cross_section(c: Cone, normalization=COORD_SUM) -> CrossSection:
             raise FunctionalNotPositive(
                 f"functional is not strictly positive on ray {r}"
             )
-        verts.append(tuple(rat(Fraction(x, s)) for x in r))
+        verts.append(tuple(ratio(x, s) for x in r))
     order = sorted(range(len(verts)), key=lambda i: verts[i])
     masks = [c._incidence[keep[i]] for i in order]
     floor = c.dim - len(c._dual_parts[0]) - 2

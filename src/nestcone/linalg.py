@@ -1,10 +1,12 @@
 """Small exact linear algebra kernel (dense).
 
-Sizes here are tiny (dimension <= 8).  `rref` and `solve_unique` read their
-answers from one fraction-free Gauss-Jordan elimination (`_gj`) on integer
-rows, so elimination never leaves `int`; rational input is first scaled row
-by row to primitive integer vectors.  Their entries are in the normal form of
-`rationals`: an `int` when integral, else a `Fraction`.
+Sizes here are tiny: dimension at most 8 in the catalog, and 9 and 10 in
+the benchmark's cones over cyclic polytopes C(m, 8), the second times a
+line.  `rref` and `solve_unique` read their answers from one fraction-free
+Gauss-Jordan elimination (`_gj`) on integer rows, so elimination never
+leaves `int`; rational input is first scaled row by row to primitive
+integer vectors.  Their entries are in the normal form of `rationals`: an
+`int` when integral, else a `Fraction`.
 """
 
 from __future__ import annotations

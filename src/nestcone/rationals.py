@@ -4,12 +4,13 @@ vectors and the canonical JSON form.
 An exact value in the library is an `int` when it is integral and a
 `fractions.Fraction` only when its denominator is above 1 (`Rat`); nothing
 in the core ever produces a `float`.  `rat`, `ratio` and `vdot` return this
-normal form.  `int` and `Fraction` compare and hash alike, so equal values
-stay equal whichever type holds them.  Almost every pairing multiplies two
-all-`int` vectors, so `vdot` sums the products in C and only normalizes a
-`Fraction` result.  Rationals serialize to canonical "p/q" strings (plain
-"p" when the denominator is 1), and every JSON document the library prints
-goes through `canonical_json`.
+normal form.  `ratio` is the library's one quotient, and no other module
+builds a `Fraction`.  `int` and `Fraction` compare and hash alike, so equal
+values stay equal whichever type holds them.  Almost every pairing
+multiplies two all-`int` vectors, so `vdot` sums the products in C and only
+normalizes a `Fraction` result.  Rationals serialize to canonical "p/q"
+strings (plain "p" when the denominator is 1), and every JSON document the
+library prints goes through `canonical_json`.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ def rat_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def ratio(n: Rat, d: int) -> Rat:
-    """The quotient n/d of an exact rational n and a nonzero int d in
-    normal form."""
+def ratio(n: Rat, d: Rat) -> Rat:
+    """The quotient n/d of an exact rational n and a nonzero exact rational
+    d in normal form."""
     return n // d if n % d == 0 else Fraction(n, d)
 
 

@@ -7,11 +7,10 @@ bit-stable across runs and platforms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .cone import CrossSection
-from .rationals import Rat, rat_str, vdot
+from .rationals import Rat, rat_str, ratio, vdot
 
 
 _SIZE = 360  # the SVG's width and height
@@ -19,39 +18,30 @@ _MARGIN = 40
 _PLACES = 4  # decimal places of every coordinate written
 
 
-def _fixed(q: Fraction) -> str:
+def _fixed(q: Rat) -> str:
     """Exact fixed-point decimal string of a rational with `_PLACES`
     decimals (round half away from zero), without floating point."""
-    q = Fraction(q)
-    scale = 10 ** _PLACES
-    num = q.numerator * scale * 2
-    den = q.denominator * 2
-    half = den // 2
-    if num >= 0:
-        scaled = (num + half) // den
-    else:
-        scaled = -((-num + half) // den)
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    whole, frac = divmod(scaled, scale)
-    text = f"{sign}{whole}.{frac:0{_PLACES}d}".rstrip("0").rstrip(".")
-    return text if text not in ("", "-") else "0"
+    n, d = q.numerator, q.denominator
+    scaled = (2 * abs(n) * 10**_PLACES + d) // (2 * d)
+    whole, frac = divmod(scaled, 10**_PLACES)
+    sign = "-" if n < 0 and scaled else ""
+    return f"{sign}{whole}.{frac:0{_PLACES}d}".rstrip("0").rstrip(".")
 
 
-def _projection_axes(vertices: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Two fixed rational functionals projecting the vertices injectively to
+def _projection_axes(vertices: Sequence[Sequence[Rat]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two fixed integer functionals projecting the vertices injectively to
     the plane.  Coordinate pairs are tried in lexicographic order, each read
     off the vertices directly; if none is injective, generic power
     functionals are used."""
     dim = len(vertices[0]) if vertices else 2
-    unit = [tuple(Fraction(k == i) for k in range(dim)) for i in range(dim)]
+    unit = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
             if len({(p[i], p[j]) for p in vertices}) == len(vertices):
                 return unit[i], unit[j]
     for t in (2, 3, 5):
-        u = tuple(Fraction(t) ** k for k in range(dim))
-        v = tuple(Fraction(t + 1) ** k for k in range(dim))
+        u = tuple(t**k for k in range(dim))
+        v = tuple((t + 1) ** k for k in range(dim))
         if len(set(_project(u, v, vertices))) == len(vertices):
             break
     return u, v
@@ -63,12 +53,11 @@ def _project(u, v, vertices) -> list[tuple[Rat, Rat]]:
 
 def _layout(cs: CrossSection):
     pts = _project(*_projection_axes(cs.vertices), cs.vertices)
-    xs = [p[0] for p in pts] or [Fraction(0)]
-    ys = [p[1] for p in pts] or [Fraction(0)]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    span = max(xmax - xmin, ymax - ymin, Fraction(1))
-    scale = Fraction(_SIZE - 2 * _MARGIN) / span
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    xmin, xmax = min(xs, default=0), max(xs, default=0)
+    ymin, ymax = min(ys, default=0), max(ys, default=0)
+    span = max(xmax - xmin, ymax - ymin, 1)
+    scale = ratio(_SIZE - 2 * _MARGIN, span)
 
     def place(p):
         x = _MARGIN + (p[0] - xmin) * scale

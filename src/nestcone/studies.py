@@ -15,14 +15,13 @@
   arithmetic on R_k; at deviation 0 the rays must be the orthant's.
 """
 
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
 
 from .cone import Cone, IVec, Position, cone_from_rays
 from .errors import FunctionalNotPositive, InvalidInput, NotPointed, RangeError
 from .linalg import rref
-from .rationals import Rat, canonical_json, primitive, rat, rat_str, ratio, vdot
+from .rationals import Rat, canonical_json, primitive, rat_str, ratio, vdot
 from .spaces import (
     DivClass,
     SurfaceModel,
@@ -215,7 +214,7 @@ def butler_check(inp: ButlerInput, ordering: str = ORDER_B) -> ButlerReport:
     steps = []
     for k in range(inp.k_range[0], inp.k_range[1] + 1):
         cls = butler_class(inp, k, ordering)
-        coeffs = tuple(rat(Fraction(vdot(f, cls.coords), row[j]))
+        coeffs = tuple(ratio(vdot(f, cls.coords), row[j])
                        for j, (f, row) in enumerate(zip(cert.functionals, cert.matrix)))
         low = min(coeffs)
         where = Position.OUTSIDE if low < 0 else Position.BOUNDARY if low == 0 else Position.INTERIOR
@@ -270,7 +269,7 @@ def asymptotic_moving_curves(k: int) -> list[MovingCurve]:
     one number, since a'_k - 1 = a_k."""
     if k < 1:
         raise RangeError(f"k must be >= 1, got {k}")
-    return _moving_curves(Fraction(k, 2 * a_k(k)))
+    return _moving_curves(ratio(k, 2 * a_k(k)))
 
 
 def _certified(curves: list[MovingCurve]) -> tuple[list[IVec], list[IVec]]:

@@ -388,10 +388,18 @@ def _rarely(draw, strategy, fallback):
     return draw(strategy) if draw(st.integers(0, 3)) == 0 else fallback
 
 
+# 1000 digits, the most an integer option holds, and 1001.
+_LONG = st.sampled_from(["9" * 1000, "-" + "9" * 1000, "1" + "0" * 1000, "-" + "9" * 1001])
+
+
 def _value(draw, p):
-    """A value for the _Param `p`, read off its kind, or now and then junk."""
-    if p.kind is int:  # small, so that no drawn command runs long
+    """A value for the _Param `p`, read off its kind, or now and then junk.
+    An integer is small, or now and then 1000 or 1001 digits long, except in
+    --k-min and --k-max, which bound loops: so no drawn command runs long."""
+    if p.kind is int:
         good = st.integers(-2, 8).map(str)
+        if p.dest not in ("k_min", "k_max"):
+            good = st.just(_rarely(draw, _LONG, draw(good)))
     elif isinstance(p.kind, tuple):
         good = st.sampled_from(p.kind)
     elif p.kind is cli._FILE:  # relative to the test's working directory
@@ -698,6 +706,22 @@ def test_butler_command(capsys):
     assert "all interior" in out
     code, _, err = run(capsys, "butler", "--n", "3")
     assert code == 2  # InvalidInput surfaces as a usage error
+
+
+@pytest.mark.parametrize("option", ["--a", "--b", "--n", "--i", "--k-min", "--k-max"])
+def test_butler_integer_past_1000_digits_is_usage_error(capsys, option):
+    # 4299 digits parse, but a Butler coordinate built from them would not print.
+    for value in ("9" * 4299, "-1" + "0" * 1000):
+        code, out, err = run(capsys, "butler", "--n", "99", "--k-max", "3", option, value)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {option} holds more than 1000 digits\n"
+
+
+def test_butler_at_1000_digits_prints_every_coordinate(capsys):
+    big = "9" * 1000
+    code, out, err = run(capsys, "butler", "--a", big, "--b", big, "--n", big, "--k-max", "3")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 4
 
 
 def test_asymptotic_command(capsys):

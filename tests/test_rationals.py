@@ -1,6 +1,8 @@
+import ast
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from nestcone.cone import Cone, cone_from_rays
 from nestcone.linalg import rref, solve_unique
-from nestcone.rationals import primitive, rat, rat_str, vdot
+import nestcone
+from nestcone.rationals import primitive, rat, rat_str, ratio, vdot
 
 # Ints and Fractions mixed: zeros, negatives and values far beyond 64 bits.
 _SCALAR = st.one_of(
@@ -72,6 +75,40 @@ def test_rat_of_an_int_subclass_is_a_plain_int():
 def test_rat_rejects_bool_and_float(x):
     with pytest.raises(TypeError):
         rat(x)
+
+
+def test_ratio_of_a_fraction_divisor_is_the_normal_form():
+    got = ratio(Fraction(3, 2), Fraction(3, 4))
+    assert got == 2 and type(got) is int
+    got = ratio(1, Fraction(2, 3))
+    assert got == Fraction(3, 2) and type(got) is Fraction
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCALAR, _SCALAR)
+def test_ratio_is_the_exact_quotient(n, d):
+    if d == 0:
+        d = 1
+    got = ratio(n, d)
+    want = Fraction(n) / Fraction(d)
+    assert got == want and type(got) is _normal_type(want)
+
+
+def test_only_rationals_builds_a_fraction():
+    """No library module but `rationals` imports `fractions` or calls
+    `Fraction`: every exact quotient goes through `ratio`."""
+    for path in sorted(Path(nestcone.__file__).parent.glob("*.py")):
+        if path.stem == "rationals":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "fractions" for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "fractions", path.name
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name != "Fraction", path.name
 
 
 @pytest.mark.parametrize(

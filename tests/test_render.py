@@ -1,13 +1,15 @@
 """`render._projection_axes` reads coordinate pairs off the vertices; the
 arithmetic search it replaced, kept here as the reference, projects with
-Fraction dot products against unit and power functionals."""
+Fraction dot products against unit and power functionals.  `render._fixed`
+rounds from a rational's numerator and denominator; the signed formula it
+replaced is kept here as its reference."""
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nestcone.render import _projection_axes
+from nestcone.render import _fixed, _projection_axes
 
 
 def _axes_by_projection(vertices):
@@ -50,4 +52,48 @@ def _vertex_sets(draw):
 def test_projection_axes_match_the_arithmetic_search(vertices):
     got = _projection_axes(vertices)
     assert got == _axes_by_projection(vertices)
-    assert all(type(x) is Fraction for axis in got for x in axis)
+    assert all(type(x) is int for axis in got for x in axis)
+
+
+def _fixed_by_fraction(q):
+    """Round q * 10**4 half away from zero, signed, from a Fraction copy."""
+    q = Fraction(q)
+    scale = 10**4
+    num = q.numerator * scale * 2
+    den = q.denominator * 2
+    half = den // 2
+    if num >= 0:
+        scaled = (num + half) // den
+    else:
+        scaled = -((-num + half) // den)
+    sign = "-" if scaled < 0 else ""
+    scaled = abs(scaled)
+    whole, frac = divmod(scaled, scale)
+    text = f"{sign}{whole}.{frac:04d}".rstrip("0").rstrip(".")
+    return text if text not in ("", "-") else "0"
+
+
+_FIXED_INPUTS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(max_denominator=10**6),
+    st.integers(-(10**6), 10**6).map(lambda k: Fraction(2 * k + 1, 2 * 10**4)),  # exact ties
+    st.integers(2 * 10**4 + 1, 10**9).map(lambda d: Fraction(-1, d)),  # rounds to zero
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FIXED_INPUTS)
+@example(0)
+@example(-7)
+@example(Fraction(-1, 20001))
+@example(Fraction(1, 20000))
+@example(Fraction(-1, 20000))
+def test_fixed_matches_the_signed_reference(q):
+    assert _fixed(q) == _fixed_by_fraction(q)
+
+
+def test_fixed_writes_ties_away_from_zero_and_no_negative_zero():
+    assert [_fixed(q) for q in (Fraction(1, 20000), Fraction(-1, 20000), Fraction(-3, 20000))] == [
+        "0.0001", "-0.0001", "-0.0002"]
+    assert [_fixed(q) for q in (Fraction(-1, 20001), Fraction(-1, 10**9), -0)] == ["0"] * 3
+    assert [_fixed(q) for q in (0, 7, -12, 10**30)] == ["0", "7", "-12", str(10**30)]
