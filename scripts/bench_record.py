@@ -28,19 +28,19 @@ ratio as `aa_median_ratio`.
 `paired` is the in-repo evidence of whether a change costs or gains
 anything in process.  For `catalog` and `dd_stress`, each of 4 batches
 starts three fresh workers (`PYTHONHASHSEED=0`), one on the change and two
-on the parent, that load their tree's `bench/<workload>_wl.py` (seed 1) and
-warm it up.  Each of a batch's 10 rounds is, per mode, a parent/change and
-a parent/parent (A/A) pair of passes; every workload runs warm, and also
-cold (each pass after clearing `nestcone`'s `functools` caches) when its
-warmed-up worker holds any.  The order of the modes within a round, the
-order of the change and A/A pairs and the order of each pair's sides all
-swap every round, so each mode's and each pair's pass times come from the
-same stretch of host time.  A worker times a pass with
-`time.process_time` and checks its outputs untimed.
-`paired.<workload>.<mode>` holds each batch's median speed ratio (the
-parent's pass time over the other side's) for the change and the A/A, each
-side's median pass time, failed checks and Python opcodes of one pass
-(`sys.settrace`, counted once: exact, but blind to work in C), and a
+on the parent (`parent` and `parent_aa`), that load their tree's
+`bench/<workload>_wl.py` (seed 1) and warm it up.  In each of a batch's 12
+rounds every worker answers one pass per mode; every workload runs warm,
+and also cold (each pass after clearing `nestcone`'s `functools` caches)
+when its warmed-up worker holds any.  The order of the modes swaps every
+round, and the order of the three sides cycles through their six
+permutations, so each mode's and each side's pass times come from the same
+stretch of host time.  A worker times a pass with `time.process_time` and
+checks its outputs untimed.  `paired.<workload>.<mode>` holds each batch's
+median speed ratio (the `parent` pass time over the other side's, both
+ratios of a round dividing its one `parent` pass) for the change and the
+A/A, each side's median pass time, failed checks and Python opcodes of one
+pass (`sys.settrace`, counted once: exact, but blind to work in C), and a
 `verdict` (see `_paired_verdict`).  Within one set of workers a process's
 own speed offset reads as an effect; over fresh batches it is spread.
 
@@ -57,6 +57,7 @@ repository root.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -187,9 +188,8 @@ def _summary(runs: list[dict], workload: str, better: dict[str, str], aa: dict,
 
 
 PAIRED = ("catalog", "dd_stress")  # the workloads whose operations run in process
-BATCHES, ROUNDS = 4, 10
+BATCHES, ROUNDS = 4, 12  # each order of the three sides twice per batch
 SIDES = ("parent", "change", "parent_aa")
-PAIRS = (("change", ("parent", "change")), ("aa", ("parent", "parent_aa")))
 
 
 def _median_ratio(base: list[float], other: list[float]) -> float:
@@ -212,15 +212,15 @@ def _paired_verdict(change: list[float], aa: list[float], failed: dict[str, int]
 
 def _section(batches: list[list[dict]], opcodes: dict[str, int]) -> dict:
     """One mode's paired section from its batches of rounds, each round
-    {pair: {side: {"s": seconds, "failed": checks}}}, and its opcodes."""
-    def ratios(pair: str, other: str) -> list[float]:
-        return [_median_ratio([r[pair]["parent"]["s"] for r in rounds],
-                              [r[pair][other]["s"] for r in rounds]) for rounds in batches]
+    {side: {"s": seconds, "failed": checks}}, and its opcodes.  The change
+    and the A/A ratio of a round divide the same `parent` pass."""
+    def ratios(other: str) -> list[float]:
+        return [_median_ratio([r["parent"]["s"] for r in rounds],
+                              [r[other]["s"] for r in rounds]) for rounds in batches]
 
-    passes = [(side, p) for rounds in batches for r in rounds for pair in r.values()
-              for side, p in pair.items()]
+    passes = [(side, p) for rounds in batches for r in rounds for side, p in r.items()]
     failed = {side: sum(p["failed"] for s, p in passes if s == side) for side in SIDES}
-    change, aa = ratios("change", "change"), ratios("aa", "parent_aa")
+    change, aa = ratios("change"), ratios("parent_aa")
     return {"change_ratios": change, "aa_ratios": aa, "failed": failed, "opcodes": opcodes,
             "pass_s": {side: statistics.median(p["s"] for s, p in passes if s == side) for side in SIDES},
             "verdict": _paired_verdict(change, aa, failed)}
@@ -295,10 +295,10 @@ def worker(tree: str, workload: str) -> None:
 def _batch(trees: dict[str, Path], workload: str, count: bool) -> tuple[dict, dict]:
     """One batch of paired passes of `workload` on fresh workers: per mode,
     its rounds (see `_section`), and with `count`, per mode, each side's
-    opcodes of one pass.  Every round runs each mode once, and every other
-    round swaps the order of the modes, the order of the two pairs and the
-    order of each pair's sides, so that a drift of the host's speed hits
-    both modes, both pairs and both sides of a pair alike."""
+    opcodes of one pass.  Every round asks each side for one pass per mode,
+    every other round swaps the order of the modes, and the sides' order
+    cycles through their six permutations, so that a drift of the host's
+    speed hits both modes and all three sides alike."""
     procs = {
         side: subprocess.Popen(
             [sys.executable, "-B", "-c", "import bench_record; bench_record.worker"
@@ -323,11 +323,10 @@ def _batch(trees: dict[str, Path], workload: str, count: bool) -> tuple[dict, di
         opcodes = {mode: {side: reply(side, f"{mode} opcodes")["opcodes"] for side in SIDES}
                    for mode in modes if count}
         rounds = {mode: [] for mode in modes}
+        orders = list(itertools.permutations(SIDES))
         for i in range(ROUNDS):
-            turn = 1 if i % 2 == 0 else -1
-            for mode in modes[::turn]:
-                rounds[mode].append({name: {side: reply(side, mode) for side in pair[::turn]}
-                                     for name, pair in PAIRS[::turn]})
+            for mode in modes[::1 if i % 2 == 0 else -1]:
+                rounds[mode].append({side: reply(side, mode) for side in orders[i % len(orders)]})
     finally:
         for proc in procs.values():
             proc.stdin.close()

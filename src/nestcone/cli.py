@@ -25,7 +25,7 @@ import sys
 from typing import NoReturn
 
 from .errors import NestconeError, ParseError, UsageError
-from .rationals import canonical_json, rat, rat_str
+from .rationals import canonical_json, rat
 from .render import cross_section_csv, cross_section_svg, cross_section_tikz
 from .spaces import (
     CurClass,
@@ -278,14 +278,21 @@ class _Param:
     def convert(self, value):
         kind = self.kind
         if kind is int:
-            try:
-                number = int(value)
-            except ValueError:
-                problem = f"{value!r} is not a valid integer."
-            else:
-                if abs(number) < 10**_MAX_DIGITS:
-                    return number
+            # int()'s grammar (whitespace, a sign, digit groups joined by
+            # single underscores), read here so that the significant digits
+            # are counted before int() meets its limit on a literal's length.
+            text = value.strip()
+            sign = text[:1] if text[:1] in ("+", "-") else ""
+            groups = text[len(sign):].split("_")
+            digits = "".join(groups)
+            if all(groups) and digits.isdecimal():
+                # any script's decimal digits, spelled in ASCII as int() reads them
+                digits = digits.translate({ord(d): str(int(d)) for d in set(digits)})
+                digits = digits.lstrip("0") or "0"
+                if len(digits) <= _MAX_DIGITS:
+                    return int(sign + digits)
                 raise UsageError(f"{self.names[-1]} holds more than {_MAX_DIGITS} digits")
+            problem = f"{value!r} is not a valid integer."
         elif isinstance(kind, tuple):
             if value in kind:
                 return value
@@ -581,7 +588,7 @@ def _certificate_text(title: str, cert, fmt: str) -> str:
     if fmt == "json":
         return cert.json_str()
     rows = (
-        f"  {lab}: [{' '.join(rat_str(x) for x in row)}]"
+        f"  {lab}: [{' '.join(map(str, row))}]"
         for lab, row in zip(cert.witness_labels, cert.matrix)
     )
     return "\n".join([f"{title}: {_style(cert.verdict, cert.ok)}", *rows])
@@ -632,7 +639,7 @@ def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
             c = parse_curve_expr(divisor_expr, s, sp)
         except ParseError:
             raise first from None
-    _emit(rat_str(pair(d, c)))
+    _emit(str(pair(d, c)))
     return True
 
 

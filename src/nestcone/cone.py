@@ -54,7 +54,7 @@ from .errors import (
     NotPointed,
 )
 from .linalg import rref, solve_unique
-from .rationals import Rat, primitive, rat, rat_str, ratio, vdot
+from .rationals import Rat, primitive, rat, ratio, vdot
 
 __all__ = (
     "IVec", "Position", "Cone", "cone_from_rays", "dual", "extremal_rays", "position",
@@ -448,7 +448,7 @@ class CrossSection(NamedTuple):
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "vertices": [[rat_str(x) for x in v] for v in self.vertices],
+            "vertices": [list(map(str, v)) for v in self.vertices],
             "edges": [list(e) for e in self.edges],
         }
 

@@ -28,16 +28,19 @@ of the configuration constrained to lie on the moving curve):
 
 The nested Cb coefficient on Aa is -r (not the constant -1 sometimes seen in
 informal tables): only -r is compatible with the pushforward identity
-pr_a(Cb_{gamma,r}) = C_{gamma,r+1}[n+1] and with the dual-cone tables.  The
-constant-coefficient variant is kept as `curve_family_b_alt` for regression
-and for decoding legacy tables that use it.
+pr_a(Cb_{gamma,r}) = C_{gamma,r+1}[n+1].  The constant-coefficient variant
+is `curve_family_b_alt`, and two catalog tables use it: `eff_p2_3_2`
+certifies with the row C_{2,0} = Cb1 - Aa - Ab, which is
+`curve_family_b_alt(p2(), nested(2), 1, 2)`, and the `eff_summary` chart
+decodes its nested b-curves with it.  Which of the two readings the paper
+means is an open question.
 """
 
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NotK3, RangeError, SpaceMismatch
-from .rationals import Rat, rat, ratio, rat_str, vdot
+from .rationals import Rat, rat, ratio, vdot
 from .spaces import (
     CURVE_LAYOUT,
     DIVISOR_LAYOUT,
@@ -78,7 +81,7 @@ class PairingTable(NamedTuple):
     def to_csv(self) -> str:
         lines = ["," + ",".join(self.col_labels)]
         for label, row in zip(self.row_labels, self.matrix):
-            lines.append(label + "," + ",".join(rat_str(x) for x in row))
+            lines.append(label + "," + ",".join(map(str, row)))
         return "\n".join(lines) + "\n"
 
 

@@ -8,9 +8,9 @@ normal form.  `ratio` is the library's one quotient, and no other module
 builds a `Fraction`.  `int` and `Fraction` compare and hash alike, so equal
 values stay equal whichever type holds them.  Almost every pairing
 multiplies two all-`int` vectors, so `vdot` sums the products in C and only
-normalizes a `Fraction` result.  Rationals serialize to canonical "p/q"
-strings (plain "p" when the denominator is 1), and every JSON document the
-library prints goes through `canonical_json`.
+normalizes a `Fraction` result.  An exact value prints with `str`, which
+gives the canonical "p/q" of a `Fraction` and the plain "p" of an `int`,
+and every JSON document the library prints goes through `canonical_json`.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-__all__ = (
-    "Rat", "rat", "rat_str", "ratio", "canonical_json", "vdot", "primitive",
-)
+__all__ = ("Rat", "rat", "ratio", "canonical_json", "vdot", "primitive")
 
 Rat = int | Fraction
 
@@ -41,16 +39,6 @@ def rat(x) -> Rat:
     if isinstance(x, str):
         return rat(Fraction(x.strip()))
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
-
-
-def rat_str(q) -> str:
-    """Canonical string form: 'p' for integers, 'p/q' otherwise."""
-    if type(q) is int:
-        return str(q)
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def ratio(n: Rat, d: Rat) -> Rat:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cone import CrossSection
-from .rationals import Rat, rat_str, ratio, vdot
+from .rationals import Rat, ratio, vdot
 
 
 _SIZE = 360  # the SVG's width and height
@@ -116,7 +116,7 @@ def cross_section_csv(cs: CrossSection, labels: Sequence[str] | None = None) -> 
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for k, vert in enumerate(cs.vertices):
-        row = [str(k)] + [rat_str(x) for x in vert]
+        row = [str(k)] + list(map(str, vert))
         if labels:
             row.append(labels[k])
         writer.writerow(row)

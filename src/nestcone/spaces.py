@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .errors import InvalidGenus, InvalidIndex, RangeError, SpaceMismatch, UnknownSurface
-from .rationals import Rat, canonical_json, rat, rat_str
+from .rationals import Rat, canonical_json, rat
 
 __all__ = (
     "SurfaceModel", "p2", "p1xp1", "hirzebruch", "k3", "surface_model", "SpaceKind",
@@ -387,7 +387,7 @@ class _BaseClass:
         for c, label in zip(self.coords, self._labels()):
             if c == 0:
                 continue
-            parts.append(f"{rat_str(c)}*{label}")
+            parts.append(f"{c}*{label}")
         if not parts:
             return "0"
         return " + ".join(parts).replace("+ -", "- ")
@@ -397,7 +397,7 @@ class _BaseClass:
             "surface": self.surface.key,
             "space": {"kind": self.space.kind.value, "n": self.space.n},
             "basis": list(self._labels()),
-            "coords": [rat_str(c) for c in self.coords],
+            "coords": list(map(str, self.coords)),
         }
 
     def json_str(self) -> str:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 from .cone import Cone, IVec, Position, cone_from_rays
 from .errors import FunctionalNotPositive, InvalidInput, NotPointed, RangeError
 from .linalg import rref
-from .rationals import Rat, canonical_json, primitive, rat_str, ratio, vdot
+from .rationals import Rat, canonical_json, primitive, ratio, vdot
 from .spaces import (
     DivClass,
     SurfaceModel,
@@ -173,9 +173,9 @@ class ButlerReport(NamedTuple):
             "steps": [
                 {
                     "k": s.k,
-                    "coords": [rat_str(x) for x in s.coords],
+                    "coords": list(map(str, s.coords)),
                     "rays": list(s.ray_labels),
-                    "ray_coefficients": [rat_str(x) for x in s.ray_coefficients],
+                    "ray_coefficients": list(map(str, s.ray_coefficients)),
                     "position": s.position,
                 }
                 for s in self.steps
@@ -193,10 +193,7 @@ class ButlerReport(NamedTuple):
             f"{'all interior' if self.all_interior else 'NOT all interior'}"
         ]
         for s in self.steps:
-            coeffs = ", ".join(
-                f"{lab}: {rat_str(c)}"
-                for lab, c in zip(s.ray_labels, s.ray_coefficients)
-            )
+            coeffs = ", ".join(f"{lab}: {c}" for lab, c in zip(s.ray_labels, s.ray_coefficients))
             lines.append(f"  k={s.k}: {s.position} [{coeffs}]")
         return "\n".join(lines) + "\n"
 
@@ -258,8 +255,8 @@ def _moving_curves(d: Rat) -> list[MovingCurve]:
     return [
         MovingCurve("plane(H2,B1,B2)", (one, z, z, z), (z, z, one, z), z),
         MovingCurve("plane(H1,B1,B2)", (z, one, z, z), (z, z, z, one), z),
-        MovingCurve(f"normal of H1-{rat_str(d)}B1", (d, z, one, z), (one, z, -d, z), d),
-        MovingCurve(f"normal of H2-{rat_str(d)}B2", (z, d, z, one), (z, one, z, -d), d),
+        MovingCurve(f"normal of H1-{d}B1", (d, z, one, z), (one, z, -d, z), d),
+        MovingCurve(f"normal of H2-{d}B2", (z, d, z, one), (z, one, z, -d), d),
     ]
 
 
@@ -337,11 +334,11 @@ class AsymptoticReport(NamedTuple):
             "steps": [
                 {
                     "k": s.k,
-                    "deviation_1": rat_str(s.deviation_1),
-                    "deviation_2": rat_str(s.deviation_2),
+                    "deviation_1": str(s.deviation_1),
+                    "deviation_2": str(s.deviation_2),
                     "nested_in_previous": s.nested_in_previous,
                     "contains_limit": s.contains_limit,
-                    "section_distance": rat_str(s.section_distance),
+                    "section_distance": str(s.section_distance),
                 }
                 for s in self.steps
             ],
@@ -357,9 +354,8 @@ class AsymptoticReport(NamedTuple):
         ]
         for s in self.steps:
             lines.append(
-                f"  k={s.k}: deviations {rat_str(s.deviation_1)}, "
-                f"{rat_str(s.deviation_2)}; nested={s.nested_in_previous}; "
-                f"section distance {rat_str(s.section_distance)}"
+                f"  k={s.k}: deviations {s.deviation_1}, {s.deviation_2}; "
+                f"nested={s.nested_in_previous}; section distance {s.section_distance}"
             )
         return "\n".join(lines) + "\n"
 

@@ -75,7 +75,7 @@ from .pairing import (
     k3_extremal_slope,
     nodal_curves_k3,
 )
-from .rationals import Rat, canonical_json, primitive, rat_str, ratio, vdot
+from .rationals import Rat, canonical_json, primitive, ratio, vdot
 from .spaces import (
     CurClass,
     DivClass,
@@ -185,16 +185,16 @@ class Certificate(NamedTuple):
             "rays": [
                 {
                     "label": lab,
-                    "coords": [rat_str(x) for x in ray.coords],
+                    "coords": list(map(str, ray.coords)),
                     "provenance": {"tag": p.tag, "note": p.note},
                 }
                 for lab, ray, p in zip(self.ray_labels, self.rays, self.provenance)
             ],
             "witnesses": [
-                {"label": lab, "coords": [rat_str(x) for x in w.coords]}
+                {"label": lab, "coords": list(map(str, w.coords))}
                 for lab, w in zip(self.witness_labels, self.witnesses)
             ],
-            "matrix": [[rat_str(x) for x in row] for row in self.matrix],
+            "matrix": [list(map(str, row)) for row in self.matrix],
             "verdict": self.verdict,
         }
 
@@ -257,7 +257,7 @@ def _certify(kind: str, inp: TableInputs) -> Certificate:
     larger = "failed: dual cone strictly larger than the span of the rays"
     if negative:
         x, w, r = negative
-        verdict = f"failed: negative pairing {rat_str(x)} between witness {w.label} and ray {r.label}"
+        verdict = f"failed: negative pairing {x} between witness {w.label} and ray {r.label}"
     elif kind == EFF_MOVING:
         # No pairing is negative, so cone(R) lies in dual(W), W the
         # moving-curve functionals: the identity holds exactly when every
@@ -376,8 +376,8 @@ class TableReport(NamedTuple):
                     {
                         "row": c.row,
                         "col": c.col,
-                        "expected": None if c.expected is None else rat_str(c.expected),
-                        "computed": None if c.computed is None else rat_str(c.computed),
+                        "expected": None if c.expected is None else str(c.expected),
+                        "computed": None if c.computed is None else str(c.computed),
                         "status": c.status,
                     }
                     for c in s.cells
@@ -407,8 +407,8 @@ class TableReport(NamedTuple):
             lines.append(f"  [{s.title}] {'OK' if s.ok else 'FAIL'}")
             for c in s.cells:
                 if c.status != MATCH:
-                    exp = "-" if c.expected is None else rat_str(c.expected)
-                    got = "-" if c.computed is None else rat_str(c.computed)
+                    exp = "-" if c.expected is None else str(c.expected)
+                    got = "-" if c.computed is None else str(c.computed)
                     lines.append(
                         f"    cell ({c.row}, {c.col}): {c.status} expected={exp} computed={got}"
                     )
@@ -427,8 +427,8 @@ class TableReport(NamedTuple):
         writer.writerow(["section", "row", "col", "expected", "computed", "status"])
         for s in self.sections:
             for c in s.cells:
-                exp = "" if c.expected is None else rat_str(c.expected)
-                got = "" if c.computed is None else rat_str(c.computed)
+                exp = "" if c.expected is None else str(c.expected)
+                got = "" if c.computed is None else str(c.computed)
                 writer.writerow([s.title, c.row, c.col, exp, got, c.status])
         return buf.getvalue()
 

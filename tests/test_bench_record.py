@@ -4,6 +4,7 @@ per-layer counts of its traced runs, and the paired section's batch
 medians, verdict rule, opcode counts and order of passes."""
 
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -168,10 +169,10 @@ def test_failed_checks_block_a_gain(side):
 
 
 def _round(parent, change, parent_aa, failed=0):
-    """One round: the parent's pass time in each pair, the others' times,
-    and `failed` checks on the change's pass."""
-    return {"change": {"parent": {"s": parent, "failed": 0}, "change": {"s": change, "failed": failed}},
-            "aa": {"parent": {"s": parent, "failed": 0}, "parent_aa": {"s": parent_aa, "failed": 0}}}
+    """One round: each side's pass time, and `failed` checks on the
+    change's pass."""
+    return {"parent": {"s": parent, "failed": 0}, "change": {"s": change, "failed": failed},
+            "parent_aa": {"s": parent_aa, "failed": 0}}
 
 
 def test_section_holds_each_batch_median_and_each_side_total():
@@ -230,22 +231,25 @@ class _Worker:
         return 0
 
 
-def test_batch_runs_both_modes_in_every_round_in_turn(monkeypatch):
+def test_batch_asks_each_worker_for_one_pass_per_round_and_mode(monkeypatch):
     monkeypatch.setattr(_Worker, "log", [])
     monkeypatch.setattr(_Worker, "started", 0)
     monkeypatch.setattr(_B.subprocess, "Popen", _Worker)
     rounds, opcodes = _B._batch({"parent": Path("p"), "change": Path("c")}, "w", count=True)
     assert opcodes == {mode: dict.fromkeys(_B.SIDES, 1) for mode in ("warm", "cold")}
-    log, block = _Worker.log, 2 * len(_B.PAIRS)  # one mode's passes in one round
+    log, block = _Worker.log, len(_B.SIDES)  # one mode's passes in one round
+    assert len(log) == 2 * block * _B.ROUNDS
     modes = [mode for _, mode in log]
     assert all(modes[k:k + block] == [modes[k]] * block for k in range(0, len(log), block))
     assert modes[::block] == ["warm", "cold", "cold", "warm"] * (_B.ROUNDS // 2)
-    # Every other round swaps the order of the pairs and of each pair's
-    # sides: the change pair runs first, then last, and each side of a pair
-    # answers first as often as the other.
-    sides = [[side for side, _ in log[k:k + block]] for k in range(0, len(log), block)]
-    even, odd = ["parent", "change", "parent", "parent_aa"], ["parent_aa", "parent", "change", "parent"]
-    assert sides == [even, even, odd, odd] * (_B.ROUNDS // 2)
+    # Each worker answers exactly once per round and mode, both modes of a
+    # round take the sides in one order, and the rounds take each of the
+    # six orders of the sides twice.
+    sides = [tuple(side for side, _ in log[k:k + block]) for k in range(0, len(log), block)]
+    assert all(sorted(order) == sorted(_B.SIDES) for order in sides)
+    assert sides[::2] == sides[1::2]
+    assert sorted(sides[::2]) == sorted(list(itertools.permutations(_B.SIDES)) * 2)
+    assert all(len(r) == block for mode in ("warm", "cold") for r in rounds[mode])
     # The modes' median pass times share the host's drift: they lie within
     # one round of each other, not half a batch apart.
     warm, cold = (_B._section([rounds[mode]], {})["pass_s"]["parent"] for mode in ("warm", "cold"))

@@ -388,14 +388,17 @@ def _rarely(draw, strategy, fallback):
     return draw(strategy) if draw(st.integers(0, 3)) == 0 else fallback
 
 
-# 1000 digits, the most an integer option holds, and 1001.
-_LONG = st.sampled_from(["9" * 1000, "-" + "9" * 1000, "1" + "0" * 1000, "-" + "9" * 1001])
+# 1000 digits, the most an integer option holds, 1001, 5000 (past int()'s
+# limit on a literal) and a small value after 5000 zeros.
+_LONG = st.sampled_from(
+    ["9" * 1000, "-" + "9" * 1000, "1" + "0" * 1000, "-" + "9" * 1001, "9" * 5000, "0" * 5000 + "3"]
+)
 
 
 def _value(draw, p):
     """A value for the _Param `p`, read off its kind, or now and then junk.
-    An integer is small, or now and then 1000 or 1001 digits long, except in
-    --k-min and --k-max, which bound loops: so no drawn command runs long."""
+    An integer is small, or now and then one of _LONG, except in --k-min and
+    --k-max, which bound loops: so no drawn command runs long."""
     if p.kind is int:
         good = st.integers(-2, 8).map(str)
         if p.dest not in ("k_min", "k_max"):
@@ -722,6 +725,25 @@ def test_butler_at_1000_digits_prints_every_coordinate(capsys):
     code, out, err = run(capsys, "butler", "--a", big, "--b", big, "--n", big, "--k-max", "3")
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 4
+
+
+def test_integer_option_counts_significant_digits(capsys):
+    # Past int()'s limit of 4300 digits a literal is still read: 5000 nines
+    # reach 10**1000, and a 5 after 5000 zeros is 5.
+    code, out, err = run(capsys, "butler", "--n", "9" * 5000)
+    assert (code, out, err) == (2, "", "usage error: --n holds more than 1000 digits\n")
+    padded = run(capsys, "butler", "--n", "0" * 5000 + "5", "--k-max", "1")
+    assert padded == run(capsys, "butler", "--n", "5", "--k-max", "1")
+    assert padded[0] == 0 and padded[2] == ""
+
+
+@pytest.mark.parametrize(
+    "value, number",
+    [(" +0000" + "9" * 10, 9_999_999_999), ("1_000", 1000), ("9" * 1000, 10**1000 - 1)],
+)
+def test_integer_option_keeps_every_spelling(value, number):
+    got = cli._Param("--n", kind=int).convert(value)
+    assert got == number and type(got) is int
 
 
 def test_asymptotic_command(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nestcone.cone import Cone, cone_from_rays
 from nestcone.linalg import rref, solve_unique
 import nestcone
-from nestcone.rationals import primitive, rat, rat_str, ratio, vdot
+from nestcone.rationals import primitive, rat, ratio, vdot
 
 # Ints and Fractions mixed: zeros, negatives and values far beyond 64 bits.
 _SCALAR = st.one_of(
@@ -53,13 +53,40 @@ def test_vdot_rejects_unequal_lengths(u, v):
 def test_rat_returns_the_normal_form(q, n, d):
     """`rat` of an int, a Fraction (integral or not) or a "p/q" string
     (canonical or not) is the same value, an `int` exactly when it is
-    integral; `rat_str` prints both forms alike."""
-    for x in (q, Fraction(q), rat_str(q)):
+    integral; `str` prints both forms alike."""
+    for x in (q, Fraction(q), str(q)):
         got = rat(x)
         assert got == q and type(got) is _normal_type(q)
-        assert rat_str(got) == rat_str(Fraction(q))
+        assert str(got) == str(Fraction(q))
     got = rat(f"{n}/{d}")
     assert got == Fraction(n, d) and type(got) is _normal_type(got)
+
+
+def _reference_str(q) -> str:
+    """The canonical form every printed exact value takes: 'p' for an
+    integer, 'p/q' otherwise (the library's former `rat_str`)."""
+    if type(q) is int:
+        return str(q)
+    q = Fraction(q)
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCALAR)
+def test_str_prints_the_canonical_form(q):
+    """`str` and an f-string print a value in normal form as the reference
+    does, and `rat` reads the text back to the same value and type."""
+    x = rat(q)
+    assert str(x) == f"{x}" == _reference_str(x) == _reference_str(q)
+    back = rat(str(x))
+    assert back == x and type(back) is type(x)
+
+
+def test_rat_str_is_gone():
+    with pytest.raises(AttributeError):
+        nestcone.rat_str
 
 
 class _Count(int):
