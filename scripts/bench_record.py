@@ -213,7 +213,9 @@ def _paired_verdict(change: list[float], aa: list[float], failed: dict[str, int]
 def _section(batches: list[list[dict]], opcodes: dict[str, int]) -> dict:
     """One mode's paired section from its batches of rounds, each round
     {side: {"s": seconds, "failed": checks}}, and its opcodes.  The change
-    and the A/A ratio of a round divide the same `parent` pass."""
+    and the A/A ratio of a round divide the same `parent` pass.  The
+    section's resolution is its largest A/A batch median: only a change
+    batch median above it can read `gain`."""
     def ratios(other: str) -> list[float]:
         return [_median_ratio([r["parent"]["s"] for r in rounds],
                               [r[other]["s"] for r in rounds]) for rounds in batches]
@@ -221,7 +223,8 @@ def _section(batches: list[list[dict]], opcodes: dict[str, int]) -> dict:
     passes = [(side, p) for rounds in batches for r in rounds for side, p in r.items()]
     failed = {side: sum(p["failed"] for s, p in passes if s == side) for side in SIDES}
     change, aa = ratios("change"), ratios("parent_aa")
-    return {"change_ratios": change, "aa_ratios": aa, "failed": failed, "opcodes": opcodes,
+    return {"change_ratios": change, "aa_ratios": aa, "resolution": max(aa),
+            "failed": failed, "opcodes": opcodes,
             "pass_s": {side: statistics.median(p["s"] for s, p in passes if s == side) for side in SIDES},
             "verdict": _paired_verdict(change, aa, failed)}
 

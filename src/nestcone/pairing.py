@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NotK3, RangeError, SpaceMismatch
-from .rationals import Rat, rat, ratio, vdot
+from .rationals import Rat, canonical_csv, rat, ratio, vdot
 from .spaces import (
     CURVE_LAYOUT,
     DIVISOR_LAYOUT,
@@ -79,10 +79,8 @@ class PairingTable(NamedTuple):
     matrix: tuple[tuple[Rat, ...], ...]
 
     def to_csv(self) -> str:
-        lines = ["," + ",".join(self.col_labels)]
-        for label, row in zip(self.row_labels, self.matrix):
-            lines.append(label + "," + ",".join(map(str, row)))
-        return "\n".join(lines) + "\n"
+        rows = [(label, *row) for label, row in zip(self.row_labels, self.matrix)]
+        return canonical_csv([("", *self.col_labels), *rows])
 
 
 # (boundary curve, boundary divisor) -> intersection number, for every space

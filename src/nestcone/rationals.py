@@ -1,5 +1,5 @@
 """Exact rational scalars, the rational dot product, primitive integer
-vectors and the canonical JSON form.
+vectors and the canonical JSON and CSV forms.
 
 An exact value in the library is an `int` when it is integral and a
 `fractions.Fraction` only when its denominator is above 1 (`Rat`); nothing
@@ -10,7 +10,8 @@ values stay equal whichever type holds them.  Almost every pairing
 multiplies two all-`int` vectors, so `vdot` sums the products in C and only
 normalizes a `Fraction` result.  An exact value prints with `str`, which
 gives the canonical "p/q" of a `Fraction` and the plain "p" of an `int`,
-and every JSON document the library prints goes through `canonical_json`.
+and every JSON document the library prints goes through `canonical_json`,
+every CSV document through `canonical_csv`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-__all__ = ("Rat", "rat", "ratio", "canonical_json", "vdot", "primitive")
+__all__ = ("Rat", "rat", "ratio", "canonical_json", "canonical_csv", "vdot", "primitive")
 
 Rat = int | Fraction
 
@@ -54,6 +55,18 @@ def canonical_json(doc) -> str:
     import json  # only JSON output needs it
 
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def canonical_csv(rows) -> str:
+    """The CSV text of `rows`: one line ending in a newline per row, each
+    field printed with `str` (None as an empty field) and quoted only when
+    it holds a comma, a quote or a line break."""
+    import csv  # only CSV output needs csv and io
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def vdot(u: Sequence, v: Sequence) -> Rat:

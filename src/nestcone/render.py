@@ -2,7 +2,8 @@
 
 Rendering is the only place decimal strings appear; they are produced from
 exact rationals by integer arithmetic (fixed-point rounding), so output is
-bit-stable across runs and platforms.
+bit-stable across runs and platforms.  SVG labels are escaped as XML text,
+and the CSV goes through `rationals.canonical_csv`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cone import CrossSection
-from .rationals import Rat, ratio, vdot
+from .rationals import Rat, canonical_csv, ratio, vdot
 
 
 _SIZE = 360  # the SVG's width and height
@@ -67,6 +68,12 @@ def _layout(cs: CrossSection):
     return [place(p) for p in pts]
 
 
+def _escape(label: str) -> str:
+    """A label as XML character data: `&`, `<` and `>` become entities
+    (`&` first, so no entity is escaped twice)."""
+    return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def cross_section_svg(cs: CrossSection, labels: Sequence[str] | None = None) -> str:
     pts = _layout(cs)
     lines = [
@@ -84,7 +91,7 @@ def cross_section_svg(cs: CrossSection, labels: Sequence[str] | None = None) -> 
         if labels:
             lines.append(
                 f'  <text x="{_fixed(x + 6)}" y="{_fixed(y - 6)}" '
-                f'font-size="12">{labels[k]}</text>'
+                f'font-size="12">{_escape(labels[k])}</text>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -106,19 +113,7 @@ def cross_section_tikz(cs: CrossSection, labels: Sequence[str] | None = None) ->
 
 
 def cross_section_csv(cs: CrossSection, labels: Sequence[str] | None = None) -> str:
-    import csv  # only CSV output needs csv and io
-    import io
-
-    header = ["vertex"] + [f"x{k}" for k in range(cs.dim)]
-    if labels:
-        header.append("label")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for k, vert in enumerate(cs.vertices):
-        row = [str(k)] + list(map(str, vert))
-        if labels:
-            row.append(labels[k])
-        writer.writerow(row)
-    writer.writerow(["edges", ";".join(f"{i}-{j}" for i, j in cs.edges)])
-    return buf.getvalue()
+    header = ["vertex"] + [f"x{k}" for k in range(cs.dim)] + (["label"] if labels else [])
+    rows = [[k, *vert] + ([labels[k]] if labels else []) for k, vert in enumerate(cs.vertices)]
+    edges = ["edges", ";".join(f"{i}-{j}" for i, j in cs.edges)]
+    return canonical_csv([header, *rows, edges])

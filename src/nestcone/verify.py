@@ -75,7 +75,7 @@ from .pairing import (
     k3_extremal_slope,
     nodal_curves_k3,
 )
-from .rationals import Rat, canonical_json, primitive, ratio, vdot
+from .rationals import Rat, canonical_csv, canonical_json, primitive, ratio, vdot
 from .spaces import (
     CurClass,
     DivClass,
@@ -419,18 +419,12 @@ class TableReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        import csv  # only CSV output needs csv and io
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["section", "row", "col", "expected", "computed", "status"])
-        for s in self.sections:
-            for c in s.cells:
-                exp = "" if c.expected is None else str(c.expected)
-                got = "" if c.computed is None else str(c.computed)
-                writer.writerow([s.title, c.row, c.col, exp, got, c.status])
-        return buf.getvalue()
+        """One row per cell; a missing value (None) is an empty field."""
+        header = ("section", "row", "col", "expected", "computed", "status")
+        return canonical_csv([header] + [
+            (s.title, c.row, c.col, c.expected, c.computed, c.status)
+            for s in self.sections for c in s.cells
+        ])
 
 
 class SectionInputs(NamedTuple):

@@ -180,6 +180,9 @@ def test_section_holds_each_batch_median_and_each_side_total():
                [_round(4, 5, 5), _round(4, 5, 4), _round(4, 5, 4)]]
     out = _B._section(batches, {"parent": 7, "change": 7, "parent_aa": 7})
     assert out["change_ratios"] == [1.25, 0.8] and out["aa_ratios"] == [1.0, 1.0]
+    assert out["resolution"] == 1.0
+    spread = _B._section([[_round(10, 10, 8)], [_round(10, 10, 12.5)]], out["opcodes"])
+    assert spread["aa_ratios"] == [1.25, 0.8] and spread["resolution"] == 1.25
     assert out["failed"] == {"parent": 0, "change": 2, "parent_aa": 0}
     assert out["pass_s"] == {"parent": 7.0, "change": 6.5, "parent_aa": 7.5}
     assert out["opcodes"] == {"parent": 7, "change": 7, "parent_aa": 7}

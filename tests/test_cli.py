@@ -25,6 +25,7 @@ import nestcone as nc
 from nestcone import cli
 from nestcone.cli import main, parse_curve_expr, parse_divisor_expr
 from nestcone.errors import ParseError
+from nestcone.rationals import canonical_csv
 
 
 @pytest.fixture(autouse=True)
@@ -691,6 +692,7 @@ def test_cross_section_csv_rows_match_header(capsys, table_id):
     header, *rows, edges = list(csv.reader(io.StringIO(out)))
     assert header[-1] == "label" and edges[0] == "edges"
     assert all(len(row) == len(header) for row in rows)
+    assert canonical_csv([header, *rows, edges]) == out
 
 
 def test_cross_section_json(capsys):

@@ -51,6 +51,16 @@ def test_cone_normalization():
     assert c.rays == ((1, 0), (1, 2))
 
 
+def test_cone_equality_is_equality_of_normalized_generators():
+    c = Cone(2, [(1, 0), (1, 2)])
+    same = [Cone(2, [(1, 2), (1, 0)]), Cone(2, [(3, 0), (Fraction(1, 2), 1)]),
+            Cone(2, [(1, 0), (2, 4), (1, 2), (0, 0)])]
+    assert all(c == d and hash(c) == hash(d) for d in same)
+    assert c != Cone(2, [(1, 0), (0, 1)])
+    assert Cone(2, []) != Cone(3, []) and Cone(2, [(1, 0)]) != Cone(3, [(1, 0, 0)])
+    assert c != c.rays and c.rays != c
+
+
 def test_primitive_scaling_is_positive_only():
     # A generator pointing into the negative orthant keeps its sign.
     c = cone_from_rays(2, [(-2, -4)])

@@ -1,3 +1,5 @@
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 import nestcone as nc
 from nestcone.errors import Inconsistent, NotK3, RangeError, SpaceMismatch, UnderDetermined
 from nestcone.linalg import solve_unique
+from nestcone.rationals import canonical_csv
 
 
 def F(x):
@@ -95,9 +98,16 @@ def test_pairing_gram_coupling_p1xp1():
 
 def test_pairing_table_csv():
     t = nc.pairing_table(nc.p2(), nc.hilb(2))
-    csv = t.to_csv()
-    assert csv.splitlines()[0] == ",H,B/2"
-    assert "A,0,-1" in csv
+    text = t.to_csv()
+    assert text.splitlines()[0] == ",H,B/2"
+    assert "A,0,-1" in text
+    # Generator names holding a comma or a quote are quoted fields.
+    for name in ("H,1", 'H"1'):
+        s = nc.SurfaceModel(key="x", rank=1, generator_names=(name,), gram=((1,),), canonical=(0,))
+        text = nc.pairing_table(s, nc.hilb(2)).to_csv()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows == [["", name, "B/2"], ["C1", "1", "0"], ["A", "0", "-1"]]
+        assert canonical_csv(rows) == text
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 arithmetic search it replaced, kept here as the reference, projects with
 Fraction dot products against unit and power functionals.  `render._fixed`
 rounds from a rational's numerator and denominator; the signed formula it
-replaced is kept here as its reference."""
+replaced is kept here as its reference.  SVG labels are read back by
+parsing the SVG."""
 
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nestcone.render import _fixed, _projection_axes
+import nestcone as nc
+from nestcone.render import _fixed, _projection_axes, cross_section_svg
 
 
 def _axes_by_projection(vertices):
@@ -97,3 +100,10 @@ def test_fixed_writes_ties_away_from_zero_and_no_negative_zero():
         "0.0001", "-0.0001", "-0.0002"]
     assert [_fixed(q) for q in (Fraction(-1, 20001), Fraction(-1, 10**9), -0)] == ["0"] * 3
     assert [_fixed(q) for q in (0, 7, -12, 10**30)] == ["0", "7", "-12", str(10**30)]
+
+
+def test_svg_labels_read_back_as_given():
+    cs, _ = nc.table_cross_section("eff_p2_2_1")
+    labels = ["a<b", "R&D", "x>y", "&lt;"]
+    root = ET.fromstring(cross_section_svg(cs, labels))
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == labels

@@ -13,7 +13,7 @@ from brute_cone import BruteCone, dot, rank, rref
 from nestcone.cone import cone_equal, cone_from_rays, dual
 from nestcone.errors import EmptyInput, RangeError, SpaceMismatch, UnknownTable
 from nestcone.pairing import curve_functional
-from nestcone.rationals import vdot
+from nestcone.rationals import canonical_csv, vdot
 from nestcone.verify import (
     EFF_MOVING,
     EFF_P2_3_2_PRINTED_VARIANT,
@@ -710,8 +710,10 @@ def test_table_cross_section_labels():
 @pytest.mark.parametrize("table_id", sorted(nc.CATALOG))
 def test_csv_rows_have_six_fields(table_id):
     report = nc.reproduce_table(table_id)
-    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    text = report.to_csv()
+    rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["section", "row", "col", "expected", "computed", "status"]
     cells = [(s.title, c.row, c.col, c.status) for s in report.sections for c in s.cells]
     assert [(r[0], r[1], r[2], r[5]) for r in rows[1:]] == cells
     assert all(len(r) == 6 for r in rows)
+    assert canonical_csv(rows) == text
