@@ -183,7 +183,7 @@ def _combine(a: int, x: IVec, b: int, y: IVec) -> IVec:
     combination is not zero."""
     w = [a * p - b * q for p, q in zip(x, y)]
     g = gcd(*w)
-    return tuple(w) if g == 1 else tuple([p // g for p in w])
+    return tuple([p // g for p in w])
 
 
 def _dd(cons: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec], list[int]]:

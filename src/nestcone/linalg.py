@@ -43,8 +43,6 @@ def _gj(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
                 m[i] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
         prev = pv
         pivots.append(c)
-        if len(pivots) == len(m):
-            break
     return m, pivots
 
 

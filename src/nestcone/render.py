@@ -2,8 +2,11 @@
 
 Rendering is the only place decimal strings appear; they are produced from
 exact rationals by integer arithmetic (fixed-point rounding), so output is
-bit-stable across runs and platforms.  SVG labels are escaped as XML text,
-and the CSV goes through `rationals.canonical_csv`.
+bit-stable across runs and platforms.  SVG labels are escaped as XML text.
+A TikZ label is TeX set in math mode: `$`, `%`, `#` and `&` are always
+escaped, and `{` and `}` only in a label whose braces do not balance, so a
+TeX group such as `D_{1,1}` prints as written.  The CSV goes through
+`rationals.canonical_csv`.
 """
 
 from __future__ import annotations
@@ -74,6 +77,19 @@ def _escape(label: str) -> str:
     return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _tex(label: str) -> str:
+    """A label as the body of a TikZ node's `$...$`: a backslash before
+    each `$`, `%`, `#` and `&`, and before each brace when the braces do
+    not balance (a `}` closes no open `{`, or a `{` stays open)."""
+    depth = 0
+    for ch in label:
+        depth += (ch == "{") - (ch == "}")
+        if depth < 0:
+            break
+    special = "$%#&" if depth == 0 else "$%#&{}"
+    return "".join("\\" + ch if ch in special else ch for ch in label)
+
+
 def cross_section_svg(cs: CrossSection, labels: Sequence[str] | None = None) -> str:
     pts = _layout(cs)
     lines = [
@@ -107,7 +123,7 @@ def cross_section_tikz(cs: CrossSection, labels: Sequence[str] | None = None) ->
     for k, (x, y) in enumerate(pts):
         lines.append(f"  \\fill (v{k}) circle (0.6pt);")
         if labels:
-            lines.append(f"  \\node[above right] at (v{k}) {{${labels[k]}$}};")
+            lines.append(f"  \\node[above right] at (v{k}) {{${_tex(labels[k])}$}};")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
 

@@ -43,6 +43,10 @@ __all__ = (
     "asymptotic_report",
 )
 
+# Each study runs and keeps one step per value of k, so its time, memory and
+# output grow with the range of k: either study takes at most this many.
+_MAX_STEPS = 10_000
+
 # ---------------------------------------------------------------------------
 # Butler criterion on F_i^[2,1]
 # ---------------------------------------------------------------------------
@@ -73,6 +77,7 @@ class ButlerInput(_ButlerFields):
 
     Ampleness on a Hirzebruch surface is the positivity test against the
     fiber F (A.F = a) and the section of self-intersection -i (A.E = b).
+    `k_range` holds at most `_MAX_STEPS` values of k.
     """
 
     __slots__ = ()
@@ -89,6 +94,8 @@ class ButlerInput(_ButlerFields):
         lo, hi = k_range
         if lo < 1 or hi < lo:
             raise InvalidInput(f"k_range must be an inclusive range >= 1, got {k_range}")
+        if hi - lo >= _MAX_STEPS:
+            raise InvalidInput(f"k_range may hold at most {_MAX_STEPS} values of k")
         return super().__new__(cls, i, a, b, n, (lo, hi))
 
     @classmethod
@@ -387,9 +394,12 @@ def _section_distance(rays: Sequence[IVec]) -> Rat:
 
 def asymptotic_report(k_max: int) -> AsymptoticReport:
     """Steps k = 2..k_max, each reading E_k = cone(R_k) off the diagonal
-    rule on W_k . R_k^T, and the limit check at deviation 0; no DD runs."""
+    rule on W_k . R_k^T, and the limit check at deviation 0; no DD runs.
+    k_max is at most `_MAX_STEPS` + 1, one step per k."""
     if k_max < 2:
         raise RangeError(f"k_max must be >= 2, got {k_max}")
+    if k_max > _MAX_STEPS + 1:
+        raise RangeError(f"k_max must be <= {_MAX_STEPS + 1}")
     limit = limit_cone()
     steps = []
     prev = [primitive(m.functional) for m in asymptotic_moving_curves(1)]

@@ -51,7 +51,6 @@ passed.
 """
 
 import re
-from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .cone import (
@@ -75,7 +74,7 @@ from .pairing import (
     k3_extremal_slope,
     nodal_curves_k3,
 )
-from .rationals import Rat, canonical_csv, canonical_json, primitive, ratio, vdot
+from .rationals import Rat, canonical_csv, canonical_json, primitive, vdot
 from .spaces import (
     CurClass,
     DivClass,
@@ -205,22 +204,10 @@ class Certificate(NamedTuple):
 def _pair_all(curves: Sequence[CurClass | None], divisors: Sequence[DivClass | None]):
     """(functionals, matrix) of curves against divisors: each curve's
     functional is computed once and each cell (rows = curves, cols =
-    divisors) is one dot product with it; None where a class is unresolved.
-    A divisor with a `Fraction` coordinate is read once as D/m, m the lcm
-    of its denominators: its cells are `ratio(f . D, m)`, integer dot
-    products for an integral f, where `vdot` would add up `Fraction`s."""
+    divisors) is one dot product with it; None where a class is unresolved."""
     fs = [None if c is None else curve_functional(c) for c in curves]
-    cols = [(None, 1) if d is None else _over_lcm(d.coords) for d in divisors]
-    cells = [[None if f is None or dc is None else vdot(f, dc) if m == 1 else ratio(vdot(f, dc), m)
-              for dc, m in cols] for f in fs]
+    cells = [[None if f is None or d is None else vdot(f, d.coords) for d in divisors] for f in fs]
     return fs, tuple(map(tuple, cells))
-
-
-def _over_lcm(coords: Sequence[Rat]) -> tuple[Sequence[Rat], int]:
-    """(D, m) with coords = D/m: m the lcm of the denominators and D
-    integral; (coords, 1) when every coordinate is an `int`."""
-    m = lcm(*[a.denominator for a in coords])
-    return (coords, 1) if m == 1 else ([a.numerator * (m // a.denominator) for a in coords], m)
 
 
 def diagonal_failure(matrix: Sequence[Sequence[Rat]], rank: int) -> tuple[int, int] | None:

@@ -348,6 +348,12 @@ def _quoted(ids) -> str:
          "unknown space 'foo' (use hilb, nested, univ, surface)"),
         (("pair", "--space", "surface", "--n", "3", "H", "A"), "--space surface takes no --n"),
         (("asymptotic", "--k-max", "1"), "k_max must be >= 2, got 1"),
+        # Each study takes at most 10,000 values of k, and says so at once.
+        (("asymptotic", "--k-max", "10002"), "k_max must be <= 10001"),
+        (("asymptotic", "--k-max", "9" * 1000), "k_max must be <= 10001"),
+        (("butler", "--k-max", "10001"), "k_range may hold at most 10000 values of k"),
+        (("butler", "--k-min", "7", "--k-max", "10007"), "k_range may hold at most 10000 values of k"),
+        (("butler", "--k-max", "9" * 1000), "k_range may hold at most 10000 values of k"),
     ],
 )
 def test_usage_errors(capsys, argv, message):
@@ -398,12 +404,12 @@ _LONG = st.sampled_from(
 
 def _value(draw, p):
     """A value for the _Param `p`, read off its kind, or now and then junk.
-    An integer is small, or now and then one of _LONG, except in --k-min and
-    --k-max, which bound loops: so no drawn command runs long."""
+    An integer is small, or now and then one of _LONG.  In --k-min and
+    --k-max, which bound the studies' loops, a long value is refused at once
+    (the k range holds at most 10,000 values) or small: so no drawn command
+    runs long."""
     if p.kind is int:
-        good = st.integers(-2, 8).map(str)
-        if p.dest not in ("k_min", "k_max"):
-            good = st.just(_rarely(draw, _LONG, draw(good)))
+        good = st.just(_rarely(draw, _LONG, draw(st.integers(-2, 8).map(str))))
     elif isinstance(p.kind, tuple):
         good = st.sampled_from(p.kind)
     elif p.kind is cli._FILE:  # relative to the test's working directory
@@ -792,17 +798,17 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = str(Path(nc.__file__).resolve().parents[1])
 
 
-def _spawn(argv, unbuffered=False, color=False, **kwargs):
-    """A real `python -m nestcone.cli` process."""
+def _spawn(argv, unbuffered=False, color=False, code=None, **kwargs):
+    """A real `python -m nestcone.cli` process, or with `code`, a
+    `python -c code` process given the same arguments."""
     env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80", "NESTCONE_NO_COLOR": "1"}
     env.pop("PYTHONUNBUFFERED", None)
     if color:  # verdicts are then coloured when stdout is a terminal
         del env["NESTCONE_NO_COLOR"]
     if unbuffered:  # stdout writes through, so the write raises, not the flush
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen(
-        [sys.executable, "-m", "nestcone.cli", *argv], env=env, stdin=subprocess.DEVNULL, **kwargs
-    )
+    prog = ["-m", "nestcone.cli"] if code is None else ["-c", code]
+    return subprocess.Popen([sys.executable, *prog, *argv], env=env, stdin=subprocess.DEVNULL, **kwargs)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -863,15 +869,22 @@ def test_closed_stdout_is_no_error_when_nothing_is_written(tmp_path):
 
 def test_ctrl_c_exits_130():
     # The child restores SIGINT's default, so the test holds also when the
-    # suite runs with SIGINT ignored (as a background job does).
+    # suite runs with SIGINT ignored (as a background job does).  Its
+    # `asymptotic` study sleeps for 120 s, so the signal comes mid-command:
+    # every accepted k range ends in about a second.
+    sleeper = (
+        "import time, nestcone.cli as c; "
+        "c.asymptotic_report = lambda k_max: time.sleep(120); c.entry()"
+    )
     proc = _spawn(
-        ["asymptotic", "--k-max", "100000"],
+        ["asymptotic"],
+        code=sleeper,
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
     try:
-        time.sleep(1.5)  # well past the import: the study runs for hours
+        time.sleep(1.5)  # well past the import: the study sleeps for 120 s
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=120)
     finally:

@@ -3,7 +3,7 @@ arithmetic search it replaced, kept here as the reference, projects with
 Fraction dot products against unit and power functionals.  `render._fixed`
 rounds from a rational's numerator and denominator; the signed formula it
 replaced is kept here as its reference.  SVG labels are read back by
-parsing the SVG."""
+parsing the SVG; TikZ labels are read off the node lines."""
 
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nestcone as nc
-from nestcone.render import _fixed, _projection_axes, cross_section_svg
+from nestcone.render import _fixed, _projection_axes, cross_section_svg, cross_section_tikz
 
 
 def _axes_by_projection(vertices):
@@ -107,3 +107,21 @@ def test_svg_labels_read_back_as_given():
     labels = ["a<b", "R&D", "x>y", "&lt;"]
     root = ET.fromstring(cross_section_svg(cs, labels))
     assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == labels
+
+
+def _tikz_labels(labels):
+    """The body of each node's `{$...$}` in the TikZ of eff_p2_2_1's four
+    vertices, labelled `labels`."""
+    cs, _ = nc.table_cross_section("eff_p2_2_1")
+    nodes = [line for line in cross_section_tikz(cs, labels).splitlines() if "\\node" in line]
+    assert all(line.endswith("$};") for line in nodes)
+    return [line[line.index("{$") + 2:-3] for line in nodes]
+
+
+def test_tikz_labels_escape_what_breaks_the_node():
+    assert _tikz_labels(["a$b", "x}y", "c%d", "p#q&r"]) == ["a\\$b", "x\\}y", "c\\%d", "p\\#q\\&r"]
+    # Balanced braces are TeX groups and print as written.
+    tex = ["D_{1,1}", "C^a_{l,1}", "{a}{b}", "H_1"]
+    assert _tikz_labels(tex) == tex
+    # A `}` before its `{`, or a `{` left open, does not balance.
+    assert _tikz_labels(["}{", "{x", "a{b}}", "{}"]) == ["\\}\\{", "\\{x", "a\\{b\\}\\}", "{}"]

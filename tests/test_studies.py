@@ -47,6 +47,29 @@ def test_butler_input_validation():
         nc.butler_class(nc.ButlerInput(i=1, a=1, b=1, n=4), 1, ordering="x")
 
 
+def test_each_study_takes_at_most_10000_values_of_k(monkeypatch):
+    assert nc.ButlerInput(1, 1, 1, 4, k_range=(1, 10_000)).k_range == (1, 10_000)
+    assert nc.ButlerInput(1, 1, 1, 4, k_range=(2, 10_001)).k_range == (2, 10_001)
+    for k_range in ((1, 10_001), (5, 10_005), (1, 10**1000)):
+        with pytest.raises(InvalidInput, match="at most 10000 values of k"):
+            nc.ButlerInput(1, 1, 1, 4, k_range=k_range)
+    for k_max in (10_002, 10**5000):
+        with pytest.raises(RangeError, match="k_max must be <= 10001"):
+            nc.asymptotic_report(k_max)
+
+    # 10,001 passes the cap: the report's first step after it is reached,
+    # and no test runs 10,000 steps.
+    class Reached(Exception):
+        pass
+
+    def reached():
+        raise Reached
+
+    monkeypatch.setattr(nestcone.studies, "limit_cone", reached)
+    with pytest.raises(Reached):
+        nc.asymptotic_report(10_001)
+
+
 def test_butler_inputs_compare_by_value(monkeypatch):
     # Equal inputs give equal, equally hashed reports, and each check builds
     # the nef table once, for its functionals; the input's surface is read

@@ -450,9 +450,9 @@ _SMALL = st.integers(-3, 3)
 def test_pair_all_is_vdot_cell_by_cell(data):
     """Every cell of `_pair_all` equals `vdot` of the curve's functional
     with the divisor's coordinates, in value and in type (an `int` when
-    integral), for divisors with `Fraction` coordinates (read over the lcm
-    of their denominators) and all-`int` ones, against curves with `int` or
-    `Fraction` coordinates; an unresolved class gives None."""
+    integral), for divisors with `Fraction` coordinates and all-`int`
+    ones, against curves with `int` or `Fraction` coordinates; an
+    unresolved class gives None."""
     s, sp = data.draw(st.sampled_from(_PAIR_SPACES))
     d, c = nc.divisor_rank(s, sp), nc.curve_rank(s, sp)
     divisors = [nc.DivClass(s, sp, coords) for coords in data.draw(st.lists(
