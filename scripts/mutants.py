@@ -6,10 +6,10 @@ Usage:
 
 A mutant is a file, one exact snippet of it, the snippet's replacement and
 the test files that must kill it.  For each mutant the script copies
-`src`, `tests` and `pyproject.toml` into a temporary directory, replaces
-the snippet there and runs `pytest -q -x` on the mutant's test files from
-that directory, where `pyproject.toml` puts the copy's `src` on pytest's
-path.  A mutant is killed when pytest reports a failed test or a
+`src`, `tests`, `pyproject.toml` and `README.md` into a temporary
+directory, replaces the snippet there and runs `pytest -q -x` on the
+mutant's test files from that directory, where `pyproject.toml` puts the
+copy's `src` on pytest's path.  A mutant is killed when pytest reports a failed test or a
 collection error.  First the same test files run once on an unmutated
 copy, which must pass.  The script prints one line per mutant and exits 1
 when a snippet does not occur exactly once in its file, when the unmutated
@@ -58,6 +58,37 @@ MUTANTS = (
     Mutant("_transpose shifts a bit", "src/nestcone/cone.py",
            "cols[low.bit_length() - 1] |= bit", "cols[low.bit_length() - 1] |= bit << 1",
            ("tests/test_cone.py",)),
+    Mutant("excess always zero", "src/nestcone/cone.py",
+           "excess[t] = len(tight) - len(rref(tight)[1])", "excess[t] = 0",
+           ("tests/test_cone.py",)),
+    Mutant("vdot drops its normal form", "src/nestcone/rationals.py",
+           "return s.numerator if type(s) is not int and s.denominator == 1 else s", "return s",
+           ("tests/test_rationals.py",)),
+    Mutant("curve_functional drops its normal form", "src/nestcone/pairing.py",
+           "return tuple(f) if {int}.issuperset(map(type, f)) else tuple(map(rat, f))",
+           "return tuple(f)",
+           ("tests/test_pairing.py",)),
+    Mutant("curve_functional drops the last row", "src/nestcone/pairing.py",
+           "zip(c.coords, table.matrix)", "zip(c.coords[:-1], table.matrix)",
+           ("tests/test_pairing.py",)),
+    Mutant("NefDual always certifies", "src/nestcone/verify.py",
+           "(matrix, divisor_rank(surface, space))) is None:",
+           "(matrix, divisor_rank(surface, space))) is None or True:",
+           ("tests/test_verify.py",)),
+    Mutant("the reader nests one level deeper", "src/nestcone/cli.py",
+           "if depth == _MAX_DEPTH:", "if depth > _MAX_DEPTH:",
+           ("tests/test_cli.py",)),
+    Mutant("a parse error cites a character offset", "src/nestcone/cli.py",
+           'len(src[:e.offset].encode("utf-8"))', "e.offset",
+           ("tests/test_cli.py",)),
+    Mutant("the reader accepts a zero denominator", "src/nestcone/cli.py",
+           "                if not src[j + 1:k].strip(\"0\"):\n"
+           '                    raise ParseError("zero denominator", j + 1)\n', "",
+           ("tests/test_cli.py",)),
+    Mutant("a bare number adds to a class", "src/nestcone/cli.py",
+           "isinstance(v, (DivClass, CurClass)) != isinstance(w, (DivClass, CurClass))",
+           "isinstance(v, (DivClass, CurClass)) and not isinstance(w, (DivClass, CurClass))",
+           ("tests/test_cli.py",)),
 )
 
 
@@ -81,7 +112,8 @@ def _pytest(mutant: Mutant | None, tests: tuple[str, ...]) -> int:
         for sub in ("src", "tests"):
             shutil.copytree(ROOT / sub, copy / sub,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy2(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):  # tests/test_cli.py reads both
+            shutil.copy2(ROOT / name, copy)
         if mutant:
             target = copy / mutant.path
             target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))

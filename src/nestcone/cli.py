@@ -65,10 +65,10 @@ from .verify import (
 #   NUMBER  := digits ['/' digits]
 #   LABEL   := letter (letter | digit | '^')* ['/' digits]
 # A value is a rational scalar or a class, combined with the classes' own
-# arithmetic; every class comes from one `resolve`, so all of them live on
-# one (surface, space).  At most one class label per product.  Parse errors
-# cite byte offsets: the tokenizer and the parser count characters, and
-# _parse_class converts the offset of an error once.  Digits are ASCII.  At
+# arithmetic; every label resolves on the one (surface, space).  At most one
+# class label per product.  One function, _parse_class, tokenizes and parses,
+# counting characters, and converts the offset of an error to a byte offset
+# once, so parse errors cite byte offsets.  Digits are ASCII.  At
 # most _MAX_DIGITS digits per expression, in every integer option (checked in
 # _Param.convert) and in the index of `pair --surface f<i>` keep every
 # coefficient, the pairing of two expressions and every Butler coordinate
@@ -82,20 +82,14 @@ _MAX_DIGITS = 1000
 _MAX_DEPTH = 100
 
 
-class _Tok:
-    def __init__(self, kind, text, offset):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-
-
 def _skip_digits(src: str, k: int) -> int:
     while k < len(src) and src[k] in _DIGITS:
         k += 1
     return k
 
 
-def _tokenize(src: str) -> list[_Tok]:
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, character offset) of each token, then ("end", "", len(src))."""
     toks = []
     i = 0
     n = len(src)
@@ -106,7 +100,7 @@ def _tokenize(src: str) -> list[_Tok]:
             i += 1
             continue
         if c in "+-*()":
-            toks.append(_Tok(c, c, i))
+            toks.append((c, c, i))
             i += 1
             continue
         if c in _DIGITS:
@@ -121,7 +115,7 @@ def _tokenize(src: str) -> list[_Tok]:
             digits += j - i
             if digits > _MAX_DIGITS:
                 raise ParseError(f"the numbers hold more than {_MAX_DIGITS} digits", i)
-            toks.append(_Tok("num", src[i:j], i))
+            toks.append(("num", src[i:j], i))
             i = j
             continue
         if c.isalpha():
@@ -132,88 +126,74 @@ def _tokenize(src: str) -> list[_Tok]:
                 k = _skip_digits(src, j + 1)
                 if k > j + 1:
                     j = k
-            toks.append(_Tok("label", src[i:j], i))
+            toks.append(("label", src[i:j], i))
             i = j
             continue
         raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(_Tok("end", "", n))
+    toks.append(("end", "", n))
     return toks
 
 
-class _Parser:
-    def __init__(self, src: str, resolve):
-        self.src = src
-        self.toks = _tokenize(src)
-        self.pos = 0
-        self.depth = 0
-        self.resolve = resolve  # label, offset -> class
+def _parse_class(src: str, surface: SurfaceModel, space: SpaceId, unit, zero, what: str):
+    toks = []
+    pos = depth = 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def take():
+        nonlocal pos
+        pos += 1
+        return toks[pos - 1]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def parse(self):
-        v = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"unexpected token {t.text!r}", t.offset)
-        return v
-
-    def expr(self):
-        v = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next()
-            w = self.term()
+    def expr():
+        v = term()
+        while toks[pos][0] in ("+", "-"):
+            kind, _, offset = take()
+            w = term()
             if isinstance(v, (DivClass, CurClass)) != isinstance(w, (DivClass, CurClass)):
-                raise ParseError("cannot add a bare number to a class", op.offset)
-            v = v + w if op.kind == "+" else v - w
+                raise ParseError("cannot add a bare number to a class", offset)
+            v = v + w if kind == "+" else v - w
         return v
 
-    def term(self):
-        v = self.factor()
-        while self.peek().kind == "*":
-            op = self.next()
-            w = self.factor()
+    def term():
+        v = factor()
+        while toks[pos][0] == "*":
+            offset = take()[2]
+            w = factor()
             if isinstance(v, (DivClass, CurClass)) and isinstance(w, (DivClass, CurClass)):
-                raise ParseError("at most one class per product", op.offset)
+                raise ParseError("at most one class per product", offset)
             v = v * w
         return v
 
-    def factor(self):
-        t = self.next()
-        if t.kind == "num":
-            return rat(t.text)
-        if t.kind == "label":
-            return self.resolve(t.text, t.offset)
-        if t.kind not in ("-", "("):
-            raise ParseError(f"unexpected token {t.text or 'end of input'!r}", t.offset)
-        if self.depth == _MAX_DEPTH:
-            raise ParseError(f"expression nested more than {_MAX_DEPTH} deep", t.offset)
-        self.depth += 1
-        if t.kind == "-":
-            v = -self.factor()
+    def factor():
+        nonlocal depth
+        kind, text, offset = take()
+        if kind == "num":
+            return rat(text)
+        if kind == "label":
+            try:
+                return unit(surface, space, text)
+            except NestconeError as e:
+                raise ParseError(str(e), offset) from e
+        if kind not in ("-", "("):
+            raise ParseError(f"unexpected token {text or 'end of input'!r}", offset)
+        if depth == _MAX_DEPTH:
+            raise ParseError(f"expression nested more than {_MAX_DEPTH} deep", offset)
+        depth += 1
+        if kind == "-":
+            v = -factor()
         else:
-            v = self.expr()
-            close = self.next()
-            if close.kind != ")":
-                raise ParseError("expected ')'", close.offset)
-        self.depth -= 1
+            v = expr()
+            kind, _, offset = take()
+            if kind != ")":
+                raise ParseError("expected ')'", offset)
+        depth -= 1
         return v
 
-
-def _parse_class(src: str, surface: SurfaceModel, space: SpaceId, unit, zero, what: str):
-    def resolve(label, offset):
-        try:
-            return unit(surface, space, label)
-        except NestconeError as e:
-            raise ParseError(str(e), offset) from e
-
     try:
-        v = _Parser(src, resolve).parse()
+        toks = _tokenize(src)
+        v = expr()
+        kind, text, offset = toks[pos]
+        if kind != "end":
+            raise ParseError(f"unexpected token {text!r}", offset)
     except ParseError as e:
         raise ParseError(e.message, len(src[:e.offset].encode("utf-8"))) from e.__cause__
     if not isinstance(v, (DivClass, CurClass)):

@@ -8,6 +8,7 @@ import json
 import os
 import pkgutil
 import re
+import resource
 import shlex
 import signal
 import subprocess
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import ForwardRef
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import nestcone as nc
@@ -108,6 +109,32 @@ def test_parse_errors_cite_offsets():
         parse_divisor_expr("Nope", s, sp)  # unknown label
     with pytest.raises(ParseError):
         parse_divisor_expr("7", s, sp)  # a bare number is not a class
+
+
+@pytest.mark.parametrize(
+    "src, offset, message",
+    [
+        ("1/*H", 2, "expected digits after '/'"),
+        ("1/00*H", 2, "zero denominator"),
+        pytest.param("9" * 1001 + "*H", 0, "the numbers hold more than 1000 digits", id="1001 digits"),
+        ("H + ?", 4, "unexpected character '?'"),
+        ("B/2/2", 3, "unexpected character '/'"),
+        ("H+", 2, "unexpected token 'end of input'"),
+        ("H)", 1, "unexpected token ')'"),
+        ("2 H", 2, "unexpected token 'H'"),
+        ("(H", 2, "expected ')'"),
+        pytest.param("(" * 101 + "H", 100, "expression nested more than 100 deep", id="101 ("),
+        pytest.param("-" * 101 + "H", 100, "expression nested more than 100 deep", id="101 -"),
+        ("1 + H", 2, "cannot add a bare number to a class"),
+        ("H*H", 1, "at most one class per product"),
+        ("2*3", 0, "expression is a bare number, not a divisor class"),
+        ("H+é", 2, "no divisor basis label 'é' on p2/hilb(3); valid labels: H, B/2"),
+    ],
+)
+def test_every_parse_error_cites_its_offset_and_message(src, offset, message):
+    with pytest.raises(ParseError) as e:
+        parse_divisor_expr(src, nc.p2(), nc.hilb(3))
+    assert (e.value.offset, e.value.message) == (offset, message)
 
 
 def test_expression_roundtrip_property():
@@ -809,6 +836,31 @@ def _spawn(argv, unbuffered=False, color=False, code=None, **kwargs):
         env["PYTHONUNBUFFERED"] = "1"
     prog = ["-m", "nestcone.cli"] if code is None else ["-c", code]
     return subprocess.Popen([sys.executable, *prog, *argv], env=env, stdin=subprocess.DEVNULL, **kwargs)
+
+
+def _limit_child():
+    """In a child before exec: at most 1 GiB of address space and 30 s of CPU time."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_command_lines())
+def test_command_line_fuzz_in_limited_processes(argv, tmp_path):
+    """The fuzz above, each drawn line run by a real process under limits on
+    its memory and CPU time: exit 0, 1 or 2, no traceback, and an exit 2
+    prints nothing on stdout.  A NUL byte cannot reach a process's argv."""
+    assume(not any("\0" in arg for arg in argv))
+    proc = _spawn(argv, cwd=tmp_path, preexec_fn=_limit_child,
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode in (0, 1, 2), err
+    assert b"Traceback" not in err
+    if proc.returncode == 2:
+        assert out == b""
+        assert err.startswith((b"usage error: ", b"parse error at byte ", b"error: "))
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
