@@ -5,15 +5,15 @@ Usage:
     mutants.py
 
 A mutant is a file, one exact snippet of it, the snippet's replacement and
-the test files that must kill it.  For each mutant the script copies
-`src`, `tests`, `pyproject.toml` and `README.md` into a temporary
-directory, replaces the snippet there and runs `pytest -q -x` on the
-mutant's test files from that directory, where `pyproject.toml` puts the
-copy's `src` on pytest's path.  A mutant is killed when pytest reports a failed test or a
-collection error.  First the same test files run once on an unmutated
-copy, which must pass.  The script prints one line per mutant and exits 1
-when a snippet does not occur exactly once in its file, when the unmutated
-tests fail, or when a mutant survives; else 0.
+the test files that must kill it.  For each mutant the script copies `src`,
+`tests`, `pyproject.toml` and `README.md` into a temporary directory,
+replaces the snippet there and runs `pytest -q -x` on the mutant's test
+files from that directory, where `pyproject.toml` puts the copy's `src` on
+pytest's path.  A mutant is killed when pytest reports a failed test or a
+collection error.  First the same test files run once on an unmutated copy,
+which must pass.  The script prints one line per mutant and exits 1 when a
+snippet does not occur exactly once in its file, when the unmutated tests
+fail, or when a mutant survives; else 0.
 
 It uses only the standard library and pytest and is not part of Tier-1;
 `tests/test_mutants.py` checks every snippet, which is fast.

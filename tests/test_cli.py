@@ -90,21 +90,10 @@ def test_parse_curve_expressions():
 def test_parse_errors_cite_offsets():
     s, sp = nc.p2(), nc.hilb(3)
     with pytest.raises(ParseError) as e:
-        parse_divisor_expr("H + ?", s, sp)
-    assert e.value.offset == 4
-    with pytest.raises(ParseError) as e:
         parse_divisor_expr("H * B/2", s, sp)  # two classes in one product
     assert e.value.offset == 2
     with pytest.raises(ParseError):
         parse_divisor_expr("H + 3", s, sp)  # bare number added to a class
-    with pytest.raises(ParseError) as e:
-        parse_divisor_expr("1 + H", s, sp)
-    assert (e.value.offset, e.value.message) == (2, "cannot add a bare number to a class")
-    with pytest.raises(ParseError) as e:
-        parse_divisor_expr("H*H", s, sp)
-    assert (e.value.offset, e.value.message) == (1, "at most one class per product")
-    with pytest.raises(ParseError):
-        parse_divisor_expr("(H", s, sp)
     with pytest.raises(ParseError):
         parse_divisor_expr("Nope", s, sp)  # unknown label
     with pytest.raises(ParseError):
