@@ -61,6 +61,16 @@ MUTANTS = (
     Mutant("excess always zero", "src/nestcone/cone.py",
            "excess[t] = len(tight) - len(rref(tight)[1])", "excess[t] = 0",
            ("tests/test_cone.py",)),
+    Mutant("excess one too large", "src/nestcone/cone.py",
+           "excess[t] = len(tight) - len(rref(tight)[1])",
+           "excess[t] = len(tight) - len(rref(tight)[1]) + 1",
+           ("tests/test_cone.py",)),
+    Mutant("excess counts every tight facet but one", "src/nestcone/cone.py",
+           "excess[t] = len(tight) - len(rref(tight)[1])", "excess[t] = len(tight) - 1",
+           ("tests/test_cone.py",)),
+    Mutant("excess is half the tight facets", "src/nestcone/cone.py",
+           "excess[t] = len(tight) - len(rref(tight)[1])", "excess[t] = len(tight) // 2",
+           ("tests/test_cone.py",)),
     Mutant("vdot drops its normal form", "src/nestcone/rationals.py",
            "return s.numerator if type(s) is not int and s.denominator == 1 else s", "return s",
            ("tests/test_rationals.py",)),
@@ -89,6 +99,26 @@ MUTANTS = (
            "isinstance(v, (DivClass, CurClass)) != isinstance(w, (DivClass, CurClass))",
            "isinstance(v, (DivClass, CurClass)) and not isinstance(w, (DivClass, CurClass))",
            ("tests/test_cli.py",)),
+    Mutant("a compiled map drops a move", "src/nestcone/spaces.py",
+           "return len(labels), tuple(moves), None", "return len(labels), tuple(moves[1:]), None",
+           ("tests/test_spaces.py",)),
+    Mutant("SpaceId takes any n", "src/nestcone/spaces.py",
+           '            _int_arg(n, RangeError, f"n of {name}")\n', "",
+           ("tests/test_spaces.py",)),
+    Mutant("_basis_unit is not cached", "src/nestcone/spaces.py",
+           "@lru_cache(maxsize=None)\ndef _basis_unit(", "def _basis_unit(",
+           ("tests/test_spaces.py",)),
+    Mutant("a compiled map zips unequal lengths", "src/nestcone/spaces.py",
+           "zip(at[entry], dest[part], strict=True)", "zip(at[entry], dest[part])",
+           ("tests/test_spaces.py",)),
+    Mutant("basis_map compiles its map on every call", "src/nestcone/spaces.py",
+           "rank, moves, missing = _compiled_map(", "rank, moves, missing = _compiled_map.__wrapped__(",
+           ("tests/test_spaces.py",)),
+    Mutant("butler_check pairs its witnesses again", "src/nestcone/studies.py",
+           "zip(cert.functionals, cert.matrix)",
+           'zip([__import__("nestcone.pairing").pairing.curve_functional(w.cls)'
+           " for w in table.witnesses], cert.matrix)",
+           ("tests/test_studies.py",)),
 )
 
 

@@ -69,8 +69,9 @@ from .verify import (
 # class label per product.  One function, _parse_class, tokenizes and parses,
 # counting characters, and converts the offset of an error to a byte offset
 # once, so parse errors cite byte offsets.  Digits are ASCII.  At
-# most _MAX_DIGITS digits per expression, in every integer option (checked in
-# _Param.convert) and in the index of `pair --surface f<i>` keep every
+# most _MAX_DIGITS digits per expression, and at most _MAX_DIGITS significant
+# digits in every integer option (checked in _Param.convert) and in the index
+# of `pair --surface f<i>` (read without its leading zeros), keep every
 # coefficient, the pairing of two expressions and every Butler coordinate
 # under the interpreter's limit on printing an integer, and the index under
 # its limit on reading one; parentheses and unary minus nested
@@ -603,9 +604,11 @@ def cmd_pair(surface_name, genus, space_kind, n, divisor_expr, curve_expr):
     from .pairing import pair
 
     index = surface_name[1:]
-    if (surface_name[:1] in ("f", "F") and len(index) > _MAX_DIGITS
-            and index.isascii() and index.isdigit()):
-        raise UsageError(f"--surface f<i> holds more than {_MAX_DIGITS} digits")
+    if len(index) > _MAX_DIGITS and index.isascii() and index.isdigit() and surface_name[0] in "fF":
+        # count the significant digits, and read the index without its zeros
+        surface_name = surface_name[0] + (index.lstrip("0") or "0")
+        if len(surface_name) > _MAX_DIGITS + 1:
+            raise UsageError(f"--surface f<i> holds more than {_MAX_DIGITS} digits")
     s = surface_model(surface_name, genus=genus)
     sp = _space_from_flags(space_kind, n)
     # Accept (divisor, curve) in either order for convenience; when neither

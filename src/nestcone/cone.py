@@ -262,19 +262,14 @@ class Cone:
     def __init__(self, dim: int, rays: Sequence[Sequence]):
         if dim <= 0:
             raise DimensionMismatch("cone dimension must be positive")
-        norm: list[IVec] = []
-        seen: set[IVec] = set()
+        norm: set[IVec] = set()
         for r in rays:
             if len(r) != dim:
                 raise DimensionMismatch(
                     f"ray of length {len(r)} in a dimension-{dim} cone"
                 )
-            p = primitive(r)
-            if all(x == 0 for x in p):
-                continue
-            if p not in seen:
-                seen.add(p)
-                norm.append(p)
+            norm.add(primitive(r))
+        norm.discard((0,) * dim)
         self.dim = dim
         self.rays: tuple[IVec, ...] = tuple(sorted(norm))
 

@@ -93,12 +93,10 @@ def primitive(u: Sequence) -> tuple[int, ...]:
     the `numerator`/`denominator` of each entry give one lcm and one gcd;
     entries that are neither `int` nor `Fraction` are read with `rat` first,
     which refuses a float, and a `bool` through `Fraction`."""
-    if {int}.issuperset(map(type, u)):
-        g = gcd(*u)
-        return tuple(u) if g < 2 else tuple([a // g for a in u])
-    if not {int, Fraction}.issuperset(map(type, u)):
-        u = [Fraction(a) if type(a) is bool else rat(a) for a in u]
-    m = lcm(*[a.denominator for a in u])
-    ints = [a.numerator * (m // a.denominator) for a in u]
-    g = gcd(*ints)
-    return tuple(ints) if g < 2 else tuple([a // g for a in ints])
+    if not {int}.issuperset(map(type, u)):
+        if not {int, Fraction}.issuperset(map(type, u)):
+            u = [Fraction(a) if type(a) is bool else rat(a) for a in u]
+        m = lcm(*[a.denominator for a in u])
+        u = [a.numerator * (m // a.denominator) for a in u]
+    g = gcd(*u)
+    return tuple(u) if g < 2 else tuple([a // g for a in u])

@@ -417,7 +417,8 @@ class TableReport(NamedTuple):
 class SectionInputs(NamedTuple):
     """One section of a catalog table: its inputs, title and notes, the kind
     of certificate that decides it (None: its cells are only paired), the
-    name of its check and the check's fixed detail (None: the verdict)."""
+    name of its check and the fixed detail of a passing check (None: the
+    verdict; a failing check always prints its verdict)."""
 
     inputs: TableInputs
     title: str
@@ -440,7 +441,7 @@ def _section(sec: SectionInputs) -> TableSection:
     else:
         cert = _certify(sec.kind, inp)
         matrix = cert.matrix
-        status, detail = "pass" if cert.ok else "fail", sec.detail or cert.verdict
+        status, detail = ("pass", sec.detail or cert.verdict) if cert.ok else ("fail", cert.verdict)
     cells = []
     expected = expected or [[None] * len(cols)] * len(rows)
     for rl, got_row, exp_row in zip(rows, matrix, expected, strict=True):
@@ -891,16 +892,19 @@ def table_inputs(table_id: str, **params) -> TableInputs:
     return spec.build(table_id, **merged)[0].inputs
 
 
+def _standard(table_id: str, params: dict, kind: str) -> Certificate:
+    """The certificate of a table certified by `kind`, decided under the
+    kind of its one section."""
+    spec, merged = _lookup(table_id, params, kind)
+    return _certify((sec := spec.build(table_id, **merged)[0]).kind, sec.inputs)
+
+
 def standard_nef_certificate(table_id: str, **params) -> Certificate:
-    spec, merged = _lookup(table_id, params, NEF_DUAL)
-    sec = spec.build(table_id, **merged)[0]
-    return _certify(sec.kind, sec.inputs)
+    return _standard(table_id, params, NEF_DUAL)
 
 
 def standard_eff_certificate(table_id: str) -> Certificate:
-    spec, merged = _lookup(table_id, {}, EFF_MOVING)
-    sec = spec.build(table_id, **merged)[0]
-    return _certify(sec.kind, sec.inputs)
+    return _standard(table_id, {}, EFF_MOVING)
 
 
 def reproduce_table(table_id: str, **params) -> TableReport:
@@ -914,16 +918,15 @@ def reproduce_table(table_id: str, **params) -> TableReport:
 def table_cross_section(table_id: str, **params) -> tuple[CrossSection, list[str]]:
     """Cross-section of a table's cone at coordinate sum 1 (at the cone's
     positive functional where the coordinate sum is not positive on every
-    ray), with each vertex labelled by the spanning ray through it, or '?'."""
+    ray), with each vertex labelled by the first table ray through it.  Every
+    vertex has one: it is an extremal generator of the table's cone, stored
+    as the primitive form of a table ray, and a positive multiple of a vector
+    has the same primitive form."""
     inp = table_inputs(table_id, **params)
     cone = inp.cone
     try:
         cs = cross_section(cone, COORD_SUM)
     except FunctionalNotPositive:
         cs = cross_section(cone, positive_functional(cone))
-    labeled = [(r.label, primitive(r.cls.coords)) for r in inp.rays]
-    labels = [
-        next((lab for lab, ray in labeled if ray == primitive(v)), "?")
-        for v in cs.vertices
-    ]
-    return cs, labels
+    label = {primitive(r.cls.coords): r.label for r in reversed(inp.rays)}
+    return cs, [label[primitive(v)] for v in cs.vertices]

@@ -275,6 +275,15 @@ def test_pair_oversized_surface_index_is_usage_error(capsys):
     code, out, err = run(capsys, "pair", "--surface", "f" + "9" * 1000, *argv)
     assert (code, err) == (0, "")
     assert len(out) < 4300
+    # Only significant digits count: leading zeros are dropped before the
+    # count and before the index is read.
+    argv = ["--space", "hilb", "--n", "3", "H", "C1"]
+    f1 = run(capsys, "pair", "--surface", "f1", *argv)
+    assert f1[0] == 0 and f1[2] == ""
+    for name in ("f" + "0" * 1500 + "1", "f" + "0" * 5000 + "1", "F" + "0" * 5000 + "1"):
+        assert run(capsys, "pair", "--surface", name, *argv) == f1
+    code, out, err = run(capsys, "pair", "--surface", "f0" + "9" * 1001, *argv)
+    assert (code, out, err) == (2, "", "usage error: --surface f<i> holds more than 1000 digits\n")
 
 
 @pytest.mark.parametrize("surface, genus", [("p2", "5"), ("f1", "-7")])

@@ -59,6 +59,10 @@ def test_cone_equality_is_equality_of_normalized_generators():
     assert c != Cone(2, [(1, 0), (0, 1)])
     assert Cone(2, []) != Cone(3, []) and Cone(2, [(1, 0)]) != Cone(3, [(1, 0, 0)])
     assert c != c.rays and c.rays != c
+    # A one-shot iterator with a Fraction zero ray and a repeated direction.
+    assert Cone(2, iter([(2, 4), (F(0), F(0)), (1, 0), (Fraction(1, 2), 1)])) == c
+    with pytest.raises(DimensionMismatch, match="ray of length 3"):
+        Cone(2, [(1, 0), (1, 2, 3)])
 
 
 def test_primitive_scaling_is_positive_only():

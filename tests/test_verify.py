@@ -14,6 +14,7 @@ from nestcone.cone import cone_equal, cone_from_rays, dual
 from nestcone.errors import EmptyInput, RangeError, SpaceMismatch, UnknownTable
 from nestcone.pairing import curve_functional
 from nestcone.rationals import canonical_csv, vdot
+from nestcone.spaces import univ
 from nestcone.verify import (
     EFF_MOVING,
     EFF_P2_3_2_PRINTED_VARIANT,
@@ -175,6 +176,25 @@ def test_table_sections_walk_every_section_of_the_catalog(monkeypatch):
         assert chart[title] == (nc.SectionCheck("dual-cone equality", "skipped", detail),)
     for tid in certified_tables(NEF_DUAL, EFF_MOVING):
         assert len(walked[tid]) == 1 and walked[tid][0].inputs == table_inputs(tid)
+
+
+def test_a_failing_chart_entry_states_its_verdict(monkeypatch):
+    """A chart entry whose certificate fails prints the certificate's
+    verdict as its detail, not the equality the entry claims; every other
+    entry keeps its check."""
+    before = {s.title: s.checks for s in nc.reproduce_table("eff_summary").sections}
+    chart_divisor = nestcone.verify._chart_divisor
+
+    def wrong(sp, label):  # D^a_1 on univ(3) read as 2 D^a_1 + H^b
+        d = chart_divisor(sp, label)
+        return 2 * d + chart_divisor(sp, "H^b") if (sp, label) == (univ(3), "D^a_1") else d
+
+    monkeypatch.setattr(nestcone.verify, "_chart_divisor", wrong)
+    after = {s.title: s.checks for s in nc.reproduce_table("eff_summary").sections}
+    verdict = "failed: dual cone strictly larger than the span of the rays"
+    assert after.pop("Eff(P2[3,1])") == (nc.SectionCheck("dual-cone equality", "fail", verdict),)
+    assert before.pop("Eff(P2[3,1])")[0].status == "pass"
+    assert after == before
 
 
 @pytest.mark.parametrize("table_id", certified_tables(NEF_DUAL, EFF_MOVING))
@@ -695,12 +715,22 @@ def test_eff_rule_when_the_dual_has_lineality(dd_calls, ws, rays, ok, dds):
 # ---------------------------------------------------------------------------
 
 def test_table_cross_section_labels():
+    from test_golden import NON_DEFAULT
+
     cone = nc.table_inputs("eff_p2_2_1").cone
     assert len(cone.rays) == 4
     cs, labels = nc.table_cross_section("eff_p2_2_1")
     assert cs == nc.cross_section(cone)
     assert len(cs.vertices) == 4 and len(cs.edges) == 4
     assert set(labels) == {"H_1", "H_2", "B", "D_{1,1}"}
+    # Every certified table, at its defaults and at a second point: one
+    # label per vertex, all distinct, each a ray label of the table.
+    for tid in certified_tables(NEF_DUAL, EFF_MOVING):
+        for params in ({}, NON_DEFAULT.get(tid, {})):
+            cs, labels = nc.table_cross_section(tid, **params)
+            rays = {r.label for r in table_inputs(tid, **params).rays}
+            assert len(labels) == len(cs.vertices) == len(set(labels)), (tid, params)
+            assert set(labels) <= rays, (tid, params)
 
 
 # ---------------------------------------------------------------------------
