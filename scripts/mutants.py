@@ -81,6 +81,10 @@ MUTANTS = (
     Mutant("curve_functional drops the last row", "src/nestcone/pairing.py",
            "zip(c.coords, table.matrix)", "zip(c.coords[:-1], table.matrix)",
            ("tests/test_pairing.py",)),
+    Mutant("_chart_curve reads nested b-curves canonically", "src/nestcone/verify.py",
+           'family = curve_family_a if side == "a" else curve_family_b_alt',
+           'family = curve_family_a if side == "a" else curve_family_b',
+           ("tests/test_verify.py",)),
     Mutant("NefDual always certifies", "src/nestcone/verify.py",
            "(matrix, divisor_rank(surface, space))) is None:",
            "(matrix, divisor_rank(surface, space))) is None or True:",

@@ -29,11 +29,11 @@ of the configuration constrained to lie on the moving curve):
 The nested Cb coefficient on Aa is -r (not the constant -1 sometimes seen in
 informal tables): only -r is compatible with the pushforward identity
 pr_a(Cb_{gamma,r}) = C_{gamma,r+1}[n+1].  The constant-coefficient variant
-is `curve_family_b_alt`, and two catalog tables use it: `eff_p2_3_2`
-certifies with the row C_{2,0} = Cb1 - Aa - Ab, which is
-`curve_family_b_alt(p2(), nested(2), 1, 2)`, and the `eff_summary` chart
-decodes its nested b-curves with it.  Which of the two readings the paper
-means is an open question.
+is `curve_family_b_alt`, and the catalog reads every nested label
+C^b_{gamma,r} with it, in one place (`verify._chart_curve`): so
+`eff_p2_3_2` certifies with the row C_{2,0} = C^b_{l,2} = Cb1 - Aa - Ab,
+and the `eff_summary` chart decodes its nested b-curves the same way.
+Which of the two readings the paper means is an open question.
 """
 
 from functools import lru_cache

@@ -41,16 +41,19 @@ certify it under its own kind.  Each witness's functional is computed
 once, from the pairing table's rows: every cell is a dot product with it,
 the dual-cone check reads it, and ``Certificate.functionals`` keeps it.
 
-The catalog reproduces reference intersection tables cell by cell.  Each
-eff-table builder writes its legacy labels (H_1, B_1, D_{1,1}, C_{2,1,1},
-...) beside their canonical classes, and the summary chart decodes its
-labels through ``_chart_divisor`` and ``_chart_curve``; a label with no
-known definition (C^c_*, E_1, 2D^a_{3/2}, 2D^b_{3/2}) decodes to None,
-stays unresolved, and its cells are reported as SKIPPED, never silently
-passed.
+The catalog reproduces reference intersection tables cell by cell.  The
+P^2 pairing and eff tables are data: each is a ``_LabelTable`` of (printed
+label, reading) rows and columns, such as (H_1, H^diff) or (C_{2,0},
+C^b_{l,2}), and its expected matrix.  One reader, ``_read``, decodes their
+readings and the summary chart's labels through ``_chart_divisor`` and
+``_chart_curve``, so each class a label names is decided in one place; a
+label with no known definition (C^c_*, E_1, 2D^a_{3/2}, 2D^b_{3/2})
+decodes to None, stays unresolved, and its cells are reported as SKIPPED,
+never silently passed.
 """
 
 import re
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .cone import (
@@ -143,7 +146,7 @@ class TableInputs(NamedTuple):
     space: SpaceId
     rays: Sequence[RaySpec]
     witnesses: Sequence[WitnessSpec]
-    expected: list[list] | None
+    expected: Sequence[Sequence] | None
 
     @property
     def cone(self) -> Cone:
@@ -467,56 +470,8 @@ def _certified(table_id: str, kind: str, inp: TableInputs, *notes: str) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# Effective-cone tables and the summary chart, in legacy labels
+# Tables in legacy labels: the pairing tables, the eff tables and the chart
 # ---------------------------------------------------------------------------
-
-def _full_b(surface: SurfaceModel, space: SpaceId, half_label: str) -> DivClass:
-    return 2 * divisor(surface, space, half_label)
-
-
-def _labelled_inputs(s: SurfaceModel, sp: SpaceId, rows, cols, expected) -> TableInputs:
-    """Inputs of (label, curve) rows against (label, divisor) cols: of an
-    eff table or chart entry (moving curves against effective rays) and of
-    a pairing table.  Every ray is tagged an asserted effective generator;
-    only a certificate reads a ray's provenance, and a section without a
-    kind prints none."""
-    effective = Provenance(ASSERTED, "effective generator of the claimed cone")
-    rays = [RaySpec(lab, cls, effective) for lab, cls in cols]
-    # Asserted geometric input: each moving curve's irreducible
-    # representatives cover a dense open set.
-    moving = [WitnessSpec(lab, cls) for lab, cls in rows]
-    return TableInputs(s, sp, rays, moving, expected)
-
-
-def _eff_p2_2_1(table_id: str) -> tuple[SectionInputs, ...]:
-    """Eff(P^2[2,1]) modeled on the universal family Univ(2): the formal
-    nested(1) lattice is rank-degenerate (the subscheme is a single reduced
-    point, so Bb and Ab vanish), and Univ(2) carries exactly the three
-    independent directions plus the tautological ray."""
-    s = p2()
-    sp = univ(2)
-    hdiff = divisor(s, sp, "Hdiff")
-    hb = divisor(s, sp, "Hb")
-    bfull = _full_b(s, sp, "B/2")
-    d11 = tautological_a(s, sp, 1)
-    aa = curve(s, sp, "Aa")
-    ca1 = curve(s, sp, "Ca1")
-    cb1 = curve(s, sp, "Cb1")
-    cols = [("H_1", hdiff), ("H_2", hb), ("B", bfull), ("D_{1,1}", d11)]
-    rows = [
-        ("C_{2,1,1}", ca1 - aa),
-        ("C_{1,1,2}", cb1 - aa),
-        ("C_{1,1}", ca1),
-        ("C_{2,1}", cb1),
-    ]
-    expected = [
-        [1, 0, 2, 0],
-        [0, 1, 2, 0],
-        [1, 0, 0, 1],
-        [0, 1, 0, 1],
-    ]
-    return _certified(table_id, EFF_MOVING, _labelled_inputs(s, sp, rows, cols, expected))
-
 
 # The legacy source prints the row C_{1,0} of the Eff(P^2[3,2]) table as
 # (1, 0, 2, 0, 0); that is incompatible with the exact divisor identity
@@ -525,47 +480,8 @@ def _eff_p2_2_1(table_id: str) -> tuple[SectionInputs, ...]:
 EFF_P2_3_2_PRINTED_VARIANT = {"C_{1,0}": (1, 0, 2, 0, 0)}
 
 
-def _eff_p2_3_2(table_id: str) -> tuple[SectionInputs, ...]:
-    """Eff(P^2[3,2]) on Nested(2) in the legacy frame H_1 = Hdiff,
-    B_1 = Bdiff, B_2 = Bb, D_{1,k} = k(H_1+H_2) - (B_1+B_2)/2,
-    D_{2,k} = kH_2 - B_2/2."""
-    s = p2()
-    sp = nested(2)
-    aa = curve(s, sp, "Aa")
-    ab = curve(s, sp, "Ab")
-    ca1 = curve(s, sp, "Ca1")
-    cb1 = curve(s, sp, "Cb1")
-    cols = [
-        ("H_1", divisor(s, sp, "Hdiff")),
-        ("B_1", _full_b(s, sp, "Bdiff/2")),
-        ("B_2", _full_b(s, sp, "Bb/2")),
-        ("D_{1,1}", tautological_a(s, sp, 1)),
-        ("D_{2,1}", tautological_b(s, sp, 1)),
-    ]
-    rows = [
-        ("C_{1,1}", ca1),
-        ("C_{2,1}", cb1),
-        ("C_{1,0}", ca1 - aa),
-        ("C_{2,0}", cb1 - aa - ab),
-        ("C_{1,1,1}", cb1 - aa),
-    ]
-    expected = [
-        [1, 0, 0, 1, 0],
-        [0, 0, 0, 1, 1],
-        [1, 2, 0, 0, 0],  # corrected; see EFF_P2_3_2_PRINTED_VARIANT
-        [0, 0, 2, 0, 0],
-        [0, 2, 0, 0, 1],
-    ]
-    inp = _labelled_inputs(s, sp, rows, cols, expected)
-    return _certified(
-        table_id, EFF_MOVING, inp,
-        "row C_{1,0}: the legacy source prints (1,0,2,0,0); the B_1/B_2 cells are "
-        "transposed there and the catalog stores the corrected row (1,2,0,0,0)",
-    )
-
-
 # The summary chart, entry by entry: (space, ray labels, moving-curve labels).
-# The labels name their classes through _chart_divisor and _chart_curve.
+# Each label is its own reading.
 _CHART = [
     (univ(3), ("H^diff", "B", "H^b", "D^a_1"),
      ("C^a_{l,1}", "C^b_{l,1}", "C^a_{l,2}", "C^b_{l,2}")),
@@ -583,32 +499,42 @@ _CHART = [
      ("C^a_{l,1}", "C^b_{l,1}", "C^c_{l,2}", "C^a_{q,5}", "C^b_{q,4}", "C^c_{q,4}")),
 ]
 
+_TAUTOLOGICAL_LABEL = re.compile(r"D\^([ab])_(\d+)")
+_SWEPT_LABEL = re.compile(r"C\^([abc])_\{([lq]),(\d+)\}")
+
 
 def _chart_divisor(sp: SpaceId, label: str) -> DivClass | None:
-    """A summary-chart ray on P^2 by label.  B^a is the pullback of the full
-    nonreduced locus, B^a = Bdiff + Bb; E_1 and 2D^?_{3/2} have no printed
-    definition and resolve to None."""
+    """A ray on P^2 by its reading: an H label is a basis divisor; B, B^diff
+    and B^b are twice their basis halves; B^a is the pullback of the full
+    nonreduced locus, B^a = B^diff + B^b; D^a_k and D^b_k are tautological
+    classes.  E_1 and 2D^?_{3/2} have no printed definition and resolve to
+    None."""
     s = p2()
     if label == "B^a":
-        return _full_b(s, sp, "Bdiff/2") + _full_b(s, sp, "Bb/2")
-    if label in ("B", "B^b"):
-        return _full_b(s, sp, label + "/2")
+        return _chart_divisor(sp, "B^diff") + _chart_divisor(sp, "B^b")
+    if label in ("B", "B^b", "B^diff"):
+        return 2 * divisor(s, sp, label + "/2")
     if label.startswith("H"):
         return divisor(s, sp, label)
-    m = re.fullmatch(r"D\^([ab])_(\d+)", label)
+    m = _TAUTOLOGICAL_LABEL.fullmatch(label)
     if m is None:
         return None
     return (tautological_a if m[1] == "a" else tautological_b)(s, sp, int(m[2]))
 
 
 def _chart_curve(sp: SpaceId, label: str) -> CurClass | None:
-    """A summary-chart moving curve on P^2 by label: C^a_{gamma,r} and
-    C^b_{gamma,r} sweep the line l or the conic q through r points.  The
-    chart follows legacy indexing: on Univ(n) the marked point is not counted
-    in r (curve_family_a_alt), and on Nested(n) the b side keeps a constant
-    Aa coefficient (curve_family_b_alt).  C^c_* has no printed definition and
-    resolves to None."""
-    side, gamma, r = re.fullmatch(r"C\^([abc])_\{([lq]),(\d+)\}", label).groups()
+    """A curve on P^2 by its reading: C^a_{gamma,r} and C^b_{gamma,r} sweep
+    the line l or the conic q through r points, in legacy indexing: on a
+    universal family the marked point is not counted in r
+    (curve_family_a_alt), and on Nested(n) the b side keeps a constant Aa
+    coefficient (curve_family_b_alt).  C^c_* has no printed definition and
+    resolves to None.  A reading 'X - Y' is X minus Y, and any other
+    reading is a basis curve."""
+    m = _SWEPT_LABEL.fullmatch(label)
+    if m is None:
+        head, _, tail = label.partition(" - ")
+        return _chart_curve(sp, head) - _chart_curve(sp, tail) if tail else curve(p2(), sp, label)
+    side, gamma, r = m.groups()
     if side == "c":
         return None
     if sp.kind is SpaceKind.UNIV:
@@ -618,19 +544,57 @@ def _chart_curve(sp: SpaceId, label: str) -> CurClass | None:
     return family(p2(), sp, {"l": 1, "q": 2}[gamma], int(r))
 
 
+# Every ray of a table in legacy labels is tagged an asserted effective
+# generator; only a certificate reads a ray's provenance, and a section
+# without a kind prints none.
+_EFFECTIVE = Provenance(ASSERTED, "effective generator of the claimed cone")
+
+
+def _read(sp: SpaceId, rows, cols, expected) -> TableInputs:
+    """Inputs on P^2 of (label, reading) rows against (label, reading) cols:
+    of an eff table or chart entry (moving curves against effective rays)
+    and of a pairing table.  _chart_curve reads each row's reading and
+    _chart_divisor each col's."""
+    rays = [RaySpec(lab, _chart_divisor(sp, r), _EFFECTIVE) for lab, r in cols]
+    # Asserted geometric input: each moving curve's irreducible
+    # representatives cover a dense open set.
+    moving = [WitnessSpec(lab, _chart_curve(sp, r)) for lab, r in rows]
+    return TableInputs(p2(), sp, rays, moving, expected)
+
+
 def _eff_summary(table_id: str) -> tuple[SectionInputs, ...]:
     """One section per chart entry, certified against its moving curves;
     an entry with an unresolved label has its resolvable cells paired and
     its dual-cone check skipped."""
     return tuple(
         SectionInputs(
-            _labelled_inputs(p2(), sp, [(lab, _chart_curve(sp, lab)) for lab in curve_labels],
-                             [(lab, _chart_divisor(sp, lab)) for lab in ray_labels], None),
+            _read(sp, zip(curve_labels, curve_labels), zip(ray_labels, ray_labels), None),
             f"Eff(P2[{sp.n},1])" if sp.kind is SpaceKind.UNIV else f"Eff(P2[{sp.n + 1},{sp.n}])",
             EFF_MOVING, "dual-cone equality", "cone(rays) == dual(moving-curve functionals)",
         )
         for sp, ray_labels, curve_labels in _CHART
     )
+
+
+class _LabelTable(NamedTuple):
+    """Builder of a P^2 table in printed labels: each moving curve (row) and
+    ray (column) is a (printed label, reading) pair, read by `_read`.  A
+    table on `space(n)` is a pairing table, paired cell by cell; a table on
+    a fixed space, `space()`, is an eff table, certified against its moving
+    curves with its `notes`."""
+
+    space: Callable
+    rows: tuple[tuple[str, str], ...]
+    cols: tuple[tuple[str, str], ...]
+    expected: tuple[tuple[int, ...], ...]
+    notes: tuple[str, ...] = ()
+
+    def __call__(self, table_id: str, **params) -> tuple[SectionInputs, ...]:
+        sp = self.space(*params.values())
+        inp = _read(sp, self.rows, self.cols, self.expected)
+        if params:
+            return (SectionInputs(inp, f"{table_id} (n={params['n']})"),)
+        return _certified(table_id, EFF_MOVING, inp, *self.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -762,61 +726,14 @@ class TableSpec(NamedTuple):
     build: Callable
 
 
-def _pairing_p2_hilb(table_id: str, n: int) -> tuple[SectionInputs, ...]:
-    s = p2()
-    sp = hilb(n)
-    c1 = curve(s, sp, "C1")
-    a = curve(s, sp, "A")
-    rows = [("C_0", c1 - a), ("C_1", c1), ("A", a)]
-    cols = [("H", divisor(s, sp, "H")), ("B", _full_b(s, sp, "B/2"))]
-    expected = [[1, 2], [1, 0], [0, -2]]
-    return (SectionInputs(_labelled_inputs(s, sp, rows, cols, expected), f"{table_id} (n={n})"),)
-
-
-def _pairing_p2_nested(table_id: str, n: int) -> tuple[SectionInputs, ...]:
-    s = p2()
-    sp = nested(n)
-    ca1 = curve(s, sp, "Ca1")
-    cb1 = curve(s, sp, "Cb1")
-    aa = curve(s, sp, "Aa")
-    ab = curve(s, sp, "Ab")
-    rows = [
-        ("C^a_0", ca1 - aa),
-        ("C^a_1", ca1),
-        ("A^a", aa),
-        ("C^b_0", cb1 - ab - aa),
-        ("C^b_1", cb1),
-        ("A^b", ab),
-    ]
-    cols = [
-        ("H^diff", divisor(s, sp, "Hdiff")),
-        ("B^diff", _full_b(s, sp, "Bdiff/2")),
-        ("H^b", divisor(s, sp, "Hb")),
-        ("B^b", _full_b(s, sp, "Bb/2")),
-    ]
-    expected = [
-        [1, 2, 0, 0],
-        [1, 0, 0, 0],
-        [0, -2, 0, 0],
-        [0, 0, 1, 2],
-        [0, 0, 1, 0],
-        [0, 2, 0, -2],
-    ]
-    return (SectionInputs(_labelled_inputs(s, sp, rows, cols, expected), f"{table_id} (n={n})"),)
-
-
 def _k3_g1n(table_id: str, g: int, n: int) -> tuple[SectionInputs, ...]:
-    if n <= g:
-        raise RangeError(f"{table_id} requires n > g, got n={n}, g={g}")
     s = k3(g)
     sp = hilb(n)
-    rows = [("g^1_n", g1n_curve(s, sp)), ("A", curve(s, sp, "A"))]
-    cols = [
-        ("H", divisor(s, sp, "H")),
-        (f"D_{{f({n})}}", tautological(s, n, k3_extremal_slope(g, n))),
-    ]
-    expected = [[2 * g - 2, 0], [0, 1]]
-    return (SectionInputs(_labelled_inputs(s, sp, rows, cols, expected), f"{table_id} (g={g}, n={n})"),)
+    wits = [WitnessSpec("g^1_n", g1n_curve(s, sp)), WitnessSpec("A", curve(s, sp, "A"))]
+    rays = [RaySpec("H", divisor(s, sp, "H"), _EFFECTIVE),
+            RaySpec(f"D_{{f({n})}}", tautological(s, n, k3_extremal_slope(g, n)), _EFFECTIVE)]
+    inp = TableInputs(s, sp, rays, wits, [[2 * g - 2, 0], [0, 1]])
+    return (SectionInputs(inp, f"{table_id} (g={g}, n={n})"),)
 
 
 CATALOG: dict[str, TableSpec] = {
@@ -839,13 +756,48 @@ CATALOG: dict[str, TableSpec] = {
     # nef cone of K3^[n,1] (n >= g+1)
     "nef_k3_univ": TableSpec({"g": 3, "n": 4}, NEF_DUAL, _NefTable(_univ_template, _nef_k3)),
     # intersection table of the P2 Hilbert-scheme bases
-    "pairing_p2_hilb": TableSpec({"n": 3}, None, _pairing_p2_hilb),
-    # intersection table of the P2 nested bases
-    "pairing_p2_nested": TableSpec({"n": 3}, None, _pairing_p2_nested),
-    # effective cone of P2^[2,1] against its moving curves
-    "eff_p2_2_1": TableSpec({}, EFF_MOVING, _eff_p2_2_1),
-    # effective cone of P2^[3,2] against its moving curves
-    "eff_p2_3_2": TableSpec({}, EFF_MOVING, _eff_p2_3_2),
+    "pairing_p2_hilb": TableSpec({"n": 3}, None, _LabelTable(
+        hilb,
+        (("C_0", "C^a_{l,2}"), ("C_1", "C1"), ("A", "A")),
+        (("H", "H"), ("B", "B")),
+        ((1, 2), (1, 0), (0, -2)),
+    )),
+    # intersection table of the P2 nested bases; C^b_0 is read as
+    # C^b_{l,1} - A^b, which is C^b_{l,2} on Nested(n >= 2) and also holds on
+    # Nested(1), where no b-curve passes through 2 points
+    "pairing_p2_nested": TableSpec({"n": 3}, None, _LabelTable(
+        nested,
+        (("C^a_0", "C^a_{l,2}"), ("C^a_1", "C^a_{l,1}"), ("A^a", "Aa"),
+         ("C^b_0", "C^b_{l,1} - Ab"), ("C^b_1", "Cb1"), ("A^b", "Ab")),
+        (("H^diff", "H^diff"), ("B^diff", "B^diff"), ("H^b", "H^b"), ("B^b", "B^b")),
+        ((1, 2, 0, 0), (1, 0, 0, 0), (0, -2, 0, 0), (0, 0, 1, 2), (0, 0, 1, 0), (0, 2, 0, -2)),
+    )),
+    # effective cone of P2^[2,1] against its moving curves, modeled on the
+    # universal family Univ(2): the formal nested(1) lattice is
+    # rank-degenerate (the subscheme is a single reduced point, so Bb and Ab
+    # vanish), and Univ(2) carries exactly the three independent directions
+    # plus the tautological ray
+    "eff_p2_2_1": TableSpec({}, EFF_MOVING, _LabelTable(
+        partial(univ, 2),
+        (("C_{2,1,1}", "C^a_{l,2}"), ("C_{1,1,2}", "C^b_{l,2}"), ("C_{1,1}", "C^a_{l,1}"),
+         ("C_{2,1}", "C^b_{l,1}")),
+        (("H_1", "H^diff"), ("H_2", "H^b"), ("B", "B"), ("D_{1,1}", "D^a_1")),
+        ((1, 0, 2, 0), (0, 1, 2, 0), (1, 0, 0, 1), (0, 1, 0, 1)),
+    )),
+    # effective cone of P2^[3,2] against its moving curves, on Nested(2) in
+    # the legacy frame H_1 = Hdiff, B_1 = Bdiff, B_2 = Bb,
+    # D_{1,k} = k(H_1+H_2) - (B_1+B_2)/2, D_{2,k} = kH_2 - B_2/2; its row
+    # C_{1,0} is corrected (EFF_P2_3_2_PRINTED_VARIANT)
+    "eff_p2_3_2": TableSpec({}, EFF_MOVING, _LabelTable(
+        partial(nested, 2),
+        (("C_{1,1}", "C^a_{l,1}"), ("C_{2,1}", "Cb1"), ("C_{1,0}", "C^a_{l,2}"),
+         ("C_{2,0}", "C^b_{l,2}"), ("C_{1,1,1}", "C^b_{l,1}")),
+        (("H_1", "H^diff"), ("B_1", "B^diff"), ("B_2", "B^b"), ("D_{1,1}", "D^a_1"),
+         ("D_{2,1}", "D^b_1")),
+        ((1, 0, 0, 1, 0), (0, 0, 0, 1, 1), (1, 2, 0, 0, 0), (0, 0, 2, 0, 0), (0, 2, 0, 0, 1)),
+        ("row C_{1,0}: the legacy source prints (1,0,2,0,0); the B_1/B_2 cells are "
+         "transposed there and the catalog stores the corrected row (1,2,0,0,0)",),
+    )),
     # summary chart of effective cones; unresolved labels are skipped
     "eff_summary": TableSpec({}, None, _eff_summary),
     # g^1_n fiber-class pairings on K3^[n]

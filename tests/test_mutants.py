@@ -12,7 +12,7 @@ spec.loader.exec_module(_M)
 
 
 def test_every_snippet_occurs_exactly_once():
-    assert len(_M.MUTANTS) >= 23
+    assert len(_M.MUTANTS) >= 24
     assert _M.mismatches() == []
 
 

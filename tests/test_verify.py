@@ -42,6 +42,14 @@ def test_catalog_defaults_ok(table_id):
     assert report.ok, report.text()
 
 
+def test_pairing_tables_reproduce_on_their_smallest_space():
+    """Hilb(2) and Nested(1); on Nested(1) no b-curve passes through 2
+    points, and C^b_0 still reads, as C^b_{l,1} - A^b."""
+    for table_id, n in (("pairing_p2_hilb", 2), ("pairing_p2_nested", 1)):
+        report = nc.reproduce_table(table_id, n=n)
+        assert {c.status for s in report.sections for c in s.cells} == {"match"}, report.text()
+
+
 def test_unknown_table():
     with pytest.raises(UnknownTable):
         nc.reproduce_table("no_such_table")
@@ -60,8 +68,14 @@ def test_unknown_table():
     ],
 )
 def test_table_of_the_wrong_kind_is_unknown(lookup, table_id):
-    with pytest.raises(UnknownTable, match=f"table '{table_id}'; known: "):
+    """The known list is the sorted ids of the kinds the lookup asks for,
+    or every id when it asks for none."""
+    kinds = {table_inputs: (NEF_DUAL, EFF_MOVING), nc.standard_nef_certificate: (NEF_DUAL,),
+             nc.standard_eff_certificate: (EFF_MOVING,)}.get(lookup, ())
+    known = certified_tables(*kinds) if kinds else sorted(nc.CATALOG)
+    with pytest.raises(UnknownTable) as e:
         lookup(table_id)
+    assert str(e.value).endswith(f"table {table_id!r}; known: {', '.join(known)}")
 
 
 class _CountingCatalog(dict):
